@@ -57,7 +57,6 @@ from .kernels import (
     KernelMatrix,
     WeightedSpace,
     assemble_gram,
-    bergman_density,
     bergman_density_at,
     bergman_density_from_space,
     build_space,

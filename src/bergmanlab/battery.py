@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import checks
 from .comparison import (
-    COMPARISON_TOL,
     MAXPRINCIPLE_CONCLUSION_HOLDS,
     MAXPRINCIPLE_COUNTEREXAMPLE,
     MAXPRINCIPLE_PREMISES_FAIL,
@@ -33,32 +33,21 @@ from .comparison import (
 )
 from .homotopy import (
     BOUND_STEPS,
-    ENDPOINT_TOL,
-    FD_MATCH_TOL,
     ORDER_STEPS,
-    SIGN_SPLIT_FLOOR,
-    STEP_TOL,
-    THREE_FORM_RTOL,
     build_path,
-    difference_quotient_bound_check,
     g_derivative_forms,
-    l2_difference_bound_check,
     monotonicity_sweep,
     weight_at,
 )
 from .kernels import (
-    RANK_TOL,
-    REPRODUCING_TOL,
-    TRACE_TOL,
     assemble_gram,
-    bergman_density_from_space,
     build_space,
-    density_integral,
     kernel_matrix,
     reproducing_residual,
     retained_spread,
 )
 from .measures import build_discrete_measure
+from .scenarios import DEFAULT_C_GRID
 from .spans import KIND_MONOMIALS, monomial_span, tabulated_span
 from .weights import eval_weight, tabulated_weight
 
@@ -72,7 +61,6 @@ SPREAD_BOUND = 1e6
 # stay away from the square-Vandermonde conditioning cliff.
 MONOMIAL_NODE_MARGIN = 4
 
-DEFAULT_SHIFTS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 DEFAULT_N_INSTANCES = 200
 DERIVATIVE_T = 0.5
 
@@ -115,7 +103,6 @@ class BatteryInstance:
     span: object
     phi: object
     psi: object
-    span_kind: str
     resamples: int
 
     def scenario_dict(self, checks=("structural", "comparison", "homotopy")) -> dict:
@@ -146,9 +133,9 @@ class BatteryInstance:
         }
 
 
-def instance_spread(span, measure, weight, rank_tol: float = RANK_TOL) -> float:
+def instance_spread(span, measure, weight) -> float:
     """Conditioning of one configuration's equilibrated, retained Gram."""
-    return retained_spread(assemble_gram(span, measure, weight), rank_tol)
+    return retained_spread(assemble_gram(span, measure, weight))
 
 
 def generate_instance(rng, index: int, bounds: SizeBounds) -> BatteryInstance:
@@ -171,15 +158,12 @@ def generate_instance(rng, index: int, bounds: SizeBounds) -> BatteryInstance:
         measure = build_discrete_measure(points, masses)
         if bounds.zero_span:
             span = tabulated_span(np.zeros((m, d), dtype=complex))
-            span_kind = "tabulated"
         elif rng.uniform() < bounds.monomial_fraction:
             d = min(d, max(1, m - MONOMIAL_NODE_MARGIN))
             span = monomial_span(measure, d - 1)
-            span_kind = "monomials"
         else:
             vals = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
             span = tabulated_span(vals / math.sqrt(2.0))
-            span_kind = "tabulated"
         phi = eval_weight(tabulated_weight(rng.uniform(lo_w, hi_w, m)), measure)
         psi = eval_weight(tabulated_weight(rng.uniform(lo_w, hi_w, m)), measure)
         path = build_path(phi, psi)
@@ -195,7 +179,6 @@ def generate_instance(rng, index: int, bounds: SizeBounds) -> BatteryInstance:
                 span=span,
                 phi=phi,
                 psi=psi,
-                span_kind=span_kind,
                 resamples=attempt,
             )
     raise RuntimeError(
@@ -205,120 +188,72 @@ def generate_instance(rng, index: int, bounds: SizeBounds) -> BatteryInstance:
 
 @dataclass
 class InstanceMetrics:
-    """Per-instance check outcomes.  failures lists the labels that broke."""
+    """Per-instance check outcomes.
+
+    values maps each metric of the check table, and the sandwich and bound
+    verdicts, to this instance's value; failures lists the labels that broke.
+    """
 
     index: int
     rank: int
-    trace_error: float
-    reproducing_residual_value: float
-    comparison_deficit: float
-    sandwich_ok: bool
-    three_form_dev: float
-    sign_split_value: float
-    fd_match_ratio: float
-    monotonicity_drop: float
-    endpoint_dev: float
-    bound_ok: bool
+    values: dict
     order_errors: dict
-    failures: list = field(default_factory=list)
+    failures: list
 
 
-def check_instance(
-    inst: BatteryInstance,
-    shifts=DEFAULT_SHIFTS,
-    bound_steps=BOUND_STEPS,
-    order_steps=ORDER_STEPS,
-    tol_scale: float = 1.0,
-) -> InstanceMetrics:
+def check_instance(inst: BatteryInstance, tol_scale: float = 1.0) -> InstanceMetrics:
     """Run all three check groups on one instance.
 
-    tol_scale multiplies every identity and agreement tolerance; the
-    quotient-bound envelope is a fixed mathematical claim and is not
-    scaled.
+    tol_scale multiplies the scaled limits of the check table; the fixed
+    claims (quotient-bound envelope, sandwich slack, order window) keep
+    their values.
     """
     measure, span, phi, psi = inst.measure, inst.span, inst.phi, inst.psi
 
     space = build_space(span, measure, phi)
     kern = kernel_matrix(space)
-    density = bergman_density_from_space(space)
-    trace_error = abs(density_integral(density, measure) - space.rank) / max(
-        1, space.rank
-    )
-    resid = reproducing_residual(kern, phi, measure)
-
-    deficit = 0.0
-    for rep in shifted_comparison_sweep(phi, psi, span, measure, shifts):
-        allowance = COMPARISON_TOL * tol_scale * (1.0 + rep.rhs)
-        deficit = max(deficit, -(rep.margin + allowance))
-    sandwich_ok = bool(sandwich_check(phi, psi, span, measure))
+    values = {
+        "trace_error": checks.trace_error(space, measure),
+        "reproducing_residual": reproducing_residual(kern, phi, measure),
+        "comparison_deficit": checks.comparison_deficit(
+            shifted_comparison_sweep(phi, psi, span, measure, DEFAULT_C_GRID),
+            tol_scale,
+        ),
+        "sandwich": bool(sandwich_check(phi, psi, span, measure)),
+    }
 
     path = build_path(phi, psi)
     der = g_derivative_forms(path, DERIVATIVE_T, span, measure)
-    scale = 1.0 + max(
-        abs(der.direct_form), abs(der.symmetric_form), abs(der.sign_split_form)
-    )
-    three_form_dev = der.max_pairwise_dev / scale
-    fd_match_ratio = abs(der.fd_estimate - der.sign_split_form) / (
-        FD_MATCH_TOL * (1.0 + abs(der.sign_split_form))
-    )
+    values["three_form_dev"] = checks.three_form_dev(der)
+    values["sign_split"] = der.sign_split_form
+    values["fd_match_ratio"] = checks.fd_match_ratio(der)
 
-    sweep = monotonicity_sweep(path, span, measure)
-    g_vals = [g for _, g in sweep]
-    drop = max(
-        (g_vals[i] - g_vals[i + 1] for i in range(len(g_vals) - 1)), default=0.0
+    g_vals = [g for _, g in monotonicity_sweep(path, span, measure)]
+    values["monotonicity_drop"] = checks.monotonicity_drop(g_vals)
+    values["endpoint_dev"] = checks.endpoint_dev(
+        g_vals, comparison_integrals(phi, psi, span, measure)
     )
-    endpoints = comparison_integrals(phi, psi, span, measure)
-    endpoint_dev = max(
-        abs(g_vals[0] - endpoints.lhs), abs(g_vals[-1] - endpoints.rhs)
-    )
-
-    bound_ok = all(
-        difference_quotient_bound_check(path, DERIVATIVE_T, tau, span, measure)
-        and l2_difference_bound_check(path, DERIVATIVE_T, tau, span, measure)
-        for tau in bound_steps
+    values["bound"] = checks.quotient_bounds_hold(
+        path, DERIVATIVE_T, BOUND_STEPS, span, measure
     )
 
     order_errors = {}
-    for tau in order_steps:
+    for tau in ORDER_STEPS:
         d_tau = g_derivative_forms(path, DERIVATIVE_T, span, measure, fd_step=tau)
         order_errors[tau] = abs(d_tau.fd_estimate - d_tau.sign_split_form)
 
-    metrics = InstanceMetrics(
+    return InstanceMetrics(
         index=inst.index,
         rank=space.rank,
-        trace_error=trace_error,
-        reproducing_residual_value=resid,
-        comparison_deficit=deficit,
-        sandwich_ok=sandwich_ok,
-        three_form_dev=three_form_dev,
-        sign_split_value=der.sign_split_form,
-        fd_match_ratio=fd_match_ratio,
-        monotonicity_drop=drop,
-        endpoint_dev=endpoint_dev,
-        bound_ok=bound_ok,
+        values=values,
         order_errors=order_errors,
+        failures=checks.failures(values, tol_scale),
     )
-    if trace_error > TRACE_TOL * tol_scale:
-        metrics.failures.append("trace")
-    if resid > REPRODUCING_TOL * tol_scale:
-        metrics.failures.append("reproducing")
-    if deficit > 0.0:
-        metrics.failures.append("comparison")
-    if not sandwich_ok:
-        metrics.failures.append("sandwich")
-    if three_form_dev > THREE_FORM_RTOL * tol_scale:
-        metrics.failures.append("three-form")
-    if der.sign_split_form < SIGN_SPLIT_FLOOR * tol_scale:
-        metrics.failures.append("sign-split")
-    if fd_match_ratio > tol_scale:
-        metrics.failures.append("fd-match")
-    if drop > STEP_TOL * tol_scale:
-        metrics.failures.append("monotonicity")
-    if endpoint_dev > ENDPOINT_TOL * tol_scale:
-        metrics.failures.append("endpoint")
-    if not bound_ok:
-        metrics.failures.append("bound")
-    return metrics
+
+
+def _worst_field(lim) -> str:
+    """The BatteryReport field holding a metric's worst value over instances."""
+    return ("worst_" if lim.upper else "min_") + lim.metric
 
 
 @dataclass
@@ -327,6 +262,7 @@ class BatteryReport:
 
     n_instances: int
     seed: int
+    tol_scale: float
     worst_trace_error: float
     worst_reproducing_residual: float
     worst_comparison_deficit: float
@@ -349,44 +285,37 @@ class BatteryReport:
         return all(e <= ORDER_EXACT_FLOOR for e in self.order_max_errors.values())
 
     @property
-    def all_green(self) -> bool:
+    def order_ok(self) -> bool:
         lo, hi = ORDER_WINDOW
-        order_ok = self.order_exact or (
+        return self.order_exact or (
             math.isfinite(self.order_slope) and lo <= self.order_slope <= hi
         )
-        return not self.failures and order_ok
+
+    @property
+    def all_green(self) -> bool:
+        return not self.failures and self.order_ok
 
     def summary_lines(self) -> list:
-        """Human-readable one-line-per-metric summary."""
-        lo, hi = ORDER_WINDOW
-        rows = [
-            ("trace identity", self.worst_trace_error, TRACE_TOL),
-            ("reproducing residual", self.worst_reproducing_residual, REPRODUCING_TOL),
-            ("comparison deficit", self.worst_comparison_deficit, 0.0),
-            ("three-form deviation", self.worst_three_form_dev, THREE_FORM_RTOL),
-            ("fd match ratio", self.worst_fd_match_ratio, 1.0),
-            ("monotonicity drop", self.worst_monotonicity_drop, STEP_TOL),
-            ("endpoint deviation", self.worst_endpoint_dev, ENDPOINT_TOL),
-        ]
+        """Human-readable one-line-per-metric summary, limits at tol_scale."""
         lines = [
             f"battery: {self.n_instances} instances, seed {self.seed}, "
             f"{self.elapsed_seconds:.2f}s"
         ]
-        for name, value, limit in rows:
-            mark = "ok" if value <= limit else "FAIL"
-            lines.append(f"  {name}: worst {value:.3e} (limit {limit:.1e}) {mark}")
-        mark = "ok" if self.min_sign_split >= SIGN_SPLIT_FLOOR else "FAIL"
-        lines.append(
-            f"  sign-split floor: min {self.min_sign_split:.3e} "
-            f"(floor {SIGN_SPLIT_FLOOR:.1e}) {mark}"
-        )
+        for lim in sorted(BATTERY_LIMITS, key=lambda lim: not lim.upper):
+            value = getattr(self, _worst_field(lim))
+            worst, limit = ("worst", "limit") if lim.upper else ("min", "floor")
+            mark = "ok" if lim.holds(value, self.tol_scale) else "FAIL"
+            lines.append(
+                f"  {lim.title}: {worst} {value:.3e} "
+                f"({limit} {lim.limit(self.tol_scale):.1e}) {mark}"
+            )
         if self.order_exact:
             lines.append("  fd convergence order: exact to roundoff ok")
         else:
-            mark = "ok" if lo <= self.order_slope <= hi else "FAIL"
+            lo, hi = ORDER_WINDOW
             lines.append(
                 f"  fd convergence order: {self.order_slope:.4f} "
-                f"(window [{lo}, {hi}]) {mark}"
+                f"(window [{lo}, {hi}]) {'ok' if self.order_ok else 'FAIL'}"
             )
         lines.append(
             f"  bound violations: {self.bound_violations}, "
@@ -394,6 +323,32 @@ class BatteryReport:
             f"failing instances: {len(self.failures)}"
         )
         return lines
+
+    def document(self) -> dict:
+        """The report as the JSON block of the battery command."""
+        doc = {
+            "n_instances": self.n_instances,
+            "seed": self.seed,
+            "tol_scale": self.tol_scale,
+        }
+        doc.update({f: getattr(self, f) for f in map(_worst_field, BATTERY_LIMITS)})
+        doc.update(
+            bound_violations=self.bound_violations,
+            sandwich_failures=self.sandwich_failures,
+            order_slope=self.order_slope,
+            failing_instances=self.failures,
+            failure_dumps=self.failure_dumps,
+            elapsed_seconds=self.elapsed_seconds,
+        )
+        return doc
+
+
+# The rows of the check table that the battery measures on every instance.
+BATTERY_LIMITS = tuple(
+    lim
+    for lim in checks.LIMITS
+    if _worst_field(lim) in BatteryReport.__dataclass_fields__
+)
 
 
 def fit_order_slope(order_max_errors: dict) -> float:
@@ -415,7 +370,6 @@ def run_battery(
     n_instances: int = DEFAULT_N_INSTANCES,
     seed: int = 0,
     size_bounds: SizeBounds = None,
-    shifts=DEFAULT_SHIFTS,
     dump_dir=None,
     tol_scale: float = 1.0,
 ) -> BatteryReport:
@@ -430,65 +384,37 @@ def run_battery(
     bounds = size_bounds or SizeBounds()
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
-
-    worst = {
-        "trace": 0.0,
-        "reprod": 0.0,
-        "deficit": 0.0,
-        "threeform": 0.0,
-        "fdratio": 0.0,
-        "drop": -math.inf,
-        "endpoint": 0.0,
-    }
-    min_sign_split = math.inf
-    bound_violations = 0
-    sandwich_failures = 0
-    order_max = {tau: 0.0 for tau in ORDER_STEPS}
-    failures = []
+    results = []
     dumps = []
 
     for i in range(n_instances):
         inst = generate_instance(rng, i, bounds)
-        metrics = check_instance(inst, shifts=shifts, tol_scale=tol_scale)
-        worst["trace"] = max(worst["trace"], metrics.trace_error)
-        worst["reprod"] = max(worst["reprod"], metrics.reproducing_residual_value)
-        worst["deficit"] = max(worst["deficit"], metrics.comparison_deficit)
-        worst["threeform"] = max(worst["threeform"], metrics.three_form_dev)
-        worst["fdratio"] = max(worst["fdratio"], metrics.fd_match_ratio)
-        worst["drop"] = max(worst["drop"], metrics.monotonicity_drop)
-        worst["endpoint"] = max(worst["endpoint"], metrics.endpoint_dev)
-        min_sign_split = min(min_sign_split, metrics.sign_split_value)
-        if not metrics.bound_ok:
-            bound_violations += 1
-        if not metrics.sandwich_ok:
-            sandwich_failures += 1
-        for tau, err in metrics.order_errors.items():
-            order_max[tau] = max(order_max[tau], err)
-        if metrics.failures:
-            failures.append((i, list(metrics.failures)))
-            if dump_dir is not None:
-                os.makedirs(dump_dir, exist_ok=True)
-                path = os.path.join(dump_dir, f"battery-failure-{i}.json")
-                with open(path, "w") as fh:
-                    json.dump(inst.scenario_dict(), fh, indent=1)
-                dumps.append(path)
+        metrics = check_instance(inst, tol_scale=tol_scale)
+        results.append(metrics)
+        if metrics.failures and dump_dir is not None:
+            os.makedirs(dump_dir, exist_ok=True)
+            path = os.path.join(dump_dir, f"battery-failure-{i}.json")
+            with open(path, "w") as fh:
+                json.dump(inst.scenario_dict(), fh, indent=1)
+            dumps.append(path)
 
+    worst = {}
+    for lim in BATTERY_LIMITS:
+        values = [m.values[lim.metric] for m in results]
+        worst[_worst_field(lim)] = (max if lim.upper else min)(values, default=0.0)
+    order_max = {
+        tau: max([0.0, *(m.order_errors[tau] for m in results)]) for tau in ORDER_STEPS
+    }
     return BatteryReport(
         n_instances=n_instances,
         seed=seed,
-        worst_trace_error=worst["trace"],
-        worst_reproducing_residual=worst["reprod"],
-        worst_comparison_deficit=worst["deficit"],
-        worst_three_form_dev=worst["threeform"],
-        min_sign_split=min_sign_split if n_instances else 0.0,
-        worst_fd_match_ratio=worst["fdratio"],
-        worst_monotonicity_drop=worst["drop"] if n_instances else 0.0,
-        worst_endpoint_dev=worst["endpoint"],
-        bound_violations=bound_violations,
-        sandwich_failures=sandwich_failures,
+        tol_scale=tol_scale,
+        **worst,
+        bound_violations=sum(not m.values["bound"] for m in results),
+        sandwich_failures=sum(not m.values["sandwich"] for m in results),
         order_slope=fit_order_slope(order_max),
         order_max_errors=order_max,
-        failures=failures,
+        failures=[(m.index, m.failures) for m in results if m.failures],
         failure_dumps=dumps,
         elapsed_seconds=time.perf_counter() - t0,
     )
@@ -580,7 +506,6 @@ def max_principle_search(
                 span=span,
                 phi=phi,
                 psi=psi,
-                span_kind=span.kind,
                 resamples=0,
             )
             record = inst.scenario_dict(checks=("maxprinciple",))

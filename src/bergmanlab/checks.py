@@ -1,0 +1,172 @@
+"""The check limits and the metrics they judge, shared by the battery and the
+scenario runner.
+
+LIMITS is the one table of pass/fail limits.  Each row names a metric, its
+tolerance constant, whether tol_scale multiplies the constant, and whether
+the limit bounds the metric from above or below.  A row's form says how the
+constant reaches the metric:
+
+  absolute  the metric is compared with the constant itself;
+  excess    the constant is an allowance on a margin, relative to 1 + |rhs|,
+            and the metric is how far the worst margin falls short of it,
+            so its limit is 0;
+  ratio     the metric is a mismatch divided by the unscaled allowance,
+            relative to 1 + |reference|, so its limit is tol_scale.
+
+The strict margin is the threshold of the comparison verdict itself
+(``comparison.strictness_check``); it is listed so that reports carry it.
+The quotient-bound envelope and the sandwich slack are fixed claims judged
+inside their layer functions, and the TCZ monotone slack and the battery's
+order window are fixed too; tol_scale changes none of them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .comparison import COMPARISON_TOL, STRICT_MARGIN
+from .homotopy import (
+    ENDPOINT_TOL,
+    FD_MATCH_TOL,
+    SIGN_SPLIT_FLOOR,
+    STEP_TOL,
+    THREE_FORM_RTOL,
+    difference_quotient_bound_check,
+    l2_difference_bound_check,
+)
+from .kernels import (
+    REPRODUCING_TOL,
+    TRACE_TOL,
+    bergman_density_from_space,
+    density_integral,
+)
+from .quantization import TCZ_FINAL_DEV_LIMIT
+
+ABSOLUTE = "absolute"
+EXCESS = "excess"
+RATIO = "ratio"
+
+
+@dataclass(frozen=True)
+class Limit:
+    """One row of the check table.
+
+    key names the constant in a report's tolerances block, label names a
+    failure in the battery, and title heads the battery summary line.
+    """
+
+    key: str
+    metric: str
+    label: str
+    title: str
+    constant: float
+    scaled: bool = True
+    upper: bool = True
+    form: str = ABSOLUTE
+
+    def bound(self, tol_scale: float, reference: float | None = None) -> float:
+        """The constant, times tol_scale when scaled, times 1 + |reference|."""
+        value = self.constant * tol_scale if self.scaled else self.constant
+        return value if reference is None else value * (1.0 + abs(reference))
+
+    def limit(self, tol_scale: float) -> float:
+        """The value the metric is compared with."""
+        if self.form == EXCESS:
+            return 0.0
+        if self.form == RATIO:
+            return tol_scale if self.scaled else 1.0
+        return self.bound(tol_scale)
+
+    def holds(self, value: float, tol_scale: float) -> bool:
+        limit = self.limit(tol_scale)
+        return value <= limit if self.upper else value >= limit
+
+
+LIMITS = (
+    # key, metric, battery failure label, battery summary title, constant
+    Limit("trace", "trace_error", "trace", "trace identity", TRACE_TOL),
+    Limit("reproducing", "reproducing_residual", "reproducing",
+          "reproducing residual", REPRODUCING_TOL),
+    Limit("comparison", "comparison_deficit", "comparison", "comparison deficit",
+          COMPARISON_TOL, form=EXCESS),
+    Limit("three_form", "three_form_dev", "three-form", "three-form deviation",
+          THREE_FORM_RTOL),
+    Limit("sign_split_floor", "sign_split", "sign-split", "sign-split floor",
+          SIGN_SPLIT_FLOOR, upper=False),
+    Limit("fd_match", "fd_match_ratio", "fd-match", "fd match ratio",
+          FD_MATCH_TOL, form=RATIO),
+    Limit("monotonicity_step", "monotonicity_drop", "monotonicity",
+          "monotonicity drop", STEP_TOL),
+    Limit("endpoint", "endpoint_dev", "endpoint", "endpoint deviation", ENDPOINT_TOL),
+    Limit("strict_margin", "margin", "strict", "strict margin", STRICT_MARGIN,
+          scaled=False, upper=False),
+    Limit("tcz_final_dev", "final_max_abs_dev", "tcz", "tcz final deviation",
+          TCZ_FINAL_DEV_LIMIT),
+)
+LIMIT_BY_METRIC = {limit.metric: limit for limit in LIMITS}
+
+
+def failures(values: dict, tol_scale: float) -> list:
+    """Labels of the checks that values break, in the order of values.
+
+    A real value is a metric judged by its row of LIMITS; a bool is a
+    verdict with no tolerance, which fails when false.
+    """
+    failed = []
+    for name, value in values.items():
+        if isinstance(value, bool):
+            if not value:
+                failed.append(name)
+        elif not LIMIT_BY_METRIC[name].holds(value, tol_scale):
+            failed.append(LIMIT_BY_METRIC[name].label)
+    return failed
+
+
+def trace_error(space, measure) -> float:
+    """|integral of the density - rank| / max(1, rank)."""
+    density = bergman_density_from_space(space)
+    return abs(density_integral(density, measure) - space.rank) / max(1, space.rank)
+
+
+def comparison_deficit(reports, tol_scale: float) -> float:
+    """How far the worst comparison margin falls below its allowance; 0 if none."""
+    limit = LIMIT_BY_METRIC["comparison_deficit"]
+    return max([0.0, *(-(r.margin + limit.bound(tol_scale, r.rhs)) for r in reports)])
+
+
+def three_form_dev(der) -> float:
+    """Largest pairwise gap of the three G' forms, relative to their size."""
+    scale = 1.0 + max(
+        abs(der.direct_form), abs(der.symmetric_form), abs(der.sign_split_form)
+    )
+    return der.max_pairwise_dev / scale
+
+
+def fd_match_ratio(der) -> float:
+    """|fd - sign-split| over its unscaled allowance FD_MATCH_TOL (1 + |sign-split|)."""
+    limit = LIMIT_BY_METRIC["fd_match_ratio"]
+    return abs(der.fd_estimate - der.sign_split_form) / limit.bound(
+        1.0, der.sign_split_form
+    )
+
+
+def monotonicity_drop(g_values) -> float:
+    """Largest decrease of G between consecutive grid points (0 for one point)."""
+    return max(
+        (g_values[i] - g_values[i + 1] for i in range(len(g_values) - 1)),
+        default=0.0,
+    )
+
+
+def endpoint_dev(g_values, endpoints) -> float:
+    """Gap between G at the path's ends and the two comparison integrals."""
+    return max(abs(g_values[0] - endpoints.lhs), abs(g_values[-1] - endpoints.rhs))
+
+
+def quotient_bounds_hold(path, t, steps, span, measure) -> bool:
+    """Both kernel quotient bounds at t, for every step in steps."""
+    return all(
+        difference_quotient_bound_check(path, t, tau, span, measure)
+        and l2_difference_bound_check(path, t, tau, span, measure)
+        for tau in steps
+    )

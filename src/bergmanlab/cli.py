@@ -5,19 +5,17 @@ Two verbs:
   bergmanlab run <scenario.json> [...]   execute scenario files
   bergmanlab battery                     run the seeded random battery
 
-Common flags select the output directory, report format, worker count for
-scenario execution, and a uniform tolerance multiplier for exploratory
-runs.  The exit status is 0 when every executed check passes, 1 when any
-check fails, and 2 on configuration or parse errors.
+Common flags select the output directory, report format, and a uniform
+multiplier on the scaled check limits for exploratory runs.  The exit
+status is 0 when every executed check passes, 1 when any check fails, and
+2 on configuration or parse errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .battery import SizeBounds, max_principle_search, run_battery
 from .errors import (
@@ -60,16 +58,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report format (default: csv)",
     )
     common.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="parallel scenario executions (default: 1)",
-    )
-    common.add_argument(
         "--tol-scale",
         type=float,
         default=1.0,
-        help="uniform multiplier on check tolerances (default: 1)",
+        help="multiplier on the scaled check limits (default: 1)",
     )
 
     run_p = sub.add_parser(
@@ -109,13 +101,7 @@ def _run_verb(args) -> int:
         seen.add(config.scenario_id)
 
     try:
-        if args.workers > 1:
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                reports = list(
-                    pool.map(lambda c: run_scenario(c, args.tol_scale), configs)
-                )
-        else:
-            reports = [run_scenario(c, args.tol_scale) for c in configs]
+        reports = [run_scenario(c, args.tol_scale) for c in configs]
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -148,27 +134,7 @@ def _battery_verb(args) -> int:
     )
     for line in report.summary_lines():
         print(line)
-    extra = {
-        "battery": {
-            "n_instances": report.n_instances,
-            "seed": report.seed,
-            "tol_scale": args.tol_scale,
-            "worst_trace_error": report.worst_trace_error,
-            "worst_reproducing_residual": report.worst_reproducing_residual,
-            "worst_comparison_deficit": report.worst_comparison_deficit,
-            "worst_three_form_dev": report.worst_three_form_dev,
-            "min_sign_split": report.min_sign_split,
-            "worst_fd_match_ratio": report.worst_fd_match_ratio,
-            "worst_monotonicity_drop": report.worst_monotonicity_drop,
-            "worst_endpoint_dev": report.worst_endpoint_dev,
-            "bound_violations": report.bound_violations,
-            "sandwich_failures": report.sandwich_failures,
-            "order_slope": report.order_slope,
-            "failing_instances": report.failures,
-            "failure_dumps": report.failure_dumps,
-            "elapsed_seconds": report.elapsed_seconds,
-        }
-    }
+    extra = {"battery": report.document()}
     green = report.all_green
 
     if args.max_principle > 0:

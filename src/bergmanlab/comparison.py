@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigurationError
-from .kernels import RANK_TOL, bergman_density_from_space, build_space
+from .kernels import bergman_density_from_space, build_space
 from .measures import KIND_DISK, QuadratureMeasure
 from .spans import KIND_MONOMIALS, FunctionSpan
 from .weights import WeightFunction, eval_weight
@@ -104,11 +104,11 @@ def sublevel_set(
     return SublevelSet(mask=mask, shift=float(c))
 
 
-def _densities(phi, psi, span, measure, rank_tol):
+def _densities(phi, psi, span, measure):
     phi = eval_weight(phi, measure)
     psi = eval_weight(psi, measure)
-    space_phi = build_space(span, measure, phi, rank_tol)
-    space_psi = build_space(span, measure, psi, rank_tol)
+    space_phi = build_space(span, measure, phi)
+    space_psi = build_space(span, measure, psi)
     return (
         phi,
         psi,
@@ -147,14 +147,13 @@ def comparison_integrals(
     span: FunctionSpan,
     measure: QuadratureMeasure,
     c: float = 0.0,
-    rank_tol: float = RANK_TOL,
 ) -> ComparisonReport:
     """Both sides of the comparison inequality over {psi < phi + c}.
 
     The report's margin is rhs - lhs; the principle asserts margin >=
     -COMPARISON_TOL * (1 + rhs).
     """
-    phi, psi, b_phi, b_psi, psi_rank = _densities(phi, psi, span, measure, rank_tol)
+    phi, psi, b_phi, b_psi, psi_rank = _densities(phi, psi, span, measure)
     return _report(phi, psi, b_phi, b_psi, measure, span, c, psi_rank)
 
 
@@ -164,13 +163,12 @@ def shifted_comparison_sweep(
     span: FunctionSpan,
     measure: QuadratureMeasure,
     c_grid,
-    rank_tol: float = RANK_TOL,
 ) -> list:
     """Comparison reports across a grid of constant shifts.
 
     The two spaces do not depend on the shift, so they are built once.
     """
-    phi, psi, b_phi, b_psi, psi_rank = _densities(phi, psi, span, measure, rank_tol)
+    phi, psi, b_phi, b_psi, psi_rank = _densities(phi, psi, span, measure)
     return [
         _report(phi, psi, b_phi, b_psi, measure, span, float(c), psi_rank)
         for c in c_grid
@@ -198,7 +196,6 @@ def sandwich_check(
     psi: WeightFunction,
     span: FunctionSpan,
     measure: QuadratureMeasure,
-    rank_tol: float = RANK_TOL,
     tol: float = COMPARISON_TOL,
 ) -> SandwichReport:
     """Verify the two-link chain through the less-singular reduction.
@@ -214,9 +211,9 @@ def sandwich_check(
     psi0 = eval_weight(reduce_less_singular(phi, psi), measure)
     s = sublevel_set(phi, psi)
     w = measure.masses
-    b_phi = bergman_density_from_space(build_space(span, measure, phi, rank_tol))
-    b_psi = bergman_density_from_space(build_space(span, measure, psi, rank_tol))
-    b_mid = bergman_density_from_space(build_space(span, measure, psi0, rank_tol))
+    b_phi = bergman_density_from_space(build_space(span, measure, phi))
+    b_psi = bergman_density_from_space(build_space(span, measure, psi))
+    b_mid = bergman_density_from_space(build_space(span, measure, psi0))
     lhs = float(np.sum(w[s.mask] * b_phi.values[s.mask]))
     mid = float(np.sum(w[s.mask] * b_mid.values[s.mask]))
     rhs = float(np.sum(w[s.mask] * b_psi.values[s.mask]))
@@ -252,7 +249,6 @@ def max_principle_check(
     omega_mask,
     span: FunctionSpan,
     measure: QuadratureMeasure,
-    rank_tol: float = RANK_TOL,
 ) -> str:
     """Contrapositive check of the maximum principle on a node set.
 
@@ -272,8 +268,8 @@ def max_principle_check(
         raise InvalidConfigurationError(
             "omega must be a proper subset of the node set"
         )
-    b_phi = bergman_density_from_space(build_space(span, measure, phi, rank_tol)).values
-    b_psi = bergman_density_from_space(build_space(span, measure, psi, rank_tol)).values
+    b_phi = bergman_density_from_space(build_space(span, measure, phi)).values
+    b_psi = bergman_density_from_space(build_space(span, measure, psi)).values
     premise_density = np.all(
         b_phi[omega] >= b_psi[omega] - DENSITY_POINT_TOL * (1.0 + np.abs(b_psi[omega]))
     )

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (
-    RANK_TOL,
     WeightedSpace,
     bergman_density_from_space,
     build_space,
@@ -38,7 +37,7 @@ from .kernels import (
 )
 from .measures import QuadratureMeasure
 from .spans import FunctionSpan
-from .weights import WeightFunction, eval_weight
+from .weights import WeightFunction
 
 DEFAULT_T_GRID = tuple(np.linspace(0.0, 1.0, 11))
 FD_STEP = 1e-3
@@ -105,9 +104,8 @@ def space_at(
     t: float,
     span: FunctionSpan,
     measure: QuadratureMeasure,
-    rank_tol: float = RANK_TOL,
 ) -> WeightedSpace:
-    return build_space(span, measure, weight_at(path, t), rank_tol)
+    return build_space(span, measure, weight_at(path, t))
 
 
 def negative_direction_indicator(path: HomotopyPath) -> np.ndarray:
@@ -131,7 +129,6 @@ def g_of_t(
     t: float,
     span: FunctionSpan,
     measure: QuadratureMeasure,
-    rank_tol: float = RANK_TOL,
 ) -> float:
     """G(t) = integral of rho times the density of the phi_t-space.
 
@@ -139,7 +136,7 @@ def g_of_t(
     values, or a callable applied to u.
     """
     rho_vals = _rho_values(path, rho)
-    space = space_at(path, t, span, measure, rank_tol)
+    space = space_at(path, t, span, measure)
     b = bergman_density_from_space(space).values
     return float(np.sum(rho_vals * measure.masses * b))
 
@@ -171,11 +168,10 @@ def kernel_fd(
     tau: float,
     span: FunctionSpan,
     measure: QuadratureMeasure,
-    rank_tol: float = RANK_TOL,
 ) -> np.ndarray:
     """Central finite difference of the node-pair kernel in t."""
-    k_plus = kernel_matrix(space_at(path, t + tau, span, measure, rank_tol)).values
-    k_minus = kernel_matrix(space_at(path, t - tau, span, measure, rank_tol)).values
+    k_plus = kernel_matrix(space_at(path, t + tau, span, measure)).values
+    k_minus = kernel_matrix(space_at(path, t - tau, span, measure)).values
     return (k_plus - k_minus) / (2.0 * tau)
 
 
@@ -191,15 +187,14 @@ def difference_quotient_bound_check(
     span: FunctionSpan,
     measure: QuadratureMeasure,
     node: int | None = None,
-    rank_tol: float = RANK_TOL,
 ) -> bool:
     """|K_{t+tau}(z, z) - K_t(z, z)| / |tau| <= C_u K_t(z, z) at the nodes.
 
     C_u = 2 u_sup e^{2 u_sup}; requires |tau| <= 1.  With node=None every
     node is checked.
     """
-    e_t = orthonormal_node_values(space_at(path, t, span, measure, rank_tol))
-    e_s = orthonormal_node_values(space_at(path, t + tau, span, measure, rank_tol))
+    e_t = orthonormal_node_values(space_at(path, t, span, measure))
+    e_s = orthonormal_node_values(space_at(path, t + tau, span, measure))
     diag_t = np.einsum("ij,ij->i", e_t, e_t.conj()).real
     diag_s = np.einsum("ij,ij->i", e_s, e_s.conj()).real
     quotient = np.abs(diag_s - diag_t) / abs(tau)
@@ -217,16 +212,15 @@ def l2_difference_bound_check(
     span: FunctionSpan,
     measure: QuadratureMeasure,
     node: int | None = None,
-    rank_tol: float = RANK_TOL,
 ) -> bool:
     """Weighted L2 norm of the kernel increment row against C_u |tau| K_t(z, z).
 
     For each node i the quantity sum_k |K_{t+tau} - K_t|^2(i, k) w_k
     e^{-phi_t(k)} must stay below C_u |tau| K_t(z_i, z_i).
     """
-    space_t = space_at(path, t, span, measure, rank_tol)
+    space_t = space_at(path, t, span, measure)
     e_t = orthonormal_node_values(space_t)
-    e_s = orthonormal_node_values(space_at(path, t + tau, span, measure, rank_tol))
+    e_s = orthonormal_node_values(space_at(path, t + tau, span, measure))
     # The increment K_{t+tau} - K_t factors through the stacked frame
     # U = [e_s | e_t] with signature (+1, -1), so the weighted row norms
     # come from a small cross-Gram instead of the full node-pair matrix.
@@ -253,7 +247,6 @@ def g_derivative_forms(
     measure: QuadratureMeasure,
     rho=None,
     fd_step: float = FD_STEP,
-    rank_tol: float = RANK_TOL,
 ) -> DerivativeReport:
     """Evaluate G, its three derivative expressions, and a central FD at t.
 
@@ -263,7 +256,7 @@ def g_derivative_forms(
     """
     rho_vals = _rho_values(path, rho)
     u = path.direction
-    space = space_at(path, t, span, measure, rank_tol)
+    space = space_at(path, t, span, measure)
     e = orthonormal_node_values(space)
     d = space.measure_factor
     diag = np.einsum("ij,ij->i", e, e.conj()).real
@@ -288,12 +281,12 @@ def g_derivative_forms(
         u * neg, pos.astype(float)
     )
 
-    g_plus = g_of_t(path, rho_vals, t + fd_step, span, measure, rank_tol)
-    g_minus = g_of_t(path, rho_vals, t - fd_step, span, measure, rank_tol)
+    g_plus = g_of_t(path, rho_vals, t + fd_step, span, measure)
+    g_minus = g_of_t(path, rho_vals, t - fd_step, span, measure)
 
     return DerivativeReport(
         t=float(t),
-        g_value=g_of_t(path, rho_vals, t, span, measure, rank_tol),
+        g_value=g_of_t(path, rho_vals, t, span, measure),
         direct_form=direct,
         symmetric_form=symmetric,
         sign_split_form=sign_split,
@@ -306,7 +299,6 @@ def monotonicity_sweep(
     path: HomotopyPath,
     span: FunctionSpan,
     measure: QuadratureMeasure,
-    rank_tol: float = RANK_TOL,
 ) -> list:
     """(t, G(t)) along the path's grid with rho = 1_{u < 0}.
 
@@ -315,5 +307,5 @@ def monotonicity_sweep(
     """
     rho_vals = negative_direction_indicator(path)
     return [
-        (t, g_of_t(path, rho_vals, t, span, measure, rank_tol)) for t in path.t_grid
+        (t, g_of_t(path, rho_vals, t, span, measure)) for t in path.t_grid
     ]

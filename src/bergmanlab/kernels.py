@@ -199,15 +199,6 @@ def kernel_eval_at(space: WeightedSpace, z, w=None) -> np.ndarray:
     return ez @ ew.conj().T
 
 
-def bergman_density(
-    kernel: KernelMatrix, weight: WeightFunction, measure: QuadratureMeasure
-) -> BergmanDensity:
-    """Density of states from a tabulated kernel: B_j = K[j, j] e^{-phi_j}."""
-    weight = eval_weight(weight, measure)
-    vals = kernel.diagonal * np.exp(-weight.values)
-    return BergmanDensity(values=vals, rank=kernel.rank)
-
-
 def bergman_density_from_space(space: WeightedSpace) -> BergmanDensity:
     """Density of states without forming the full node-pair kernel.
 

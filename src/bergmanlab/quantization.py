@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import InvalidConfigurationError, UnsupportedWeightError
 from .kernels import (
-    RANK_TOL,
     BergmanDensity,
     WeightedSpace,
     bergman_density_from_space,
@@ -121,7 +120,6 @@ def build_scaled_space(
     k: float,
     degree: int,
     measure: QuadratureMeasure,
-    rank_tol: float = RANK_TOL,
 ) -> WeightedSpace:
     """Space of polynomials up to the given degree under the weight k*phi.
 
@@ -134,7 +132,7 @@ def build_scaled_space(
             f"{measure.exactness_degree}"
         )
     span = monomial_span(measure, degree)
-    return build_space(span, measure, scaled_weight(phi, k), rank_tol)
+    return build_space(span, measure, scaled_weight(phi, k))
 
 
 def scaled_bergman(
@@ -142,11 +140,10 @@ def scaled_bergman(
     k: float,
     degree: int,
     measure: QuadratureMeasure,
-    rank_tol: float = RANK_TOL,
 ) -> BergmanDensity:
     """Density of states of the k-amplified space."""
     return bergman_density_from_space(
-        build_scaled_space(phi, k, degree, measure, rank_tol)
+        build_scaled_space(phi, k, degree, measure)
     )
 
 
@@ -156,7 +153,6 @@ def tcz_convergence_report(
     measure: QuadratureMeasure,
     degree_rule=None,
     interior_radius: float | None = None,
-    rank_tol: float = RANK_TOL,
 ) -> list:
     """Scaled-density-to-limit ratios on interior nodes for each k.
 
@@ -180,7 +176,7 @@ def tcz_convergence_report(
     reports = []
     for k in k_list:
         degree = int(rule(k, measure)) if callable(rule) else int(rule)
-        b = scaled_bergman(phi, k, degree, measure, rank_tol)
+        b = scaled_bergman(phi, k, degree, measure)
         ratios = (b.values[eval_mask] / k) / limit.values[eval_mask]
         devs = np.abs(ratios - 1.0)
         reports.append(

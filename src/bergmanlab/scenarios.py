@@ -33,10 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import checks
 from .comparison import (
-    COMPARISON_TOL,
     MAXPRINCIPLE_COUNTEREXAMPLE,
-    STRICT_MARGIN,
     VERDICT_STRICT,
     comparison_integrals,
     max_principle_check,
@@ -45,32 +44,12 @@ from .comparison import (
     strictness_check,
 )
 from .errors import InvalidScenarioError
-from .homotopy import (
-    BOUND_STEPS,
-    ENDPOINT_TOL,
-    FD_MATCH_TOL,
-    SIGN_SPLIT_FLOOR,
-    STEP_TOL,
-    THREE_FORM_RTOL,
-    build_path,
-    difference_quotient_bound_check,
-    g_derivative_forms,
-    l2_difference_bound_check,
-)
-from .kernels import (
-    REPRODUCING_TOL,
-    TRACE_TOL,
-    bergman_density_from_space,
-    build_space,
-    density_integral,
-    kernel_matrix,
-    reproducing_residual,
-)
+from .homotopy import BOUND_STEPS, build_path, g_derivative_forms
+from .kernels import build_space, kernel_matrix, reproducing_residual
 from .measures import build_discrete_measure, build_disk_measure
 from .quantization import (
     DEFAULT_K_LADDER,
     TCZ_DEV_FLOOR,
-    TCZ_FINAL_DEV_LIMIT,
     TCZ_MONOTONE_SLACK,
     tcz_convergence_report,
 )
@@ -87,6 +66,10 @@ CHECK_NAMES = (
 )
 
 DEFAULT_C_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
+
+# The node-pair reproducing residual forms an n x n kernel, so the
+# structural check skips it above this many nodes and says so.
+REPRODUCING_NODE_CAP = 2048
 
 COMPARISON_COLUMNS = (
     "scenario_id",
@@ -135,7 +118,6 @@ class ScenarioConfig:
     k_list: tuple = DEFAULT_K_LADDER
     omega: tuple | None = None
     interior_radius: float | None = None
-    seed: int | None = None
     source: str = "<dict>"
 
 
@@ -281,10 +263,6 @@ def parse_scenario(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     if "maxprinciple" in checks_raw and omega is None:
         _fail(scenario_id, "omega", "required by check 'maxprinciple'")
 
-    seed = raw.get("seed")
-    if seed is not None:
-        seed = int(seed)
-
     return ScenarioConfig(
         scenario_id=scenario_id,
         measure=measure,
@@ -298,7 +276,6 @@ def parse_scenario(raw: dict, source: str = "<dict>") -> ScenarioConfig:
         k_list=k_list,
         omega=omega,
         interior_radius=interior_radius,
-        seed=seed,
         source=source,
     )
 
@@ -340,31 +317,28 @@ class RunReport:
         return all(r.passed for r in self.results)
 
 
-def _strictness_verdict(report, psi_rank_positive):
-    return strictness_check(report, psi_rank_positive)
-
-
 def _check_structural(config, tol_scale):
     metrics = {}
     passed = True
     weights = [("phi", config.phi)] + (
         [("psi", config.psi)] if config.psi is not None else []
     )
+    n = config.measure.n
     for label, weight in weights:
         space = build_space(config.span, config.measure, weight)
-        density = bergman_density_from_space(space)
-        trace_err = abs(density_integral(density, config.measure) - space.rank) / max(
-            1, space.rank
-        )
-        metrics[f"{label}_rank"] = space.rank
-        metrics[f"{label}_trace_error"] = trace_err
-        passed &= trace_err <= TRACE_TOL * tol_scale
-        if config.measure.n <= 2048:
-            resid = reproducing_residual(
+        values = {"trace_error": checks.trace_error(space, config.measure)}
+        if n <= REPRODUCING_NODE_CAP:
+            values["reproducing_residual"] = reproducing_residual(
                 kernel_matrix(space), weight, config.measure
             )
-            metrics[f"{label}_reproducing_residual"] = resid
-            passed &= resid <= REPRODUCING_TOL * tol_scale
+        metrics[f"{label}_rank"] = space.rank
+        metrics.update({f"{label}_{name}": v for name, v in values.items()})
+        passed &= not checks.failures(values, tol_scale)
+    if n > REPRODUCING_NODE_CAP:
+        metrics["reproducing_residual_skipped"] = {
+            "n_nodes": n,
+            "node_cap": REPRODUCING_NODE_CAP,
+        }
     return passed, metrics, []
 
 
@@ -386,10 +360,8 @@ def _check_comparison(config, tol_scale):
         config.phi, config.psi, config.span, config.measure
     )
     psi_space = build_space(config.span, config.measure, config.psi)
-    verdict = _strictness_verdict(report, psi_space.rank >= 1)
-    holds = report.margin >= -COMPARISON_TOL * tol_scale * (1.0 + abs(report.rhs))
+    verdict = strictness_check(report, psi_space.rank >= 1)
     sandwich = sandwich_check(config.phi, config.psi, config.span, config.measure)
-    strict_ok = (verdict == VERDICT_STRICT) or not report.strict_expected
     metrics = {
         "lhs": report.lhs,
         "rhs": report.rhs,
@@ -400,8 +372,14 @@ def _check_comparison(config, tol_scale):
         "sandwich_mid": sandwich.mid,
         "sandwich_rhs": sandwich.rhs,
     }
-    passed = holds and bool(sandwich) and strict_ok
-    return passed, metrics, [_comparison_row(config, report, verdict)]
+    values = {
+        "comparison_deficit": checks.comparison_deficit([report], tol_scale),
+        "sandwich": bool(sandwich),
+        "strict": verdict == VERDICT_STRICT or not report.strict_expected,
+    }
+    return not checks.failures(values, tol_scale), metrics, [
+        _comparison_row(config, report, verdict)
+    ]
 
 
 def _check_sweep(config, tol_scale):
@@ -410,95 +388,77 @@ def _check_sweep(config, tol_scale):
     )
     psi_space = build_space(config.span, config.measure, config.psi)
     psi_nontrivial = psi_space.rank >= 1
-    rows = []
-    worst_margin_deficit = 0.0
-    sizes = []
-    for report in reports:
-        verdict = _strictness_verdict(report, psi_nontrivial)
-        rows.append(_comparison_row(config, report, verdict))
-        allowance = COMPARISON_TOL * tol_scale * (1.0 + abs(report.rhs))
-        worst_margin_deficit = max(worst_margin_deficit, -(report.margin + allowance))
-        sizes.append(report.set_size)
-    nested = all(sizes[i] <= sizes[i + 1] for i in range(len(sizes) - 1))
+    rows = [
+        _comparison_row(config, report, strictness_check(report, psi_nontrivial))
+        for report in reports
+    ]
+    sizes = [report.set_size for report in reports]
+    values = {
+        "comparison_deficit": checks.comparison_deficit(reports, tol_scale),
+        "set_sizes_nested": all(
+            sizes[i] <= sizes[i + 1] for i in range(len(sizes) - 1)
+        ),
+    }
     metrics = {
         "n_shifts": len(reports),
-        "worst_margin_deficit": worst_margin_deficit,
-        "set_sizes_nested": nested,
+        "worst_margin_deficit": values["comparison_deficit"],
+        "set_sizes_nested": values["set_sizes_nested"],
     }
-    return worst_margin_deficit <= 0.0 and nested, metrics, rows
+    return not checks.failures(values, tol_scale), metrics, rows
 
 
 def _check_homotopy(config, tol_scale):
     path = build_path(config.phi, config.psi, config.t_grid)
-    rows = []
-    worst_dev = 0.0
-    min_split = math.inf
-    worst_fd_ratio = 0.0
-    g_values = []
-    for t in path.t_grid:
-        der = g_derivative_forms(path, t, config.span, config.measure)
-        scale = 1.0 + max(
-            abs(der.direct_form), abs(der.symmetric_form), abs(der.sign_split_form)
-        )
-        worst_dev = max(worst_dev, der.max_pairwise_dev / scale)
-        min_split = min(min_split, der.sign_split_form)
-        fd_ratio = abs(der.fd_estimate - der.sign_split_form) / (
-            FD_MATCH_TOL * tol_scale * (1.0 + abs(der.sign_split_form))
-        )
-        worst_fd_ratio = max(worst_fd_ratio, fd_ratio)
-        g_values.append(der.g_value)
-        rows.append(
-            {
-                "scenario_id": config.scenario_id,
-                "t": der.t,
-                "G": der.g_value,
-                "rhs26": der.direct_form,
-                "rhs27": der.symmetric_form,
-                "rhs28": der.sign_split_form,
-                "fd": der.fd_estimate,
-                "fd_step": der.fd_step,
-                "max_pairwise_dev": der.max_pairwise_dev,
-            }
-        )
-    drop = max(
-        (g_values[i] - g_values[i + 1] for i in range(len(g_values) - 1)),
-        default=0.0,
-    )
+    ders = [
+        g_derivative_forms(path, t, config.span, config.measure)
+        for t in path.t_grid
+    ]
+    rows = [
+        {
+            "scenario_id": config.scenario_id,
+            "t": der.t,
+            "G": der.g_value,
+            "rhs26": der.direct_form,
+            "rhs27": der.symmetric_form,
+            "rhs28": der.sign_split_form,
+            "fd": der.fd_estimate,
+            "fd_step": der.fd_step,
+            "max_pairwise_dev": der.max_pairwise_dev,
+        }
+        for der in ders
+    ]
+    g_values = [der.g_value for der in ders]
     # The endpoint identity G(0) = lhs, G(1) = rhs only applies when the
     # grid actually reaches the endpoints.
     endpoint_dev = 0.0
     if path.t_grid[0] == 0.0 and path.t_grid[-1] == 1.0:
-        endpoints = comparison_integrals(
-            config.phi, config.psi, config.span, config.measure
+        endpoint_dev = checks.endpoint_dev(
+            g_values,
+            comparison_integrals(config.phi, config.psi, config.span, config.measure),
         )
-        endpoint_dev = max(
-            abs(g_values[0] - endpoints.lhs), abs(g_values[-1] - endpoints.rhs)
-        )
-    mid_t = path.t_grid[len(path.t_grid) // 2]
-    bounds_ok = all(
-        difference_quotient_bound_check(
-            path, mid_t, tau, config.span, config.measure
-        )
-        and l2_difference_bound_check(path, mid_t, tau, config.span, config.measure)
-        for tau in config.tau_list
-    )
-    metrics = {
-        "worst_three_form_dev": worst_dev,
-        "min_sign_split": min_split,
-        "worst_fd_ratio": worst_fd_ratio,
-        "monotonicity_drop": drop,
+    values = {
+        "three_form_dev": max([0.0, *map(checks.three_form_dev, ders)]),
+        "sign_split": min([math.inf, *(der.sign_split_form for der in ders)]),
+        "fd_match_ratio": max([0.0, *map(checks.fd_match_ratio, ders)]),
+        "monotonicity_drop": checks.monotonicity_drop(g_values),
         "endpoint_dev": endpoint_dev,
-        "bounds_ok": bounds_ok,
+        "bound": checks.quotient_bounds_hold(
+            path,
+            path.t_grid[len(path.t_grid) // 2],
+            config.tau_list,
+            config.span,
+            config.measure,
+        ),
     }
-    passed = (
-        worst_dev <= THREE_FORM_RTOL * tol_scale
-        and min_split >= SIGN_SPLIT_FLOOR * tol_scale
-        and worst_fd_ratio <= 1.0
-        and drop <= STEP_TOL * tol_scale
-        and endpoint_dev <= ENDPOINT_TOL * tol_scale
-        and bounds_ok
-    )
-    return passed, metrics, rows
+    metrics = {
+        "worst_three_form_dev": values["three_form_dev"],
+        "min_sign_split": values["sign_split"],
+        "worst_fd_ratio": values["fd_match_ratio"],
+        "monotonicity_drop": values["monotonicity_drop"],
+        "endpoint_dev": endpoint_dev,
+        "bounds_ok": values["bound"],
+    }
+    return not checks.failures(values, tol_scale), metrics, rows
 
 
 def _check_tcz(config, tol_scale):
@@ -523,18 +483,16 @@ def _check_tcz(config, tol_scale):
         )
         devs.append(rep.max_abs_dev_from_1)
     finite = [d for d in devs if not math.isnan(d)]
-    final_ok = bool(finite) and finite[-1] <= TCZ_FINAL_DEV_LIMIT * tol_scale
-    monotone = all(
-        devs[i + 1] <= TCZ_MONOTONE_SLACK * devs[i] + TCZ_DEV_FLOOR
-        for i in range(len(devs) - 1)
-        if not (math.isnan(devs[i]) or math.isnan(devs[i + 1]))
-    )
-    metrics = {
+    values = {
         "final_max_abs_dev": finite[-1] if finite else math.nan,
-        "deviations_monotone": monotone,
-        "n_skipped": reports[0].n_skipped if reports else 0,
+        "deviations_monotone": all(
+            devs[i + 1] <= TCZ_MONOTONE_SLACK * devs[i] + TCZ_DEV_FLOOR
+            for i in range(len(devs) - 1)
+            if not (math.isnan(devs[i]) or math.isnan(devs[i + 1]))
+        ),
     }
-    return final_ok and monotone, metrics, rows
+    metrics = dict(values, n_skipped=reports[0].n_skipped if reports else 0)
+    return not checks.failures(values, tol_scale), metrics, rows
 
 
 def _check_maxprinciple(config, tol_scale):
@@ -620,18 +578,7 @@ def report_document(reports, extra=None) -> dict:
             "bergmanlab": __version__,
             "numpy": np.__version__,
         },
-        "tolerances": {
-            "trace": TRACE_TOL,
-            "reproducing": REPRODUCING_TOL,
-            "comparison": COMPARISON_TOL,
-            "three_form": THREE_FORM_RTOL,
-            "sign_split_floor": SIGN_SPLIT_FLOOR,
-            "fd_match": FD_MATCH_TOL,
-            "monotonicity_step": STEP_TOL,
-            "endpoint": ENDPOINT_TOL,
-            "strict_margin": STRICT_MARGIN,
-            "tcz_final_dev": TCZ_FINAL_DEV_LIMIT,
-        },
+        "tolerances": {lim.key: lim.constant for lim in checks.LIMITS},
         "scenarios": [
             {
                 "scenario_id": r.scenario_id,

@@ -144,14 +144,6 @@ class WeightFunction:
     values: np.ndarray | None
     family: object | None = None
 
-    @property
-    def has_closed_form(self) -> bool:
-        return self.family is not None
-
-    @property
-    def has_laplacian(self) -> bool:
-        return self.family is not None
-
     def evaluate_at(self, z) -> np.ndarray:
         if self.family is None:
             raise UnsupportedWeightError(

@@ -35,7 +35,7 @@ def test_generate_instance_respects_bounds():
         m = inst.measure.n
         assert 2 <= m <= 20
         assert 1 <= inst.span.dim <= 5
-        if inst.span_kind == "monomials":
+        if inst.span.kind == "monomials":
             assert inst.span.dim <= max(1, m - MONOMIAL_NODE_MARGIN)
         path = build_path(inst.phi, inst.psi)
         for t in (0.0, DERIVATIVE_T, 1.0):
@@ -127,6 +127,33 @@ def test_run_battery_dumps_failures(tmp_path):
             record = json.load(fh)
         rerun = run_scenario(parse_scenario(record))
         assert rerun.green  # failures at 1e-12 scale rerun clean at scale 1
+
+
+def test_summary_lines_follow_tol_scale():
+    """Each line is judged against the scaled limit, as the verdict is."""
+    report = run_battery(n_instances=6, seed=0, tol_scale=1e-12)
+    assert not report.all_green
+    lines = report.summary_lines()
+    assert any("FAIL" in line for line in lines)
+    trace = next(line for line in lines if "trace identity" in line)
+    assert "(limit 1.0e-21) FAIL" in trace
+
+
+def test_check_instance_agrees_with_its_scenario_rerun():
+    """The battery and the scenario runner share one definition per metric."""
+    inst = generate_instance(np.random.default_rng(5), 0, SizeBounds())
+    metrics = check_instance(inst)
+    report = run_scenario(parse_scenario(inst.scenario_dict()))
+    by_name = {r.name: r.metrics for r in report.results}
+    assert by_name["structural"]["phi_trace_error"] == metrics.values["trace_error"]
+    assert (
+        by_name["structural"]["phi_reproducing_residual"]
+        == metrics.values["reproducing_residual"]
+    )
+    sweep = run_scenario(
+        parse_scenario(inst.scenario_dict(checks=("sweep",)))
+    ).results[0]
+    assert sweep.metrics["worst_margin_deficit"] == metrics.values["comparison_deficit"]
 
 
 def test_summary_lines_shape():

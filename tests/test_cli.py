@@ -70,25 +70,6 @@ def test_run_json_format(scenario_file, tmp_path, capsys):
     assert doc["tol_scale"] == 1.0
 
 
-def test_run_workers_match_serial(scenario_file, tmp_path):
-    doc = json.load(open(scenario_file))
-    doc["id"] = "ref2"
-    second = os.path.join(os.path.dirname(scenario_file), "ref2.json")
-    with open(second, "w") as fh:
-        json.dump(doc, fh)
-    out1 = os.fspath(tmp_path / "serial")
-    out2 = os.fspath(tmp_path / "parallel")
-    assert main(["run", scenario_file, second, "--out", out1]) == EXIT_GREEN
-    assert (
-        main(["run", scenario_file, second, "--out", out2, "--workers", "4"])
-        == EXIT_GREEN
-    )
-    for name in ("comparison.csv", "homotopy.csv"):
-        a = open(os.path.join(out1, name), "rb").read()
-        b = open(os.path.join(out2, name), "rb").read()
-        assert a == b, name
-
-
 def test_battery_green(tmp_path, capsys):
     out = os.fspath(tmp_path / "bat")
     assert main(["battery", "--n", "12", "--seed", "0", "--out", out]) == EXIT_GREEN

@@ -122,6 +122,42 @@ def test_run_scenario_reference_green():
     assert homotopy.metrics["bounds_ok"]
 
 
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+
+
+def test_fd_ratio_does_not_depend_on_tol_scale():
+    """tol_scale moves the fd-match limit, not the reported ratio."""
+    config = load_scenario_file(os.path.join(SCENARIO_DIR, "two-node-reference.json"))
+    ratios = []
+    for tol_scale in (1.0, 1e3):
+        report = run_scenario(config, tol_scale=tol_scale)
+        homotopy = next(r for r in report.results if r.name == "homotopy")
+        ratios.append(homotopy.metrics["worst_fd_ratio"])
+    assert ratios[0] == ratios[1]
+    assert ratios[0] == pytest.approx(0.1111, abs=1e-4)
+
+
+def test_structural_reports_a_skipped_residual():
+    d = two_node_dict(
+        measure={
+            "kind": "disk-product", "radius": 1.0, "n_radial": 48, "n_angular": 48
+        },
+        span={"kind": "monomials", "degree": 2},
+        phi={"family": "gauss", "a": 1.0},
+        checks=["structural"],
+    )
+    del d["psi"]
+    metrics = run_scenario(parse_scenario(d)).results[0].metrics
+    assert metrics["reproducing_residual_skipped"] == {
+        "n_nodes": 2304,
+        "node_cap": 2048,
+    }
+    assert "phi_reproducing_residual" not in metrics
+    small = run_scenario(parse_scenario(two_node_dict())).results[0].metrics
+    assert "reproducing_residual_skipped" not in small
+    assert "phi_reproducing_residual" in small
+
+
 def test_run_scenario_maxprinciple():
     d = two_node_dict(
         checks=["maxprinciple"],
