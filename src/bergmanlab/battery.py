@@ -42,7 +42,6 @@ from .homotopy import (
 from .kernels import (
     assemble_gram,
     build_space,
-    kernel_matrix,
     reproducing_residual,
     retained_spread,
 )
@@ -211,10 +210,9 @@ def check_instance(inst: BatteryInstance, tol_scale: float = 1.0) -> InstanceMet
     measure, span, phi, psi = inst.measure, inst.span, inst.phi, inst.psi
 
     space = build_space(span, measure, phi)
-    kern = kernel_matrix(space)
     values = {
         "trace_error": checks.trace_error(space, measure),
-        "reproducing_residual": reproducing_residual(kern, phi, measure),
+        "reproducing_residual": reproducing_residual(space),
         "comparison_deficit": checks.comparison_deficit(
             shifted_comparison_sweep(phi, psi, span, measure, DEFAULT_C_GRID),
             tol_scale,

@@ -14,6 +14,7 @@ status is 0 when every executed check passes, 1 when any check fails, and
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -38,6 +39,14 @@ _CONFIG_ERRORS = (
 )
 
 
+def finite_positive_float(text: str) -> float:
+    """An argparse type for --tol-scale; argparse reports a ValueError by name."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise ValueError(text)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bergmanlab",
@@ -59,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--tol-scale",
-        type=float,
+        type=finite_positive_float,
         default=1.0,
         help="multiplier on the scaled check limits (default: 1)",
     )

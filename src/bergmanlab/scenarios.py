@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -43,9 +44,13 @@ from .comparison import (
     shifted_comparison_sweep,
     strictness_check,
 )
-from .errors import InvalidScenarioError
+from .errors import (
+    InvalidConfigurationError,
+    InvalidMeasureError,
+    InvalidScenarioError,
+)
 from .homotopy import BOUND_STEPS, build_path, g_derivative_forms
-from .kernels import build_space, kernel_matrix, reproducing_residual
+from .kernels import build_space, reproducing_residual
 from .measures import build_discrete_measure, build_disk_measure
 from .quantization import (
     DEFAULT_K_LADDER,
@@ -66,10 +71,6 @@ CHECK_NAMES = (
 )
 
 DEFAULT_C_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
-
-# The node-pair reproducing residual forms an n x n kernel, so the
-# structural check skips it above this many nodes and says so.
-REPRODUCING_NODE_CAP = 2048
 
 COMPARISON_COLUMNS = (
     "scenario_id",
@@ -127,34 +128,63 @@ def _fail(scenario_id, field_path, message):
     )
 
 
-def _complex_pairs(raw, scenario_id, field_path):
+def _number(raw, scenario_id, field_path, rule=None, ok=None, integer=False):
+    """raw if it is a finite number (an int when integer is set) passing ok."""
+    kinds = numbers.Integral if integer else numbers.Real
+    rule = rule or ("an integer" if integer else "a finite number")
+    if (
+        isinstance(raw, bool)
+        or not isinstance(raw, kinds)
+        or not abs(raw) < math.inf
+        or (ok is not None and not ok(raw))
+    ):
+        _fail(scenario_id, field_path, f"expected {rule}, got {raw!r}")
+    return int(raw) if integer else float(raw)
+
+
+def _numbers(raw, scenario_id, field_path, *args, **kwargs):
+    """A list of numbers, each checked by _number under its own index."""
+    if not isinstance(raw, (list, tuple)):
+        _fail(scenario_id, field_path, f"expected a list, got {raw!r}")
+    return tuple(
+        _number(value, scenario_id, f"{field_path}[{i}]", *args, **kwargs)
+        for i, value in enumerate(raw)
+    )
+
+
+def _complex_pairs(raw, scenario_id, field_path, ndim=1):
+    """Finite [re, im] pairs nested ndim lists deep, as a complex array."""
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
-        _fail(scenario_id, field_path, "expected a list of [re, im] pairs")
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        _fail(scenario_id, field_path, "expected a list of [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+        arr = np.empty(0)
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2 or not np.all(np.isfinite(arr)):
+        rows = "a list" if ndim == 1 else "rows, one per node,"
+        _fail(scenario_id, field_path, f"expected {rows} of finite [re, im] pairs")
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def _parse_measure(raw, scenario_id):
     if not isinstance(raw, dict):
         _fail(scenario_id, "measure", "expected an object")
     kind = raw.get("kind")
-    if kind == "discrete":
-        if "points" not in raw or "masses" not in raw:
-            _fail(scenario_id, "measure", "discrete needs points and masses")
-        points = _complex_pairs(raw["points"], scenario_id, "measure.points")
-        return build_discrete_measure(points, raw["masses"])
-    if kind == "disk-product":
-        try:
-            return build_disk_measure(
-                float(raw["radius"]),
-                int(raw["n_radial"]),
-                int(raw["n_angular"]),
+    try:
+        if kind == "discrete":
+            return build_discrete_measure(
+                _complex_pairs(raw["points"], scenario_id, "measure.points"),
+                _numbers(raw["masses"], scenario_id, "measure.masses"),
             )
-        except KeyError as missing:
-            _fail(scenario_id, f"measure.{missing.args[0]}", "required")
+        if kind == "disk-product":
+            radius = _number(raw["radius"], scenario_id, "measure.radius")
+            n_radial, n_angular = (
+                _number(raw[key], scenario_id, f"measure.{key}", integer=True)
+                for key in ("n_radial", "n_angular")
+            )
+            return build_disk_measure(radius, n_radial, n_angular)
+    except KeyError as missing:
+        _fail(scenario_id, f"measure.{missing.args[0]}", "required")
+    except InvalidMeasureError as exc:
+        _fail(scenario_id, "measure", str(exc))
     _fail(scenario_id, "measure.kind", f"unknown kind {kind!r}")
 
 
@@ -165,20 +195,15 @@ def _parse_span(raw, measure, scenario_id):
     if kind == "monomials":
         if "degree" not in raw:
             _fail(scenario_id, "span.degree", "required for monomials")
-        return monomial_span(measure, int(raw["degree"]))
+        degree = _number(raw["degree"], scenario_id, "span.degree", integer=True)
+        try:
+            return monomial_span(measure, degree)
+        except (InvalidMeasureError, InvalidConfigurationError) as exc:
+            _fail(scenario_id, "span.degree", str(exc))
     if kind == "tabulated":
         if "values" not in raw:
             _fail(scenario_id, "span.values", "required for tabulated")
-        rows = raw["values"]
-        try:
-            arr = np.asarray(rows, dtype=float)
-            values = arr[..., 0] + 1j * arr[..., 1]
-        except (TypeError, ValueError, IndexError):
-            _fail(
-                scenario_id,
-                "span.values",
-                "expected rows of [re, im] pairs, one row per node",
-            )
+        values = _complex_pairs(raw["values"], scenario_id, "span.values", ndim=2)
         if values.shape[0] != measure.n:
             _fail(
                 scenario_id,
@@ -193,11 +218,16 @@ def _parse_weight(raw, scenario_id, field_path):
     if not isinstance(raw, dict):
         _fail(scenario_id, field_path, "expected an object with a family")
     try:
-        return weight_family_from_dict(raw)
+        weight = weight_family_from_dict(raw)
     except KeyError as missing:
         _fail(scenario_id, f"{field_path}.{missing.args[0]}", "required")
     except Exception as exc:  # family errors carry their own message
         _fail(scenario_id, field_path, str(exc))
+    params = weight.family.params() if weight.family is not None else {}
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            _fail(scenario_id, f"{field_path}.{name}", f"must be finite, got {value}")
+    return weight
 
 
 def parse_scenario(raw: dict, source: str = "<dict>") -> ScenarioConfig:
@@ -240,23 +270,34 @@ def parse_scenario(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         _fail(scenario_id, "params", "expected an object")
-    c_grid = tuple(float(c) for c in params.get("c_grid", DEFAULT_C_GRID))
+
+    def listed(name, default, *args):
+        field_path = f"params.{name}"
+        return _numbers(params.get(name, default), scenario_id, field_path, *args)
+
+    c_grid = listed("c_grid", DEFAULT_C_GRID)
     t_grid = params.get("t_grid")
     if t_grid is not None:
-        t_grid = tuple(float(t) for t in t_grid)
-        if any(t < 0.0 or t > 1.0 for t in t_grid):
-            _fail(scenario_id, "params.t_grid", "values must lie in [0, 1]")
-    tau_list = tuple(float(tau) for tau in params.get("tau_list", BOUND_STEPS))
-    if any(tau <= 0.0 or tau > 1.0 for tau in tau_list):
-        _fail(scenario_id, "params.tau_list", "steps must lie in (0, 1]")
-    k_list = tuple(float(k) for k in params.get("k_list", DEFAULT_K_LADDER))
+        t_grid = listed("t_grid", None, "a time in [0, 1]", lambda t: 0 <= t <= 1)
+        if not t_grid or any(a >= b for a, b in zip(t_grid, t_grid[1:])):
+            _fail(scenario_id, "params.t_grid", "must be nonempty, strictly increasing")
+    tau_list = listed("tau_list", BOUND_STEPS, "a step in (0, 1]", lambda s: 0 < s <= 1)
+    k_list = listed("k_list", DEFAULT_K_LADDER, "a number > 0", lambda k: k > 0.0)
+    if not k_list:
+        _fail(scenario_id, "params.k_list", "must be nonempty")
     interior_radius = params.get("interior_radius")
     if interior_radius is not None:
-        interior_radius = float(interior_radius)
+        interior_radius = _number(
+            interior_radius,
+            scenario_id,
+            "params.interior_radius",
+            "a number > 0",
+            lambda r: r > 0.0,
+        )
 
     omega = raw.get("omega")
     if omega is not None:
-        omega = tuple(int(i) for i in omega)
+        omega = _numbers(omega, scenario_id, "omega", integer=True)
         bad = [i for i in omega if i < 0 or i >= measure.n]
         if bad:
             _fail(scenario_id, "omega", f"node indices out of range: {bad}")
@@ -323,22 +364,15 @@ def _check_structural(config, tol_scale):
     weights = [("phi", config.phi)] + (
         [("psi", config.psi)] if config.psi is not None else []
     )
-    n = config.measure.n
     for label, weight in weights:
         space = build_space(config.span, config.measure, weight)
-        values = {"trace_error": checks.trace_error(space, config.measure)}
-        if n <= REPRODUCING_NODE_CAP:
-            values["reproducing_residual"] = reproducing_residual(
-                kernel_matrix(space), weight, config.measure
-            )
+        values = {
+            "trace_error": checks.trace_error(space, config.measure),
+            "reproducing_residual": reproducing_residual(space),
+        }
         metrics[f"{label}_rank"] = space.rank
         metrics.update({f"{label}_{name}": v for name, v in values.items()})
         passed &= not checks.failures(values, tol_scale)
-    if n > REPRODUCING_NODE_CAP:
-        metrics["reproducing_residual_skipped"] = {
-            "n_nodes": n,
-            "node_cap": REPRODUCING_NODE_CAP,
-        }
     return passed, metrics, []
 
 

@@ -12,7 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMeasureError, UnsupportedWeightError
+from .errors import (
+    InvalidConfigurationError,
+    InvalidMeasureError,
+    UnsupportedWeightError,
+)
 from .measures import QuadratureMeasure
 
 KIND_MONOMIALS = "monomials"
@@ -35,9 +39,18 @@ class FunctionSpan:
 
 
 def monomial_span(measure: QuadratureMeasure, degree: int) -> FunctionSpan:
-    """Span of 1, z, ..., z^degree tabulated at the measure's nodes."""
+    """Span of 1, z, ..., z^degree tabulated at the measure's nodes.
+
+    The Gram pairs z^a with z^b, so a rule with an exactness degree must
+    integrate total degree 2*degree exactly.
+    """
     if degree < 0:
         raise InvalidMeasureError(f"degree must be >= 0, got {degree}")
+    if measure.exactness_degree is not None and 2 * degree > measure.exactness_degree:
+        raise InvalidConfigurationError(
+            f"degree {degree} needs exactness {2 * degree}, measure provides "
+            f"{measure.exactness_degree}"
+        )
     vals = np.vander(measure.points, N=degree + 1, increasing=True)
     return FunctionSpan(basis_values=vals, kind=KIND_MONOMIALS, degree=int(degree))
 

@@ -39,6 +39,17 @@ def brute_force_kernel(basis_values, masses, phi_values, rtol=1e-12) -> np.ndarr
     return v @ middle
 
 
+def node_pair_residual(kernel_values, masses, phi_values) -> float:
+    """Largest entry of |K D K - K| with D = diag(w e^{-phi}), on node pairs.
+
+    The direct form of the reproducing residual: it forms the n x n product,
+    so it serves as the reference for the coefficient-space bound at small n.
+    """
+    k = np.asarray(kernel_values, dtype=complex)
+    d = np.asarray(masses, dtype=float) * np.exp(-np.asarray(phi_values, dtype=float))
+    return float(np.max(np.abs((k * d[None, :]) @ k - k))) if k.size else 0.0
+
+
 def extremal_diagonal(basis_values, masses, phi_values, rtol=1e-12) -> np.ndarray:
     """max_h |h(z_j)|^2 / ||h||^2 over the span, via the Gram pseudo-inverse.
 

@@ -62,6 +62,14 @@ def test_run_red_under_tiny_tol_scale(scenario_file, tmp_path, capsys):
     assert "red; reports in" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "0"])
+def test_tol_scale_must_be_finite_and_positive(value, scenario_file, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["run", scenario_file, "--tol-scale", value])
+    assert err.value.code == EXIT_CONFIG
+    assert "--tol-scale" in capsys.readouterr().err
+
+
 def test_run_json_format(scenario_file, tmp_path, capsys):
     out = os.fspath(tmp_path / "json")
     assert main(["run", scenario_file, "--out", out, "--format", "json"]) == EXIT_GREEN

@@ -1,5 +1,7 @@
 """Kernel engine: Gram assembly, orthonormalization, densities, identities."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from bergmanlab import (
     InvalidConfigurationError,
     InvalidMeasureError,
+    SizeBounds,
     assemble_gram,
     bergman_density_at,
     bergman_density_from_space,
@@ -19,9 +22,11 @@ from bergmanlab import (
     equilibration_scales,
     equilibrated_spectrum,
     eval_weight,
+    generate_instance,
     kernel_eval_at,
     kernel_matrix,
     kernel_monotonicity_check,
+    load_scenario_file,
     monomial_span,
     orthonormal_basis,
     orthonormal_node_values,
@@ -31,7 +36,14 @@ from bergmanlab import (
     tabulated_span,
     tabulated_weight,
 )
-from oracles import brute_force_kernel, disk_moment_exact, extremal_diagonal
+from oracles import (
+    brute_force_kernel,
+    disk_moment_exact,
+    extremal_diagonal,
+    node_pair_residual,
+)
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 def random_instance(seed, m=12, d=4, monomial=False):
@@ -152,7 +164,45 @@ def test_trace_identity_and_reproducing():
     density = bergman_density_from_space(space)
     assert density.rank == space.rank
     assert abs(density_integral(density, measure) - space.rank) <= 1e-9 * space.rank
-    assert reproducing_residual(kernel_matrix(space), phi, measure) <= 1e-9
+    assert reproducing_residual(space) <= 1e-9
+
+
+def assert_residual_bounds_node_pairs(space):
+    """The coefficient-space bound against the two node-pair forms it bounds.
+
+    Every entry of E A E* (A = E* D E - I) is at most the bound, up to the
+    rounding of the bound itself.  The oracle's |K D K - K| is the same
+    matrix formed another way, so it may exceed the bound by its own
+    rounding, at most eps * m * max(1, max K_ii)^2.
+    """
+    bound = reproducing_residual(space)
+    e = orthonormal_node_values(space)
+    a = e.conj().T @ (space.measure_factor[:, None] * e) - np.eye(space.rank)
+    direct = float(np.max(np.abs(e @ a @ e.conj().T))) if space.rank else 0.0
+    assert direct <= bound * (1.0 + 1e-12)
+    kern = kernel_matrix(space)
+    oracle = node_pair_residual(
+        kern.values, space.measure.masses, space.weight.values
+    )
+    slack = np.finfo(float).eps * space.measure.n * max(1.0, kern.diagonal.max()) ** 2
+    assert oracle <= bound + slack
+
+
+def test_reproducing_bound_covers_node_pairs_on_battery_spaces():
+    rng = np.random.default_rng(0)
+    for i in range(200):
+        inst = generate_instance(rng, i, SizeBounds())
+        assert_residual_bounds_node_pairs(
+            build_space(inst.span, inst.measure, inst.phi)
+        )
+
+
+def test_reproducing_bound_covers_node_pairs_on_disk_strict_pair():
+    config = load_scenario_file(os.path.join(SCENARIO_DIR, "disk-strict-pair.json"))
+    for weight in (config.phi, config.psi):
+        space = build_space(config.span, config.measure, weight)
+        assert space.rank == 9
+        assert_residual_bounds_node_pairs(space)
 
 
 def test_density_from_space_matches_kernel_diagonal():
@@ -190,7 +240,7 @@ def test_rank_zero_space():
     density = bergman_density_from_space(space)
     assert np.all(density.values == 0.0)
     assert density_integral(density, measure) == 0.0
-    assert reproducing_residual(kernel_matrix(space), phi, measure) == 0.0
+    assert reproducing_residual(space) == 0.0
 
 
 def test_disk_gram_diagonal_matches_moments():

@@ -14,6 +14,7 @@ from bergmanlab import (
     report_document,
     run_scenario,
 )
+from bergmanlab.kernels import REPRODUCING_TOL
 from bergmanlab.scenarios import (
     COMPARISON_COLUMNS,
     HOMOTOPY_COLUMNS,
@@ -38,6 +39,9 @@ def two_node_dict(**overrides):
     return base
 
 
+DISK_24X48 = {"kind": "disk-product", "radius": 1.0, "n_radial": 24, "n_angular": 48}
+
+
 def test_parse_full_scenario():
     config = parse_scenario(two_node_dict())
     assert config.scenario_id == "ref"
@@ -60,6 +64,25 @@ def test_parse_full_scenario():
         ({"params": {"t_grid": [0.0, 1.5]}}, "t_grid"),
         ({"params": {"tau_list": [0.0]}}, "tau_list"),
         ({"omega": [5]}, "out of range"),
+        ({"omega": ["x"]}, "omega[0]"),
+        ({"span": {"kind": "monomials", "degree": "x"}}, "span.degree"),
+        ({"measure": DISK_24X48, "span": {"kind": "monomials", "degree": 400}},
+         "span.degree"),
+        ({"measure": dict(DISK_24X48, radius="big")}, "measure.radius"),
+        ({"measure": dict(DISK_24X48, n_radial=2.5)}, "measure.n_radial"),
+        ({"measure": {"kind": "discrete", "points": [[0, 0]], "masses": ["a"]}},
+         "measure.masses[0]"),
+        ({"params": {"c_grid": ["a"]}}, "params.c_grid[0]"),
+        ({"params": {"t_grid": []}}, "params.t_grid"),
+        ({"params": {"t_grid": [0.5, 0.0, 1.0]}}, "params.t_grid"),
+        ({"params": {"tau_list": [float("nan")]}}, "params.tau_list[0]"),
+        ({"params": {"k_list": [0]}}, "params.k_list"),
+        ({"params": {"k_list": [float("inf")]}}, "params.k_list[0]"),
+        ({"params": {"interior_radius": 0.0}}, "params.interior_radius"),
+        ({"params": {"interior_radius": float("nan")}}, "params.interior_radius"),
+        ({"phi": {"family": "gauss", "a": float("nan")}}, "phi.a"),
+        ({"psi": {"family": "radial-poly", "coeffs": [0.0, float("inf")]}},
+         "psi.coeffs"),
     ],
 )
 def test_parse_rejects_bad_fields(mutate, needle):
@@ -137,7 +160,7 @@ def test_fd_ratio_does_not_depend_on_tol_scale():
     assert ratios[0] == pytest.approx(0.1111, abs=1e-4)
 
 
-def test_structural_reports_a_skipped_residual():
+def test_structural_checks_the_reproducing_identity_above_2048_nodes():
     d = two_node_dict(
         measure={
             "kind": "disk-product", "radius": 1.0, "n_radial": 48, "n_angular": 48
@@ -147,15 +170,11 @@ def test_structural_reports_a_skipped_residual():
         checks=["structural"],
     )
     del d["psi"]
-    metrics = run_scenario(parse_scenario(d)).results[0].metrics
-    assert metrics["reproducing_residual_skipped"] == {
-        "n_nodes": 2304,
-        "node_cap": 2048,
-    }
-    assert "phi_reproducing_residual" not in metrics
-    small = run_scenario(parse_scenario(two_node_dict())).results[0].metrics
-    assert "reproducing_residual_skipped" not in small
-    assert "phi_reproducing_residual" in small
+    config = parse_scenario(d)
+    assert config.measure.n == 2304
+    result = run_scenario(config).results[0]
+    assert result.passed
+    assert result.metrics["phi_reproducing_residual"] <= REPRODUCING_TOL
 
 
 def test_run_scenario_maxprinciple():
