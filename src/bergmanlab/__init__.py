@@ -15,7 +15,6 @@ from .battery import (
     SizeBounds,
     check_instance,
     generate_instance,
-    instance_spread,
     max_principle_search,
     run_battery,
 )
@@ -45,7 +44,6 @@ from .homotopy import (
     g_derivative_forms,
     g_of_t,
     kernel_derivative_matrix,
-    kernel_derivative_rhs,
     kernel_fd,
     l2_difference_bound_check,
     monotonicity_sweep,
@@ -53,14 +51,11 @@ from .homotopy import (
     weight_at,
 )
 from .kernels import (
-    BergmanDensity,
-    KernelMatrix,
     WeightedSpace,
     assemble_gram,
     bergman_density_at,
     bergman_density_from_space,
     build_space,
-    density_integral,
     equilibrated_spectrum,
     equilibration_scales,
     kernel_eval_at,
@@ -83,7 +78,6 @@ from .quantization import (
     build_scaled_space,
     default_degree_rule,
     ma_density,
-    scaled_bergman,
     tcz_convergence_report,
 )
 from .scenarios import (

@@ -52,9 +52,19 @@ from .weights import eval_weight, tabulated_weight
 
 # Gram spectra with a retained eigenvalue spread beyond this amplify
 # eigensolver roundoff past the battery tolerances, so the generator
-# resamples such draws.  The bound leaves roughly three orders of
-# magnitude of headroom against the tightest (1e-12 relative) checks.
+# resamples such draws, up to MAX_RESAMPLES times.  The bound leaves
+# roughly three orders of magnitude of headroom against the tightest
+# (1e-12 relative) checks.
 SPREAD_BOUND = 1e6
+MAX_RESAMPLES = 100
+
+# The law of a random instance: node radii, weight values and masses are
+# uniform over these ranges (masses uniform in log), and a span is a
+# monomial span with probability MONOMIAL_FRACTION.
+RADIUS_RANGE = (0.55, 1.45)
+WEIGHT_RANGE = (-2.0, 2.0)
+MASS_RANGE = (0.1, 10.0)
+MONOMIAL_FRACTION = 0.5
 
 # Monomial node-value matrices need strictly more nodes than columns to
 # stay away from the square-Vandermonde conditioning cliff.
@@ -75,7 +85,7 @@ ORDER_EXACT_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class SizeBounds:
-    """Generator law for random instances.  All draws are rng-driven.
+    """Instance sizes for the generator.  All draws are rng-driven.
 
     zero_span replaces every span with identically-zero node values, which
     collapses all spaces to rank 0; useful for exercising the degenerate
@@ -84,12 +94,6 @@ class SizeBounds:
 
     max_nodes: int = 50
     max_dim: int = 10
-    radius_range: tuple = (0.55, 1.45)
-    weight_range: tuple = (-2.0, 2.0)
-    mass_range: tuple = (0.1, 10.0)
-    monomial_fraction: float = 0.5
-    spread_bound: float = SPREAD_BOUND
-    max_resamples: int = 100
     zero_span: bool = False
 
 
@@ -132,9 +136,13 @@ class BatteryInstance:
         }
 
 
-def instance_spread(span, measure, weight) -> float:
-    """Conditioning of one configuration's equilibrated, retained Gram."""
-    return retained_spread(assemble_gram(span, measure, weight))
+def _draw_measure(rng, m: int):
+    """m nodes at uniform radii and angles, with log-uniform masses."""
+    radii = rng.uniform(*RADIUS_RANGE, m)
+    angles = rng.uniform(0.0, 2.0 * math.pi, m)
+    lo_m, hi_m = MASS_RANGE
+    masses = np.exp(rng.uniform(math.log(lo_m), math.log(hi_m), m))
+    return build_discrete_measure(radii * np.exp(1j * angles), masses)
 
 
 def generate_instance(rng, index: int, bounds: SizeBounds) -> BatteryInstance:
@@ -144,31 +152,24 @@ def generate_instance(rng, index: int, bounds: SizeBounds) -> BatteryInstance:
     since the derivative checks build spaces there.  Resampling keeps the
     stream deterministic: a given seed always yields the same instances.
     """
-    lo_r, hi_r = bounds.radius_range
-    lo_w, hi_w = bounds.weight_range
-    lo_m, hi_m = bounds.mass_range
-    for attempt in range(bounds.max_resamples):
+    for attempt in range(MAX_RESAMPLES):
         m = int(rng.integers(2, bounds.max_nodes + 1))
         d = int(rng.integers(1, bounds.max_dim + 1))
-        radii = rng.uniform(lo_r, hi_r, m)
-        angles = rng.uniform(0.0, 2.0 * math.pi, m)
-        points = radii * np.exp(1j * angles)
-        masses = np.exp(rng.uniform(math.log(lo_m), math.log(hi_m), m))
-        measure = build_discrete_measure(points, masses)
+        measure = _draw_measure(rng, m)
         if bounds.zero_span:
             span = tabulated_span(np.zeros((m, d), dtype=complex))
-        elif rng.uniform() < bounds.monomial_fraction:
+        elif rng.uniform() < MONOMIAL_FRACTION:
             d = min(d, max(1, m - MONOMIAL_NODE_MARGIN))
             span = monomial_span(measure, d - 1)
         else:
             vals = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
             span = tabulated_span(vals / math.sqrt(2.0))
-        phi = eval_weight(tabulated_weight(rng.uniform(lo_w, hi_w, m)), measure)
-        psi = eval_weight(tabulated_weight(rng.uniform(lo_w, hi_w, m)), measure)
+        phi = eval_weight(tabulated_weight(rng.uniform(*WEIGHT_RANGE, m)), measure)
+        psi = eval_weight(tabulated_weight(rng.uniform(*WEIGHT_RANGE, m)), measure)
         path = build_path(phi, psi)
         tame = all(
-            instance_spread(span, measure, weight_at(path, t))
-            <= bounds.spread_bound
+            retained_spread(assemble_gram(span, measure, weight_at(path, t)))
+            <= SPREAD_BOUND
             for t in (0.0, DERIVATIVE_T, 1.0)
         )
         if tame:
@@ -181,7 +182,7 @@ def generate_instance(rng, index: int, bounds: SizeBounds) -> BatteryInstance:
                 resamples=attempt,
             )
     raise RuntimeError(
-        f"instance {index}: no tame draw in {bounds.max_resamples} attempts"
+        f"instance {index}: no tame draw in {MAX_RESAMPLES} attempts"
     )
 
 
@@ -211,7 +212,7 @@ def check_instance(inst: BatteryInstance, tol_scale: float = 1.0) -> InstanceMet
 
     space = build_space(span, measure, phi)
     values = {
-        "trace_error": checks.trace_error(space, measure),
+        "trace_error": checks.trace_error(space),
         "reproducing_residual": reproducing_residual(space),
         "comparison_deficit": checks.comparison_deficit(
             shifted_comparison_sweep(phi, psi, span, measure, DEFAULT_C_GRID),
@@ -466,13 +467,8 @@ def max_principle_search(
         # is vacuous.  That degenerate regime has no counterpart in the
         # function-space setting being modeled, so the search excludes it.
         d = int(rng.integers(1, min(max_dim, m - 1) + 1))
-        radii = rng.uniform(0.55, 1.45, m)
-        angles = rng.uniform(0.0, 2.0 * math.pi, m)
-        measure = build_discrete_measure(
-            radii * np.exp(1j * angles),
-            np.exp(rng.uniform(math.log(0.1), math.log(10.0), m)),
-        )
-        if rng.uniform() < 0.5:
+        measure = _draw_measure(rng, m)
+        if rng.uniform() < MONOMIAL_FRACTION:
             span = monomial_span(measure, d - 1)
         else:
             vals = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
@@ -480,10 +476,10 @@ def max_principle_search(
         omega = np.zeros(m, dtype=bool)
         omega[rng.choice(m, size=int(rng.integers(1, m)), replace=False)] = True
 
-        phi_vals = rng.uniform(-2.0, 2.0, m)
+        phi_vals = rng.uniform(*WEIGHT_RANGE, m)
         family = int(rng.integers(0, 4))
         if family == 0:
-            psi_vals = rng.uniform(-2.0, 2.0, m)
+            psi_vals = rng.uniform(*WEIGHT_RANGE, m)
         elif family == 1:
             psi_vals = phi_vals + np.where(omega, 0.0, rng.uniform(0.0, 2.0, m))
         elif family == 2:

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .comparison import COMPARISON_TOL, STRICT_MARGIN
 from .homotopy import (
     ENDPOINT_TOL,
@@ -34,12 +36,7 @@ from .homotopy import (
     difference_quotient_bound_check,
     l2_difference_bound_check,
 )
-from .kernels import (
-    REPRODUCING_TOL,
-    TRACE_TOL,
-    bergman_density_from_space,
-    density_integral,
-)
+from .kernels import REPRODUCING_TOL, TRACE_TOL, bergman_density_from_space
 from .quantization import TCZ_FINAL_DEV_LIMIT
 
 ABSOLUTE = "absolute"
@@ -122,10 +119,10 @@ def failures(values: dict, tol_scale: float) -> list:
     return failed
 
 
-def trace_error(space, measure) -> float:
+def trace_error(space) -> float:
     """|integral of the density - rank| / max(1, rank)."""
-    density = bergman_density_from_space(space)
-    return abs(density_integral(density, measure) - space.rank) / max(1, space.rank)
+    integral = float(np.dot(space.measure.masses, bergman_density_from_space(space)))
+    return abs(integral - space.rank) / max(1, space.rank)
 
 
 def comparison_deficit(reports, tol_scale: float) -> float:

@@ -18,25 +18,13 @@ import math
 import os
 import sys
 
-from .battery import SizeBounds, max_principle_search, run_battery
-from .errors import (
-    InvalidConfigurationError,
-    InvalidMeasureError,
-    InvalidScenarioError,
-    UnsupportedWeightError,
-)
+from .battery import max_principle_search, run_battery
+from .errors import BergmanlabError
 from .scenarios import emit_report, load_scenario_file, run_scenario
 
 EXIT_GREEN = 0
 EXIT_RED = 1
 EXIT_CONFIG = 2
-
-_CONFIG_ERRORS = (
-    InvalidScenarioError,
-    InvalidConfigurationError,
-    InvalidMeasureError,
-    UnsupportedWeightError,
-)
 
 
 def finite_positive_float(text: str) -> float:
@@ -96,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_verb(args) -> int:
     try:
         configs = [load_scenario_file(path) for path in args.files]
-    except _CONFIG_ERRORS as exc:
+    except BergmanlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     seen = set()
@@ -111,7 +99,7 @@ def _run_verb(args) -> int:
 
     try:
         reports = [run_scenario(c, args.tol_scale) for c in configs]
-    except _CONFIG_ERRORS as exc:
+    except BergmanlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -137,7 +125,6 @@ def _battery_verb(args) -> int:
     report = run_battery(
         n_instances=args.n,
         seed=args.seed,
-        size_bounds=SizeBounds(),
         dump_dir=dump_dir,
         tol_scale=args.tol_scale,
     )

@@ -104,41 +104,15 @@ def sublevel_set(
     return SublevelSet(mask=mask, shift=float(c))
 
 
-def _densities(phi, psi, span, measure):
-    phi = eval_weight(phi, measure)
-    psi = eval_weight(psi, measure)
-    space_phi = build_space(span, measure, phi)
-    space_psi = build_space(span, measure, psi)
-    return (
-        phi,
-        psi,
-        bergman_density_from_space(space_phi),
-        bergman_density_from_space(space_psi),
-        space_psi.rank,
-    )
+def _densities(span, measure, *weights):
+    """Tabulate each weight, build its space, and take its density at the nodes.
 
-
-def _report(phi, psi, b_phi, b_psi, measure, span, c, psi_rank) -> ComparisonReport:
-    s = sublevel_set(phi, psi, c)
-    w = measure.masses
-    lhs = float(np.sum(w[s.mask] * b_phi.values[s.mask]))
-    rhs = float(np.sum(w[s.mask] * b_psi.values[s.mask]))
-    strict_expected = (
-        s.is_proper()
-        and span.kind == KIND_MONOMIALS
-        and measure.kind == KIND_DISK
-        and psi_rank >= 1
-        and rhs > STRICT_MARGIN
-    )
-    return ComparisonReport(
-        shift=float(c),
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        set_size=s.size,
-        set_proper=s.is_proper(),
-        strict_expected=strict_expected,
-    )
+    Returns the tabulated weights, the spaces and the densities, each in the
+    order the weights were given.
+    """
+    weights = [eval_weight(weight, measure) for weight in weights]
+    spaces = [build_space(span, measure, weight) for weight in weights]
+    return weights, spaces, [bergman_density_from_space(space) for space in spaces]
 
 
 def comparison_integrals(
@@ -153,8 +127,7 @@ def comparison_integrals(
     The report's margin is rhs - lhs; the principle asserts margin >=
     -COMPARISON_TOL * (1 + rhs).
     """
-    phi, psi, b_phi, b_psi, psi_rank = _densities(phi, psi, span, measure)
-    return _report(phi, psi, b_phi, b_psi, measure, span, c, psi_rank)
+    return shifted_comparison_sweep(phi, psi, span, measure, (c,))[0]
 
 
 def shifted_comparison_sweep(
@@ -168,11 +141,32 @@ def shifted_comparison_sweep(
 
     The two spaces do not depend on the shift, so they are built once.
     """
-    phi, psi, b_phi, b_psi, psi_rank = _densities(phi, psi, span, measure)
-    return [
-        _report(phi, psi, b_phi, b_psi, measure, span, float(c), psi_rank)
-        for c in c_grid
-    ]
+    (phi, psi), (_, space_psi), (b_phi, b_psi) = _densities(span, measure, phi, psi)
+    w = measure.masses
+    reports = []
+    for c in c_grid:
+        s = sublevel_set(phi, psi, c)
+        lhs = float(np.sum(w[s.mask] * b_phi[s.mask]))
+        rhs = float(np.sum(w[s.mask] * b_psi[s.mask]))
+        strict_expected = (
+            s.is_proper()
+            and span.kind == KIND_MONOMIALS
+            and measure.kind == KIND_DISK
+            and space_psi.rank >= 1
+            and rhs > STRICT_MARGIN
+        )
+        reports.append(
+            ComparisonReport(
+                shift=float(c),
+                lhs=lhs,
+                rhs=rhs,
+                margin=rhs - lhs,
+                set_size=s.size,
+                set_proper=s.is_proper(),
+                strict_expected=strict_expected,
+            )
+        )
+    return reports
 
 
 def reduce_less_singular(phi: WeightFunction, psi: WeightFunction) -> WeightFunction:
@@ -196,7 +190,6 @@ def sandwich_check(
     psi: WeightFunction,
     span: FunctionSpan,
     measure: QuadratureMeasure,
-    tol: float = COMPARISON_TOL,
 ) -> SandwichReport:
     """Verify the two-link chain through the less-singular reduction.
 
@@ -208,18 +201,17 @@ def sandwich_check(
     """
     phi = eval_weight(phi, measure)
     psi = eval_weight(psi, measure)
-    psi0 = eval_weight(reduce_less_singular(phi, psi), measure)
+    _, _, (b_phi, b_psi, b_mid) = _densities(
+        span, measure, phi, psi, reduce_less_singular(phi, psi)
+    )
     s = sublevel_set(phi, psi)
     w = measure.masses
-    b_phi = bergman_density_from_space(build_space(span, measure, phi))
-    b_psi = bergman_density_from_space(build_space(span, measure, psi))
-    b_mid = bergman_density_from_space(build_space(span, measure, psi0))
-    lhs = float(np.sum(w[s.mask] * b_phi.values[s.mask]))
-    mid = float(np.sum(w[s.mask] * b_mid.values[s.mask]))
-    rhs = float(np.sum(w[s.mask] * b_psi.values[s.mask]))
+    lhs = float(np.sum(w[s.mask] * b_phi[s.mask]))
+    mid = float(np.sum(w[s.mask] * b_mid[s.mask]))
+    rhs = float(np.sum(w[s.mask] * b_psi[s.mask]))
     return SandwichReport(
-        lower_ok=bool(lhs <= mid + tol * (1.0 + abs(mid))),
-        upper_ok=bool(mid <= rhs + tol * (1.0 + abs(rhs))),
+        lower_ok=bool(lhs <= mid + COMPARISON_TOL * (1.0 + abs(mid))),
+        upper_ok=bool(mid <= rhs + COMPARISON_TOL * (1.0 + abs(rhs))),
         lhs=lhs,
         mid=mid,
         rhs=rhs,
@@ -258,8 +250,6 @@ def max_principle_check(
     counterexample.  omega must be a proper subset of the nodes.
     """
     omega = np.asarray(omega_mask, dtype=bool).reshape(-1)
-    phi = eval_weight(phi, measure)
-    psi = eval_weight(psi, measure)
     if omega.size != measure.n:
         raise InvalidConfigurationError(
             f"omega marks {omega.size} nodes, measure has {measure.n}"
@@ -268,8 +258,7 @@ def max_principle_check(
         raise InvalidConfigurationError(
             "omega must be a proper subset of the node set"
         )
-    b_phi = bergman_density_from_space(build_space(span, measure, phi)).values
-    b_psi = bergman_density_from_space(build_space(span, measure, psi)).values
+    (phi, psi), _, (b_phi, b_psi) = _densities(span, measure, phi, psi)
     premise_density = np.all(
         b_phi[omega] >= b_psi[omega] - DENSITY_POINT_TOL * (1.0 + np.abs(b_psi[omega]))
     )

@@ -113,16 +113,6 @@ def negative_direction_indicator(path: HomotopyPath) -> np.ndarray:
     return (path.direction < 0.0).astype(float)
 
 
-def _rho_values(path: HomotopyPath, rho) -> np.ndarray:
-    if rho is None:
-        return negative_direction_indicator(path)
-    if callable(rho):
-        return np.asarray(rho(path.direction), dtype=float)
-    if hasattr(rho, "indicator"):
-        return rho.indicator()
-    return np.asarray(rho, dtype=float)
-
-
 def g_of_t(
     path: HomotopyPath,
     rho,
@@ -132,34 +122,19 @@ def g_of_t(
 ) -> float:
     """G(t) = integral of rho times the density of the phi_t-space.
 
-    rho may be None (indicator of {u < 0}), a SublevelSet, an array of node
-    values, or a callable applied to u.
+    rho is an array of node values, or None for the indicator of {u < 0}.
     """
-    rho_vals = _rho_values(path, rho)
-    space = space_at(path, t, span, measure)
-    b = bergman_density_from_space(space).values
-    return float(np.sum(rho_vals * measure.masses * b))
+    if rho is None:
+        rho = negative_direction_indicator(path)
+    b = bergman_density_from_space(space_at(path, t, span, measure))
+    return float(np.sum(np.asarray(rho, dtype=float) * measure.masses * b))
 
 
 def kernel_derivative_matrix(path: HomotopyPath, space_t: WeightedSpace) -> np.ndarray:
     """Matrix of K'_t on node pairs: K diag(u w e^{-phi_t}) K."""
-    k = kernel_matrix(space_t).values
+    k = kernel_matrix(space_t)
     d = path.direction * space_t.measure_factor
     return (k * d[None, :]) @ k
-
-
-def kernel_derivative_rhs(
-    path: HomotopyPath, t: float, i: int, j: int, space_t: WeightedSpace
-) -> complex:
-    """Single entry of the kernel derivative at parameter t.
-
-    The space passed in must be the one built at the same t (it carries the
-    weight phi_t in its measure factor).
-    """
-    e = orthonormal_node_values(space_t)
-    d = path.direction * space_t.measure_factor
-    row_i = e[i] @ (e.conj().T * d[None, :])  # K(z_i, .) weighted
-    return complex(row_i @ (e @ e[j].conj()))
 
 
 def kernel_fd(
@@ -170,8 +145,8 @@ def kernel_fd(
     measure: QuadratureMeasure,
 ) -> np.ndarray:
     """Central finite difference of the node-pair kernel in t."""
-    k_plus = kernel_matrix(space_at(path, t + tau, span, measure)).values
-    k_minus = kernel_matrix(space_at(path, t - tau, span, measure)).values
+    k_plus = kernel_matrix(space_at(path, t + tau, span, measure))
+    k_minus = kernel_matrix(space_at(path, t - tau, span, measure))
     return (k_plus - k_minus) / (2.0 * tau)
 
 
@@ -186,12 +161,10 @@ def difference_quotient_bound_check(
     tau: float,
     span: FunctionSpan,
     measure: QuadratureMeasure,
-    node: int | None = None,
 ) -> bool:
     """|K_{t+tau}(z, z) - K_t(z, z)| / |tau| <= C_u K_t(z, z) at the nodes.
 
-    C_u = 2 u_sup e^{2 u_sup}; requires |tau| <= 1.  With node=None every
-    node is checked.
+    C_u = 2 u_sup e^{2 u_sup}; requires |tau| <= 1.
     """
     e_t = orthonormal_node_values(space_at(path, t, span, measure))
     e_s = orthonormal_node_values(space_at(path, t + tau, span, measure))
@@ -200,8 +173,6 @@ def difference_quotient_bound_check(
     quotient = np.abs(diag_s - diag_t) / abs(tau)
     floor = BOUND_FLOOR * (1.0 + float(diag_t.max(initial=0.0)))
     bound = sup_bound_constant(path.u_sup) * diag_t + floor
-    if node is not None:
-        return bool(quotient[node] <= bound[node])
     return bool(np.all(quotient <= bound))
 
 
@@ -211,7 +182,6 @@ def l2_difference_bound_check(
     tau: float,
     span: FunctionSpan,
     measure: QuadratureMeasure,
-    node: int | None = None,
 ) -> bool:
     """Weighted L2 norm of the kernel increment row against C_u |tau| K_t(z, z).
 
@@ -235,8 +205,6 @@ def l2_difference_bound_check(
     diag_t = np.einsum("ij,ij->i", e_t, e_t.conj()).real
     floor = BOUND_FLOOR * (1.0 + float(diag_t.max(initial=0.0)))
     bound = sup_bound_constant(path.u_sup) * abs(tau) * diag_t + floor
-    if node is not None:
-        return bool(lhs[node] <= bound[node])
     return bool(np.all(lhs <= bound))
 
 
@@ -245,16 +213,13 @@ def g_derivative_forms(
     t: float,
     span: FunctionSpan,
     measure: QuadratureMeasure,
-    rho=None,
     fd_step: float = FD_STEP,
 ) -> DerivativeReport:
     """Evaluate G, its three derivative expressions, and a central FD at t.
 
-    The direct and symmetric forms accept any profile rho; the sign-split
-    form is specific to rho = 1_{u < 0} (the default) and is reported for
-    that profile regardless of the rho passed in.
+    The profile is rho = 1_{u < 0}, for which the sign-split form holds.
     """
-    rho_vals = _rho_values(path, rho)
+    rho_vals = negative_direction_indicator(path)
     u = path.direction
     space = space_at(path, t, span, measure)
     e = orthonormal_node_values(space)

@@ -56,26 +56,6 @@ class WeightedSpace:
         return self.measure.masses * np.exp(-self.weight.values)
 
 
-@dataclass(frozen=True, eq=False)
-class KernelMatrix:
-    """Reproducing kernel tabulated on node pairs, K[i, j] = K(z_i, z_j)."""
-
-    values: np.ndarray
-    rank: int
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.real(np.diag(self.values))
-
-
-@dataclass(frozen=True, eq=False)
-class BergmanDensity:
-    """Density of states B(z_j) = K(z_j, z_j) e^{-phi(z_j)} per node."""
-
-    values: np.ndarray
-    rank: int
-
-
 def assemble_gram(
     span: FunctionSpan, measure: QuadratureMeasure, weight: WeightFunction
 ) -> np.ndarray:
@@ -106,10 +86,26 @@ def equilibration_scales(gram: np.ndarray) -> np.ndarray:
     return np.where(positive, 1.0 / np.sqrt(np.where(positive, diag, 1.0)), 1.0)
 
 
+def _equilibrated(gram: np.ndarray):
+    """The scales and the unit-diagonal rescaling of a Gram, which must be finite.
+
+    It is not when w e^{-phi} or the span values overflow, or when a
+    diagonal entry lies so far below the smallest normal float that its
+    scale squared overflows; the eigensolver cannot take either.
+    """
+    scale = equilibration_scales(gram)
+    rescaled = gram * np.outer(scale, scale)
+    if not np.isfinite(rescaled).all():
+        raise InvalidConfigurationError(
+            "gram is not finite after equilibration: w e^{-phi} or the span "
+            "values overflow, or a diagonal entry underflows"
+        )
+    return scale, rescaled
+
+
 def equilibrated_spectrum(gram: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the unit-diagonal rescaling of a Gram."""
-    scale = equilibration_scales(gram)
-    return np.linalg.eigvalsh(gram * np.outer(scale, scale))
+    return np.linalg.eigvalsh(_equilibrated(gram)[1])
 
 
 def retained_spread(gram: np.ndarray, rank_tol: float = RANK_TOL) -> float:
@@ -136,8 +132,8 @@ def orthonormal_basis(gram: np.ndarray, rank_tol: float = RANK_TOL):
     largest are truncated.  A Gram with no positive spectrum yields rank 0
     (not an error).
     """
-    scale = equilibration_scales(gram)
-    lam, u = np.linalg.eigh(gram * np.outer(scale, scale))
+    scale, rescaled = _equilibrated(gram)
+    lam, u = np.linalg.eigh(rescaled)
     lam_max = lam[-1] if lam.size else 0.0
     if lam_max <= 0.0:
         return np.zeros((gram.shape[0], 0), dtype=complex), 0
@@ -176,11 +172,11 @@ def orthonormal_node_values(space: WeightedSpace) -> np.ndarray:
     return space.span.basis_values @ space.ortho_coeffs
 
 
-def kernel_matrix(space: WeightedSpace) -> KernelMatrix:
-    """Dense kernel on node pairs.  Rank 0 gives the zero kernel."""
+def kernel_matrix(space: WeightedSpace) -> np.ndarray:
+    """Dense Hermitian kernel on node pairs.  Rank 0 gives the zero kernel."""
     e = orthonormal_node_values(space)
     k = e @ e.conj().T
-    return KernelMatrix(values=0.5 * (k + k.conj().T), rank=space.rank)
+    return 0.5 * (k + k.conj().T)
 
 
 def kernel_eval_at(space: WeightedSpace, z, w=None) -> np.ndarray:
@@ -197,15 +193,15 @@ def kernel_eval_at(space: WeightedSpace, z, w=None) -> np.ndarray:
     return ez @ ew.conj().T
 
 
-def bergman_density_from_space(space: WeightedSpace) -> BergmanDensity:
-    """Density of states without forming the full node-pair kernel.
+def bergman_density_from_space(space: WeightedSpace) -> np.ndarray:
+    """Density of states at the nodes, without forming the node-pair kernel.
 
     Row norms of the orthonormal basis give the kernel diagonal directly;
     this is the path to use when the node count is large.
     """
     e = orthonormal_node_values(space)
     diag = np.einsum("ij,ij->i", e, e.conj()).real
-    return BergmanDensity(values=diag * np.exp(-space.weight.values), rank=space.rank)
+    return diag * np.exp(-space.weight.values)
 
 
 def bergman_density_at(space: WeightedSpace, z) -> np.ndarray:
@@ -215,11 +211,6 @@ def bergman_density_at(space: WeightedSpace, z) -> np.ndarray:
     diag = np.einsum("ij,ij->i", e, e.conj()).real
     phi = space.weight.evaluate_at(pts)
     return diag * np.exp(-phi)
-
-
-def density_integral(density: BergmanDensity, measure: QuadratureMeasure) -> float:
-    """Total integral of the density; equals the rank up to roundoff."""
-    return float(np.dot(measure.masses, density.values))
 
 
 def reproducing_residual(space: WeightedSpace) -> float:
@@ -238,11 +229,7 @@ def reproducing_residual(space: WeightedSpace) -> float:
     return float(np.max(rows) * np.max(np.linalg.norm(e, axis=1)))
 
 
-def kernel_monotonicity_check(
-    space_lo: WeightedSpace,
-    space_hi: WeightedSpace,
-    tol: float = MONOTONICITY_TOL,
-) -> bool:
+def kernel_monotonicity_check(space_lo: WeightedSpace, space_hi: WeightedSpace) -> bool:
     """Check K_lo(z, z) <= K_hi(z, z) at every node when phi_lo <= phi_hi.
 
     Raising the weight shrinks every norm, which can only raise the diagonal
@@ -260,4 +247,4 @@ def kernel_monotonicity_check(
     e_hi = orthonormal_node_values(space_hi)
     k_lo = np.einsum("ij,ij->i", e_lo, e_lo.conj()).real
     k_hi = np.einsum("ij,ij->i", e_hi, e_hi.conj()).real
-    return bool(np.all(k_lo <= k_hi + tol * (1.0 + k_hi)))
+    return bool(np.all(k_lo <= k_hi + MONOTONICITY_TOL * (1.0 + k_hi)))

@@ -13,6 +13,7 @@ centered disk, Gauss-Legendre in r^2 crossed with uniform angles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,8 +124,10 @@ def build_disk_measure(radius: float, n_radial: int, n_angular: int) -> Quadratu
 
         exactness_degree = min(2*n_radial - 1, n_angular - 1).
     """
-    if radius <= 0.0:
-        raise InvalidMeasureError(f"radius must be positive, got {radius}")
+    if not (radius > 0.0 and math.isfinite(radius * radius)):
+        raise InvalidMeasureError(
+            f"radius must be positive with a finite square, got {radius}"
+        )
     if n_radial < 1 or n_angular < 1:
         raise InvalidMeasureError("n_radial and n_angular must be >= 1")
     x, gl_w = leggauss(n_radial)

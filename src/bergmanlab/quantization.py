@@ -19,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigurationError, UnsupportedWeightError
-from .kernels import (
-    BergmanDensity,
-    WeightedSpace,
-    bergman_density_from_space,
-    build_space,
-)
+from .kernels import WeightedSpace, bergman_density_from_space, build_space
 from .measures import KIND_DISK, QuadratureMeasure
 from .spans import monomial_span
 from .weights import WeightFunction, eval_weight, scaled_weight
@@ -112,7 +107,9 @@ def default_degree_rule(k: float, measure: QuadratureMeasure) -> int:
             "the default degree rule needs a disk-product measure"
         )
     cap = measure.exactness_degree // 2
-    return int(min(math.ceil(DEGREE_FACTOR * k * measure.radius**2), cap))
+    # The cap is taken before rounding up, so a huge k gives the cap
+    # instead of overflowing math.ceil.
+    return int(math.ceil(min(DEGREE_FACTOR * k * measure.radius**2, cap)))
 
 
 def build_scaled_space(
@@ -129,29 +126,17 @@ def build_scaled_space(
     return build_space(span, measure, scaled_weight(phi, k))
 
 
-def scaled_bergman(
-    phi: WeightFunction,
-    k: float,
-    degree: int,
-    measure: QuadratureMeasure,
-) -> BergmanDensity:
-    """Density of states of the k-amplified space."""
-    return bergman_density_from_space(
-        build_scaled_space(phi, k, degree, measure)
-    )
-
-
 def tcz_convergence_report(
     phi: WeightFunction,
     k_list,
     measure: QuadratureMeasure,
-    degree_rule=None,
     interior_radius: float | None = None,
 ) -> list:
     """Scaled-density-to-limit ratios on interior nodes for each k.
 
-    For every node z_j with |z_j| <= interior_radius (default half the disk
-    radius) and positive limit density, the ratio (B_{k phi}(z_j)/k) /
+    Each k gets the degree of ``default_degree_rule``.  For every node z_j
+    with |z_j| <= interior_radius (default half the disk radius) and
+    positive limit density, the ratio (B_{k phi}(z_j)/k) /
     (Laplacian(phi)(z_j)/(4 pi)) is recorded; nodes where the limit density
     is nonpositive are skipped and counted.
     """
@@ -161,7 +146,6 @@ def tcz_convergence_report(
         )
     if interior_radius is None:
         interior_radius = 0.5 * measure.radius
-    rule = degree_rule if degree_rule is not None else default_degree_rule
     limit = ma_density(phi, measure)
     interior = np.abs(measure.points) <= interior_radius
     positive = limit.values > DENSITY_SKIP_TOL
@@ -169,9 +153,9 @@ def tcz_convergence_report(
     n_skipped = int(np.count_nonzero(interior & ~positive))
     reports = []
     for k in k_list:
-        degree = int(rule(k, measure)) if callable(rule) else int(rule)
-        b = scaled_bergman(phi, k, degree, measure)
-        ratios = (b.values[eval_mask] / k) / limit.values[eval_mask]
+        degree = default_degree_rule(k, measure)
+        b = bergman_density_from_space(build_scaled_space(phi, k, degree, measure))
+        ratios = (b[eval_mask] / k) / limit.values[eval_mask]
         devs = np.abs(ratios - 1.0)
         reports.append(
             ScalingReport(

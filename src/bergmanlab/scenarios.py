@@ -45,6 +45,7 @@ from .comparison import (
     strictness_check,
 )
 from .errors import (
+    BergmanlabError,
     InvalidConfigurationError,
     InvalidMeasureError,
     InvalidScenarioError,
@@ -69,6 +70,8 @@ CHECK_NAMES = (
     "tcz",
     "maxprinciple",
 )
+
+PARAM_NAMES = ("c_grid", "t_grid", "tau_list", "k_list", "interior_radius")
 
 DEFAULT_C_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
@@ -177,14 +180,23 @@ def _parse_measure(raw, scenario_id):
         if kind == "disk-product":
             radius = _number(raw["radius"], scenario_id, "measure.radius")
             n_radial, n_angular = (
-                _number(raw[key], scenario_id, f"measure.{key}", integer=True)
+                _number(
+                    raw[key],
+                    scenario_id,
+                    f"measure.{key}",
+                    "an integer >= 1",
+                    lambda n: n >= 1,
+                    integer=True,
+                )
                 for key in ("n_radial", "n_angular")
             )
             return build_disk_measure(radius, n_radial, n_angular)
     except KeyError as missing:
         _fail(scenario_id, f"measure.{missing.args[0]}", "required")
     except InvalidMeasureError as exc:
-        _fail(scenario_id, "measure", str(exc))
+        # With the node counts checked, the disk rule can only reject its radius.
+        field_path = "measure.radius" if kind == "disk-product" else "measure"
+        _fail(scenario_id, field_path, str(exc))
     _fail(scenario_id, "measure.kind", f"unknown kind {kind!r}")
 
 
@@ -214,7 +226,8 @@ def _parse_span(raw, measure, scenario_id):
     _fail(scenario_id, "span.kind", f"unknown kind {kind!r}")
 
 
-def _parse_weight(raw, scenario_id, field_path):
+def _parse_weight(raw, measure, scenario_id, field_path):
+    """The weight tabulated on the measure's nodes, with a finite w e^{-phi}."""
     if not isinstance(raw, dict):
         _fail(scenario_id, field_path, "expected an object with a family")
     try:
@@ -227,6 +240,14 @@ def _parse_weight(raw, scenario_id, field_path):
     for name, value in params.items():
         if not np.all(np.isfinite(value)):
             _fail(scenario_id, f"{field_path}.{name}", f"must be finite, got {value}")
+    try:
+        weight = eval_weight(weight, measure)
+    except InvalidMeasureError as exc:
+        _fail(scenario_id, field_path, str(exc))
+    with np.errstate(over="ignore"):
+        factor = measure.masses * np.exp(-weight.values)
+    if not (np.all(np.isfinite(weight.values)) and np.all(np.isfinite(factor))):
+        _fail(scenario_id, field_path, "w e^{-phi} is not finite at every node")
     return weight
 
 
@@ -257,10 +278,10 @@ def parse_scenario(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     span = _parse_span(raw["span"], measure, scenario_id)
     if "phi" not in raw:
         _fail(scenario_id, "phi", "required")
-    phi = eval_weight(_parse_weight(raw["phi"], scenario_id, "phi"), measure)
+    phi = _parse_weight(raw["phi"], measure, scenario_id, "phi")
     psi = None
     if "psi" in raw:
-        psi = eval_weight(_parse_weight(raw["psi"], scenario_id, "psi"), measure)
+        psi = _parse_weight(raw["psi"], measure, scenario_id, "psi")
 
     needs_psi = {"comparison", "sweep", "homotopy", "maxprinciple"}
     for name in checks_raw:
@@ -270,6 +291,13 @@ def parse_scenario(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         _fail(scenario_id, "params", "expected an object")
+    for name in params:
+        if name not in PARAM_NAMES:
+            _fail(
+                scenario_id,
+                f"params.{name}",
+                f"unknown parameter; valid: {', '.join(PARAM_NAMES)}",
+            )
 
     def listed(name, default, *args):
         field_path = f"params.{name}"
@@ -367,7 +395,7 @@ def _check_structural(config, tol_scale):
     for label, weight in weights:
         space = build_space(config.span, config.measure, weight)
         values = {
-            "trace_error": checks.trace_error(space, config.measure),
+            "trace_error": checks.trace_error(space),
             "reproducing_residual": reproducing_residual(space),
         }
         metrics[f"{label}_rank"] = space.rank
@@ -557,7 +585,7 @@ def run_scenario(config: ScenarioConfig, tol_scale: float = 1.0) -> RunReport:
         t0 = time.perf_counter()
         try:
             passed, metrics, rows = runner(config, tol_scale)
-        except Exception as exc:
+        except BergmanlabError as exc:
             raise type(exc)(f"scenario {config.scenario_id!r}: {exc}") from exc
         results.append(
             CheckResult(

@@ -1,6 +1,5 @@
 """Random-instance battery: generation, checks, aggregation, determinism."""
 
-import dataclasses
 import json
 import math
 import os
@@ -12,7 +11,6 @@ from bergmanlab import (
     SizeBounds,
     check_instance,
     generate_instance,
-    instance_spread,
     max_principle_search,
     parse_scenario,
     run_battery,
@@ -22,9 +20,11 @@ from bergmanlab.battery import (
     DERIVATIVE_T,
     MONOMIAL_NODE_MARGIN,
     ORDER_STEPS,
+    SPREAD_BOUND,
     fit_order_slope,
 )
 from bergmanlab.homotopy import build_path, weight_at
+from bergmanlab.kernels import assemble_gram, retained_spread
 
 
 def test_generate_instance_respects_bounds():
@@ -39,8 +39,8 @@ def test_generate_instance_respects_bounds():
             assert inst.span.dim <= max(1, m - MONOMIAL_NODE_MARGIN)
         path = build_path(inst.phi, inst.psi)
         for t in (0.0, DERIVATIVE_T, 1.0):
-            spread = instance_spread(inst.span, inst.measure, weight_at(path, t))
-            assert spread <= bounds.spread_bound
+            gram = assemble_gram(inst.span, inst.measure, weight_at(path, t))
+            assert retained_spread(gram) <= SPREAD_BOUND
 
 
 def test_generate_instance_deterministic():

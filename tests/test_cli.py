@@ -124,3 +124,39 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["run", "x.json", "--format", "yaml"])
     assert err.value.code == 2
+
+
+def _disk_scenario(tmp_path, **overrides):
+    doc = {
+        "id": "disk",
+        "measure": {"kind": "disk-product", "radius": 1.0, "n_radial": 24,
+                    "n_angular": 48},
+        "span": {"kind": "monomials", "degree": 2},
+        "phi": {"family": "gauss", "a": 1.0},
+        "psi": {"family": "constant", "c": 0.5},
+        "checks": ["structural"],
+    }
+    doc.update(overrides)
+    path = tmp_path / "disk.json"
+    path.write_text(json.dumps(doc))
+    return os.fspath(path)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # e^{-k phi} overflows on the scaled space at k = 40.
+        {"phi": {"family": "gauss", "a": -30.0}, "checks": ["tcz"],
+         "params": {"k_list": [10, 40]}},
+        # The finite-difference stencil at t = 0 builds a space at t < 0,
+        # where e^{-phi_t} overflows.
+        {"psi": {"family": "constant", "c": 1e300}, "checks": ["homotopy"]},
+    ],
+    ids=["tcz-overflow", "homotopy-stencil-overflow"],
+)
+def test_run_rejects_an_overflowing_derived_weight(overrides, tmp_path, capsys):
+    path = _disk_scenario(tmp_path, **overrides)
+    assert main(["run", path, "--out", os.fspath(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "scenario 'disk'" in err
+    assert "gram is not finite" in err

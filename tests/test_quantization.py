@@ -17,7 +17,6 @@ from bergmanlab import (
     harmonic_weight,
     ma_density,
     radial_poly_weight,
-    scaled_bergman,
     tabulated_weight,
     tcz_convergence_report,
 )
@@ -65,6 +64,7 @@ def test_default_degree_rule_ladder():
     assert default_degree_rule(10, measure) == 60
     assert default_degree_rule(20, measure) == 120
     assert default_degree_rule(40, measure) == 127
+    assert default_degree_rule(1e300, measure) == 127
 
 
 def test_default_degree_rule_needs_disk():

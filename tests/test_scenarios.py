@@ -83,6 +83,12 @@ def test_parse_full_scenario():
         ({"phi": {"family": "gauss", "a": float("nan")}}, "phi.a"),
         ({"psi": {"family": "radial-poly", "coeffs": [0.0, float("inf")]}},
          "psi.coeffs"),
+        ({"measure": dict(DISK_24X48, n_radial=8, n_angular=16),
+          "phi": {"family": "gauss", "a": -1e300}}, "field 'phi'"),
+        ({"measure": dict(DISK_24X48, n_radial=8, n_angular=16),
+          "phi": {"family": "tabulated", "values": [0.0, 1.0]}}, "field 'phi'"),
+        ({"measure": dict(DISK_24X48, radius=1e300)}, "measure.radius"),
+        ({"params": {"c_gird": [5.0]}}, "params.c_gird"),
     ],
 )
 def test_parse_rejects_bad_fields(mutate, needle):
