@@ -58,6 +58,9 @@ class QuadratureMeasure:
         integrates z^a conj(z)^b exactly; None for ad-hoc discrete measures.
     radius : float or None
         Disk radius for the disk rule; None otherwise.
+    n_angular : int or None
+        For the disk rule, the number of equispaced angles per ring: node
+        i * n_angular + j is r_i e^{2 pi i j / n_angular}.  None otherwise.
     """
 
     points: np.ndarray
@@ -65,6 +68,7 @@ class QuadratureMeasure:
     kind: str
     exactness_degree: int | None = None
     radius: float | None = None
+    n_angular: int | None = None
 
     @property
     def n(self) -> int:
@@ -147,4 +151,5 @@ def build_disk_measure(radius: float, n_radial: int, n_angular: int) -> Quadratu
         kind=KIND_DISK,
         exactness_degree=exactness,
         radius=float(radius),
+        n_angular=int(n_angular),
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigurationError, UnsupportedWeightError
-from .kernels import WeightedSpace, bergman_density_from_space, build_space
+from .kernels import WeightedSpace, bergman_density_at, build_space
 from .measures import KIND_DISK, QuadratureMeasure
 from .spans import monomial_span
 from .weights import WeightFunction, eval_weight, scaled_weight
@@ -58,6 +58,7 @@ class ScalingReport:
 
     k: float
     degree: int
+    degree_requested: float
     eval_indices: np.ndarray
     ratios: np.ndarray
     max_abs_dev_from_1: float
@@ -100,6 +101,14 @@ def ma_density(
     return MongeAmpereDensity(values=lap / (4.0 * math.pi), source=used)
 
 
+def requested_degree(k: float, measure: QuadratureMeasure) -> float:
+    """1.5 k R^2 on a disk measure, before rounding up and capping.
+
+    It stays a float, so a huge k gives inf instead of overflowing an int.
+    """
+    return DEGREE_FACTOR * k * measure.radius**2
+
+
 def default_degree_rule(k: float, measure: QuadratureMeasure) -> int:
     """ceil(1.5 k R^2), capped at half the quadrature's exactness degree."""
     if measure.kind != KIND_DISK or measure.radius is None:
@@ -109,7 +118,7 @@ def default_degree_rule(k: float, measure: QuadratureMeasure) -> int:
     cap = measure.exactness_degree // 2
     # The cap is taken before rounding up, so a huge k gives the cap
     # instead of overflowing math.ceil.
-    return int(math.ceil(min(DEGREE_FACTOR * k * measure.radius**2, cap)))
+    return int(math.ceil(min(requested_degree(k, measure), cap)))
 
 
 def build_scaled_space(
@@ -124,6 +133,24 @@ def build_scaled_space(
     """
     span = monomial_span(measure, degree)
     return build_space(span, measure, scaled_weight(phi, k))
+
+
+def ladder_nodes(
+    limit: MongeAmpereDensity,
+    measure: QuadratureMeasure,
+    interior_radius: float | None,
+):
+    """The mask of the nodes the ladder reads, and how many it skips.
+
+    It reads the nodes within interior_radius (default half the disk
+    radius) where the limit density is positive, and skips the others
+    within that radius.
+    """
+    if interior_radius is None:
+        interior_radius = 0.5 * measure.radius
+    interior = np.abs(measure.points) <= interior_radius
+    positive = limit.values > DENSITY_SKIP_TOL
+    return interior & positive, int(np.count_nonzero(interior & ~positive))
 
 
 def tcz_convergence_report(
@@ -144,23 +171,20 @@ def tcz_convergence_report(
         raise InvalidConfigurationError(
             "convergence reports need a disk-product measure"
         )
-    if interior_radius is None:
-        interior_radius = 0.5 * measure.radius
     limit = ma_density(phi, measure)
-    interior = np.abs(measure.points) <= interior_radius
-    positive = limit.values > DENSITY_SKIP_TOL
-    eval_mask = interior & positive
-    n_skipped = int(np.count_nonzero(interior & ~positive))
+    eval_mask, n_skipped = ladder_nodes(limit, measure, interior_radius)
     reports = []
     for k in k_list:
         degree = default_degree_rule(k, measure)
-        b = bergman_density_from_space(build_scaled_space(phi, k, degree, measure))
-        ratios = (b[eval_mask] / k) / limit.values[eval_mask]
+        space = build_scaled_space(phi, k, degree, measure)
+        b = bergman_density_at(space, measure.points[eval_mask])
+        ratios = (b / k) / limit.values[eval_mask]
         devs = np.abs(ratios - 1.0)
         reports.append(
             ScalingReport(
                 k=float(k),
                 degree=degree,
+                degree_requested=requested_degree(k, measure),
                 eval_indices=np.flatnonzero(eval_mask),
                 ratios=ratios,
                 max_abs_dev_from_1=float(devs.max()) if devs.size else math.nan,

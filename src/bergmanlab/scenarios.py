@@ -52,11 +52,14 @@ from .errors import (
 )
 from .homotopy import BOUND_STEPS, build_path, g_derivative_forms
 from .kernels import build_space, reproducing_residual
-from .measures import build_discrete_measure, build_disk_measure
+from .measures import KIND_DISK, build_discrete_measure, build_disk_measure
 from .quantization import (
     DEFAULT_K_LADDER,
+    DENSITY_SKIP_TOL,
     TCZ_DEV_FLOOR,
     TCZ_MONOTONE_SLACK,
+    ladder_nodes,
+    ma_density,
     tcz_convergence_report,
 )
 from .spans import monomial_span, tabulated_span
@@ -323,6 +326,17 @@ def parse_scenario(raw: dict, source: str = "<dict>") -> ScenarioConfig:
             lambda r: r > 0.0,
         )
 
+    if "tcz" in checks_raw and measure.kind == KIND_DISK and phi.family is not None:
+        read, _ = ladder_nodes(ma_density(phi, measure), measure, interior_radius)
+        if not read.any():
+            _fail(
+                scenario_id,
+                "phi",
+                "the limit density Laplacian(phi)/(4 pi) is not above "
+                f"{DENSITY_SKIP_TOL} at any node within the interior radius, "
+                "so the tcz check would read no node",
+            )
+
     omega = raw.get("omega")
     if omega is not None:
         omega = _numbers(omega, scenario_id, "omega", integer=True)
@@ -544,16 +558,19 @@ def _check_tcz(config, tol_scale):
             }
         )
         devs.append(rep.max_abs_dev_from_1)
-    finite = [d for d in devs if not math.isnan(d)]
+    # The parser guarantees a nonempty ladder that reads at least one node,
+    # so every deviation is a number.
     values = {
-        "final_max_abs_dev": finite[-1] if finite else math.nan,
+        "final_max_abs_dev": devs[-1],
         "deviations_monotone": all(
-            devs[i + 1] <= TCZ_MONOTONE_SLACK * devs[i] + TCZ_DEV_FLOOR
-            for i in range(len(devs) - 1)
-            if not (math.isnan(devs[i]) or math.isnan(devs[i + 1]))
+            b <= TCZ_MONOTONE_SLACK * a + TCZ_DEV_FLOOR for a, b in zip(devs, devs[1:])
         ),
     }
-    metrics = dict(values, n_skipped=reports[0].n_skipped if reports else 0)
+    metrics = dict(
+        values,
+        n_skipped=reports[0].n_skipped,
+        degrees_requested=[rep.degree_requested for rep in reports],
+    )
     return not checks.failures(values, tol_scale), metrics, rows
 
 

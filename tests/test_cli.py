@@ -1,11 +1,14 @@
 """CLI verbs, exit codes, and report artifacts."""
 
+import csv
 import json
 import os
 
 import pytest
 
 from bergmanlab.cli import EXIT_CONFIG, EXIT_GREEN, EXIT_RED, main
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 @pytest.fixture()
@@ -35,6 +38,34 @@ def test_run_green(scenario_file, tmp_path, capsys):
     assert "green; reports in" in stdout
     assert os.path.exists(os.path.join(out, "comparison.csv"))
     assert os.path.exists(os.path.join(out, "summary.json"))
+
+
+def test_run_shipped_scenarios_green(tmp_path, capsys):
+    """Every shipped scenario runs end to end, and every check is green."""
+    files = sorted(
+        os.path.join(SCENARIO_DIR, name)
+        for name in os.listdir(SCENARIO_DIR)
+        if name.endswith(".json")
+    )
+    assert len(files) == 4
+    out = os.fspath(tmp_path / "out")
+    assert main(["run", *files, "--out", out]) == EXIT_GREEN
+    capsys.readouterr()
+    with open(os.path.join(out, "summary.json")) as fh:
+        doc = json.load(fh)
+    checks = {
+        (scenario["scenario_id"], check["name"]): check
+        for scenario in doc["scenarios"]
+        for check in scenario["checks"]
+    }
+    assert all(check["passed"] for check in checks.values())
+    # The degree rule asks for 1.5 k R^2 = 240 at k = 40; the 160x256 rule
+    # caps it at 127, and the report says so.
+    tcz = checks[("disk-fock-scaling", "tcz")]["metrics"]
+    assert tcz["degrees_requested"] == [60.0, 120.0, 240.0]
+    with open(os.path.join(out, "tcz.csv")) as fh:
+        last = list(csv.DictReader(fh))[-1]
+    assert (last["k"], last["degree"]) == ("40.0", "127")
 
 
 def test_run_missing_file(tmp_path, capsys):
@@ -145,9 +176,10 @@ def _disk_scenario(tmp_path, **overrides):
 @pytest.mark.parametrize(
     "overrides",
     [
-        # e^{-k phi} overflows on the scaled space at k = 40.
-        {"phi": {"family": "gauss", "a": -30.0}, "checks": ["tcz"],
-         "params": {"k_list": [10, 40]}},
+        # e^{-k phi} overflows on the scaled space at k = 40, while the
+        # limit density Laplacian(phi)/(4 pi) stays positive.
+        {"phi": {"family": "radial-poly", "coeffs": [-30.0, 1.0]},
+         "checks": ["tcz"], "params": {"k_list": [10, 40]}},
         # The finite-difference stencil at t = 0 builds a space at t < 0,
         # where e^{-phi_t} overflows.
         {"psi": {"family": "constant", "c": 1e300}, "checks": ["homotopy"]},

@@ -21,7 +21,9 @@ from bergmanlab import (
     equilibration_scales,
     equilibrated_spectrum,
     eval_weight,
+    gauss_weight,
     generate_instance,
+    harmonic_weight,
     kernel_eval_at,
     kernel_matrix,
     kernel_monotonicity_check,
@@ -31,10 +33,12 @@ from bergmanlab import (
     orthonormal_node_values,
     reproducing_residual,
     retained_spread,
+    scaled_weight,
     shifted_weight,
     tabulated_span,
     tabulated_weight,
 )
+from bergmanlab import kernels
 from oracles import (
     brute_force_kernel,
     disk_moment_exact,
@@ -260,6 +264,65 @@ def test_disk_gram_diagonal_matches_moments():
         assert abs(g[a, a] - exact) <= 1e-12 * abs(exact)
     off = g - np.diag(np.diag(g))
     assert np.max(np.abs(off)) <= 1e-12 * abs(g[0, 0])
+
+
+def _dense_gram(span, measure, phi):
+    v = span.basis_values
+    g = v.conj().T @ ((measure.masses * np.exp(-phi.values))[:, None] * v)
+    return 0.5 * (g + g.conj().T)
+
+
+def _equilibrate(g):
+    s = equilibration_scales(g)
+    return g * np.outer(s, s)
+
+
+@pytest.mark.parametrize(
+    "radius, n_radial, n_angular, degree, weight",
+    [
+        (1.0, 64, 128, 30, harmonic_weight(1.0)),
+        (2.0, 160, 256, 127, scaled_weight(gauss_weight(1.0), 40.0)),
+        (1.0, 64, 128, 40, "random"),
+    ],
+    ids=["harmonic", "gauss-k40", "random-tabulated"],
+)
+def test_ring_gram_matches_dense_product(radius, n_radial, n_angular, degree, weight):
+    """Above the size floor a disk monomial Gram is assembled ring by ring."""
+    measure = build_disk_measure(radius, n_radial, n_angular)
+    span = monomial_span(measure, degree)
+    if weight == "random":
+        weight = tabulated_weight(np.random.default_rng(7).uniform(-2, 2, measure.n))
+    phi = eval_weight(weight, measure)
+    assert span.n_nodes * span.dim**2 >= kernels.RING_GRAM_MIN_WORK
+    ring = assemble_gram(span, measure, phi)
+    factor = measure.masses * np.exp(-phi.values)
+    assert np.array_equal(ring, kernels._ring_gram(measure, factor, span.dim))
+    dense = _dense_gram(span, measure, phi)
+    assert np.max(np.abs(_equilibrate(ring) - _equilibrate(dense))) <= 1e-13
+    assert orthonormal_basis(ring)[1] == orthonormal_basis(dense)[1]
+
+
+def test_gram_below_the_ring_floor_is_the_dense_product():
+    measure = build_disk_measure(1.0, 24, 48)
+    span = monomial_span(measure, 8)
+    phi = eval_weight(gauss_weight(1.0), measure)
+    assert span.n_nodes * span.dim**2 < kernels.RING_GRAM_MIN_WORK
+    assert np.array_equal(
+        assemble_gram(span, measure, phi), _dense_gram(span, measure, phi)
+    )
+
+
+def test_ring_gram_falls_back_to_the_dense_product_when_it_overflows():
+    """On a radius-40 disk r^200 overflows, but z^100 and e^{-|z|^2} z^100 do not."""
+    measure = build_disk_measure(40.0, 128, 256)
+    span = monomial_span(measure, 100)
+    phi = eval_weight(gauss_weight(1.0), measure)
+    factor = measure.masses * np.exp(-phi.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(kernels._ring_gram(measure, factor, span.dim)).all()
+    gram = assemble_gram(span, measure, phi)
+    assert np.array_equal(gram, _dense_gram(span, measure, phi))
+    assert build_space(span, measure, phi).rank == span.dim
 
 
 def test_kernel_eval_at_agrees_on_nodes():

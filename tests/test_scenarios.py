@@ -89,6 +89,12 @@ def test_parse_full_scenario():
           "phi": {"family": "tabulated", "values": [0.0, 1.0]}}, "field 'phi'"),
         ({"measure": dict(DISK_24X48, radius=1e300)}, "measure.radius"),
         ({"params": {"c_gird": [5.0]}}, "params.c_gird"),
+        ({"measure": dict(DISK_24X48, n_radial=6, n_angular=12), "checks": ["tcz"],
+          "phi": {"family": "constant", "c": 700.0}, "psi": {"family": "constant",
+          "c": 0.0}}, "field 'phi'"),
+        ({"measure": dict(DISK_24X48, n_radial=6, n_angular=12), "checks": ["tcz"],
+          "phi": {"family": "harmonic", "b": 1.0}, "psi": {"family": "constant",
+          "c": 0.0}}, "field 'phi'"),
     ],
 )
 def test_parse_rejects_bad_fields(mutate, needle):
