@@ -254,9 +254,9 @@ def max_principle_check(
         raise InvalidConfigurationError(
             f"omega marks {omega.size} nodes, measure has {measure.n}"
         )
-    if np.all(omega):
+    if not 0 < np.count_nonzero(omega) < omega.size:
         raise InvalidConfigurationError(
-            "omega must be a proper subset of the node set"
+            "omega must be a nonempty proper subset of the node set"
         )
     (phi, psi), _, (b_phi, b_psi) = _densities(span, measure, phi, psi)
     premise_density = np.all(

@@ -13,11 +13,14 @@ rank of the space.
 
 A large monomial Gram on the disk rule (nodes r_i e^{2 pi i j / N}) is
 assembled from one FFT per ring, G[m, n] = sum_i r_i^(m+n) F_i[(n - m) mod N]
-with F_i = N ifft(w e^{-phi} on ring i), for any weight.  Below the work
-floor RING_GRAM_MIN_WORK, for every other span and measure, and where
-r^(m+n) overflows, the Gram is the dense product V* diag(w e^{-phi}) V; the
-floor keeps small disk Grams bit-identical to it.  Densities at chosen points (bergman_density_at) cost
-only as many basis evaluations as there are points.
+with F_i = N ifft(w e^{-phi} on ring i), for any weight.  The ring path
+takes a monomial span whose points equal the measure's nodes, so it never
+tabulates the span.  Below the work floor RING_GRAM_MIN_WORK, for every
+other span and measure, and where r^(m+n) overflows, the Gram is the dense
+product V* diag(w e^{-phi}) V.  The floor keeps small disk Grams
+bit-identical to that product.  Densities at chosen points
+(bergman_density_at) cost only as many basis evaluations as there are
+points.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ class WeightedSpace:
     span: FunctionSpan
     measure: QuadratureMeasure
     weight: WeightFunction
-    gram: np.ndarray
     ortho_coeffs: np.ndarray
     rank: int
 
@@ -78,25 +80,25 @@ def assemble_gram(
     """Gram matrix G[m, n] = <basis_n, basis_m>, Hermitian-symmetrized."""
     if span.n_nodes != measure.n:
         raise InvalidMeasureError(
-            f"span tabulates {span.n_nodes} nodes, measure has {measure.n}"
+            f"span has {span.n_nodes} nodes, measure has {measure.n}"
         )
     weight = eval_weight(weight, measure)
-    d = measure.masses * np.exp(-weight.values)
-    if (
-        measure.n_angular is not None
-        and span.n_nodes * span.dim**2 >= RING_GRAM_MIN_WORK
-        and span.kind == KIND_MONOMIALS
-        and span.dim > 1
-        and np.array_equal(span.basis_values[:, 1], measure.points)
-    ):
-        with np.errstate(over="ignore", invalid="ignore"):
+    # An overflow leaves a non-finite Gram, which orthonormal_basis rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = measure.masses * np.exp(-weight.values)
+        if (
+            measure.n_angular is not None
+            and span.n_nodes * span.dim**2 >= RING_GRAM_MIN_WORK
+            and span.kind == KIND_MONOMIALS
+            and np.array_equal(span.points, measure.points)
+        ):
             g = _ring_gram(measure, d, span.dim)
-        # r^(m+n) overflows on a wide disk where z^m and d z^n need not.
-        if np.isfinite(g).all():
-            return g
-    v = span.basis_values
-    g = v.conj().T @ (d[:, None] * v)
-    return 0.5 * (g + g.conj().T)
+            # r^(m+n) overflows on a wide disk where z^m and d z^n need not.
+            if np.isfinite(g).all():
+                return g
+        v = span.basis_values
+        g = v.conj().T @ (d[:, None] * v)
+        return 0.5 * (g + g.conj().T)
 
 
 def _ring_gram(measure: QuadratureMeasure, factor: np.ndarray, dim: int) -> np.ndarray:
@@ -140,7 +142,8 @@ def _equilibrated(gram: np.ndarray):
     scale squared overflows; the eigensolver cannot take either.
     """
     scale = equilibration_scales(gram)
-    rescaled = gram * np.outer(scale, scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rescaled = gram * np.outer(scale, scale)
     if not np.isfinite(rescaled).all():
         raise InvalidConfigurationError(
             "gram is not finite after equilibration: w e^{-phi} or the span "
@@ -207,7 +210,6 @@ def build_space(
         span=span,
         measure=measure,
         weight=weight,
-        gram=gram,
         ortho_coeffs=coeffs,
         rank=rank,
     )

@@ -343,6 +343,12 @@ def parse_scenario(raw: dict, source: str = "<dict>") -> ScenarioConfig:
         bad = [i for i in omega if i < 0 or i >= measure.n]
         if bad:
             _fail(scenario_id, "omega", f"node indices out of range: {bad}")
+        if not 0 < len(set(omega)) < measure.n:
+            _fail(
+                scenario_id,
+                "omega",
+                f"must be a nonempty proper subset of the {measure.n} nodes",
+            )
     if "maxprinciple" in checks_raw and omega is None:
         _fail(scenario_id, "omega", "required by check 'maxprinciple'")
 

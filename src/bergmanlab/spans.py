@@ -1,14 +1,16 @@
-"""Finite spans of functions tabulated on a node set.
+"""Finite spans of functions on a node set.
 
-A span is a complex (m, d) matrix: column n holds the values of the n-th
-basis function at the m nodes.  Monomial spans remember their degree and can
-be re-evaluated at arbitrary points; tabulated spans exist only on their
-nodes.
+A span has d basis functions on m nodes; its node values form a complex
+(m, d) matrix whose column n holds basis function n.  A monomial span holds
+its nodes and degree, tabulates that matrix only when it is first read, and
+can be re-evaluated at arbitrary points.  A tabulated span holds the matrix
+and exists only on its nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,21 +27,29 @@ KIND_TABULATED = "tabulated"
 
 @dataclass(frozen=True, eq=False)
 class FunctionSpan:
-    basis_values: np.ndarray  # (m, d) complex
     kind: str
-    degree: int | None = None
+    points: np.ndarray | None = None  # (m,) complex nodes of a monomial span
+    degree: int | None = None  # top power of a monomial span
+    values: np.ndarray | None = None  # (m, d) complex values of a tabulated span
+
+    @cached_property
+    def basis_values(self) -> np.ndarray:
+        """The (m, d) node values; a monomial span tabulates them once, here."""
+        if self.kind == KIND_MONOMIALS:
+            return evaluate_basis(self, self.points)
+        return self.values
 
     @property
     def n_nodes(self) -> int:
-        return self.basis_values.shape[0]
+        return len(self.points if self.kind == KIND_MONOMIALS else self.values)
 
     @property
     def dim(self) -> int:
-        return self.basis_values.shape[1]
+        return self.degree + 1 if self.kind == KIND_MONOMIALS else self.values.shape[1]
 
 
 def monomial_span(measure: QuadratureMeasure, degree: int) -> FunctionSpan:
-    """Span of 1, z, ..., z^degree tabulated at the measure's nodes.
+    """Span of 1, z, ..., z^degree on the measure's nodes.
 
     The Gram pairs z^a with z^b, so a rule with an exactness degree must
     integrate total degree 2*degree exactly.
@@ -51,8 +61,7 @@ def monomial_span(measure: QuadratureMeasure, degree: int) -> FunctionSpan:
             f"degree {degree} needs exactness {2 * degree}, measure provides "
             f"{measure.exactness_degree}"
         )
-    vals = np.vander(measure.points, N=degree + 1, increasing=True)
-    return FunctionSpan(basis_values=vals, kind=KIND_MONOMIALS, degree=int(degree))
+    return FunctionSpan(kind=KIND_MONOMIALS, points=measure.points, degree=int(degree))
 
 
 def tabulated_span(values) -> FunctionSpan:
@@ -62,7 +71,7 @@ def tabulated_span(values) -> FunctionSpan:
         raise InvalidMeasureError(
             f"span values must be a (nodes, dim) matrix, got shape {vals.shape}"
         )
-    return FunctionSpan(basis_values=vals, kind=KIND_TABULATED)
+    return FunctionSpan(kind=KIND_TABULATED, values=vals)
 
 
 def evaluate_basis(span: FunctionSpan, z) -> np.ndarray:

@@ -186,9 +186,23 @@ def _disk_scenario(tmp_path, **overrides):
     ],
     ids=["tcz-overflow", "homotopy-stencil-overflow"],
 )
-def test_run_rejects_an_overflowing_derived_weight(overrides, tmp_path, capsys):
+def test_run_rejects_an_overflowing_derived_weight(
+    overrides, tmp_path, capsys, recwarn
+):
     path = _disk_scenario(tmp_path, **overrides)
     assert main(["run", path, "--out", os.fspath(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "scenario 'disk'" in err
     assert "gram is not finite" in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "omega", [[], list(range(24 * 48))], ids=["empty", "every-node"]
+)
+def test_run_rejects_an_improper_omega(omega, tmp_path, capsys):
+    path = _disk_scenario(tmp_path, checks=["maxprinciple"], omega=omega)
+    assert main(["run", path, "--out", os.fspath(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "field 'omega'" in err
+    assert "proper subset" in err

@@ -198,8 +198,10 @@ def test_max_principle_identical_weights_conclude():
 
 def test_max_principle_omega_validation():
     measure, span, phi, psi = random_pair(11, m=6, d=2)
-    with pytest.raises(InvalidConfigurationError):
+    with pytest.raises(InvalidConfigurationError, match="proper subset"):
         max_principle_check(phi, psi, np.ones(6, dtype=bool), span, measure)
+    with pytest.raises(InvalidConfigurationError, match="proper subset"):
+        max_principle_check(phi, psi, np.zeros(6, dtype=bool), span, measure)
     with pytest.raises(InvalidConfigurationError):
         max_principle_check(phi, psi, np.zeros(5, dtype=bool), span, measure)
 

@@ -232,13 +232,15 @@ def test_kernel_diagonal_monotone_in_weight():
 
 
 @pytest.mark.parametrize("c", [-710.0, 740.0])
-def test_build_space_rejects_a_gram_out_of_range(c):
+def test_build_space_rejects_a_gram_out_of_range(c, recwarn):
     """e^{-c} overflows at c = -710; at c = 740 the Gram diagonal is subnormal,
-    so its equilibration scales overflow."""
+    so its equilibration scales overflow.  Either way the error is the only
+    report: numpy warns of nothing."""
     measure = build_disk_measure(1.0, 6, 12)
     span = monomial_span(measure, 2)
     with pytest.raises(InvalidConfigurationError, match="not finite"):
         build_space(span, measure, constant_weight(c))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_rank_zero_space():
@@ -323,6 +325,34 @@ def test_ring_gram_falls_back_to_the_dense_product_when_it_overflows():
     gram = assemble_gram(span, measure, phi)
     assert np.array_equal(gram, _dense_gram(span, measure, phi))
     assert build_space(span, measure, phi).rank == span.dim
+
+
+def test_ring_path_recognises_the_span_by_its_points():
+    """A span on a second rule with equal nodes takes the ring path; on other
+    nodes it takes the dense product.  The ring path leaves the span
+    untabulated."""
+    measure = build_disk_measure(1.0, 64, 128)
+    phi = eval_weight(gauss_weight(1.0), measure)
+    factor = measure.masses * np.exp(-phi.values)
+    twin = monomial_span(build_disk_measure(1.0, 64, 128), 30)
+    assert np.array_equal(
+        assemble_gram(twin, measure, phi), kernels._ring_gram(measure, factor, 31)
+    )
+    assert "basis_values" not in vars(twin)
+    other = monomial_span(build_disk_measure(1.1, 64, 128), 30)
+    assert other.n_nodes * other.dim**2 >= kernels.RING_GRAM_MIN_WORK
+    assert np.array_equal(
+        assemble_gram(other, measure, phi), _dense_gram(other, measure, phi)
+    )
+
+
+def test_monomial_span_values_are_the_vandermonde_matrix():
+    measure, span, _ = random_instance(8, d=5, monomial=True)
+    assert (span.n_nodes, span.dim) == (12, 5)
+    assert "basis_values" not in vars(span)
+    expected = np.vander(measure.points, 5, increasing=True)
+    assert np.array_equal(span.basis_values, expected)
+    assert span.basis_values is span.basis_values
 
 
 def test_kernel_eval_at_agrees_on_nodes():

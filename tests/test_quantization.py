@@ -1,6 +1,7 @@
 """Scaling limit machinery: limit densities, degree rules, amplified spaces."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from bergmanlab import (
     tabulated_weight,
     tcz_convergence_report,
 )
-from bergmanlab.kernels import bergman_density_at
+from bergmanlab.kernels import assemble_gram, bergman_density_at
 from oracles import fock_density_at_origin, gaussian_monomial_norm_sq
 
 
@@ -84,9 +85,23 @@ def test_scaled_gram_diagonal_matches_radial_integral():
     measure = build_disk_measure(1.5, 48, 96)
     k = 4.0
     space = build_scaled_space(gauss_weight(1.0), k, 10, measure)
+    gram = assemble_gram(space.span, space.measure, space.weight)
     for m in range(11):
         exact = gaussian_monomial_norm_sq(m, k, 1.5)
-        assert abs(space.gram[m, m].real - exact) <= 1e-12 * exact
+        assert abs(gram[m, m].real - exact) <= 1e-12 * exact
+
+
+def test_scaled_space_on_the_ladder_rule_does_not_tabulate_its_span():
+    """The k = 40 rung of a 40 960-node ladder: the Vandermonde matrix alone
+    would take 84 MB (40 960 x 128 complex)."""
+    measure = build_disk_measure(2.0, 160, 256)
+    tracemalloc.start()
+    try:
+        build_scaled_space(gauss_weight(1.0), 40, 127, measure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 @pytest.mark.parametrize("k", [5.0, 12.0])

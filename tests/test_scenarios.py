@@ -95,6 +95,9 @@ def test_parse_full_scenario():
         ({"measure": dict(DISK_24X48, n_radial=6, n_angular=12), "checks": ["tcz"],
           "phi": {"family": "harmonic", "b": 1.0}, "psi": {"family": "constant",
           "c": 0.0}}, "field 'phi'"),
+        ({"omega": []}, "field 'omega'"),
+        ({"omega": [0, 1]}, "field 'omega'"),
+        ({"omega": [1, 0, 1]}, "field 'omega'"),
     ],
 )
 def test_parse_rejects_bad_fields(mutate, needle):
