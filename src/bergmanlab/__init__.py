@@ -12,7 +12,6 @@ from .battery import (
     BatteryReport,
     InstanceMetrics,
     MaxPrincipleSearchReport,
-    SizeBounds,
     check_instance,
     generate_instance,
     max_principle_search,
@@ -21,7 +20,6 @@ from .battery import (
 from .comparison import (
     ComparisonReport,
     SandwichReport,
-    SublevelSet,
     comparison_integrals,
     max_principle_check,
     reduce_less_singular,
@@ -67,13 +65,11 @@ from .kernels import (
     retained_spread,
 )
 from .measures import (
-    Point,
     QuadratureMeasure,
     build_discrete_measure,
     build_disk_measure,
 )
 from .quantization import (
-    MongeAmpereDensity,
     ScalingReport,
     build_scaled_space,
     default_degree_rule,
@@ -99,7 +95,6 @@ from .weights import (
     harmonic_weight,
     radial_poly_weight,
     scaled_weight,
-    shifted_weight,
     tabulated_weight,
     weight_family_from_dict,
 )

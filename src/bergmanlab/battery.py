@@ -66,6 +66,13 @@ WEIGHT_RANGE = (-2.0, 2.0)
 MASS_RANGE = (0.1, 10.0)
 MONOMIAL_FRACTION = 0.5
 
+# Instance sizes: the battery draws 2..MAX_NODES nodes and a span of
+# dimension 1..MAX_DIM; the maximum-principle search draws smaller ones.
+MAX_NODES = 50
+MAX_DIM = 10
+SEARCH_MAX_NODES = 12
+SEARCH_MAX_DIM = 4
+
 # Monomial node-value matrices need strictly more nodes than columns to
 # stay away from the square-Vandermonde conditioning cliff.
 MONOMIAL_NODE_MARGIN = 4
@@ -81,20 +88,6 @@ ORDER_WINDOW = (1.8, 2.2)
 # absolute level the quotient is exact to roundoff (G is affine in t, as
 # for rank-0 spaces) and no convergence order is measurable.
 ORDER_EXACT_FLOOR = 1e-14
-
-
-@dataclass(frozen=True)
-class SizeBounds:
-    """Instance sizes for the generator.  All draws are rng-driven.
-
-    zero_span replaces every span with identically-zero node values, which
-    collapses all spaces to rank 0; useful for exercising the degenerate
-    branch of every check.
-    """
-
-    max_nodes: int = 50
-    max_dim: int = 10
-    zero_span: bool = False
 
 
 @dataclass
@@ -145,7 +138,7 @@ def _draw_measure(rng, m: int):
     return build_discrete_measure(radii * np.exp(1j * angles), masses)
 
 
-def generate_instance(rng, index: int, bounds: SizeBounds) -> BatteryInstance:
+def generate_instance(rng, index: int) -> BatteryInstance:
     """Draw one instance, resampling until the Gram spectra are tame.
 
     Conditioning is checked at both homotopy endpoints and the midpoint,
@@ -153,12 +146,10 @@ def generate_instance(rng, index: int, bounds: SizeBounds) -> BatteryInstance:
     stream deterministic: a given seed always yields the same instances.
     """
     for attempt in range(MAX_RESAMPLES):
-        m = int(rng.integers(2, bounds.max_nodes + 1))
-        d = int(rng.integers(1, bounds.max_dim + 1))
+        m = int(rng.integers(2, MAX_NODES + 1))
+        d = int(rng.integers(1, MAX_DIM + 1))
         measure = _draw_measure(rng, m)
-        if bounds.zero_span:
-            span = tabulated_span(np.zeros((m, d), dtype=complex))
-        elif rng.uniform() < MONOMIAL_FRACTION:
+        if rng.uniform() < MONOMIAL_FRACTION:
             d = min(d, max(1, m - MONOMIAL_NODE_MARGIN))
             span = monomial_span(measure, d - 1)
         else:
@@ -368,7 +359,6 @@ def fit_order_slope(order_max_errors: dict) -> float:
 def run_battery(
     n_instances: int = DEFAULT_N_INSTANCES,
     seed: int = 0,
-    size_bounds: SizeBounds = None,
     dump_dir=None,
     tol_scale: float = 1.0,
 ) -> BatteryReport:
@@ -380,14 +370,13 @@ def run_battery(
     import json
     import os
 
-    bounds = size_bounds or SizeBounds()
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     results = []
     dumps = []
 
     for i in range(n_instances):
-        inst = generate_instance(rng, i, bounds)
+        inst = generate_instance(rng, i)
         metrics = check_instance(inst, tol_scale=tol_scale)
         results.append(metrics)
         if metrics.failures and dump_dir is not None:
@@ -438,8 +427,6 @@ class MaxPrincipleSearchReport:
 def max_principle_search(
     n_instances: int = 10_000,
     seed: int = 0,
-    max_nodes: int = 12,
-    max_dim: int = 4,
 ) -> MaxPrincipleSearchReport:
     """Hunt for a maximum-principle counterexample over random instances.
 
@@ -460,13 +447,13 @@ def max_principle_search(
     counterexamples = []
 
     for i in range(n_instances):
-        m = int(rng.integers(2, max_nodes + 1))
+        m = int(rng.integers(2, SEARCH_MAX_NODES + 1))
         # The span must be a proper subspace of the node functions: with
         # dim = node count the kernel is diagonal, the density no longer
         # depends on the weight, and the principle's strictness mechanism
         # is vacuous.  That degenerate regime has no counterpart in the
         # function-space setting being modeled, so the search excludes it.
-        d = int(rng.integers(1, min(max_dim, m - 1) + 1))
+        d = int(rng.integers(1, min(SEARCH_MAX_DIM, m - 1) + 1))
         measure = _draw_measure(rng, m)
         if rng.uniform() < MONOMIAL_FRACTION:
             span = monomial_span(measure, d - 1)

@@ -5,10 +5,11 @@ Two verbs:
   bergmanlab run <scenario.json> [...]   execute scenario files
   bergmanlab battery                     run the seeded random battery
 
-Common flags select the output directory, report format, and a uniform
-multiplier on the scaled check limits for exploratory runs.  The exit
-status is 0 when every executed check passes, 1 when any check fails, and
-2 on configuration or parse errors.
+Common flags select the output directory and a uniform multiplier on the
+scaled check limits for exploratory runs.  Every run writes CSV files and
+summary.json there.  The exit status is 0 when every executed check
+passes, 1 when any check fails, and 2 on configuration or parse errors,
+including an output directory that cannot be created or written.
 """
 
 from __future__ import annotations
@@ -35,6 +36,22 @@ def finite_positive_float(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    """An argparse type for --n."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+def nonnegative_int(text: str) -> int:
+    """An argparse type for --seed and --max-principle."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bergmanlab",
@@ -47,12 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out",
         default="reports",
         help="directory for report artifacts (default: reports)",
-    )
-    common.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default="csv",
-        help="report format (default: csv)",
     )
     common.add_argument(
         "--tol-scale",
@@ -69,11 +80,15 @@ def _build_parser() -> argparse.ArgumentParser:
     bat_p = sub.add_parser(
         "battery", parents=[common], help="run the seeded random battery"
     )
-    bat_p.add_argument("--n", type=int, default=200, help="instances (default 200)")
-    bat_p.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
+    bat_p.add_argument(
+        "--n", type=positive_int, default=200, help="instances (default 200)"
+    )
+    bat_p.add_argument(
+        "--seed", type=nonnegative_int, default=0, help="rng seed (default 0)"
+    )
     bat_p.add_argument(
         "--max-principle",
-        type=int,
+        type=nonnegative_int,
         default=0,
         metavar="N",
         help="also run the maximum-principle search over N instances",
@@ -97,15 +112,14 @@ def _run_verb(args) -> int:
             return EXIT_CONFIG
         seen.add(config.scenario_id)
 
+    os.makedirs(args.out, exist_ok=True)
     try:
         reports = [run_scenario(c, args.tol_scale) for c in configs]
     except BergmanlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    written = emit_report(
-        reports, args.out, format=args.format, extra={"tol_scale": args.tol_scale}
-    )
+    written = emit_report(reports, args.out, extra={"tol_scale": args.tol_scale})
     for report in reports:
         for check in report.results:
             mark = "ok" if check.passed else "FAIL"
@@ -118,9 +132,7 @@ def _run_verb(args) -> int:
 
 
 def _battery_verb(args) -> int:
-    if args.n < 1:
-        print("error: --n must be at least 1", file=sys.stderr)
-        return EXIT_CONFIG
+    os.makedirs(args.out, exist_ok=True)
     dump_dir = os.path.join(args.out, "failures")
     report = run_battery(
         n_instances=args.n,
@@ -151,7 +163,7 @@ def _battery_verb(args) -> int:
         }
         green = green and not search.found_counterexample
 
-    written = emit_report([], args.out, format=args.format, extra=extra)
+    written = emit_report([], args.out, extra=extra)
     print(f"{'green' if green else 'red'}; reports in {args.out}")
     for path in written:
         print(f"  {path}")
@@ -161,9 +173,14 @@ def _battery_verb(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.verb == "run":
-        return _run_verb(args)
-    return _battery_verb(args)
+    verb = _run_verb if args.verb == "run" else _battery_verb
+    try:
+        return verb(args)
+    except OSError as exc:
+        # load_scenario_file reports its own OSErrors as scenario errors,
+        # so an OSError here comes from writing under --out.
+        print(f"error: --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -40,29 +40,6 @@ MAXPRINCIPLE_CONCLUSION_HOLDS = "conclusion-holds"
 MAXPRINCIPLE_COUNTEREXAMPLE = "counterexample"
 
 
-@dataclass(frozen=True, eq=False)
-class SublevelSet:
-    """Nodes where psi < phi + shift; ties fall outside the set."""
-
-    mask: np.ndarray
-    shift: float
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
-
-    @property
-    def size(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
-    def is_proper(self) -> bool:
-        """Neither empty nor the whole node set."""
-        return 0 < self.size < self.mask.size
-
-    def indicator(self) -> np.ndarray:
-        return self.mask.astype(float)
-
-
 @dataclass(frozen=True)
 class ComparisonReport:
     shift: float
@@ -98,10 +75,9 @@ class SandwichReport:
 
 def sublevel_set(
     phi: WeightFunction, psi: WeightFunction, c: float = 0.0
-) -> SublevelSet:
-    """Strict sublevel region {psi < phi + c} as a node mask."""
-    mask = psi.values < phi.values + c
-    return SublevelSet(mask=mask, shift=float(c))
+) -> np.ndarray:
+    """Strict sublevel region {psi < phi + c} as a node mask; ties fall outside."""
+    return psi.values < phi.values + c
 
 
 def _densities(span, measure, *weights):
@@ -120,14 +96,14 @@ def comparison_integrals(
     psi: WeightFunction,
     span: FunctionSpan,
     measure: QuadratureMeasure,
-    c: float = 0.0,
 ) -> ComparisonReport:
-    """Both sides of the comparison inequality over {psi < phi + c}.
+    """Both sides of the comparison inequality over {psi < phi}.
 
     The report's margin is rhs - lhs; the principle asserts margin >=
-    -COMPARISON_TOL * (1 + rhs).
+    -COMPARISON_TOL * (1 + rhs).  For a shift c, take
+    ``shifted_comparison_sweep(..., (c,))[0]``.
     """
-    return shifted_comparison_sweep(phi, psi, span, measure, (c,))[0]
+    return shifted_comparison_sweep(phi, psi, span, measure, (0.0,))[0]
 
 
 def shifted_comparison_sweep(
@@ -146,10 +122,12 @@ def shifted_comparison_sweep(
     reports = []
     for c in c_grid:
         s = sublevel_set(phi, psi, c)
-        lhs = float(np.sum(w[s.mask] * b_phi[s.mask]))
-        rhs = float(np.sum(w[s.mask] * b_psi[s.mask]))
+        size = int(np.count_nonzero(s))
+        proper = 0 < size < s.size
+        lhs = float(np.sum(w[s] * b_phi[s]))
+        rhs = float(np.sum(w[s] * b_psi[s]))
         strict_expected = (
-            s.is_proper()
+            proper
             and span.kind == KIND_MONOMIALS
             and measure.kind == KIND_DISK
             and space_psi.rank >= 1
@@ -161,8 +139,8 @@ def shifted_comparison_sweep(
                 lhs=lhs,
                 rhs=rhs,
                 margin=rhs - lhs,
-                set_size=s.size,
-                set_proper=s.is_proper(),
+                set_size=size,
+                set_proper=proper,
                 strict_expected=strict_expected,
             )
         )
@@ -206,9 +184,9 @@ def sandwich_check(
     )
     s = sublevel_set(phi, psi)
     w = measure.masses
-    lhs = float(np.sum(w[s.mask] * b_phi[s.mask]))
-    mid = float(np.sum(w[s.mask] * b_mid[s.mask]))
-    rhs = float(np.sum(w[s.mask] * b_psi[s.mask]))
+    lhs = float(np.sum(w[s] * b_phi[s]))
+    mid = float(np.sum(w[s] * b_mid[s]))
+    rhs = float(np.sum(w[s] * b_psi[s]))
     return SandwichReport(
         lower_ok=bool(lhs <= mid + COMPARISON_TOL * (1.0 + abs(mid))),
         upper_ok=bool(mid <= rhs + COMPARISON_TOL * (1.0 + abs(rhs))),

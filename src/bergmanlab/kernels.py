@@ -157,7 +157,7 @@ def equilibrated_spectrum(gram: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_equilibrated(gram)[1])
 
 
-def retained_spread(gram: np.ndarray, rank_tol: float = RANK_TOL) -> float:
+def retained_spread(gram: np.ndarray) -> float:
     """Spread (max/min) of the retained equilibrated Gram spectrum.
 
     This is the conditioning the orthonormalization actually faces after
@@ -168,7 +168,7 @@ def retained_spread(gram: np.ndarray, rank_tol: float = RANK_TOL) -> float:
     top = lam[-1] if lam.size else 0.0
     if top <= 0.0:
         return 1.0
-    kept = lam[lam > rank_tol * top]
+    kept = lam[lam > RANK_TOL * top]
     return float(top / kept[0])
 
 

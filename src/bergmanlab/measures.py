@@ -21,24 +21,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidMeasureError
 
-# Relative accuracy of the disk rule's exact monomial moments.
-MOMENT_RTOL = 1e-12
-
 KIND_DISCRETE = "discrete"
 KIND_DISK = "disk-product"
-
-
-@dataclass(frozen=True)
-class Point:
-    """A single node: coordinates plus its index in the measure."""
-
-    re: float
-    im: float
-    index: int
-
-    @property
-    def z(self) -> complex:
-        return complex(self.re, self.im)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,10 +61,6 @@ class QuadratureMeasure:
     @property
     def total_mass(self) -> float:
         return float(self.masses.sum())
-
-    def point(self, i: int) -> Point:
-        z = self.points[i]
-        return Point(re=float(z.real), im=float(z.imag), index=int(i))
 
     def moment(self, a: int, b: int) -> complex:
         """Monomial moment: integral of z^a conj(z)^b against the measure."""

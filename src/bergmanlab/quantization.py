@@ -24,13 +24,9 @@ from .measures import KIND_DISK, QuadratureMeasure
 from .spans import monomial_span
 from .weights import WeightFunction, eval_weight, scaled_weight
 
-SOURCE_ANALYTIC = "analytic"
-SOURCE_FD = "finite-difference"
-
 # Degree ladder: degree(k) = ceil(DEGREE_FACTOR * k * R^2), capped so the
 # quadrature still integrates the span's Gram exactly.
 DEGREE_FACTOR = 1.5
-FD_STENCIL_STEP = 1e-4
 DEFAULT_K_LADDER = (10, 20, 40)
 # Positivity floor below which a limit-density node is skipped.
 DENSITY_SKIP_TOL = 1e-12
@@ -42,14 +38,6 @@ DENSITY_SKIP_TOL = 1e-12
 TCZ_FINAL_DEV_LIMIT = 0.05
 TCZ_MONOTONE_SLACK = 1.1
 TCZ_DEV_FLOOR = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class MongeAmpereDensity:
-    """Limit density Laplacian(phi) / (4 pi) per node, with its provenance."""
-
-    values: np.ndarray
-    source: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,18 +54,12 @@ class ScalingReport:
     n_skipped: int
 
 
-def ma_density(
-    weight: WeightFunction,
-    measure: QuadratureMeasure,
-    source: str = "auto",
-    fd_step: float = FD_STENCIL_STEP,
-) -> MongeAmpereDensity:
+def ma_density(weight: WeightFunction, measure: QuadratureMeasure) -> np.ndarray:
     """Limit density Laplacian(phi)/(4 pi) at the measure's nodes.
 
-    source="analytic" uses the closed-form Laplacian of the weight family;
-    source="finite-difference" applies a 5-point stencil to the closed form
-    around each node.  Either way a closed form is required: tabulated-only
-    weights on scattered nodes carry no off-node information.
+    It uses the closed-form Laplacian of the weight family, so a closed form
+    is required: tabulated-only weights on scattered nodes carry no off-node
+    information.
     """
     weight = eval_weight(weight, measure)
     if weight.family is None:
@@ -85,20 +67,8 @@ def ma_density(
             "limit density needs a closed-form weight; tabulated-only values "
             "on scattered nodes are not supported"
         )
-    z = measure.points
-    if source in ("auto", SOURCE_ANALYTIC):
-        lap = np.asarray(weight.family.laplacian(z), dtype=float)
-        used = SOURCE_ANALYTIC
-    elif source == SOURCE_FD:
-        f = weight.family.evaluate
-        h = fd_step
-        lap = (
-            f(z + h) + f(z - h) + f(z + 1j * h) + f(z - 1j * h) - 4.0 * f(z)
-        ) / h**2
-        used = SOURCE_FD
-    else:
-        raise InvalidConfigurationError(f"unknown laplacian source {source!r}")
-    return MongeAmpereDensity(values=lap / (4.0 * math.pi), source=used)
+    lap = np.asarray(weight.family.laplacian(measure.points), dtype=float)
+    return lap / (4.0 * math.pi)
 
 
 def requested_degree(k: float, measure: QuadratureMeasure) -> float:
@@ -136,7 +106,7 @@ def build_scaled_space(
 
 
 def ladder_nodes(
-    limit: MongeAmpereDensity,
+    limit: np.ndarray,
     measure: QuadratureMeasure,
     interior_radius: float | None,
 ):
@@ -149,7 +119,7 @@ def ladder_nodes(
     if interior_radius is None:
         interior_radius = 0.5 * measure.radius
     interior = np.abs(measure.points) <= interior_radius
-    positive = limit.values > DENSITY_SKIP_TOL
+    positive = limit > DENSITY_SKIP_TOL
     return interior & positive, int(np.count_nonzero(interior & ~positive))
 
 
@@ -178,7 +148,7 @@ def tcz_convergence_report(
         degree = default_degree_rule(k, measure)
         space = build_scaled_space(phi, k, degree, measure)
         b = bergman_density_at(space, measure.points[eval_mask])
-        ratios = (b / k) / limit.values[eval_mask]
+        ratios = (b / k) / limit[eval_mask]
         devs = np.abs(ratios - 1.0)
         reports.append(
             ScalingReport(

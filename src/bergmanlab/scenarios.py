@@ -3,8 +3,8 @@
 A scenario is a JSON document describing one configuration (measure, span,
 one or two weights) plus the list of checks to run against it.  The runner
 executes checks in declared order, collects pass/fail plus metrics per
-check, and can emit the results as CSV files with fixed column contracts
-or as a single JSON document.
+check, and emits the results as CSV files with fixed column contracts plus
+one JSON document, summary.json.
 
 CSV column contracts:
   comparison.csv  scenario_id, c, set_size, set_proper, lhs, rhs, margin,
@@ -326,7 +326,11 @@ def parse_scenario(raw: dict, source: str = "<dict>") -> ScenarioConfig:
             lambda r: r > 0.0,
         )
 
-    if "tcz" in checks_raw and measure.kind == KIND_DISK and phi.family is not None:
+    if "tcz" in checks_raw:
+        if measure.kind != KIND_DISK:
+            _fail(scenario_id, "measure.kind", "check 'tcz' needs kind 'disk-product'")
+        if phi.family is None:
+            _fail(scenario_id, "phi", "check 'tcz' needs a closed-form weight family")
         read, _ = ladder_nodes(ma_density(phi, measure), measure, interior_radius)
         if not read.any():
             _fail(
@@ -686,24 +690,15 @@ def report_document(reports, extra=None) -> dict:
     return doc
 
 
-def emit_report(reports, out_dir, format="csv", extra=None) -> list:
+def emit_report(reports, out_dir, extra=None) -> list:
     """Write result artifacts; returns the list of file paths written.
 
-    csv format: one file per check suite that has a column contract, plus
-    summary.json.  json format: a single run_report.json.
+    One CSV file per check suite that has rows and a column contract, plus
+    summary.json.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
     doc = report_document(reports, extra)
-    if format == "json":
-        path = os.path.join(out_dir, "run_report.json")
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-        return [path]
-    if format != "csv":
-        raise InvalidScenarioError(f"unknown report format {format!r}")
-
     suites = {
         "comparison.csv": (COMPARISON_COLUMNS, ("comparison", "sweep")),
         "homotopy.csv": (HOMOTOPY_COLUMNS, ("homotopy",)),

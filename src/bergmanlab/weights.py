@@ -28,7 +28,6 @@ class ConstantWeight:
     """phi(z) = c."""
 
     c: float
-    label = FAMILY_CONSTANT
 
     def evaluate(self, z):
         return np.full(np.shape(z), self.c, dtype=float)
@@ -39,9 +38,6 @@ class ConstantWeight:
     def scaled(self, k: float) -> "ConstantWeight":
         return ConstantWeight(self.c * k)
 
-    def shifted(self, c: float) -> "ConstantWeight":
-        return ConstantWeight(self.c + c)
-
     def params(self) -> dict:
         return {"c": self.c}
 
@@ -51,7 +47,6 @@ class GaussWeight:
     """phi(z) = a |z|^2, the model weight of the scaling limit."""
 
     a: float
-    label = FAMILY_GAUSS
 
     def evaluate(self, z):
         z = np.asarray(z)
@@ -63,9 +58,6 @@ class GaussWeight:
     def scaled(self, k: float) -> "GaussWeight":
         return GaussWeight(self.a * k)
 
-    def shifted(self, c: float) -> "RadialPolyWeight":
-        return RadialPolyWeight((c, self.a))
-
     def params(self) -> dict:
         return {"a": self.a}
 
@@ -75,8 +67,6 @@ class RadialPolyWeight:
     """phi(z) = sum_m coeffs[m] |z|^(2m)."""
 
     coeffs: tuple
-
-    label = FAMILY_RADIAL_POLY
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
@@ -101,10 +91,6 @@ class RadialPolyWeight:
     def scaled(self, k: float) -> "RadialPolyWeight":
         return RadialPolyWeight(tuple(k * c for c in self.coeffs))
 
-    def shifted(self, c: float) -> "RadialPolyWeight":
-        head = (self.coeffs[0] + c,) if self.coeffs else (c,)
-        return RadialPolyWeight(head + self.coeffs[1:])
-
     def params(self) -> dict:
         return {"coeffs": list(self.coeffs)}
 
@@ -114,7 +100,6 @@ class HarmonicWeight:
     """phi(z) = b Re(z^2); harmonic, so its Laplacian vanishes."""
 
     b: float
-    label = FAMILY_HARMONIC
 
     def evaluate(self, z):
         z = np.asarray(z)
@@ -125,9 +110,6 @@ class HarmonicWeight:
 
     def scaled(self, k: float) -> "HarmonicWeight":
         return HarmonicWeight(self.b * k)
-
-    def shifted(self, c: float):
-        return None  # leaves the family enumeration
 
     def params(self) -> dict:
         return {"b": self.b}
@@ -192,19 +174,6 @@ def eval_weight(weight: WeightFunction, measure: QuadratureMeasure) -> WeightFun
         raise UnsupportedWeightError("weight has neither values nor a closed form")
     vals = np.asarray(weight.family.evaluate(measure.points), dtype=float)
     return WeightFunction(values=vals, family=weight.family)
-
-
-def shifted_weight(weight: WeightFunction, c: float) -> WeightFunction:
-    """Add a constant to a weight; keeps the family when the shifted form is
-    still in the enumeration."""
-    family = weight.family.shifted(c) if weight.family is not None else None
-    values = None if weight.values is None else weight.values + c
-    if values is None and family is None:
-        raise UnsupportedWeightError(
-            "shifting this family leaves the closed-form enumeration; "
-            "tabulate it on a measure first"
-        )
-    return WeightFunction(values=values, family=family)
 
 
 def scaled_weight(weight: WeightFunction, k: float) -> WeightFunction:

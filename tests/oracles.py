@@ -110,6 +110,14 @@ def two_node_g_prime(t: float) -> float:
     return 2.0 * s * (1.0 - s)
 
 
+def laplacian_5point(f, z, step: float = 1e-4) -> np.ndarray:
+    """Five-point finite-difference Laplacian of f at the complex points z."""
+    h = step
+    return (
+        f(z + h) + f(z - h) + f(z + 1j * h) + f(z - 1j * h) - 4.0 * f(z)
+    ) / h**2
+
+
 def central_fd(f, x: float, step: float) -> float:
     return (f(x + step) - f(x - step)) / (2.0 * step)
 

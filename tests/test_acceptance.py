@@ -237,7 +237,7 @@ def test_criterion_10_strict_inequality():
         phi = eval_weight(phi, measure)
         psi = eval_weight(psi, measure)
         s = sublevel_set(phi, psi)
-        assert s.is_proper(), f"pair {i}: sublevel set must be proper"
+        assert 0 < s.sum() < s.size, f"pair {i}: sublevel set must be proper"
         psi_rank = build_space(span, measure, psi).rank
         assert psi_rank >= 1, f"pair {i}: psi space must have rank >= 1"
         rep = comparison_integrals(phi, psi, span, measure)

@@ -1,5 +1,6 @@
 """Random-instance battery: generation, checks, aggregation, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from bergmanlab import (
-    SizeBounds,
+    battery,
     check_instance,
     generate_instance,
     max_principle_search,
@@ -25,13 +26,15 @@ from bergmanlab.battery import (
 )
 from bergmanlab.homotopy import build_path, weight_at
 from bergmanlab.kernels import assemble_gram, retained_spread
+from bergmanlab.spans import tabulated_span
 
 
-def test_generate_instance_respects_bounds():
+def test_generate_instance_respects_bounds(monkeypatch):
+    monkeypatch.setattr(battery, "MAX_NODES", 20)
+    monkeypatch.setattr(battery, "MAX_DIM", 5)
     rng = np.random.default_rng(0)
-    bounds = SizeBounds(max_nodes=20, max_dim=5)
     for i in range(30):
-        inst = generate_instance(rng, i, bounds)
+        inst = generate_instance(rng, i)
         m = inst.measure.n
         assert 2 <= m <= 20
         assert 1 <= inst.span.dim <= 5
@@ -44,8 +47,8 @@ def test_generate_instance_respects_bounds():
 
 
 def test_generate_instance_deterministic():
-    a = generate_instance(np.random.default_rng(42), 0, SizeBounds())
-    b = generate_instance(np.random.default_rng(42), 0, SizeBounds())
+    a = generate_instance(np.random.default_rng(42), 0)
+    b = generate_instance(np.random.default_rng(42), 0)
     assert np.array_equal(a.measure.points, b.measure.points)
     assert np.array_equal(a.span.basis_values, b.span.basis_values)
     assert np.array_equal(a.phi.values, b.phi.values)
@@ -53,7 +56,7 @@ def test_generate_instance_deterministic():
 
 def test_check_instance_green_at_default_tolerances():
     rng = np.random.default_rng(1)
-    inst = generate_instance(rng, 0, SizeBounds())
+    inst = generate_instance(rng, 0)
     metrics = check_instance(inst)
     assert metrics.failures == []
     assert metrics.rank >= 1
@@ -63,14 +66,16 @@ def test_check_instance_green_at_default_tolerances():
 def test_check_instance_tol_scale_tightens():
     """A microscopic tolerance multiplier must flag roundoff as failure."""
     rng = np.random.default_rng(2)
-    inst = generate_instance(rng, 0, SizeBounds())
+    inst = generate_instance(rng, 0)
     metrics = check_instance(inst, tol_scale=1e-12)
     assert metrics.failures
 
 
-def test_scenario_dict_round_trip():
+def test_scenario_dict_round_trip(monkeypatch):
+    monkeypatch.setattr(battery, "MAX_NODES", 12)
+    monkeypatch.setattr(battery, "MAX_DIM", 3)
     rng = np.random.default_rng(3)
-    inst = generate_instance(rng, 7, SizeBounds(max_nodes=12, max_dim=3))
+    inst = generate_instance(rng, 7)
     config = parse_scenario(inst.scenario_dict())
     assert config.scenario_id == "battery-instance-7"
     report = run_scenario(config)
@@ -105,9 +110,16 @@ def test_run_battery_seed_changes_draws():
     assert a.worst_trace_error != b.worst_trace_error
 
 
-def test_run_battery_zero_span_degrades_cleanly():
+def test_run_battery_zero_span_degrades_cleanly(monkeypatch):
     """Rank-0 spaces turn every check into 0 <= 0 and stay green."""
-    report = run_battery(n_instances=15, seed=0, size_bounds=SizeBounds(zero_span=True))
+
+    def zero_span_instance(rng, index):
+        inst = generate_instance(rng, index)
+        zeros = np.zeros((inst.measure.n, inst.span.dim), dtype=complex)
+        return dataclasses.replace(inst, span=tabulated_span(zeros))
+
+    monkeypatch.setattr(battery, "generate_instance", zero_span_instance)
+    report = run_battery(n_instances=15, seed=0)
     assert report.all_green
     assert report.order_exact
     assert report.worst_trace_error == 0.0
@@ -141,7 +153,7 @@ def test_summary_lines_follow_tol_scale():
 
 def test_check_instance_agrees_with_its_scenario_rerun():
     """The battery and the scenario runner share one definition per metric."""
-    inst = generate_instance(np.random.default_rng(5), 0, SizeBounds())
+    inst = generate_instance(np.random.default_rng(5), 0)
     metrics = check_instance(inst)
     report = run_scenario(parse_scenario(inst.scenario_dict()))
     by_name = {r.name: r.metrics for r in report.results}
@@ -181,9 +193,11 @@ def test_max_principle_search_small_run():
     assert again.conclusion_holds == report.conclusion_holds
 
 
-def test_max_principle_search_spans_are_proper():
+def test_max_principle_search_spans_are_proper(monkeypatch):
     """The search must stay inside proper subspaces; with span dimension
     equal to the node count the density forgets the weight entirely and the
     discrete statement is vacuous."""
-    report = max_principle_search(n_instances=200, seed=3, max_nodes=4, max_dim=8)
+    monkeypatch.setattr(battery, "SEARCH_MAX_NODES", 4)
+    monkeypatch.setattr(battery, "SEARCH_MAX_DIM", 8)
+    report = max_principle_search(n_instances=200, seed=3)
     assert not report.found_counterexample

@@ -103,8 +103,10 @@ def test_tol_scale_must_be_finite_and_positive(value, scenario_file, capsys):
 
 def test_run_json_format(scenario_file, tmp_path, capsys):
     out = os.fspath(tmp_path / "json")
-    assert main(["run", scenario_file, "--out", out, "--format", "json"]) == EXIT_GREEN
-    doc = json.load(open(os.path.join(out, "run_report.json")))
+    assert main(["run", scenario_file, "--out", out]) == EXIT_GREEN
+    assert not os.path.exists(os.path.join(out, "run_report.json"))
+    with open(os.path.join(out, "summary.json")) as fh:
+        doc = json.load(fh)
     assert doc["green"] is True
     assert doc["tol_scale"] == 1.0
 
@@ -114,15 +116,29 @@ def test_battery_green(tmp_path, capsys):
     assert main(["battery", "--n", "12", "--seed", "0", "--out", out]) == EXIT_GREEN
     stdout = capsys.readouterr().out
     assert "battery: 12 instances, seed 0" in stdout
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    with open(os.path.join(out, "summary.json")) as fh:
+        summary = json.load(fh)
     assert summary["green"] is True
     assert summary["battery"]["n_instances"] == 12
     assert "elapsed_seconds" in summary["battery"]
 
 
 def test_battery_rejects_nonpositive_n(capsys):
-    assert main(["battery", "--n", "0"]) == EXIT_CONFIG
+    with pytest.raises(SystemExit) as err:
+        main(["battery", "--n", "0"])
+    assert err.value.code == EXIT_CONFIG
     assert "--n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--n", "-1"), ("--seed", "-1"), ("--max-principle", "-5")]
+)
+def test_battery_rejects_a_negative_count(flag, value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["battery", flag, value, "--out", os.fspath(tmp_path / "out")])
+    assert err.value.code == EXIT_CONFIG
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_battery_red_with_tiny_tol_scale(tmp_path, capsys):
@@ -144,7 +160,8 @@ def test_battery_max_principle_flag(tmp_path, capsys):
     assert code == EXIT_GREEN
     stdout = capsys.readouterr().out
     assert "max principle search: 200 instances" in stdout
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    with open(os.path.join(out, "summary.json")) as fh:
+        summary = json.load(fh)
     assert summary["max_principle_search"]["counterexamples"] == []
 
 
@@ -153,8 +170,22 @@ def test_usage_error_exits_two():
         main([])
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
-        main(["run", "x.json", "--format", "yaml"])
+        main(["run", "x.json", "--format", "json"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("verb", ["run", "battery"])
+def test_unwritable_out_exits_two(verb, scenario_file, tmp_path, capsys):
+    args = ["run", scenario_file] if verb == "run" else ["battery", "--n", "1"]
+    regular = tmp_path / "taken"
+    regular.write_text("")
+    assert main([*args, "--out", os.fspath(regular)]) == EXIT_CONFIG
+    assert f"error: --out {regular}:" in capsys.readouterr().err
+    # A directory that exists but where summary.json cannot be written.
+    blocked = tmp_path / "blocked"
+    (blocked / "summary.json").mkdir(parents=True)
+    assert main([*args, "--out", os.fspath(blocked)]) == EXIT_CONFIG
+    assert f"error: --out {blocked}:" in capsys.readouterr().err
 
 
 def _disk_scenario(tmp_path, **overrides):

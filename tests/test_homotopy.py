@@ -128,7 +128,7 @@ def test_rho_variants_agree():
     path = build_path(phi, psi)
     s = sublevel_set(phi, psi)
     base = g_of_t(path, None, 0.3, span, measure)
-    assert g_of_t(path, s.indicator(), 0.3, span, measure) == pytest.approx(
+    assert g_of_t(path, s.astype(float), 0.3, span, measure) == pytest.approx(
         base, rel=1e-14
     )
 

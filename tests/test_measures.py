@@ -23,13 +23,6 @@ def test_discrete_from_pairs():
     assert np.allclose(m.points, [1.0j, 2.0 - 1.0j])
 
 
-def test_point_accessor():
-    m = build_discrete_measure([0.5 + 0.25j], [1.0])
-    p = m.point(0)
-    assert (p.re, p.im, p.index) == (0.5, 0.25, 0)
-    assert p.z == 0.5 + 0.25j
-
-
 @pytest.mark.parametrize(
     "points,masses",
     [

@@ -22,41 +22,34 @@ from bergmanlab import (
     tcz_convergence_report,
 )
 from bergmanlab.kernels import assemble_gram, bergman_density_at
-from oracles import fock_density_at_origin, gaussian_monomial_norm_sq
+from oracles import fock_density_at_origin, gaussian_monomial_norm_sq, laplacian_5point
 
 
 def test_ma_density_gauss_is_constant():
     measure = build_disk_measure(1.0, 6, 12)
     d = ma_density(gauss_weight(1.5), measure)
-    assert d.source == "analytic"
-    assert np.allclose(d.values, 1.5 / math.pi)
+    assert d.shape == (measure.n,)
+    assert np.allclose(d, 1.5 / math.pi)
 
 
 def test_ma_density_harmonic_vanishes():
     measure = build_disk_measure(1.0, 6, 12)
     d = ma_density(harmonic_weight(2.0), measure)
-    assert np.allclose(d.values, 0.0)
+    assert np.allclose(d, 0.0)
 
 
 def test_ma_density_fd_agrees_with_analytic():
     measure = build_disk_measure(1.0, 8, 16)
     w = radial_poly_weight([0.2, 1.0, -0.3])
-    analytic = ma_density(w, measure, source="analytic")
-    fd = ma_density(w, measure, source="finite-difference")
-    assert fd.source == "finite-difference"
-    assert np.max(np.abs(analytic.values - fd.values)) <= 1e-6
+    analytic = ma_density(w, measure)
+    fd = laplacian_5point(w.family.evaluate, measure.points) / (4.0 * math.pi)
+    assert np.max(np.abs(analytic - fd)) <= 1e-6
 
 
 def test_ma_density_rejects_tabulated():
     measure = build_discrete_measure([1.0, 2.0], [1.0, 1.0])
     with pytest.raises(UnsupportedWeightError):
         ma_density(tabulated_weight([0.0, 0.0]), measure)
-
-
-def test_ma_density_unknown_source():
-    measure = build_disk_measure(1.0, 4, 8)
-    with pytest.raises(InvalidConfigurationError):
-        ma_density(gauss_weight(1.0), measure, source="symbolic")
 
 
 def test_default_degree_rule_ladder():

@@ -1,6 +1,7 @@
 """Scenario parsing, check execution, and report emission."""
 
 import csv
+import dataclasses
 import json
 import os
 
@@ -98,6 +99,10 @@ def test_parse_full_scenario():
         ({"omega": []}, "field 'omega'"),
         ({"omega": [0, 1]}, "field 'omega'"),
         ({"omega": [1, 0, 1]}, "field 'omega'"),
+        ({"checks": ["tcz"]}, "field 'measure.kind': check 'tcz'"),
+        ({"measure": dict(DISK_24X48, n_radial=2, n_angular=4), "checks": ["tcz"],
+          "phi": {"family": "tabulated", "values": [0.0] * 8}, "psi": {"family":
+          "constant", "c": 0.0}}, "field 'phi': check 'tcz'"),
     ],
 )
 def test_parse_rejects_bad_fields(mutate, needle):
@@ -207,9 +212,11 @@ def test_run_scenario_maxprinciple():
 
 
 def test_run_scenario_wraps_check_errors():
-    d = two_node_dict(checks=["tcz"])
+    # The parser rejects tcz on a discrete measure, so the config is edited
+    # after parsing to reach the error that tcz_convergence_report raises.
+    config = dataclasses.replace(parse_scenario(two_node_dict()), checks=("tcz",))
     with pytest.raises(Exception) as err:
-        run_scenario(parse_scenario(d))
+        run_scenario(config)
     assert "scenario 'ref'" in str(err.value)
 
 
@@ -234,7 +241,8 @@ def test_emit_csv_booleans_and_floats(tmp_path):
     report = run_scenario(parse_scenario(two_node_dict()))
     out = os.fspath(tmp_path / "fmt")
     emit_report([report], out)
-    text = open(os.path.join(out, "comparison.csv")).read()
+    with open(os.path.join(out, "comparison.csv")) as fh:
+        text = fh.read()
     assert "true" in text or "false" in text
     assert "True" not in text and "False" not in text
 
@@ -246,24 +254,22 @@ def test_emit_csv_deterministic(tmp_path):
     emit_report([run_scenario(config)], out_a)
     emit_report([run_scenario(config)], out_b)
     for name in ("comparison.csv", "homotopy.csv"):
-        a = open(os.path.join(out_a, name), "rb").read()
-        b = open(os.path.join(out_b, name), "rb").read()
-        assert a == b, name
+        with open(os.path.join(out_a, name), "rb") as fa:
+            with open(os.path.join(out_b, name), "rb") as fb:
+                assert fa.read() == fb.read(), name
 
 
 def test_emit_json_single_document(tmp_path):
+    """Besides the CSV files, a run writes one JSON document: summary.json."""
     report = run_scenario(parse_scenario(two_node_dict()))
     out = os.fspath(tmp_path / "json")
-    written = emit_report([report], out, format="json")
-    assert [os.path.basename(p) for p in written] == ["run_report.json"]
-    doc = json.load(open(written[0]))
+    written = emit_report([report], out)
+    documents = [p for p in written if p.endswith(".json")]
+    assert [os.path.basename(p) for p in documents] == ["summary.json"]
+    with open(documents[0]) as fh:
+        doc = json.load(fh)
     assert doc["green"] is True
     assert doc["scenarios"][0]["scenario_id"] == "ref"
-
-
-def test_emit_unknown_format(tmp_path):
-    with pytest.raises(InvalidScenarioError):
-        emit_report([], os.fspath(tmp_path), format="xml")
 
 
 def test_tcz_rows_create_tcz_csv(tmp_path):
