@@ -96,7 +96,6 @@ from .weights import (
     radial_poly_weight,
     scaled_weight,
     tabulated_weight,
-    weight_family_from_dict,
 )
 
 __version__ = "0.1.0"

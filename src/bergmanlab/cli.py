@@ -163,6 +163,8 @@ def _battery_verb(args) -> int:
         }
         green = green and not search.found_counterexample
 
+    # With no scenario reports, the document's own green would be all([]).
+    extra["green"] = green
     written = emit_report([], args.out, extra=extra)
     print(f"{'green' if green else 'red'}; reports in {args.out}")
     for path in written:

@@ -29,6 +29,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -63,7 +64,14 @@ from .quantization import (
     tcz_convergence_report,
 )
 from .spans import monomial_span, tabulated_span
-from .weights import eval_weight, weight_family_from_dict
+from .weights import (
+    constant_weight,
+    eval_weight,
+    gauss_weight,
+    harmonic_weight,
+    radial_poly_weight,
+    tabulated_weight,
+)
 
 CHECK_NAMES = (
     "structural",
@@ -125,7 +133,6 @@ class ScenarioConfig:
     k_list: tuple = DEFAULT_K_LADDER
     omega: tuple | None = None
     interior_radius: float | None = None
-    source: str = "<dict>"
 
 
 def _fail(scenario_id, field_path, message):
@@ -141,7 +148,7 @@ def _number(raw, scenario_id, field_path, rule=None, ok=None, integer=False):
     if (
         isinstance(raw, bool)
         or not isinstance(raw, kinds)
-        or not abs(raw) < math.inf
+        or not abs(raw) <= sys.float_info.max
         or (ok is not None and not ok(raw))
     ):
         _fail(scenario_id, field_path, f"expected {rule}, got {raw!r}")
@@ -229,20 +236,27 @@ def _parse_span(raw, measure, scenario_id):
     _fail(scenario_id, "span.kind", f"unknown kind {kind!r}")
 
 
+# Each weight family's one field, how it is read, and what builds the weight.
+_WEIGHT_FAMILIES = {
+    "constant": ("c", _number, constant_weight),
+    "gauss": ("a", _number, gauss_weight),
+    "radial-poly": ("coeffs", _numbers, radial_poly_weight),
+    "harmonic": ("b", _number, harmonic_weight),
+    "tabulated": ("values", _numbers, tabulated_weight),
+}
+
+
 def _parse_weight(raw, measure, scenario_id, field_path):
     """The weight tabulated on the measure's nodes, with a finite w e^{-phi}."""
     if not isinstance(raw, dict):
         _fail(scenario_id, field_path, "expected an object with a family")
-    try:
-        weight = weight_family_from_dict(raw)
-    except KeyError as missing:
-        _fail(scenario_id, f"{field_path}.{missing.args[0]}", "required")
-    except Exception as exc:  # family errors carry their own message
-        _fail(scenario_id, field_path, str(exc))
-    params = weight.family.params() if weight.family is not None else {}
-    for name, value in params.items():
-        if not np.all(np.isfinite(value)):
-            _fail(scenario_id, f"{field_path}.{name}", f"must be finite, got {value}")
+    kind = raw.get("family")
+    if not isinstance(kind, str) or kind not in _WEIGHT_FAMILIES:
+        _fail(scenario_id, field_path, f"unknown weight family {kind!r}")
+    name, read, build = _WEIGHT_FAMILIES[kind]
+    if name not in raw:
+        _fail(scenario_id, f"{field_path}.{name}", "required")
+    weight = build(read(raw[name], scenario_id, f"{field_path}.{name}"))
     try:
         weight = eval_weight(weight, measure)
     except InvalidMeasureError as exc:
@@ -369,19 +383,22 @@ def parse_scenario(raw: dict, source: str = "<dict>") -> ScenarioConfig:
         k_list=k_list,
         omega=omega,
         interior_radius=interior_radius,
-        source=source,
     )
 
 
 def load_scenario_file(path: str) -> ScenarioConfig:
     """Parse one scenario JSON file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InvalidScenarioError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # Bytes that are not UTF-8, an integer literal longer than Python
+        # converts, or JSON nested deeper than the decoder recurses.
+        raise InvalidScenarioError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise InvalidScenarioError(f"{path}: {exc.strerror or exc}") from exc
     return parse_scenario(raw, source=path)

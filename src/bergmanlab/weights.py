@@ -1,11 +1,11 @@
 """Weight functions phi entering the measure factor e^{-phi}.
 
 A weight is carried as tabulated values at the nodes of a measure, optionally
-together with the closed form it came from.  The closed-form families are a
-fixed enumeration: constant, gauss a|z|^2, radial polynomial in |z|^2,
-harmonic b*Re(z^2), and tabulated-only.  All closed forms evaluate at
-arbitrary points and expose an analytic Laplacian; tabulated-only weights do
-neither.
+together with the closed form it came from.  The families are a fixed
+enumeration: radial polynomial in |z|^2 (which includes the constant c and
+the Gauss weight a|z|^2 of the scaling limit), harmonic b*Re(z^2), and
+tabulated-only.  Both closed forms evaluate at arbitrary points and expose
+an analytic Laplacian; tabulated-only weights do neither.
 """
 
 from __future__ import annotations
@@ -16,50 +16,6 @@ import numpy as np
 
 from .errors import InvalidMeasureError, UnsupportedWeightError
 from .measures import QuadratureMeasure
-
-FAMILY_CONSTANT = "constant"
-FAMILY_GAUSS = "gauss"
-FAMILY_RADIAL_POLY = "radial-poly"
-FAMILY_HARMONIC = "harmonic"
-
-
-@dataclass(frozen=True)
-class ConstantWeight:
-    """phi(z) = c."""
-
-    c: float
-
-    def evaluate(self, z):
-        return np.full(np.shape(z), self.c, dtype=float)
-
-    def laplacian(self, z):
-        return np.zeros(np.shape(z), dtype=float)
-
-    def scaled(self, k: float) -> "ConstantWeight":
-        return ConstantWeight(self.c * k)
-
-    def params(self) -> dict:
-        return {"c": self.c}
-
-
-@dataclass(frozen=True)
-class GaussWeight:
-    """phi(z) = a |z|^2, the model weight of the scaling limit."""
-
-    a: float
-
-    def evaluate(self, z):
-        z = np.asarray(z)
-        return self.a * (z.real**2 + z.imag**2)
-
-    def laplacian(self, z):
-        return np.full(np.shape(z), 4.0 * self.a, dtype=float)
-
-    def scaled(self, k: float) -> "GaussWeight":
-        return GaussWeight(self.a * k)
-
-    def params(self) -> dict:
-        return {"a": self.a}
 
 
 @dataclass(frozen=True)
@@ -72,11 +28,14 @@ class RadialPolyWeight:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
     def evaluate(self, z):
+        # Horner's rule from the top coefficient, so a constant never reads
+        # |z|^2 and stays finite where |z|^2 overflows.
         z = np.asarray(z)
-        s = z.real**2 + z.imag**2
-        out = np.zeros(np.shape(z), dtype=float)
-        for m in reversed(range(len(self.coeffs))):
-            out = out * s + self.coeffs[m]
+        out = np.full(np.shape(z), self.coeffs[-1] if self.coeffs else 0.0)
+        if len(self.coeffs) > 1:
+            s = z.real**2 + z.imag**2
+            for c in reversed(self.coeffs[:-1]):
+                out = out * s + c
         return out
 
     def laplacian(self, z):
@@ -90,9 +49,6 @@ class RadialPolyWeight:
 
     def scaled(self, k: float) -> "RadialPolyWeight":
         return RadialPolyWeight(tuple(k * c for c in self.coeffs))
-
-    def params(self) -> dict:
-        return {"coeffs": list(self.coeffs)}
 
 
 @dataclass(frozen=True)
@@ -110,9 +66,6 @@ class HarmonicWeight:
 
     def scaled(self, k: float) -> "HarmonicWeight":
         return HarmonicWeight(self.b * k)
-
-    def params(self) -> dict:
-        return {"b": self.b}
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,11 +88,12 @@ class WeightFunction:
 
 
 def constant_weight(c: float) -> WeightFunction:
-    return WeightFunction(values=None, family=ConstantWeight(float(c)))
+    return radial_poly_weight((c,))
 
 
 def gauss_weight(a: float) -> WeightFunction:
-    return WeightFunction(values=None, family=GaussWeight(float(a)))
+    """phi(z) = a |z|^2, the model weight of the scaling limit."""
+    return radial_poly_weight((0.0, a))
 
 
 def radial_poly_weight(coeffs) -> WeightFunction:
@@ -181,19 +135,3 @@ def scaled_weight(weight: WeightFunction, k: float) -> WeightFunction:
     family = weight.family.scaled(k) if weight.family is not None else None
     values = None if weight.values is None else weight.values * k
     return WeightFunction(values=values, family=family)
-
-
-def weight_family_from_dict(d: dict) -> WeightFunction:
-    """Build a weight from a plain-dict description (scenario files)."""
-    kind = d.get("family")
-    if kind == FAMILY_CONSTANT:
-        return constant_weight(d["c"])
-    if kind == FAMILY_GAUSS:
-        return gauss_weight(d["a"])
-    if kind == FAMILY_RADIAL_POLY:
-        return radial_poly_weight(d["coeffs"])
-    if kind == FAMILY_HARMONIC:
-        return harmonic_weight(d["b"])
-    if kind == "tabulated":
-        return tabulated_weight(d["values"])
-    raise UnsupportedWeightError(f"unknown weight family {kind!r}")

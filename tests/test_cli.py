@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from bergmanlab.battery import max_principle_search
 from bergmanlab.cli import EXIT_CONFIG, EXIT_GREEN, EXIT_RED, main
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -237,3 +238,51 @@ def test_run_rejects_an_improper_omega(omega, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "field 'omega'" in err
     assert "proper subset" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["battery", "--n", "6", "--seed", "0"],
+        ["battery", "--n", "6", "--seed", "0", "--tol-scale", "1e-12"],
+        ["battery", "--n", "3", "--seed", "0", "--max-principle", "50"],
+        ["run", "SCENARIO"],
+        ["run", "SCENARIO", "--tol-scale", "1e-16"],
+    ],
+    ids=["battery-green", "battery-red", "search-green", "run-green", "run-red"],
+)
+def test_summary_green_is_the_exit_verdict(args, scenario_file, tmp_path, capsys):
+    out = os.fspath(tmp_path / "out")
+    args = [scenario_file if a == "SCENARIO" else a for a in args]
+    code = main([*args, "--out", out])
+    assert code in (EXIT_GREEN, EXIT_RED)
+    with open(os.path.join(out, "summary.json")) as fh:
+        assert json.load(fh)["green"] is (code == EXIT_GREEN)
+
+
+def test_search_counterexample_makes_summary_red(tmp_path, monkeypatch, capsys):
+    def with_counterexample(*args, **kwargs):
+        search = max_principle_search(*args, **kwargs)
+        search.counterexamples.append({"instance": -1})
+        return search
+
+    monkeypatch.setattr("bergmanlab.cli.max_principle_search", with_counterexample)
+    out = os.fspath(tmp_path / "out")
+    args = ["battery", "--n", "3", "--seed", "0", "--max-principle", "20"]
+    assert main([*args, "--out", out]) == EXIT_RED
+    with open(os.path.join(out, "summary.json")) as fh:
+        assert json.load(fh)["green"] is False
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000, b"[1" + b"0" * 5000 + b"]"],
+    ids=["not-utf8", "nested-100000-deep", "5001-digit-integer"],
+)
+def test_undecodable_scenario_file_exits_two(content, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["run", os.fspath(path), "--out", os.fspath(tmp_path / "out")]) == (
+        EXIT_CONFIG
+    )
+    assert f"error: {path}:" in capsys.readouterr().err

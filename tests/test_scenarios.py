@@ -103,6 +103,15 @@ def test_parse_full_scenario():
         ({"measure": dict(DISK_24X48, n_radial=2, n_angular=4), "checks": ["tcz"],
           "phi": {"family": "tabulated", "values": [0.0] * 8}, "psi": {"family":
           "constant", "c": 0.0}}, "field 'phi': check 'tcz'"),
+        ({"phi": {"family": "gauss", "a": True}}, "field 'phi.a'"),
+        ({"phi": {"family": "constant", "c": "0.5"}}, "field 'phi.c'"),
+        ({"phi": {"family": "harmonic", "b": "1e-3"}}, "field 'phi.b'"),
+        ({"phi": {"family": "radial-poly", "coeffs": "12"}}, "field 'phi.coeffs'"),
+        ({"phi": {"family": "radial-poly", "coeffs": {"0": 1}}}, "field 'phi.coeffs'"),
+        ({"phi": {"family": "constant", "c": 10**400}}, "field 'phi.c'"),
+        ({"measure": {"kind": "discrete", "points": [[0, 0]], "masses": [10**400]}},
+         "measure.masses[0]"),
+        ({"phi": {"family": ["constant"]}}, "unknown weight family"),
     ],
 )
 def test_parse_rejects_bad_fields(mutate, needle):
