@@ -30,6 +30,7 @@ import numpy as np
 
 from .kernels import (
     WeightedSpace,
+    _kernel_diagonal,
     bergman_density_from_space,
     build_space,
     kernel_matrix,
@@ -166,10 +167,8 @@ def difference_quotient_bound_check(
 
     C_u = 2 u_sup e^{2 u_sup}; requires |tau| <= 1.
     """
-    e_t = orthonormal_node_values(space_at(path, t, span, measure))
-    e_s = orthonormal_node_values(space_at(path, t + tau, span, measure))
-    diag_t = np.einsum("ij,ij->i", e_t, e_t.conj()).real
-    diag_s = np.einsum("ij,ij->i", e_s, e_s.conj()).real
+    diag_t = _kernel_diagonal(space_at(path, t, span, measure))
+    diag_s = _kernel_diagonal(space_at(path, t + tau, span, measure))
     quotient = np.abs(diag_s - diag_t) / abs(tau)
     floor = BOUND_FLOOR * (1.0 + float(diag_t.max(initial=0.0)))
     bound = sup_bound_constant(path.u_sup) * diag_t + floor

@@ -21,6 +21,13 @@ product V* diag(w e^{-phi}) V.  The floor keeps small disk Grams
 bit-identical to that product.  Densities at chosen points
 (bergman_density_at) cost only as many basis evaluations as there are
 points.
+
+Densities, kernel diagonals and the reproducing residual form the
+orthonormal node values E = V C BLOCK_ROWS rows at a time, so their memory
+does not grow with the node count; above BLOCK_ROWS rows a monomial span is
+evaluated block by block and never tabulated.  orthonormal_node_values and
+kernel_matrix still return full matrices, for the homotopy checks, which run
+on small rules.
 """
 
 from __future__ import annotations
@@ -51,6 +58,10 @@ MONOTONICITY_TOL = 1e-12
 # ratio (a step-1e-3 difference divided by 1e-6) turns an ulp change in a
 # Gram into a relative change of about 1e-3.
 RING_GRAM_MIN_WORK = 2**20
+# Rows of orthonormal node values formed at a time: 4 MiB of complex values
+# at degree 127.  Up to this many rows come in one block, read from the
+# span's node values as a whole.
+BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,24 +252,53 @@ def kernel_eval_at(space: WeightedSpace, z, w=None) -> np.ndarray:
     return ez @ ew.conj().T
 
 
+def _node_value_blocks(space: WeightedSpace, points=None):
+    """Blocks (rows, E[rows]) of the orthonormal values at the nodes or at points.
+
+    Up to BLOCK_ROWS rows come as one block; at the nodes it is read from the
+    span's node values, as orthonormal_node_values reads them.  More rows
+    come BLOCK_ROWS at a time: a tabulated span is sliced, and a monomial
+    span is evaluated at each block's points, so it is never tabulated.
+    """
+    span, c = space.span, space.ortho_coeffs
+    at_nodes = points is None
+    n = span.n_nodes if at_nodes else len(points)
+    if n <= BLOCK_ROWS:
+        v = span.basis_values if at_nodes else evaluate_basis(span, points)
+        return ((slice(None), v @ c),)
+    blocks = (slice(s, s + BLOCK_ROWS) for s in range(0, n, BLOCK_ROWS))
+    if at_nodes and span.kind != KIND_MONOMIALS:
+        return ((rows, span.values[rows] @ c) for rows in blocks)
+    pts = span.points if at_nodes else points
+    return ((rows, evaluate_basis(span, pts[rows]) @ c) for rows in blocks)
+
+
+def _kernel_diagonal(space: WeightedSpace, points=None) -> np.ndarray:
+    """K(z, z) at the nodes, or at points, from the row norms of E.
+
+    A single block's diagonal is returned as it is, without a copy: the
+    maximum-principle search takes 20 000 densities of small spaces a pass.
+    """
+    diags = []
+    for _, e in _node_value_blocks(space, points):
+        diags.append(np.einsum("ij,ij->i", e, e.conj()).real)
+    return diags[0] if len(diags) == 1 else np.concatenate(diags)
+
+
 def bergman_density_from_space(space: WeightedSpace) -> np.ndarray:
     """Density of states at the nodes, without forming the node-pair kernel.
 
     Row norms of the orthonormal basis give the kernel diagonal directly;
     this is the path to use when the node count is large.
     """
-    e = orthonormal_node_values(space)
-    diag = np.einsum("ij,ij->i", e, e.conj()).real
-    return diag * np.exp(-space.weight.values)
+    return _kernel_diagonal(space) * np.exp(-space.weight.values)
 
 
 def bergman_density_at(space: WeightedSpace, z) -> np.ndarray:
     """Density of states at arbitrary points (monomial span, closed-form weight)."""
     pts = np.asarray(z, dtype=complex).reshape(-1)
-    e = evaluate_basis(space.span, pts) @ space.ortho_coeffs
-    diag = np.einsum("ij,ij->i", e, e.conj()).real
-    phi = space.weight.evaluate_at(pts)
-    return diag * np.exp(-phi)
+    diag = _kernel_diagonal(space, pts)
+    return diag * np.exp(-space.weight.evaluate_at(pts))
 
 
 def reproducing_residual(space: WeightedSpace) -> float:
@@ -267,14 +307,23 @@ def reproducing_residual(space: WeightedSpace) -> float:
     With E the orthonormal node values and A = E* D E - I, K D K - K = E A E*,
     so entry (i, j) is at most ||(E A)_i|| ||E_j||.  The bound, max_i of the
     first factor times max_j of the second, is zero in exact arithmetic and
-    costs O(m r^2), so it is computed at every node count.
+    costs O(m r^2), so it is computed at every node count: A is summed over
+    the row blocks of E, and a second pass over them takes the two maxima.
     """
     if space.rank == 0:
         return 0.0
-    e = orthonormal_node_values(space)
-    a = e.conj().T @ (space.measure_factor[:, None] * e) - np.eye(space.rank)
-    rows = np.linalg.norm(e @ a, axis=1)
-    return float(np.max(rows) * np.max(np.linalg.norm(e, axis=1)))
+    d = space.measure_factor
+    a = sum(
+        e.conj().T @ (d[rows, None] * e) for rows, e in _node_value_blocks(space)
+    ) - np.eye(space.rank)
+    row_peak, col_peak = np.max(
+        [
+            (np.max(np.linalg.norm(e @ a, axis=1)), np.max(np.linalg.norm(e, axis=1)))
+            for _, e in _node_value_blocks(space)
+        ],
+        axis=0,
+    )
+    return float(row_peak * col_peak)
 
 
 def kernel_monotonicity_check(space_lo: WeightedSpace, space_hi: WeightedSpace) -> bool:
@@ -291,8 +340,5 @@ def kernel_monotonicity_check(space_lo: WeightedSpace, space_hi: WeightedSpace) 
         raise InvalidConfigurationError(
             f"weights are not ordered at node {j}: {lo[j]} > {hi[j]}"
         )
-    e_lo = orthonormal_node_values(space_lo)
-    e_hi = orthonormal_node_values(space_hi)
-    k_lo = np.einsum("ij,ij->i", e_lo, e_lo.conj()).real
-    k_hi = np.einsum("ij,ij->i", e_hi, e_hi.conj()).real
+    k_lo, k_hi = _kernel_diagonal(space_lo), _kernel_diagonal(space_hi)
     return bool(np.all(k_lo <= k_hi + MONOTONICITY_TOL * (1.0 + k_hi)))

@@ -345,6 +345,15 @@ def parse_scenario(raw: dict, source: str = "<dict>") -> ScenarioConfig:
             _fail(scenario_id, "measure.kind", "check 'tcz' needs kind 'disk-product'")
         if phi.family is None:
             _fail(scenario_id, "phi", "check 'tcz' needs a closed-form weight family")
+        for i, k in enumerate(k_list):
+            with np.errstate(over="ignore"):
+                finite = np.isfinite(k * phi.values).all()
+            if not finite:
+                _fail(
+                    scenario_id,
+                    f"params.k_list[{i}]",
+                    "k * phi is not finite at every node",
+                )
         read, _ = ladder_nodes(ma_density(phi, measure), measure, interior_radius)
         if not read.any():
             _fail(

@@ -229,6 +229,18 @@ def test_run_rejects_an_overflowing_derived_weight(
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_run_rejects_a_k_whose_scaled_weight_overflows(tmp_path, capsys, recwarn):
+    """k * phi overflows on the outer nodes of a radius-2 disk at k = 1e308."""
+    measure = {"kind": "disk-product", "radius": 2.0, "n_radial": 24, "n_angular": 48}
+    path = _disk_scenario(
+        tmp_path, measure=measure, checks=["tcz"], params={"k_list": [1e308]}
+    )
+    assert main(["run", path, "--out", os.fspath(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "field 'params.k_list[0]'" in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize(
     "omega", [[], list(range(24 * 48))], ids=["empty", "every-node"]
 )

@@ -1,5 +1,6 @@
 """Kernel engine: Gram assembly, orthonormalization, densities, identities."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -368,6 +369,59 @@ def test_bergman_density_at_matches_nodes():
     at_nodes = bergman_density_from_space(space)
     off = bergman_density_at(space, measure.points)
     assert np.allclose(at_nodes, off, rtol=1e-10, atol=1e-12)
+
+
+def spaces_on_two_blocks():
+    """A monomial and a tabulated space on the 48x48 disk rule, whose 2304
+    nodes make one full block of node values and a ragged block of 256."""
+    measure = build_disk_measure(1.0, 48, 48)
+    assert measure.n == kernels.BLOCK_ROWS + 256
+    phi = eval_weight(gauss_weight(1.0), measure)
+    rng = np.random.default_rng(48)
+    vals = rng.standard_normal((measure.n, 4)) + 1j * rng.standard_normal((measure.n, 4))
+    spans = (monomial_span(measure, 2), tabulated_span(vals))
+    return [build_space(span, measure, phi) for span in spans]
+
+
+def blocked_node_pair_residual(space, rows=256):
+    """max |K D K - K| over node pairs, K = E E* formed a few rows at a time."""
+    e = orthonormal_node_values(space)
+    d = space.measure_factor
+    worst = 0.0
+    for start in range(0, space.measure.n, rows):
+        k = e[start : start + rows] @ e.conj().T
+        worst = max(worst, float(np.max(np.abs(((k * d) @ e) @ e.conj().T - k))))
+    return worst
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["monomials", "tabulated"])
+def test_blocked_densities_and_residual_match_the_full_node_values(which):
+    space = spaces_on_two_blocks()[which]
+    e = orthonormal_node_values(space)
+    reference = np.einsum("ij,ij->i", e, e.conj()).real * np.exp(-space.weight.values)
+    assert np.array_equal(bergman_density_from_space(space), reference)
+    if space.span.kind == "monomials":
+        at_nodes = bergman_density_at(space, space.measure.points)
+        assert np.array_equal(at_nodes, reference)
+    bound = reproducing_residual(space)
+    assert bound <= kernels.REPRODUCING_TOL
+    kmax = float(np.max(np.einsum("ij,ij->i", e, e.conj()).real))
+    slack = np.finfo(float).eps * space.measure.n * max(1.0, kmax) ** 2
+    assert blocked_node_pair_residual(space) <= bound + slack
+
+
+def test_densities_and_residual_leave_a_large_monomial_span_untabulated():
+    """On a span the Gram never read, the blocked calls evaluate the span
+    block by block and give the values of the tabulated span."""
+    space = spaces_on_two_blocks()[0]
+    lazy = dataclasses.replace(space, span=monomial_span(space.measure, 2))
+    pts = space.measure.points
+    assert np.array_equal(
+        bergman_density_from_space(lazy), bergman_density_from_space(space)
+    )
+    assert np.array_equal(bergman_density_at(lazy, pts), bergman_density_at(space, pts))
+    assert reproducing_residual(lazy) == reproducing_residual(space)
+    assert "basis_values" not in lazy.span.__dict__
 
 
 @settings(deadline=None, max_examples=40)

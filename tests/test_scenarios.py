@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,7 @@ from bergmanlab import (
     report_document,
     run_scenario,
 )
+from bergmanlab import scenarios
 from bergmanlab.kernels import REPRODUCING_TOL
 from bergmanlab.scenarios import (
     COMPARISON_COLUMNS,
@@ -112,6 +114,10 @@ def test_parse_full_scenario():
         ({"measure": {"kind": "discrete", "points": [[0, 0]], "masses": [10**400]}},
          "measure.masses[0]"),
         ({"phi": {"family": ["constant"]}}, "unknown weight family"),
+        ({"measure": dict(DISK_24X48, radius=2.0, n_radial=6, n_angular=12),
+          "checks": ["tcz"], "phi": {"family": "gauss", "a": 1.0},
+          "psi": {"family": "constant", "c": 0.0},
+          "params": {"k_list": [10.0, 1e308]}}, "field 'params.k_list[1]'"),
     ],
 )
 def test_parse_rejects_bad_fields(mutate, needle):
@@ -204,6 +210,21 @@ def test_structural_checks_the_reproducing_identity_above_2048_nodes():
     result = run_scenario(config).results[0]
     assert result.passed
     assert result.metrics["phi_reproducing_residual"] <= REPRODUCING_TOL
+
+
+@pytest.mark.parametrize("name", ["_check_structural", "_check_tcz"])
+def test_disk_fock_scaling_checks_hold_node_values_in_blocks(name):
+    """On the 40 960-node rule, forming the node values whole made each check
+    peak above 50 MiB; formed in blocks, each stays far below that."""
+    config = load_scenario_file(os.path.join(SCENARIO_DIR, "disk-fock-scaling.json"))
+    tracemalloc.start()
+    try:
+        passed, _, _ = getattr(scenarios, name)(config, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert passed
+    assert peak < 20 * 2**20
 
 
 def test_run_scenario_maxprinciple():
