@@ -22,7 +22,17 @@ bit-identical to that product.  Densities at chosen points
 (bergman_density_at) cost only as many basis evaluations as there are
 points.
 
-Densities, kernel diagonals and the reproducing residual form the
+The kernel diagonal at the nodes takes the same path under the same rule
+(_ring_path): with M = C C*, K(r_i e^{i theta_j}) = N ifft(A_i)[j], where
+A_i[k] = sum_s r_i^s Q[s, k] and Q[s, k mod N] sums M[n, m] over n + m = s
+and n - m = k.  That is O(d^2 rank + rings d^2 + rings N log N) work instead
+of O(m d rank).  Node densities, the trace error, the monotonicity check
+and the second pass of the reproducing residual read it under that rule,
+and the scaling ladder, whose span is always the measure's own, reads it
+over the rings it needs at any size.  Where r^(2d-2) overflows they all
+fall back to the blocks below.
+
+Otherwise densities, kernel diagonals and the reproducing residual form the
 orthonormal node values E = V C BLOCK_ROWS rows at a time, so their memory
 does not grow with the node count; above BLOCK_ROWS rows a monomial span is
 evaluated block by block and never tabulated.  orthonormal_node_values and
@@ -97,12 +107,7 @@ def assemble_gram(
     # An overflow leaves a non-finite Gram, which orthonormal_basis rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         d = measure.masses * np.exp(-weight.values)
-        if (
-            measure.n_angular is not None
-            and span.n_nodes * span.dim**2 >= RING_GRAM_MIN_WORK
-            and span.kind == KIND_MONOMIALS
-            and np.array_equal(span.points, measure.points)
-        ):
+        if _ring_path(span, measure):
             g = _ring_gram(measure, d, span.dim)
             # r^(m+n) overflows on a wide disk where z^m and d z^n need not.
             if np.isfinite(g).all():
@@ -110,6 +115,22 @@ def assemble_gram(
         v = span.basis_values
         g = v.conj().T @ (d[:, None] * v)
         return 0.5 * (g + g.conj().T)
+
+
+def _ring_path(span: FunctionSpan, measure: QuadratureMeasure) -> bool:
+    """Whether the span's Gram and kernel diagonals come ring by ring.
+
+    They do for the measure's own monomial span on a disk rule, recognised
+    by its points, once the dense work m * d^2 reaches RING_GRAM_MIN_WORK.
+    A discrete measure is turned away by one attribute read, since the
+    maximum-principle search asks this of 20 000 small spaces a pass.
+    """
+    return (
+        measure.n_angular is not None
+        and span.n_nodes * span.dim**2 >= RING_GRAM_MIN_WORK
+        and span.kind == KIND_MONOMIALS
+        and np.array_equal(span.points, measure.points)
+    )
 
 
 def _ring_gram(measure: QuadratureMeasure, factor: np.ndarray, dim: int) -> np.ndarray:
@@ -128,6 +149,29 @@ def _ring_gram(measure: QuadratureMeasure, factor: np.ndarray, dim: int) -> np.n
     m = np.arange(dim)
     g = moments[m[:, None] + m, m - m[:, None] + dim - 1]
     return 0.5 * (g + g.conj().T)
+
+
+def _ring_row_norms(measure: QuadratureMeasure, x: np.ndarray, rings):
+    """sum_l |sum_n z^n x[n, l]|^2 at the nodes of the selected rings.
+
+    On ring i, whose nodes are r_i e^{i theta_j} with theta_j = 2 pi j / N,
+    the sum is sum_{n,m} r_i^(n+m) M[n, m] e^{i (n-m) theta_j} with M = x x*,
+    that is N ifft(A_i)[j] with A_i[k] = sum_s r_i^s Q[s, k].  Q[s, k mod N]
+    sums M[n, m] over n + m = s and n - m = k mod N: aliased frequencies
+    coincide at the nodes, so the folded sum is exact.  rings indexes the
+    rings: a boolean mask, or slice(None) for all of them.  The values come
+    in node order.  Returns None if any is not finite, as when r^(2d-2)
+    overflows on a wide disk.
+    """
+    n_ang = measure.n_angular
+    n = np.arange(x.shape[0])
+    q = np.zeros((2 * n.size - 1, n_ang), dtype=complex)
+    r = measure.points[::n_ang].real[rings]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(q, (n[:, None] + n, (n[:, None] - n) % n_ang), x @ x.conj().T)
+        a = (r[:, None] ** np.arange(2 * n.size - 1)) @ q
+        norms = (n_ang * np.fft.ifft(a, axis=1)).real.reshape(-1)
+    return norms if np.isfinite(norms).all() else None
 
 
 def equilibration_scales(gram: np.ndarray) -> np.ndarray:
@@ -276,9 +320,15 @@ def _node_value_blocks(space: WeightedSpace, points=None):
 def _kernel_diagonal(space: WeightedSpace, points=None) -> np.ndarray:
     """K(z, z) at the nodes, or at points, from the row norms of E.
 
-    A single block's diagonal is returned as it is, without a copy: the
-    maximum-principle search takes 20 000 densities of small spaces a pass.
+    At the nodes of a space on the ring path the diagonal comes from one FFT
+    per ring, unless that overflows.  A single block's diagonal is returned
+    as it is, without a copy: the maximum-principle search takes 20 000
+    densities of small spaces a pass.
     """
+    if points is None and _ring_path(space.span, space.measure):
+        diag = _ring_row_norms(space.measure, space.ortho_coeffs, slice(None))
+        if diag is not None:
+            return diag
     diags = []
     for _, e in _node_value_blocks(space, points):
         diags.append(np.einsum("ij,ij->i", e, e.conj()).real)
@@ -309,6 +359,8 @@ def reproducing_residual(space: WeightedSpace) -> float:
     first factor times max_j of the second, is zero in exact arithmetic and
     costs O(m r^2), so it is computed at every node count: A is summed over
     the row blocks of E, and a second pass over them takes the two maxima.
+    On the ring path the second pass is one FFT per ring for each factor,
+    the row norms of V (C A) and of V C, unless that overflows.
     """
     if space.rank == 0:
         return 0.0
@@ -316,6 +368,12 @@ def reproducing_residual(space: WeightedSpace) -> float:
     a = sum(
         e.conj().T @ (d[rows, None] * e) for rows, e in _node_value_blocks(space)
     ) - np.eye(space.rank)
+    if _ring_path(space.span, space.measure):
+        c = space.ortho_coeffs
+        row_sq = _ring_row_norms(space.measure, c @ a, slice(None))
+        col_sq = _ring_row_norms(space.measure, c, slice(None))
+        if row_sq is not None and col_sq is not None:
+            return float(np.sqrt(row_sq.max()) * np.sqrt(col_sq.max()))
     row_peak, col_peak = np.max(
         [
             (np.max(np.linalg.norm(e @ a, axis=1)), np.max(np.linalg.norm(e, axis=1)))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigurationError, UnsupportedWeightError
-from .kernels import WeightedSpace, bergman_density_at, build_space
+from .kernels import WeightedSpace, _kernel_diagonal, _ring_row_norms, build_space
 from .measures import KIND_DISK, QuadratureMeasure
 from .spans import monomial_span
 from .weights import WeightFunction, eval_weight, scaled_weight
@@ -136,6 +136,11 @@ def tcz_convergence_report(
     positive limit density, the ratio (B_{k phi}(z_j)/k) /
     (Laplacian(phi)(z_j)/(4 pi)) is recorded; nodes where the limit density
     is nonpositive are skipped and counted.
+
+    Each rung reads whole rings: the kernel diagonal on every ring that
+    holds a node read comes from one FFT per ring, and the nodes read are
+    taken from it.  Where r^(2d-2) overflows on a wide disk, the diagonal
+    at those nodes is formed from blocks of basis values instead.
     """
     if measure.kind != KIND_DISK:
         raise InvalidConfigurationError(
@@ -143,11 +148,18 @@ def tcz_convergence_report(
         )
     limit = ma_density(phi, measure)
     eval_mask, n_skipped = ladder_nodes(limit, measure, interior_radius)
+    by_ring = eval_mask.reshape(-1, measure.n_angular)
+    rings = by_ring.any(axis=1)
     reports = []
     for k in k_list:
         degree = default_degree_rule(k, measure)
         space = build_scaled_space(phi, k, degree, measure)
-        b = bergman_density_at(space, measure.points[eval_mask])
+        diag = _ring_row_norms(measure, space.ortho_coeffs, rings)
+        if diag is None:
+            diag = _kernel_diagonal(space, measure.points[eval_mask])
+        else:
+            diag = diag[by_ring[rings].reshape(-1)]
+        b = diag * np.exp(-space.weight.values[eval_mask])
         ratios = (b / k) / limit[eval_mask]
         devs = np.abs(ratios - 1.0)
         reports.append(

@@ -345,6 +345,58 @@ def test_ring_path_recognises_the_span_by_its_points():
     )
 
 
+def blocks_only(monkeypatch):
+    """Turn the ring path off, so every call forms node values in blocks."""
+    monkeypatch.setattr(kernels, "_ring_path", lambda span, measure: False)
+
+
+@pytest.mark.parametrize(
+    "radius, n_radial, n_angular, degree, weight",
+    [
+        (2.0, 160, 256, 127, scaled_weight(gauss_weight(1.0), 40.0)),
+        (1.0, 64, 128, 30, harmonic_weight(2.0)),
+        (1.0, 64, 128, 40, "random"),
+    ],
+    ids=["gauss-k40", "harmonic", "random-tabulated"],
+)
+def test_ring_kernel_diagonal_matches_the_blocks(
+    radius, n_radial, n_angular, degree, weight, monkeypatch
+):
+    """Above the floor the diagonal comes from one FFT per ring.  A harmonic
+    weight is not radial, but b Re(z^2) is even under conjugation; a random
+    weight has no symmetry, so it also checks the sign of the transform."""
+    measure = build_disk_measure(radius, n_radial, n_angular)
+    if weight == "random":
+        weight = tabulated_weight(np.random.default_rng(7).uniform(-2, 2, measure.n))
+    space = build_space(monomial_span(measure, degree), measure, weight)
+    assert kernels._ring_path(space.span, measure)
+    ring = kernels._kernel_diagonal(space)
+    assert np.array_equal(
+        ring, kernels._ring_row_norms(measure, space.ortho_coeffs, slice(None))
+    )
+    residual = reproducing_residual(space)
+    blocks_only(monkeypatch)
+    blocks = kernels._kernel_diagonal(space)
+    assert np.max(np.abs(ring - blocks) / blocks) <= 1e-12
+    assert reproducing_residual(space) == pytest.approx(residual, rel=1e-12)
+
+
+def test_ring_kernel_diagonal_falls_back_to_the_blocks_when_it_overflows(
+    recwarn, monkeypatch
+):
+    """On a radius-40 disk r^200 overflows; the densities and the residual
+    are then the block values, and no warning is raised."""
+    measure = build_disk_measure(40.0, 128, 256)
+    space = build_space(monomial_span(measure, 100), measure, gauss_weight(1.0))
+    assert kernels._ring_path(space.span, measure)
+    assert kernels._ring_row_norms(measure, space.ortho_coeffs, slice(None)) is None
+    density, residual = bergman_density_from_space(space), reproducing_residual(space)
+    blocks_only(monkeypatch)
+    assert np.array_equal(density, bergman_density_from_space(space))
+    assert residual == reproducing_residual(space)
+    assert len(recwarn) == 0
+
+
 def test_monomial_span_values_are_the_vandermonde_matrix():
     measure, span, _ = random_instance(8, d=5, monomial=True)
     assert (span.n_nodes, span.dim) == (12, 5)

@@ -21,6 +21,7 @@ from bergmanlab import (
     tabulated_weight,
     tcz_convergence_report,
 )
+from bergmanlab import quantization
 from bergmanlab.kernels import assemble_gram, bergman_density_at
 from oracles import fock_density_at_origin, gaussian_monomial_norm_sq, laplacian_5point
 
@@ -116,6 +117,39 @@ def test_convergence_report_devs_shrink():
     assert all(r.n_skipped == 0 for r in reports)
     assert reports[1].max_abs_dev_from_1 < reports[0].max_abs_dev_from_1
     assert reports[1].mean_abs_dev <= reports[1].max_abs_dev_from_1
+
+
+def test_convergence_report_reads_an_annulus_of_rings_like_the_blocks():
+    """phi = |z|^4 - |z|^2 has a positive limit density only for |z| > 1/2,
+    so the ladder reads an annulus: its rings are not a prefix of the rule.
+    The ratios from one FFT per ring match densities formed in blocks."""
+    measure = build_disk_measure(1.5, 48, 96)
+    phi = radial_poly_weight([0.0, -1.0, 1.0])
+    reports = tcz_convergence_report(phi, [8.0, 16.0], measure, interior_radius=1.0)
+    read = np.zeros(measure.n, dtype=bool)
+    read[reports[0].eval_indices] = True
+    rings = read.reshape(-1, measure.n_angular).any(axis=1)
+    assert not rings[0] and rings.any() and not rings[-1]
+    limit = ma_density(phi, measure)[read]
+    for rep in reports:
+        space = build_scaled_space(phi, rep.k, rep.degree, measure)
+        blocks = (bergman_density_at(space, measure.points[read]) / rep.k) / limit
+        assert np.max(np.abs(rep.ratios - blocks) / blocks) <= 1e-12
+
+
+def test_convergence_report_falls_back_to_the_blocks_when_the_rings_overflow(
+    monkeypatch,
+):
+    """Where r^(2d-2) overflows, _ring_row_norms returns None (see
+    test_kernels) and each rung forms its densities in blocks."""
+    measure = build_disk_measure(1.0, 32, 64)
+    phi = gauss_weight(1.0)
+    monkeypatch.setattr(quantization, "_ring_row_norms", lambda *args: None)
+    rep = tcz_convergence_report(phi, [6.0], measure)[0]
+    space = build_scaled_space(phi, 6.0, rep.degree, measure)
+    read = rep.eval_indices
+    blocks = bergman_density_at(space, measure.points[read]) / 6.0
+    assert np.array_equal(rep.ratios, blocks / ma_density(phi, measure)[read])
 
 
 def test_convergence_report_interior_default():

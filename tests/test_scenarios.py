@@ -16,13 +16,14 @@ from bergmanlab import (
     report_document,
     run_scenario,
 )
-from bergmanlab import scenarios
+from bergmanlab import kernels, scenarios
 from bergmanlab.kernels import REPRODUCING_TOL
 from bergmanlab.scenarios import (
     COMPARISON_COLUMNS,
     HOMOTOPY_COLUMNS,
     TCZ_COLUMNS,
 )
+from bergmanlab.spans import evaluate_basis
 
 
 def two_node_dict(**overrides):
@@ -225,6 +226,25 @@ def test_disk_fock_scaling_checks_hold_node_values_in_blocks(name):
         tracemalloc.stop()
     assert passed
     assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize("name, calls", [("_check_structural", 20), ("_check_tcz", 0)])
+def test_disk_fock_scaling_checks_take_kernel_diagonals_ring_by_ring(
+    name, calls, monkeypatch
+):
+    """The diagonals come from one FFT per ring, so the only basis values
+    formed are the 20 row blocks of the residual's sum E* D E."""
+    config = load_scenario_file(os.path.join(SCENARIO_DIR, "disk-fock-scaling.json"))
+    evaluated = []
+
+    def counted(span, z):
+        evaluated.append(len(z))
+        return evaluate_basis(span, z)
+
+    monkeypatch.setattr(kernels, "evaluate_basis", counted)
+    passed, _, _ = getattr(scenarios, name)(config, 1.0)
+    assert passed
+    assert len(evaluated) == calls
 
 
 def test_run_scenario_maxprinciple():
