@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigurationError, UnsupportedWeightError
-from .kernels import WeightedSpace, _kernel_diagonal, _ring_row_norms, build_space
+from .kernels import WeightedSpace, bergman_density_from_space, build_space
 from .measures import KIND_DISK, QuadratureMeasure
 from .spans import monomial_span
 from .weights import WeightFunction, eval_weight, scaled_weight
@@ -137,10 +137,9 @@ def tcz_convergence_report(
     (Laplacian(phi)(z_j)/(4 pi)) is recorded; nodes where the limit density
     is nonpositive are skipped and counted.
 
-    Each rung reads whole rings: the kernel diagonal on every ring that
-    holds a node read comes from one FFT per ring, and the nodes read are
-    taken from it.  Where r^(2d-2) overflows on a wide disk, the diagonal
-    at those nodes is formed from blocks of basis values instead.
+    Each rung forms the density at every node and reads the nodes it needs
+    from it: on a rule above the ring-path floor that is one FFT per ring
+    (see kernels), cheaper than basis values at the nodes read.
     """
     if measure.kind != KIND_DISK:
         raise InvalidConfigurationError(
@@ -148,18 +147,11 @@ def tcz_convergence_report(
         )
     limit = ma_density(phi, measure)
     eval_mask, n_skipped = ladder_nodes(limit, measure, interior_radius)
-    by_ring = eval_mask.reshape(-1, measure.n_angular)
-    rings = by_ring.any(axis=1)
     reports = []
     for k in k_list:
         degree = default_degree_rule(k, measure)
         space = build_scaled_space(phi, k, degree, measure)
-        diag = _ring_row_norms(measure, space.ortho_coeffs, rings)
-        if diag is None:
-            diag = _kernel_diagonal(space, measure.points[eval_mask])
-        else:
-            diag = diag[by_ring[rings].reshape(-1)]
-        b = diag * np.exp(-space.weight.values[eval_mask])
+        b = bergman_density_from_space(space)[eval_mask]
         ratios = (b / k) / limit[eval_mask]
         devs = np.abs(ratios - 1.0)
         reports.append(

@@ -371,14 +371,42 @@ def test_ring_kernel_diagonal_matches_the_blocks(
     space = build_space(monomial_span(measure, degree), measure, weight)
     assert kernels._ring_path(space.span, measure)
     ring = kernels._kernel_diagonal(space)
-    assert np.array_equal(
-        ring, kernels._ring_row_norms(measure, space.ortho_coeffs, slice(None))
-    )
+    assert np.array_equal(ring, kernels._ring_row_norms(measure, space.ortho_coeffs))
     residual = reproducing_residual(space)
     blocks_only(monkeypatch)
     blocks = kernels._kernel_diagonal(space)
     assert np.max(np.abs(ring - blocks) / blocks) <= 1e-12
     assert reproducing_residual(space) == pytest.approx(residual, rel=1e-12)
+
+
+@pytest.mark.parametrize("b", [0.25, 0.5, 1.0, 2.0, 2.5])
+def test_ring_kernel_diagonal_keeps_twelve_digits_on_non_radial_weights(
+    b, monkeypatch
+):
+    """The folded sum's error scales with K's mean over a ring.  Under
+    b Re(z^2) on a radius-2 disk K spans a factor of about e^(8b) around a
+    ring, so at b = 2.5 (b R^2 = 10) the ring path would lose four digits at
+    its smallest values; there the diagonal is the block one."""
+    measure = build_disk_measure(2.0, 64, 128)
+    space = build_space(monomial_span(measure, 30), measure, harmonic_weight(b))
+    assert kernels._ring_path(space.span, measure)
+    ring = kernels._kernel_diagonal(space)
+    on_rings = kernels._ring_row_norms(measure, space.ortho_coeffs) is not None
+    assert on_rings == (b <= 0.5)
+    blocks_only(monkeypatch)
+    blocks = kernels._kernel_diagonal(space)
+    assert np.max(np.abs(ring - blocks) / blocks) <= 1e-12
+    if not on_rings:
+        assert np.array_equal(ring, blocks)
+
+
+def test_ring_row_norms_are_deterministic():
+    measure = build_disk_measure(2.0, 160, 256)
+    space = build_space(
+        monomial_span(measure, 127), measure, scaled_weight(gauss_weight(1.0), 40.0)
+    )
+    first = kernels._ring_row_norms(measure, space.ortho_coeffs)
+    assert np.array_equal(first, kernels._ring_row_norms(measure, space.ortho_coeffs))
 
 
 def test_ring_kernel_diagonal_falls_back_to_the_blocks_when_it_overflows(
@@ -389,7 +417,7 @@ def test_ring_kernel_diagonal_falls_back_to_the_blocks_when_it_overflows(
     measure = build_disk_measure(40.0, 128, 256)
     space = build_space(monomial_span(measure, 100), measure, gauss_weight(1.0))
     assert kernels._ring_path(space.span, measure)
-    assert kernels._ring_row_norms(measure, space.ortho_coeffs, slice(None)) is None
+    assert kernels._ring_row_norms(measure, space.ortho_coeffs) is None
     density, residual = bergman_density_from_space(space), reproducing_residual(space)
     blocks_only(monkeypatch)
     assert np.array_equal(density, bergman_density_from_space(space))

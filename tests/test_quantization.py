@@ -21,7 +21,6 @@ from bergmanlab import (
     tabulated_weight,
     tcz_convergence_report,
 )
-from bergmanlab import quantization
 from bergmanlab.kernels import assemble_gram, bergman_density_at
 from oracles import fock_density_at_origin, gaussian_monomial_norm_sq, laplacian_5point
 
@@ -135,21 +134,6 @@ def test_convergence_report_reads_an_annulus_of_rings_like_the_blocks():
         space = build_scaled_space(phi, rep.k, rep.degree, measure)
         blocks = (bergman_density_at(space, measure.points[read]) / rep.k) / limit
         assert np.max(np.abs(rep.ratios - blocks) / blocks) <= 1e-12
-
-
-def test_convergence_report_falls_back_to_the_blocks_when_the_rings_overflow(
-    monkeypatch,
-):
-    """Where r^(2d-2) overflows, _ring_row_norms returns None (see
-    test_kernels) and each rung forms its densities in blocks."""
-    measure = build_disk_measure(1.0, 32, 64)
-    phi = gauss_weight(1.0)
-    monkeypatch.setattr(quantization, "_ring_row_norms", lambda *args: None)
-    rep = tcz_convergence_report(phi, [6.0], measure)[0]
-    space = build_scaled_space(phi, 6.0, rep.degree, measure)
-    read = rep.eval_indices
-    blocks = bergman_density_at(space, measure.points[read]) / 6.0
-    assert np.array_equal(rep.ratios, blocks / ma_density(phi, measure)[read])
 
 
 def test_convergence_report_interior_default():
