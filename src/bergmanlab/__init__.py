@@ -41,8 +41,6 @@ from .homotopy import (
     difference_quotient_bound_check,
     g_derivative_forms,
     g_of_t,
-    kernel_derivative_matrix,
-    kernel_fd,
     l2_difference_bound_check,
     monotonicity_sweep,
     sup_bound_constant,

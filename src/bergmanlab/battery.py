@@ -192,13 +192,8 @@ class InstanceMetrics:
     failures: list
 
 
-def check_instance(inst: BatteryInstance, tol_scale: float = 1.0) -> InstanceMetrics:
-    """Run all three check groups on one instance.
-
-    tol_scale multiplies the scaled limits of the check table; the fixed
-    claims (quotient-bound envelope, sandwich slack, order window) keep
-    their values.
-    """
+def check_instance(inst: BatteryInstance) -> InstanceMetrics:
+    """Run all three check groups on one instance."""
     measure, span, phi, psi = inst.measure, inst.span, inst.phi, inst.psi
 
     space = build_space(span, measure, phi)
@@ -206,8 +201,7 @@ def check_instance(inst: BatteryInstance, tol_scale: float = 1.0) -> InstanceMet
         "trace_error": checks.trace_error(space),
         "reproducing_residual": reproducing_residual(space),
         "comparison_deficit": checks.comparison_deficit(
-            shifted_comparison_sweep(phi, psi, span, measure, DEFAULT_C_GRID),
-            tol_scale,
+            shifted_comparison_sweep(phi, psi, span, measure, DEFAULT_C_GRID)
         ),
         "sandwich": bool(sandwich_check(phi, psi, span, measure)),
     }
@@ -237,7 +231,7 @@ def check_instance(inst: BatteryInstance, tol_scale: float = 1.0) -> InstanceMet
         rank=space.rank,
         values=values,
         order_errors=order_errors,
-        failures=checks.failures(values, tol_scale),
+        failures=checks.failures(values),
     )
 
 
@@ -252,7 +246,6 @@ class BatteryReport:
 
     n_instances: int
     seed: int
-    tol_scale: float
     worst_trace_error: float
     worst_reproducing_residual: float
     worst_comparison_deficit: float
@@ -286,7 +279,7 @@ class BatteryReport:
         return not self.failures and self.order_ok
 
     def summary_lines(self) -> list:
-        """Human-readable one-line-per-metric summary, limits at tol_scale."""
+        """Human-readable one-line-per-metric summary with each limit."""
         lines = [
             f"battery: {self.n_instances} instances, seed {self.seed}, "
             f"{self.elapsed_seconds:.2f}s"
@@ -294,10 +287,10 @@ class BatteryReport:
         for lim in sorted(BATTERY_LIMITS, key=lambda lim: not lim.upper):
             value = getattr(self, _worst_field(lim))
             worst, limit = ("worst", "limit") if lim.upper else ("min", "floor")
-            mark = "ok" if lim.holds(value, self.tol_scale) else "FAIL"
+            mark = "ok" if lim.holds(value) else "FAIL"
             lines.append(
                 f"  {lim.title}: {worst} {value:.3e} "
-                f"({limit} {lim.limit(self.tol_scale):.1e}) {mark}"
+                f"({limit} {lim.limit():.1e}) {mark}"
             )
         if self.order_exact:
             lines.append("  fd convergence order: exact to roundoff ok")
@@ -316,11 +309,7 @@ class BatteryReport:
 
     def document(self) -> dict:
         """The report as the JSON block of the battery command."""
-        doc = {
-            "n_instances": self.n_instances,
-            "seed": self.seed,
-            "tol_scale": self.tol_scale,
-        }
+        doc = {"n_instances": self.n_instances, "seed": self.seed}
         doc.update({f: getattr(self, f) for f in map(_worst_field, BATTERY_LIMITS)})
         doc.update(
             bound_violations=self.bound_violations,
@@ -360,7 +349,6 @@ def run_battery(
     n_instances: int = DEFAULT_N_INSTANCES,
     seed: int = 0,
     dump_dir=None,
-    tol_scale: float = 1.0,
 ) -> BatteryReport:
     """Generate and check a full battery; optionally dump failures.
 
@@ -377,7 +365,7 @@ def run_battery(
 
     for i in range(n_instances):
         inst = generate_instance(rng, i)
-        metrics = check_instance(inst, tol_scale=tol_scale)
+        metrics = check_instance(inst)
         results.append(metrics)
         if metrics.failures and dump_dir is not None:
             os.makedirs(dump_dir, exist_ok=True)
@@ -396,7 +384,6 @@ def run_battery(
     return BatteryReport(
         n_instances=n_instances,
         seed=seed,
-        tol_scale=tol_scale,
         **worst,
         bound_violations=sum(not m.values["bound"] for m in results),
         sandwich_failures=sum(not m.values["sandwich"] for m in results),

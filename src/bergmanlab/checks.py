@@ -2,22 +2,21 @@
 scenario runner.
 
 LIMITS is the one table of pass/fail limits.  Each row names a metric, its
-tolerance constant, whether tol_scale multiplies the constant, and whether
-the limit bounds the metric from above or below.  A row's form says how the
-constant reaches the metric:
+tolerance constant, and whether the limit bounds the metric from above or
+below.  A row's form says how the constant reaches the metric:
 
   absolute  the metric is compared with the constant itself;
   excess    the constant is an allowance on a margin, relative to 1 + |rhs|,
             and the metric is how far the worst margin falls short of it,
             so its limit is 0;
-  ratio     the metric is a mismatch divided by the unscaled allowance,
-            relative to 1 + |reference|, so its limit is tol_scale.
+  ratio     the metric is a mismatch divided by its allowance, relative
+            to 1 + |reference|, so its limit is 1.
 
 The strict margin is the threshold of the comparison verdict itself
 (``comparison.strictness_check``); it is listed so that reports carry it.
 The quotient-bound envelope and the sandwich slack are fixed claims judged
 inside their layer functions, and the TCZ monotone slack and the battery's
-order window are fixed too; tol_scale changes none of them.
+order window are fixed too.
 """
 
 from __future__ import annotations
@@ -57,25 +56,23 @@ class Limit:
     label: str
     title: str
     constant: float
-    scaled: bool = True
     upper: bool = True
     form: str = ABSOLUTE
 
-    def bound(self, tol_scale: float, reference: float | None = None) -> float:
-        """The constant, times tol_scale when scaled, times 1 + |reference|."""
-        value = self.constant * tol_scale if self.scaled else self.constant
-        return value if reference is None else value * (1.0 + abs(reference))
+    def bound(self, reference: float) -> float:
+        """The allowance relative to a reference: the constant times 1 + |reference|."""
+        return self.constant * (1.0 + abs(reference))
 
-    def limit(self, tol_scale: float) -> float:
+    def limit(self) -> float:
         """The value the metric is compared with."""
         if self.form == EXCESS:
             return 0.0
         if self.form == RATIO:
-            return tol_scale if self.scaled else 1.0
-        return self.bound(tol_scale)
+            return 1.0
+        return self.constant
 
-    def holds(self, value: float, tol_scale: float) -> bool:
-        limit = self.limit(tol_scale)
+    def holds(self, value: float) -> bool:
+        limit = self.limit()
         return value <= limit if self.upper else value >= limit
 
 
@@ -96,14 +93,14 @@ LIMITS = (
           "monotonicity drop", STEP_TOL),
     Limit("endpoint", "endpoint_dev", "endpoint", "endpoint deviation", ENDPOINT_TOL),
     Limit("strict_margin", "margin", "strict", "strict margin", STRICT_MARGIN,
-          scaled=False, upper=False),
+          upper=False),
     Limit("tcz_final_dev", "final_max_abs_dev", "tcz", "tcz final deviation",
           TCZ_FINAL_DEV_LIMIT),
 )
 LIMIT_BY_METRIC = {limit.metric: limit for limit in LIMITS}
 
 
-def failures(values: dict, tol_scale: float) -> list:
+def failures(values: dict) -> list:
     """Labels of the checks that values break, in the order of values.
 
     A real value is a metric judged by its row of LIMITS; a bool is a
@@ -114,7 +111,7 @@ def failures(values: dict, tol_scale: float) -> list:
         if isinstance(value, bool):
             if not value:
                 failed.append(name)
-        elif not LIMIT_BY_METRIC[name].holds(value, tol_scale):
+        elif not LIMIT_BY_METRIC[name].holds(value):
             failed.append(LIMIT_BY_METRIC[name].label)
     return failed
 
@@ -125,10 +122,10 @@ def trace_error(space) -> float:
     return abs(integral - space.rank) / max(1, space.rank)
 
 
-def comparison_deficit(reports, tol_scale: float) -> float:
+def comparison_deficit(reports) -> float:
     """How far the worst comparison margin falls below its allowance; 0 if none."""
     limit = LIMIT_BY_METRIC["comparison_deficit"]
-    return max([0.0, *(-(r.margin + limit.bound(tol_scale, r.rhs)) for r in reports)])
+    return max([0.0, *(-(r.margin + limit.bound(r.rhs)) for r in reports)])
 
 
 def three_form_dev(der) -> float:
@@ -140,11 +137,9 @@ def three_form_dev(der) -> float:
 
 
 def fd_match_ratio(der) -> float:
-    """|fd - sign-split| over its unscaled allowance FD_MATCH_TOL (1 + |sign-split|)."""
+    """|fd - sign-split| over its allowance FD_MATCH_TOL (1 + |sign-split|)."""
     limit = LIMIT_BY_METRIC["fd_match_ratio"]
-    return abs(der.fd_estimate - der.sign_split_form) / limit.bound(
-        1.0, der.sign_split_form
-    )
+    return abs(der.fd_estimate - der.sign_split_form) / limit.bound(der.sign_split_form)
 
 
 def monotonicity_drop(g_values) -> float:

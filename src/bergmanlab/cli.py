@@ -5,9 +5,9 @@ Two verbs:
   bergmanlab run <scenario.json> [...]   execute scenario files
   bergmanlab battery                     run the seeded random battery
 
-Common flags select the output directory and a uniform multiplier on the
-scaled check limits for exploratory runs.  Every run writes CSV files and
-summary.json there.  The exit status is 0 when every executed check
+The common flag --out selects the output directory; every run writes CSV
+files and summary.json there.  Each check is judged against its one limit
+in the check table.  The exit status is 0 when every executed check
 passes, 1 when any check fails, and 2 on configuration or parse errors,
 including an output directory that cannot be created or written.
 """
@@ -15,7 +15,6 @@ including an output directory that cannot be created or written.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -26,14 +25,6 @@ from .scenarios import emit_report, load_scenario_file, run_scenario
 EXIT_GREEN = 0
 EXIT_RED = 1
 EXIT_CONFIG = 2
-
-
-def finite_positive_float(text: str) -> float:
-    """An argparse type for --tol-scale; argparse reports a ValueError by name."""
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise ValueError(text)
-    return value
 
 
 def positive_int(text: str) -> int:
@@ -64,12 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out",
         default="reports",
         help="directory for report artifacts (default: reports)",
-    )
-    common.add_argument(
-        "--tol-scale",
-        type=finite_positive_float,
-        default=1.0,
-        help="multiplier on the scaled check limits (default: 1)",
     )
 
     run_p = sub.add_parser(
@@ -114,12 +99,12 @@ def _run_verb(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     try:
-        reports = [run_scenario(c, args.tol_scale) for c in configs]
+        reports = [run_scenario(c) for c in configs]
     except BergmanlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    written = emit_report(reports, args.out, extra={"tol_scale": args.tol_scale})
+    written = emit_report(reports, args.out)
     for report in reports:
         for check in report.results:
             mark = "ok" if check.passed else "FAIL"
@@ -134,12 +119,7 @@ def _run_verb(args) -> int:
 def _battery_verb(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     dump_dir = os.path.join(args.out, "failures")
-    report = run_battery(
-        n_instances=args.n,
-        seed=args.seed,
-        dump_dir=dump_dir,
-        tol_scale=args.tol_scale,
-    )
+    report = run_battery(n_instances=args.n, seed=args.seed, dump_dir=dump_dir)
     for line in report.summary_lines():
         print(line)
     extra = {"battery": report.document()}

@@ -1,9 +1,9 @@
 """Weight homotopies phi_t = phi + t u and kernel derivatives along them.
 
 The central object is G(t), the density of the phi_t-space integrated against
-an indicator (or a fixed profile rho).  With u = psi - phi and rho the
-indicator of {u < 0}, G interpolates the two sides of the comparison
-inequality: G(0) is the left side, G(1) the right, and G is nondecreasing.
+the indicator rho of {u < 0}, where u = psi - phi.  G interpolates the two
+sides of the comparison inequality: G(0) is the left side, G(1) the right,
+and G is nondecreasing.
 
 Three algebraically equal expressions for G'(t) are implemented, writing
 M[j, k] = |K_t(z_j, z_k)|^2 e^{-phi_t(z_j) - phi_t(z_k)} w_j w_k:
@@ -33,7 +33,6 @@ from .kernels import (
     _kernel_diagonal,
     bergman_density_from_space,
     build_space,
-    kernel_matrix,
     orthonormal_node_values,
 )
 from .measures import QuadratureMeasure
@@ -116,39 +115,14 @@ def negative_direction_indicator(path: HomotopyPath) -> np.ndarray:
 
 def g_of_t(
     path: HomotopyPath,
-    rho,
     t: float,
     span: FunctionSpan,
     measure: QuadratureMeasure,
 ) -> float:
-    """G(t) = integral of rho times the density of the phi_t-space.
-
-    rho is an array of node values, or None for the indicator of {u < 0}.
-    """
-    if rho is None:
-        rho = negative_direction_indicator(path)
+    """G(t) = integral of 1_{u < 0} times the density of the phi_t-space."""
+    rho = negative_direction_indicator(path)
     b = bergman_density_from_space(space_at(path, t, span, measure))
-    return float(np.sum(np.asarray(rho, dtype=float) * measure.masses * b))
-
-
-def kernel_derivative_matrix(path: HomotopyPath, space_t: WeightedSpace) -> np.ndarray:
-    """Matrix of K'_t on node pairs: K diag(u w e^{-phi_t}) K."""
-    k = kernel_matrix(space_t)
-    d = path.direction * space_t.measure_factor
-    return (k * d[None, :]) @ k
-
-
-def kernel_fd(
-    path: HomotopyPath,
-    t: float,
-    tau: float,
-    span: FunctionSpan,
-    measure: QuadratureMeasure,
-) -> np.ndarray:
-    """Central finite difference of the node-pair kernel in t."""
-    k_plus = kernel_matrix(space_at(path, t + tau, span, measure))
-    k_minus = kernel_matrix(space_at(path, t - tau, span, measure))
-    return (k_plus - k_minus) / (2.0 * tau)
+    return float(np.sum(rho * measure.masses * b))
 
 
 def sup_bound_constant(u_sup: float) -> float:
@@ -245,12 +219,12 @@ def g_derivative_forms(
         u * neg, pos.astype(float)
     )
 
-    g_plus = g_of_t(path, rho_vals, t + fd_step, span, measure)
-    g_minus = g_of_t(path, rho_vals, t - fd_step, span, measure)
+    g_plus = g_of_t(path, t + fd_step, span, measure)
+    g_minus = g_of_t(path, t - fd_step, span, measure)
 
     return DerivativeReport(
         t=float(t),
-        g_value=g_of_t(path, rho_vals, t, span, measure),
+        g_value=g_of_t(path, t, span, measure),
         direct_form=direct,
         symmetric_form=symmetric,
         sign_split_form=sign_split,
@@ -269,7 +243,4 @@ def monotonicity_sweep(
     G must be nondecreasing up to STEP_TOL per step, with G at the endpoints
     equal to the two comparison integrals.
     """
-    rho_vals = negative_direction_indicator(path)
-    return [
-        (t, g_of_t(path, rho_vals, t, span, measure)) for t in path.t_grid
-    ]
+    return [(t, g_of_t(path, t, span, measure)) for t in path.t_grid]

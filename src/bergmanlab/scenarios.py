@@ -426,7 +426,7 @@ class CheckResult:
 
 @dataclass
 class RunReport:
-    """All check outcomes for one scenario (or one battery run)."""
+    """All check outcomes for one scenario."""
 
     scenario_id: str
     results: list
@@ -436,7 +436,7 @@ class RunReport:
         return all(r.passed for r in self.results)
 
 
-def _check_structural(config, tol_scale):
+def _check_structural(config):
     metrics = {}
     passed = True
     weights = [("phi", config.phi)] + (
@@ -450,7 +450,7 @@ def _check_structural(config, tol_scale):
         }
         metrics[f"{label}_rank"] = space.rank
         metrics.update({f"{label}_{name}": v for name, v in values.items()})
-        passed &= not checks.failures(values, tol_scale)
+        passed &= not checks.failures(values)
     return passed, metrics, []
 
 
@@ -467,7 +467,7 @@ def _comparison_row(config, report, verdict):
     }
 
 
-def _check_comparison(config, tol_scale):
+def _check_comparison(config):
     report = comparison_integrals(
         config.phi, config.psi, config.span, config.measure
     )
@@ -485,16 +485,16 @@ def _check_comparison(config, tol_scale):
         "sandwich_rhs": sandwich.rhs,
     }
     values = {
-        "comparison_deficit": checks.comparison_deficit([report], tol_scale),
+        "comparison_deficit": checks.comparison_deficit([report]),
         "sandwich": bool(sandwich),
         "strict": verdict == VERDICT_STRICT or not report.strict_expected,
     }
-    return not checks.failures(values, tol_scale), metrics, [
+    return not checks.failures(values), metrics, [
         _comparison_row(config, report, verdict)
     ]
 
 
-def _check_sweep(config, tol_scale):
+def _check_sweep(config):
     reports = shifted_comparison_sweep(
         config.phi, config.psi, config.span, config.measure, config.c_grid
     )
@@ -506,7 +506,7 @@ def _check_sweep(config, tol_scale):
     ]
     sizes = [report.set_size for report in reports]
     values = {
-        "comparison_deficit": checks.comparison_deficit(reports, tol_scale),
+        "comparison_deficit": checks.comparison_deficit(reports),
         "set_sizes_nested": all(
             sizes[i] <= sizes[i + 1] for i in range(len(sizes) - 1)
         ),
@@ -516,10 +516,10 @@ def _check_sweep(config, tol_scale):
         "worst_margin_deficit": values["comparison_deficit"],
         "set_sizes_nested": values["set_sizes_nested"],
     }
-    return not checks.failures(values, tol_scale), metrics, rows
+    return not checks.failures(values), metrics, rows
 
 
-def _check_homotopy(config, tol_scale):
+def _check_homotopy(config):
     path = build_path(config.phi, config.psi, config.t_grid)
     ders = [
         g_derivative_forms(path, t, config.span, config.measure)
@@ -570,10 +570,10 @@ def _check_homotopy(config, tol_scale):
         "endpoint_dev": endpoint_dev,
         "bounds_ok": values["bound"],
     }
-    return not checks.failures(values, tol_scale), metrics, rows
+    return not checks.failures(values), metrics, rows
 
 
-def _check_tcz(config, tol_scale):
+def _check_tcz(config):
     reports = tcz_convergence_report(
         config.phi,
         config.k_list,
@@ -607,10 +607,10 @@ def _check_tcz(config, tol_scale):
         n_skipped=reports[0].n_skipped,
         degrees_requested=[rep.degree_requested for rep in reports],
     )
-    return not checks.failures(values, tol_scale), metrics, rows
+    return not checks.failures(values), metrics, rows
 
 
-def _check_maxprinciple(config, tol_scale):
+def _check_maxprinciple(config):
     mask = np.zeros(config.measure.n, dtype=bool)
     mask[list(config.omega)] = True
     verdict = max_principle_check(
@@ -630,14 +630,14 @@ _CHECK_TABLE = {
 }
 
 
-def run_scenario(config: ScenarioConfig, tol_scale: float = 1.0) -> RunReport:
+def run_scenario(config: ScenarioConfig) -> RunReport:
     """Execute the scenario's checks in declared order."""
     results = []
     for name in config.checks:
         runner = _CHECK_TABLE[name]
         t0 = time.perf_counter()
         try:
-            passed, metrics, rows = runner(config, tol_scale)
+            passed, metrics, rows = runner(config)
         except BergmanlabError as exc:
             raise type(exc)(f"scenario {config.scenario_id!r}: {exc}") from exc
         results.append(
@@ -670,15 +670,14 @@ def _write_csv(path, columns, rows):
 
 
 def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.bool_):
-        return bool(value)
+    """Plain JSON values; every non-finite float becomes null."""
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
+        value = value.item()
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, float) and math.isnan(value):
+    if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
 
@@ -742,7 +741,7 @@ def emit_report(reports, out_dir, extra=None) -> list:
             )
     path = os.path.join(out_dir, "summary.json")
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        json.dump(doc, fh, indent=1, allow_nan=False)
         fh.write("\n")
     written.append(path)
     return written

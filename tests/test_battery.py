@@ -63,12 +63,15 @@ def test_check_instance_green_at_default_tolerances():
     assert set(metrics.order_errors) == set(ORDER_STEPS)
 
 
-def test_check_instance_tol_scale_tightens():
-    """A microscopic tolerance multiplier must flag roundoff as failure."""
-    rng = np.random.default_rng(2)
+def test_check_instance_flags_a_tightened_limit(tight_trace_limit):
+    """A limit below roundoff turns the instance's trace identity red.
+
+    The first instance of seed 0 misses the identity by 1.3e-16.
+    """
+    rng = np.random.default_rng(0)
     inst = generate_instance(rng, 0)
-    metrics = check_instance(inst, tol_scale=1e-12)
-    assert metrics.failures
+    metrics = check_instance(inst)
+    assert "trace" in metrics.failures
 
 
 def test_scenario_dict_round_trip(monkeypatch):
@@ -126,11 +129,10 @@ def test_run_battery_zero_span_degrades_cleanly(monkeypatch):
     assert report.min_sign_split == 0.0
 
 
-def test_run_battery_dumps_failures(tmp_path):
+def test_run_battery_dumps_failures(tight_trace_limit, monkeypatch, tmp_path):
     dump_dir = os.fspath(tmp_path / "failures")
-    report = run_battery(
-        n_instances=6, seed=0, dump_dir=dump_dir, tol_scale=1e-12
-    )
+    report = run_battery(n_instances=6, seed=0, dump_dir=dump_dir)
+    monkeypatch.undo()
     assert not report.all_green
     assert report.failures
     assert report.failure_dumps
@@ -138,15 +140,14 @@ def test_run_battery_dumps_failures(tmp_path):
         with open(path) as fh:
             record = json.load(fh)
         rerun = run_scenario(parse_scenario(record))
-        assert rerun.green  # failures at 1e-12 scale rerun clean at scale 1
+        assert rerun.green  # red under the tightened row, green under the table
 
 
-def test_summary_lines_follow_tol_scale():
-    """Each line is judged against the scaled limit, as the verdict is."""
-    report = run_battery(n_instances=6, seed=0, tol_scale=1e-12)
+def test_summary_lines_follow_the_limit_table(tight_trace_limit):
+    """Each line is judged against its row of the table, as the verdict is."""
+    report = run_battery(n_instances=6, seed=0)
     assert not report.all_green
     lines = report.summary_lines()
-    assert any("FAIL" in line for line in lines)
     trace = next(line for line in lines if "trace identity" in line)
     assert "(limit 1.0e-21) FAIL" in trace
 

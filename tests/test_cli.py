@@ -87,19 +87,58 @@ def test_run_duplicate_ids(scenario_file, capsys):
     assert "duplicate scenario id" in capsys.readouterr().err
 
 
-def test_run_red_under_tiny_tol_scale(scenario_file, tmp_path, capsys):
+@pytest.fixture()
+def red_scenario_file(tmp_path):
+    """At k = 1 on a radius-2 disk the TCZ deviation is 0.1295, above 0.05."""
+    measure = {"kind": "disk-product", "radius": 2.0, "n_radial": 16, "n_angular": 32}
+    return _disk_scenario(
+        tmp_path, measure=measure, checks=["tcz"], params={"k_list": [1.0]}
+    )
+
+
+def test_run_red_on_a_failing_check(red_scenario_file, tmp_path, capsys):
     out = os.fspath(tmp_path / "red")
-    code = main(["run", scenario_file, "--out", out, "--tol-scale", "1e-16"])
-    assert code == EXIT_RED
-    assert "red; reports in" in capsys.readouterr().out
+    assert main(["run", red_scenario_file, "--out", out]) == EXIT_RED
+    assert "disk: tcz FAIL" in capsys.readouterr().out
+    with open(os.path.join(out, "summary.json")) as fh:
+        metrics = json.load(fh)["scenarios"][0]["checks"][0]["metrics"]
+    assert metrics["final_max_abs_dev"] == pytest.approx(0.1295, abs=1e-4)
 
 
-@pytest.mark.parametrize("value", ["nan", "-1", "0"])
-def test_tol_scale_must_be_finite_and_positive(value, scenario_file, capsys):
+@pytest.mark.parametrize("value", ["1", "0", "-1", "nan"])
+@pytest.mark.parametrize(
+    "verb", [["run", "SCENARIO"], ["battery"]], ids=["run", "battery"]
+)
+def test_tol_scale_is_not_an_option(verb, value, scenario_file, tmp_path, capsys):
+    verb = [scenario_file if a == "SCENARIO" else a for a in verb]
+    out = os.fspath(tmp_path / "out")
     with pytest.raises(SystemExit) as err:
-        main(["run", scenario_file, "--tol-scale", value])
+        main([*verb, "--tol-scale", value, "--out", out])
     assert err.value.code == EXIT_CONFIG
-    assert "--tol-scale" in capsys.readouterr().err
+    assert f"unrecognized arguments: --tol-scale {value}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_summary_json_holds_no_infinity(tmp_path, capsys):
+    """k = 1e308 asks for an infinite degree; the report writes it as null."""
+    measure = {"kind": "disk-product", "radius": 2.0, "n_radial": 8, "n_angular": 16}
+    path = _disk_scenario(
+        tmp_path,
+        measure=measure,
+        phi={"family": "radial-poly", "coeffs": [0.0, 1e-11]},
+        checks=["tcz"],
+        params={"k_list": [1e308]},
+    )
+    out = os.fspath(tmp_path / "out")
+    assert main(["run", path, "--out", out]) in (EXIT_GREEN, EXIT_RED)
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    with open(os.path.join(out, "summary.json")) as fh:
+        doc = json.load(fh, parse_constant=reject)
+    tcz = doc["scenarios"][0]["checks"][0]["metrics"]
+    assert tcz["degrees_requested"] == [None]
 
 
 def test_run_json_format(scenario_file, tmp_path, capsys):
@@ -109,7 +148,7 @@ def test_run_json_format(scenario_file, tmp_path, capsys):
     with open(os.path.join(out, "summary.json")) as fh:
         doc = json.load(fh)
     assert doc["green"] is True
-    assert doc["tol_scale"] == 1.0
+    assert "tol_scale" not in doc
 
 
 def test_battery_green(tmp_path, capsys):
@@ -142,12 +181,11 @@ def test_battery_rejects_a_negative_count(flag, value, tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
-def test_battery_red_with_tiny_tol_scale(tmp_path, capsys):
+def test_battery_red_under_a_tightened_limit(tight_trace_limit, tmp_path, capsys):
     out = os.fspath(tmp_path / "batred")
-    code = main(
-        ["battery", "--n", "6", "--seed", "0", "--out", out, "--tol-scale", "1e-12"]
-    )
+    code = main(["battery", "--n", "6", "--seed", "0", "--out", out])
     assert code == EXIT_RED
+    assert "(limit 1.0e-21) FAIL" in capsys.readouterr().out
     failures = os.path.join(out, "failures")
     assert os.path.isdir(failures)
     assert os.listdir(failures)
@@ -256,16 +294,24 @@ def test_run_rejects_an_improper_omega(omega, tmp_path, capsys):
     "args",
     [
         ["battery", "--n", "6", "--seed", "0"],
-        ["battery", "--n", "6", "--seed", "0", "--tol-scale", "1e-12"],
+        ["TIGHT", "battery", "--n", "6", "--seed", "0"],
         ["battery", "--n", "3", "--seed", "0", "--max-principle", "50"],
         ["run", "SCENARIO"],
-        ["run", "SCENARIO", "--tol-scale", "1e-16"],
+        ["run", "RED_SCENARIO"],
     ],
     ids=["battery-green", "battery-red", "search-green", "run-green", "run-red"],
 )
-def test_summary_green_is_the_exit_verdict(args, scenario_file, tmp_path, capsys):
+def test_summary_green_is_the_exit_verdict(args, request, tmp_path, capsys):
+    """A leading TIGHT runs the battery under a tightened trace limit."""
+    if args[0] == "TIGHT":
+        request.getfixturevalue("tight_trace_limit")
+        args = args[1:]
+    files = {
+        "SCENARIO": request.getfixturevalue("scenario_file"),
+        "RED_SCENARIO": request.getfixturevalue("red_scenario_file"),
+    }
     out = os.fspath(tmp_path / "out")
-    args = [scenario_file if a == "SCENARIO" else a for a in args]
+    args = [files.get(a, a) for a in args]
     code = main([*args, "--out", out])
     assert code in (EXIT_GREEN, EXIT_RED)
     with open(os.path.join(out, "summary.json")) as fh:

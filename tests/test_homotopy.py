@@ -13,13 +13,10 @@ from bergmanlab import (
     eval_weight,
     g_derivative_forms,
     g_of_t,
-    kernel_derivative_matrix,
-    kernel_fd,
     kernel_matrix,
     l2_difference_bound_check,
     monomial_span,
     monotonicity_sweep,
-    sublevel_set,
     sup_bound_constant,
     tabulated_span,
     tabulated_weight,
@@ -52,6 +49,20 @@ def random_setup(seed, m=12, d=4):
     return measure, span, phi, psi
 
 
+def kernel_derivative_matrix(path, space_t):
+    """Matrix of K'_t on node pairs: K diag(u w e^{-phi_t}) K."""
+    k = kernel_matrix(space_t)
+    d = path.direction * space_t.measure_factor
+    return (k * d[None, :]) @ k
+
+
+def kernel_fd(path, t, tau, span, measure):
+    """Central finite difference of the node-pair kernel in t."""
+    k_plus = kernel_matrix(space_at(path, t + tau, span, measure))
+    k_minus = kernel_matrix(space_at(path, t - tau, span, measure))
+    return (k_plus - k_minus) / (2.0 * tau)
+
+
 def test_path_construction():
     measure, span, phi, psi = two_node()
     path = build_path(phi, psi)
@@ -72,7 +83,7 @@ def test_two_node_g_closed_form():
     measure, span, phi, psi = two_node()
     path = build_path(phi, psi)
     for t in np.linspace(0.0, 1.0, 11):
-        assert g_of_t(path, None, float(t), span, measure) == pytest.approx(
+        assert g_of_t(path, float(t), span, measure) == pytest.approx(
             two_node_g(float(t)), abs=1e-13
         )
 
@@ -116,21 +127,10 @@ def test_fd_is_second_order():
     exact = g_derivative_forms(path, 0.5, span, measure).sign_split_form
 
     def g(t):
-        return g_of_t(path, None, t, span, measure)
+        return g_of_t(path, t, span, measure)
 
     slope = fd_order(g, 0.5, exact, (1e-2, 5e-3, 2e-3, 1e-3))
     assert 1.8 <= slope <= 2.2
-
-
-def test_rho_variants_agree():
-    """None and the sublevel-set indicator array name the same profile."""
-    measure, span, phi, psi = random_setup(5)
-    path = build_path(phi, psi)
-    s = sublevel_set(phi, psi)
-    base = g_of_t(path, None, 0.3, span, measure)
-    assert g_of_t(path, s.astype(float), 0.3, span, measure) == pytest.approx(
-        base, rel=1e-14
-    )
 
 
 def test_rank_one_kernel_derivative_closed_form():
@@ -214,7 +214,7 @@ def test_zero_span_g_vanishes():
     psi = eval_weight(tabulated_weight([-1.0, 1.0, 0.0]), measure)
     path = build_path(phi, psi)
     for t in (0.0, 0.5, 1.0):
-        assert g_of_t(path, None, t, span, measure) == 0.0
+        assert g_of_t(path, t, span, measure) == 0.0
         der = g_derivative_forms(path, t, span, measure)
         assert der.sign_split_form == 0.0
         assert der.fd_estimate == 0.0
