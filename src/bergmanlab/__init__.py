@@ -52,11 +52,8 @@ from .kernels import (
     bergman_density_at,
     bergman_density_from_space,
     build_space,
-    equilibrated_spectrum,
     equilibration_scales,
     kernel_eval_at,
-    kernel_matrix,
-    kernel_monotonicity_check,
     orthonormal_basis,
     orthonormal_node_values,
     reproducing_residual,

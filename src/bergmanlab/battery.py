@@ -32,7 +32,7 @@ from .comparison import (
     shifted_comparison_sweep,
 )
 from .homotopy import (
-    BOUND_STEPS,
+    BOUND_T,
     ORDER_STEPS,
     build_path,
     g_derivative_forms,
@@ -78,7 +78,6 @@ SEARCH_MAX_DIM = 4
 MONOMIAL_NODE_MARGIN = 4
 
 DEFAULT_N_INSTANCES = 200
-DERIVATIVE_T = 0.5
 
 # Acceptable window for the measured convergence order of the central
 # difference quotient, fitted across ORDER_STEPS on the whole battery.
@@ -161,7 +160,7 @@ def generate_instance(rng, index: int) -> BatteryInstance:
         tame = all(
             retained_spread(assemble_gram(span, measure, weight_at(path, t)))
             <= SPREAD_BOUND
-            for t in (0.0, DERIVATIVE_T, 1.0)
+            for t in (0.0, BOUND_T, 1.0)
         )
         if tame:
             return BatteryInstance(
@@ -207,7 +206,7 @@ def check_instance(inst: BatteryInstance) -> InstanceMetrics:
     }
 
     path = build_path(phi, psi)
-    der = g_derivative_forms(path, DERIVATIVE_T, span, measure)
+    der = g_derivative_forms(path, BOUND_T, span, measure)
     values["three_form_dev"] = checks.three_form_dev(der)
     values["sign_split"] = der.sign_split_form
     values["fd_match_ratio"] = checks.fd_match_ratio(der)
@@ -217,13 +216,11 @@ def check_instance(inst: BatteryInstance) -> InstanceMetrics:
     values["endpoint_dev"] = checks.endpoint_dev(
         g_vals, comparison_integrals(phi, psi, span, measure)
     )
-    values["bound"] = checks.quotient_bounds_hold(
-        path, DERIVATIVE_T, BOUND_STEPS, span, measure
-    )
+    values["bound"] = checks.quotient_bounds_hold(path, span, measure)
 
     order_errors = {}
     for tau in ORDER_STEPS:
-        d_tau = g_derivative_forms(path, DERIVATIVE_T, span, measure, fd_step=tau)
+        d_tau = g_derivative_forms(path, BOUND_T, span, measure, fd_step=tau)
         order_errors[tau] = abs(d_tau.fd_estimate - d_tau.sign_split_form)
 
     return InstanceMetrics(

@@ -27,6 +27,8 @@ import numpy as np
 
 from .comparison import COMPARISON_TOL, STRICT_MARGIN
 from .homotopy import (
+    BOUND_STEPS,
+    BOUND_T,
     ENDPOINT_TOL,
     FD_MATCH_TOL,
     SIGN_SPLIT_FLOOR,
@@ -155,10 +157,10 @@ def endpoint_dev(g_values, endpoints) -> float:
     return max(abs(g_values[0] - endpoints.lhs), abs(g_values[-1] - endpoints.rhs))
 
 
-def quotient_bounds_hold(path, t, steps, span, measure) -> bool:
-    """Both kernel quotient bounds at t, for every step in steps."""
+def quotient_bounds_hold(path, span, measure) -> bool:
+    """Both kernel quotient bounds at BOUND_T, for every step in BOUND_STEPS."""
     return all(
-        difference_quotient_bound_check(path, t, tau, span, measure)
-        and l2_difference_bound_check(path, t, tau, span, measure)
-        for tau in steps
+        difference_quotient_bound_check(path, BOUND_T, tau, span, measure)
+        and l2_difference_bound_check(path, BOUND_T, tau, span, measure)
+        for tau in BOUND_STEPS
     )

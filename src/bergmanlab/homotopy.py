@@ -39,10 +39,14 @@ from .measures import QuadratureMeasure
 from .spans import FunctionSpan
 from .weights import WeightFunction
 
-DEFAULT_T_GRID = tuple(np.linspace(0.0, 1.0, 11))
+# The times at which the homotopy checks evaluate G, from 0 to 1.  The
+# kernel quotient bounds are checked at BOUND_T over BOUND_STEPS, and the
+# battery reads G' at BOUND_T too.
+T_GRID = tuple(float(t) for t in np.linspace(0.0, 1.0, 11))
+BOUND_T = T_GRID[5]
+BOUND_STEPS = (0.5, 0.1, 0.01)
 FD_STEP = 1e-3
 ORDER_STEPS = (1e-2, 1e-3, 1e-4)
-BOUND_STEPS = (0.5, 0.1, 0.01)
 
 THREE_FORM_RTOL = 1e-10
 SIGN_SPLIT_FLOOR = -1e-12
@@ -61,7 +65,6 @@ class HomotopyPath:
     base_values: np.ndarray
     direction: np.ndarray
     u_sup: float
-    t_grid: tuple
 
 
 @dataclass(frozen=True)
@@ -83,14 +86,13 @@ class DerivativeReport:
         return max(abs(a - b) for a in forms for b in forms)
 
 
-def build_path(phi: WeightFunction, psi: WeightFunction, t_grid=None) -> HomotopyPath:
+def build_path(phi: WeightFunction, psi: WeightFunction) -> HomotopyPath:
     """Path from phi to psi; the direction is u = psi - phi."""
     u = psi.values - phi.values
     return HomotopyPath(
         base_values=phi.values,
         direction=u,
         u_sup=float(np.max(np.abs(u))) if u.size else 0.0,
-        t_grid=tuple(float(t) for t in (DEFAULT_T_GRID if t_grid is None else t_grid)),
     )
 
 
@@ -238,9 +240,9 @@ def monotonicity_sweep(
     span: FunctionSpan,
     measure: QuadratureMeasure,
 ) -> list:
-    """(t, G(t)) along the path's grid with rho = 1_{u < 0}.
+    """(t, G(t)) on T_GRID with rho = 1_{u < 0}.
 
     G must be nondecreasing up to STEP_TOL per step, with G at the endpoints
     equal to the two comparison integrals.
     """
-    return [(t, g_of_t(path, t, span, measure)) for t in path.t_grid]
+    return [(t, g_of_t(path, t, span, measure)) for t in T_GRID]

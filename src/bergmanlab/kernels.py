@@ -26,8 +26,8 @@ The kernel diagonal at the nodes takes the same path under the same rule
 (_ring_path): with M = C C*, K(r_i e^{i theta_j}) = N ifft(A_i)[j], where
 A_i[k] = sum_s r_i^s Q[s, k] and Q[s, k mod N] sums M[n, m] over n + m = s
 and n - m = k.  That is O(d^2 rank + rings d^2 + rings N log N) work instead
-of O(m d rank).  Node densities, the scaling ladder, the trace error, the
-monotonicity check and the second pass of the reproducing residual read it.
+of O(m d rank).  Node densities, the scaling ladder, the trace error and
+the second pass of the reproducing residual read it.
 The folded sum's error scales with the ring's mean of K, not with K at the
 node, so where a ring's smallest value lies far below its mean (a strongly
 non-radial weight), or where r^(2d-2) overflows, they fall back to the
@@ -36,9 +36,9 @@ blocks below.
 Otherwise densities, kernel diagonals and the reproducing residual form the
 orthonormal node values E = V C BLOCK_ROWS rows at a time, so their memory
 does not grow with the node count; above BLOCK_ROWS rows a monomial span is
-evaluated block by block and never tabulated.  orthonormal_node_values and
-kernel_matrix still return full matrices, for the homotopy checks, which run
-on small rules.
+evaluated block by block and never tabulated.  orthonormal_node_values
+still returns the full matrix, for the homotopy checks, which run on small
+rules.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ PSD_TOL = 1e-13
 # Residual allowances for the identities the engine guarantees.
 TRACE_TOL = 1e-9
 REPRODUCING_TOL = 1e-9
-MONOTONICITY_TOL = 1e-12
 # Work m * d^2 of the dense Gram product from which a monomial span on the
 # disk rule is assembled ring by ring instead.  Below it the dense product
 # takes about a millisecond or less, so the ring path would gain nothing;
@@ -217,11 +216,6 @@ def _equilibrated(gram: np.ndarray):
     return scale, rescaled
 
 
-def equilibrated_spectrum(gram: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the unit-diagonal rescaling of a Gram."""
-    return np.linalg.eigvalsh(_equilibrated(gram)[1])
-
-
 def retained_spread(gram: np.ndarray) -> float:
     """Spread (max/min) of the retained equilibrated Gram spectrum.
 
@@ -229,7 +223,7 @@ def retained_spread(gram: np.ndarray) -> float:
     rank truncation; identity residuals scale with roundoff times this
     number.
     """
-    lam = equilibrated_spectrum(gram)
+    lam = np.linalg.eigvalsh(_equilibrated(gram)[1])
     top = lam[-1] if lam.size else 0.0
     if top <= 0.0:
         return 1.0
@@ -283,13 +277,6 @@ def build_space(
 def orthonormal_node_values(space: WeightedSpace) -> np.ndarray:
     """Values of the orthonormal basis at the nodes, shape (m, rank)."""
     return space.span.basis_values @ space.ortho_coeffs
-
-
-def kernel_matrix(space: WeightedSpace) -> np.ndarray:
-    """Dense Hermitian kernel on node pairs.  Rank 0 gives the zero kernel."""
-    e = orthonormal_node_values(space)
-    k = e @ e.conj().T
-    return 0.5 * (k + k.conj().T)
 
 
 def kernel_eval_at(space: WeightedSpace, z, w=None) -> np.ndarray:
@@ -392,21 +379,3 @@ def reproducing_residual(space: WeightedSpace) -> float:
         axis=0,
     )
     return float(row_peak * col_peak)
-
-
-def kernel_monotonicity_check(space_lo: WeightedSpace, space_hi: WeightedSpace) -> bool:
-    """Check K_lo(z, z) <= K_hi(z, z) at every node when phi_lo <= phi_hi.
-
-    Raising the weight shrinks every norm, which can only raise the diagonal
-    of the kernel.  The precondition phi_lo <= phi_hi is enforced; a failing
-    node is reported in the error.
-    """
-    lo, hi = space_lo.weight.values, space_hi.weight.values
-    bad = lo > hi
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise InvalidConfigurationError(
-            f"weights are not ordered at node {j}: {lo[j]} > {hi[j]}"
-        )
-    k_lo, k_hi = _kernel_diagonal(space_lo), _kernel_diagonal(space_hi)
-    return bool(np.all(k_lo <= k_hi + MONOTONICITY_TOL * (1.0 + k_hi)))

@@ -58,15 +58,6 @@ class QuadratureMeasure:
     def n(self) -> int:
         return self.points.size
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
-    def moment(self, a: int, b: int) -> complex:
-        """Monomial moment: integral of z^a conj(z)^b against the measure."""
-        z = self.points
-        return complex(np.sum(self.masses * z**a * np.conj(z) ** b))
-
 
 def build_discrete_measure(points, masses) -> QuadratureMeasure:
     """Assemble an explicit discrete measure.

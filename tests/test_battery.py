@@ -18,13 +18,12 @@ from bergmanlab import (
     run_scenario,
 )
 from bergmanlab.battery import (
-    DERIVATIVE_T,
     MONOMIAL_NODE_MARGIN,
     ORDER_STEPS,
     SPREAD_BOUND,
     fit_order_slope,
 )
-from bergmanlab.homotopy import build_path, weight_at
+from bergmanlab.homotopy import BOUND_T, build_path, weight_at
 from bergmanlab.kernels import assemble_gram, retained_spread
 from bergmanlab.spans import tabulated_span
 
@@ -41,7 +40,7 @@ def test_generate_instance_respects_bounds(monkeypatch):
         if inst.span.kind == "monomials":
             assert inst.span.dim <= max(1, m - MONOMIAL_NODE_MARGIN)
         path = build_path(inst.phi, inst.psi)
-        for t in (0.0, DERIVATIVE_T, 1.0):
+        for t in (0.0, BOUND_T, 1.0):
             gram = assemble_gram(inst.span, inst.measure, weight_at(path, t))
             assert retained_spread(gram) <= SPREAD_BOUND
 

@@ -119,8 +119,9 @@ def test_tol_scale_is_not_an_option(verb, value, scenario_file, tmp_path, capsys
     assert not os.path.exists(out)
 
 
-def test_summary_json_holds_no_infinity(tmp_path, capsys):
-    """k = 1e308 asks for an infinite degree; the report writes it as null."""
+def test_run_rejects_a_k_whose_degree_is_not_finite(tmp_path, capsys):
+    """k = 1e308 asks for the degree 1.5 k R^2 = inf on a radius-2 disk, while
+    k * phi stays finite at every node."""
     measure = {"kind": "disk-product", "radius": 2.0, "n_radial": 8, "n_angular": 16}
     path = _disk_scenario(
         tmp_path,
@@ -130,15 +131,9 @@ def test_summary_json_holds_no_infinity(tmp_path, capsys):
         params={"k_list": [1e308]},
     )
     out = os.fspath(tmp_path / "out")
-    assert main(["run", path, "--out", out]) in (EXIT_GREEN, EXIT_RED)
-
-    def reject(constant):
-        raise ValueError(f"non-standard JSON constant {constant}")
-
-    with open(os.path.join(out, "summary.json")) as fh:
-        doc = json.load(fh, parse_constant=reject)
-    tcz = doc["scenarios"][0]["checks"][0]["metrics"]
-    assert tcz["degrees_requested"] == [None]
+    assert main(["run", path, "--out", out]) == EXIT_CONFIG
+    assert "field 'params.k_list[0]'" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "summary.json"))
 
 
 def test_run_json_format(scenario_file, tmp_path, capsys):

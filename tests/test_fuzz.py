@@ -32,8 +32,6 @@ SMALL_DISK = {
     "checks": ["structural", "comparison", "sweep", "homotopy", "tcz", "maxprinciple"],
     "params": {
         "c_grid": [-0.5, 0.0, 0.5],
-        "t_grid": [0.0, 0.5, 1.0],
-        "tau_list": [0.1],
         "k_list": [4.0, 6.0],
         "interior_radius": 0.3,
     },

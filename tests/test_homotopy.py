@@ -13,15 +13,15 @@ from bergmanlab import (
     eval_weight,
     g_derivative_forms,
     g_of_t,
-    kernel_matrix,
     l2_difference_bound_check,
     monomial_span,
     monotonicity_sweep,
+    orthonormal_node_values,
     sup_bound_constant,
     tabulated_span,
     tabulated_weight,
 )
-from bergmanlab.homotopy import space_at, weight_at
+from bergmanlab.homotopy import T_GRID, space_at, weight_at
 from oracles import (
     fd_order,
     rank_one_kernel_derivative,
@@ -49,17 +49,23 @@ def random_setup(seed, m=12, d=4):
     return measure, span, phi, psi
 
 
+def node_kernel(space):
+    """The kernel on node pairs, K = E E* from the orthonormal node values E."""
+    e = orthonormal_node_values(space)
+    return e @ e.conj().T
+
+
 def kernel_derivative_matrix(path, space_t):
     """Matrix of K'_t on node pairs: K diag(u w e^{-phi_t}) K."""
-    k = kernel_matrix(space_t)
+    k = node_kernel(space_t)
     d = path.direction * space_t.measure_factor
     return (k * d[None, :]) @ k
 
 
 def kernel_fd(path, t, tau, span, measure):
     """Central finite difference of the node-pair kernel in t."""
-    k_plus = kernel_matrix(space_at(path, t + tau, span, measure))
-    k_minus = kernel_matrix(space_at(path, t - tau, span, measure))
+    k_plus = node_kernel(space_at(path, t + tau, span, measure))
+    k_minus = node_kernel(space_at(path, t - tau, span, measure))
     return (k_plus - k_minus) / (2.0 * tau)
 
 
@@ -68,8 +74,8 @@ def test_path_construction():
     path = build_path(phi, psi)
     assert np.allclose(path.direction, [-1.0, 1.0])
     assert path.u_sup == 1.0
-    assert path.t_grid[0] == 0.0 and path.t_grid[-1] == 1.0
-    assert len(path.t_grid) == 11
+    assert T_GRID[0] == 0.0 and T_GRID[-1] == 1.0
+    assert len(T_GRID) == 11
 
 
 def test_weight_at_endpoints():
@@ -196,8 +202,8 @@ def test_l2_bound_matches_explicit_arithmetic():
     path = build_path(phi, psi)
     t, tau = 0.4, 0.1
     space_t = space_at(path, t, span, measure)
-    k0 = kernel_matrix(space_t)
-    k1 = kernel_matrix(space_at(path, t + tau, span, measure))
+    k0 = node_kernel(space_t)
+    k1 = node_kernel(space_at(path, t + tau, span, measure))
     diff = k1 - k0
     d = space_t.measure_factor
     explicit = np.einsum("ik,k,ik->i", diff, d, diff.conj()).real

@@ -56,6 +56,8 @@ def test_parse_full_scenario():
     assert config.c_grid == (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 
+# A case's test id holds its index in this list, so a case that goes is
+# replaced in place.
 @pytest.mark.parametrize(
     "mutate,needle",
     [
@@ -66,8 +68,8 @@ def test_parse_full_scenario():
         ({"measure": {"kind": "discrete", "points": [[0, 0]]}}, "masses"),
         ({"span": {"kind": "monomials"}}, "span.degree"),
         ({"phi": {"family": "mystery"}}, "phi"),
-        ({"params": {"t_grid": [0.0, 1.5]}}, "t_grid"),
-        ({"params": {"tau_list": [0.0]}}, "tau_list"),
+        ({"params": {"t_grid": [0.0, 0.5, 1.0]}}, "'params.t_grid': unknown parameter"),
+        ({"params": {"tau_list": [0.1]}}, "'params.tau_list': unknown parameter"),
         ({"omega": [5]}, "out of range"),
         ({"omega": ["x"]}, "omega[0]"),
         ({"span": {"kind": "monomials", "degree": "x"}}, "span.degree"),
@@ -78,9 +80,12 @@ def test_parse_full_scenario():
         ({"measure": {"kind": "discrete", "points": [[0, 0]], "masses": ["a"]}},
          "measure.masses[0]"),
         ({"params": {"c_grid": ["a"]}}, "params.c_grid[0]"),
-        ({"params": {"t_grid": []}}, "params.t_grid"),
-        ({"params": {"t_grid": [0.5, 0.0, 1.0]}}, "params.t_grid"),
-        ({"params": {"tau_list": [float("nan")]}}, "params.tau_list[0]"),
+        ({"measure": dict(DISK_24X48, radius=2.0, n_radial=8, n_angular=16),
+          "checks": ["tcz"], "phi": {"family": "radial-poly", "coeffs": [0.0, 1e-11]},
+          "psi": {"family": "constant", "c": 0.0},
+          "params": {"k_list": [1e308]}}, "field 'params.k_list[0]'"),
+        ({"params": [0.5]}, "field 'params': expected an object"),
+        ({"params": {"k_list": []}}, "'params.k_list': must be nonempty"),
         ({"params": {"k_list": [0]}}, "params.k_list"),
         ({"params": {"k_list": [float("inf")]}}, "params.k_list[0]"),
         ({"params": {"interior_radius": 0.0}}, "params.interior_radius"),
