@@ -39,15 +39,10 @@ from .homotopy import (
     monotonicity_sweep,
     weight_at,
 )
-from .kernels import (
-    assemble_gram,
-    build_space,
-    reproducing_residual,
-    retained_spread,
-)
+from .kernels import assemble_gram, build_space, retained_spread
 from .measures import build_discrete_measure
-from .scenarios import DEFAULT_C_GRID
-from .spans import KIND_MONOMIALS, monomial_span, tabulated_span
+from .scenarios import DEFAULT_C_GRID, scenario_record
+from .spans import monomial_span, tabulated_span
 from .weights import eval_weight, tabulated_weight
 
 # Gram spectra with a retained eigenvalue spread beyond this amplify
@@ -102,30 +97,14 @@ class BatteryInstance:
 
     def scenario_dict(self, checks=("structural", "comparison", "homotopy")) -> dict:
         """A scenario-file dictionary that reruns this instance."""
-        pts = self.measure.points
-        span_desc: dict
-        if self.span.kind == KIND_MONOMIALS:
-            span_desc = {"kind": "monomials", "degree": self.span.degree}
-        else:
-            vals = self.span.basis_values
-            span_desc = {
-                "kind": "tabulated",
-                "values": [
-                    [[float(v.real), float(v.imag)] for v in row] for row in vals
-                ],
-            }
-        return {
-            "id": f"battery-instance-{self.index}",
-            "measure": {
-                "kind": "discrete",
-                "points": [[float(z.real), float(z.imag)] for z in pts],
-                "masses": [float(m) for m in self.measure.masses],
-            },
-            "span": span_desc,
-            "phi": {"family": "tabulated", "values": self.phi.values.tolist()},
-            "psi": {"family": "tabulated", "values": self.psi.values.tolist()},
-            "checks": list(checks),
-        }
+        return scenario_record(
+            f"battery-instance-{self.index}",
+            self.measure,
+            self.span,
+            self.phi,
+            self.psi,
+            checks,
+        )
 
 
 def _draw_measure(rng, m: int):
@@ -135,6 +114,19 @@ def _draw_measure(rng, m: int):
     lo_m, hi_m = MASS_RANGE
     masses = np.exp(rng.uniform(math.log(lo_m), math.log(hi_m), m))
     return build_discrete_measure(radii * np.exp(1j * angles), masses)
+
+
+def _draw_span(rng, measure, d: int, node_margin: int):
+    """A monomial span with probability MONOMIAL_FRACTION, else a random one.
+
+    Both have dimension d, but a monomial span shrinks (to 1 at least) to
+    keep node_margin more nodes than columns.
+    """
+    m = measure.n
+    if rng.uniform() < MONOMIAL_FRACTION:
+        return monomial_span(measure, min(d, max(1, m - node_margin)) - 1)
+    vals = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+    return tabulated_span(vals / math.sqrt(2.0))
 
 
 def generate_instance(rng, index: int) -> BatteryInstance:
@@ -148,12 +140,7 @@ def generate_instance(rng, index: int) -> BatteryInstance:
         m = int(rng.integers(2, MAX_NODES + 1))
         d = int(rng.integers(1, MAX_DIM + 1))
         measure = _draw_measure(rng, m)
-        if rng.uniform() < MONOMIAL_FRACTION:
-            d = min(d, max(1, m - MONOMIAL_NODE_MARGIN))
-            span = monomial_span(measure, d - 1)
-        else:
-            vals = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
-            span = tabulated_span(vals / math.sqrt(2.0))
+        span = _draw_span(rng, measure, d, MONOMIAL_NODE_MARGIN)
         phi = eval_weight(tabulated_weight(rng.uniform(*WEIGHT_RANGE, m)), measure)
         psi = eval_weight(tabulated_weight(rng.uniform(*WEIGHT_RANGE, m)), measure)
         path = build_path(phi, psi)
@@ -196,27 +183,23 @@ def check_instance(inst: BatteryInstance) -> InstanceMetrics:
     measure, span, phi, psi = inst.measure, inst.span, inst.phi, inst.psi
 
     space = build_space(span, measure, phi)
-    values = {
-        "trace_error": checks.trace_error(space),
-        "reproducing_residual": reproducing_residual(space),
-        "comparison_deficit": checks.comparison_deficit(
-            shifted_comparison_sweep(phi, psi, span, measure, DEFAULT_C_GRID)
-        ),
-        "sandwich": bool(sandwich_check(phi, psi, span, measure)),
-    }
+    values = checks.structural_values(space)
+    values["comparison_deficit"] = checks.comparison_deficit(
+        shifted_comparison_sweep(phi, psi, span, measure, DEFAULT_C_GRID)
+    )
+    values["sandwich"] = bool(sandwich_check(phi, psi, span, measure))
 
     path = build_path(phi, psi)
-    der = g_derivative_forms(path, BOUND_T, span, measure)
-    values["three_form_dev"] = checks.three_form_dev(der)
-    values["sign_split"] = der.sign_split_form
-    values["fd_match_ratio"] = checks.fd_match_ratio(der)
-
-    g_vals = [g for _, g in monotonicity_sweep(path, span, measure)]
-    values["monotonicity_drop"] = checks.monotonicity_drop(g_vals)
-    values["endpoint_dev"] = checks.endpoint_dev(
-        g_vals, comparison_integrals(phi, psi, span, measure)
+    values.update(
+        checks.homotopy_values(
+            path,
+            [g_derivative_forms(path, BOUND_T, span, measure)],
+            [g for _, g in monotonicity_sweep(path, span, measure)],
+            comparison_integrals(phi, psi, span, measure),
+            span,
+            measure,
+        )
     )
-    values["bound"] = checks.quotient_bounds_hold(path, span, measure)
 
     order_errors = {}
     for tau in ORDER_STEPS:
@@ -439,11 +422,8 @@ def max_principle_search(
         # function-space setting being modeled, so the search excludes it.
         d = int(rng.integers(1, min(SEARCH_MAX_DIM, m - 1) + 1))
         measure = _draw_measure(rng, m)
-        if rng.uniform() < MONOMIAL_FRACTION:
-            span = monomial_span(measure, d - 1)
-        else:
-            vals = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
-            span = tabulated_span(vals / math.sqrt(2.0))
+        # With d <= m - 1, a node margin of 1 keeps every monomial span at d.
+        span = _draw_span(rng, measure, d, 1)
         omega = np.zeros(m, dtype=bool)
         omega[rng.choice(m, size=int(rng.integers(1, m)), replace=False)] = True
 
@@ -465,15 +445,9 @@ def max_principle_search(
         verdict = max_principle_check(phi, psi, omega, span, measure)
         tally[verdict] += 1
         if verdict == MAXPRINCIPLE_COUNTEREXAMPLE:
-            inst = BatteryInstance(
-                index=i,
-                measure=measure,
-                span=span,
-                phi=phi,
-                psi=psi,
-                resamples=0,
+            record = scenario_record(
+                f"battery-instance-{i}", measure, span, phi, psi, ("maxprinciple",)
             )
-            record = inst.scenario_dict(checks=("maxprinciple",))
             record["omega"] = [int(j) for j in np.flatnonzero(omega)]
             counterexamples.append(record)
 

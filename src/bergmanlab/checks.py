@@ -1,5 +1,8 @@
-"""The check limits and the metrics they judge, shared by the battery and the
-scenario runner.
+"""The check limits and the values they judge, for the battery and the
+scenario runner alike.
+
+Each check's values have one definition here, which both runners call:
+structural_values, comparison_deficit and homotopy_values.
 
 LIMITS is the one table of pass/fail limits.  Each row names a metric, its
 tolerance constant, and whether the limit bounds the metric from above or
@@ -21,6 +24,7 @@ order window are fixed too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +41,12 @@ from .homotopy import (
     difference_quotient_bound_check,
     l2_difference_bound_check,
 )
-from .kernels import REPRODUCING_TOL, TRACE_TOL, bergman_density_from_space
+from .kernels import (
+    REPRODUCING_TOL,
+    TRACE_TOL,
+    bergman_density_from_space,
+    reproducing_residual,
+)
 from .quantization import TCZ_FINAL_DEV_LIMIT
 
 ABSOLUTE = "absolute"
@@ -118,12 +127,6 @@ def failures(values: dict) -> list:
     return failed
 
 
-def trace_error(space) -> float:
-    """|integral of the density - rank| / max(1, rank)."""
-    integral = float(np.dot(space.measure.masses, bergman_density_from_space(space)))
-    return abs(integral - space.rank) / max(1, space.rank)
-
-
 def comparison_deficit(reports) -> float:
     """How far the worst comparison margin falls below its allowance; 0 if none."""
     limit = LIMIT_BY_METRIC["comparison_deficit"]
@@ -144,23 +147,36 @@ def fd_match_ratio(der) -> float:
     return abs(der.fd_estimate - der.sign_split_form) / limit.bound(der.sign_split_form)
 
 
-def monotonicity_drop(g_values) -> float:
-    """Largest decrease of G between consecutive grid points (0 for one point)."""
-    return max(
-        (g_values[i] - g_values[i + 1] for i in range(len(g_values) - 1)),
-        default=0.0,
-    )
+def structural_values(space) -> dict:
+    """The trace error |integral of B - rank| / max(1, rank) and the residual."""
+    integral = float(np.dot(space.measure.masses, bergman_density_from_space(space)))
+    return {
+        "trace_error": abs(integral - space.rank) / max(1, space.rank),
+        "reproducing_residual": reproducing_residual(space),
+    }
 
 
-def endpoint_dev(g_values, endpoints) -> float:
-    """Gap between G at the path's ends and the two comparison integrals."""
-    return max(abs(g_values[0] - endpoints.lhs), abs(g_values[-1] - endpoints.rhs))
+def homotopy_values(path, ders, g_values, endpoints, span, measure) -> dict:
+    """The homotopy metrics and the quotient-bound verdict.
 
-
-def quotient_bounds_hold(path, span, measure) -> bool:
-    """Both kernel quotient bounds at BOUND_T, for every step in BOUND_STEPS."""
-    return all(
-        difference_quotient_bound_check(path, BOUND_T, tau, span, measure)
-        and l2_difference_bound_check(path, BOUND_T, tau, span, measure)
-        for tau in BOUND_STEPS
-    )
+    ders are the derivative reports to judge, and g_values is G on a grid
+    from 0 to 1, whose ends must meet the comparison integrals endpoints.
+    The bound verdict holds both kernel quotient bounds at BOUND_T, for
+    every step in BOUND_STEPS.
+    """
+    return {
+        "three_form_dev": max([0.0, *map(three_form_dev, ders)]),
+        "sign_split": min([math.inf, *(der.sign_split_form for der in ders)]),
+        "fd_match_ratio": max([0.0, *map(fd_match_ratio, ders)]),
+        "monotonicity_drop": max(
+            (a - b for a, b in zip(g_values, g_values[1:])), default=0.0
+        ),
+        "endpoint_dev": max(
+            abs(g_values[0] - endpoints.lhs), abs(g_values[-1] - endpoints.rhs)
+        ),
+        "bound": all(
+            difference_quotient_bound_check(path, BOUND_T, tau, span, measure)
+            and l2_difference_bound_check(path, BOUND_T, tau, span, measure)
+            for tau in BOUND_STEPS
+        ),
+    }

@@ -15,6 +15,7 @@ including an output directory that cannot be created or written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -133,14 +134,7 @@ def _battery_verb(args) -> int:
             f"conclusion-holds {search.conclusion_holds}, "
             f"counterexamples {len(search.counterexamples)}"
         )
-        extra["max_principle_search"] = {
-            "n_instances": search.n_instances,
-            "seed": search.seed,
-            "premises_fail": search.premises_fail,
-            "conclusion_holds": search.conclusion_holds,
-            "counterexamples": search.counterexamples,
-            "elapsed_seconds": search.elapsed_seconds,
-        }
+        extra["max_principle_search"] = dataclasses.asdict(search)
         green = green and not search.found_counterexample
 
     # With no scenario reports, the document's own green would be all([]).

@@ -56,7 +56,7 @@ from .errors import (
     InvalidScenarioError,
 )
 from .homotopy import T_GRID, build_path, g_derivative_forms
-from .kernels import build_space, reproducing_residual
+from .kernels import build_space
 from .measures import KIND_DISK, build_discrete_measure, build_disk_measure
 from .quantization import (
     DEFAULT_K_LADDER,
@@ -68,7 +68,7 @@ from .quantization import (
     requested_degree,
     tcz_convergence_report,
 )
-from .spans import monomial_span, tabulated_span
+from .spans import KIND_MONOMIALS, monomial_span, tabulated_span
 from .weights import (
     constant_weight,
     eval_weight,
@@ -76,15 +76,6 @@ from .weights import (
     harmonic_weight,
     radial_poly_weight,
     tabulated_weight,
-)
-
-CHECK_NAMES = (
-    "structural",
-    "comparison",
-    "sweep",
-    "homotopy",
-    "tcz",
-    "maxprinciple",
 )
 
 PARAM_NAMES = ("c_grid", "k_list", "interior_radius")
@@ -324,6 +315,8 @@ def parse_scenario(raw: dict, source: str = "<dict>") -> ScenarioConfig:
         return _numbers(params.get(name, default), scenario_id, field_path, *args)
 
     c_grid = listed("c_grid", DEFAULT_C_GRID)
+    if not c_grid:
+        _fail(scenario_id, "params.c_grid", "must be nonempty")
     k_list = listed("k_list", DEFAULT_K_LADDER, "a number > 0", lambda k: k > 0.0)
     if not k_list:
         _fail(scenario_id, "params.k_list", "must be nonempty")
@@ -396,6 +389,33 @@ def parse_scenario(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     )
 
 
+def scenario_record(scenario_id, measure, span, phi, psi, checks) -> dict:
+    """A scenario dictionary that parse_scenario reads back as these inputs.
+
+    The measure is written as a discrete one, node by node, and both
+    weights as their tabulated values.
+    """
+    def pairs(z):
+        return np.stack([z.real, z.imag], axis=-1).tolist()
+
+    if span.kind == KIND_MONOMIALS:
+        span_desc = {"kind": "monomials", "degree": span.degree}
+    else:
+        span_desc = {"kind": "tabulated", "values": pairs(span.basis_values)}
+    return {
+        "id": scenario_id,
+        "measure": {
+            "kind": "discrete",
+            "points": pairs(measure.points),
+            "masses": measure.masses.tolist(),
+        },
+        "span": span_desc,
+        "phi": {"family": "tabulated", "values": phi.values.tolist()},
+        "psi": {"family": "tabulated", "values": psi.values.tolist()},
+        "checks": list(checks),
+    }
+
+
 def load_scenario_file(path: str) -> ScenarioConfig:
     """Parse one scenario JSON file."""
     try:
@@ -445,35 +465,38 @@ def _check_structural(config):
     )
     for label, weight in weights:
         space = build_space(config.span, config.measure, weight)
-        values = {
-            "trace_error": checks.trace_error(space),
-            "reproducing_residual": reproducing_residual(space),
-        }
+        values = checks.structural_values(space)
         metrics[f"{label}_rank"] = space.rank
         metrics.update({f"{label}_{name}": v for name, v in values.items()})
         passed &= not checks.failures(values)
     return passed, metrics, []
 
 
-def _comparison_row(config, report, verdict):
-    return {
-        "scenario_id": config.scenario_id,
-        "c": report.shift,
-        "set_size": report.set_size,
-        "set_proper": report.set_proper,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "margin": report.margin,
-        "verdict": verdict,
-    }
+def _comparison_rows(config, c_grid):
+    """The comparison reports over c_grid, and their CSV rows with each verdict."""
+    reports = shifted_comparison_sweep(
+        config.phi, config.psi, config.span, config.measure, c_grid
+    )
+    psi_nontrivial = build_space(config.span, config.measure, config.psi).rank >= 1
+    rows = [
+        {
+            "scenario_id": config.scenario_id,
+            "c": report.shift,
+            "set_size": report.set_size,
+            "set_proper": report.set_proper,
+            "lhs": report.lhs,
+            "rhs": report.rhs,
+            "margin": report.margin,
+            "verdict": strictness_check(report, psi_nontrivial),
+        }
+        for report in reports
+    ]
+    return reports, rows
 
 
 def _check_comparison(config):
-    report = comparison_integrals(
-        config.phi, config.psi, config.span, config.measure
-    )
-    psi_space = build_space(config.span, config.measure, config.psi)
-    verdict = strictness_check(report, psi_space.rank >= 1)
+    (report,), rows = _comparison_rows(config, (0.0,))
+    verdict = rows[0]["verdict"]
     sandwich = sandwich_check(config.phi, config.psi, config.span, config.measure)
     metrics = {
         "lhs": report.lhs,
@@ -490,27 +513,16 @@ def _check_comparison(config):
         "sandwich": bool(sandwich),
         "strict": verdict == VERDICT_STRICT or not report.strict_expected,
     }
-    return not checks.failures(values), metrics, [
-        _comparison_row(config, report, verdict)
-    ]
+    return not checks.failures(values), metrics, rows
 
 
 def _check_sweep(config):
-    reports = shifted_comparison_sweep(
-        config.phi, config.psi, config.span, config.measure, config.c_grid
-    )
-    psi_space = build_space(config.span, config.measure, config.psi)
-    psi_nontrivial = psi_space.rank >= 1
-    rows = [
-        _comparison_row(config, report, strictness_check(report, psi_nontrivial))
-        for report in reports
-    ]
-    sizes = [report.set_size for report in reports]
+    reports, rows = _comparison_rows(config, config.c_grid)
+    # The sets {psi < phi + c} grow with c, so they nest in shift order.
+    sizes = [r.set_size for r in sorted(reports, key=lambda r: r.shift)]
     values = {
         "comparison_deficit": checks.comparison_deficit(reports),
-        "set_sizes_nested": all(
-            sizes[i] <= sizes[i + 1] for i in range(len(sizes) - 1)
-        ),
+        "set_sizes_nested": sizes == sorted(sizes),
     }
     metrics = {
         "n_shifts": len(reports),
@@ -537,18 +549,14 @@ def _check_homotopy(config):
         }
         for der in ders
     ]
-    g_values = [der.g_value for der in ders]
-    values = {
-        "three_form_dev": max([0.0, *map(checks.three_form_dev, ders)]),
-        "sign_split": min([math.inf, *(der.sign_split_form for der in ders)]),
-        "fd_match_ratio": max([0.0, *map(checks.fd_match_ratio, ders)]),
-        "monotonicity_drop": checks.monotonicity_drop(g_values),
-        "endpoint_dev": checks.endpoint_dev(
-            g_values,
-            comparison_integrals(config.phi, config.psi, config.span, config.measure),
-        ),
-        "bound": checks.quotient_bounds_hold(path, config.span, config.measure),
-    }
+    values = checks.homotopy_values(
+        path,
+        ders,
+        [der.g_value for der in ders],
+        comparison_integrals(config.phi, config.psi, config.span, config.measure),
+        config.span,
+        config.measure,
+    )
     metrics = {
         "worst_three_form_dev": values["three_form_dev"],
         "min_sign_split": values["sign_split"],
@@ -615,6 +623,7 @@ _CHECK_TABLE = {
     "tcz": _check_tcz,
     "maxprinciple": _check_maxprinciple,
 }
+CHECK_NAMES = tuple(_CHECK_TABLE)
 
 
 def run_scenario(config: ScenarioConfig) -> RunReport:

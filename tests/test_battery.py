@@ -153,19 +153,25 @@ def test_summary_lines_follow_the_limit_table(tight_trace_limit):
 
 def test_check_instance_agrees_with_its_scenario_rerun():
     """The battery and the scenario runner share one definition per metric."""
-    inst = generate_instance(np.random.default_rng(5), 0)
-    metrics = check_instance(inst)
-    report = run_scenario(parse_scenario(inst.scenario_dict()))
-    by_name = {r.name: r.metrics for r in report.results}
-    assert by_name["structural"]["phi_trace_error"] == metrics.values["trace_error"]
-    assert (
-        by_name["structural"]["phi_reproducing_residual"]
-        == metrics.values["reproducing_residual"]
-    )
-    sweep = run_scenario(
-        parse_scenario(inst.scenario_dict(checks=("sweep",)))
-    ).results[0]
-    assert sweep.metrics["worst_margin_deficit"] == metrics.values["comparison_deficit"]
+    for seed in (1, 2, 5):
+        inst = generate_instance(np.random.default_rng(seed), 0)
+        values = check_instance(inst).values
+
+        def rerun(*names):
+            config = parse_scenario(inst.scenario_dict(checks=names))
+            return run_scenario(config).results[0]
+
+        structural = rerun("structural").metrics
+        assert structural["phi_trace_error"] == values["trace_error"]
+        assert structural["phi_reproducing_residual"] == values["reproducing_residual"]
+        sweep = rerun("sweep").metrics
+        assert sweep["worst_margin_deficit"] == values["comparison_deficit"]
+        homotopy = rerun("homotopy")
+        assert homotopy.metrics["monotonicity_drop"] == values["monotonicity_drop"]
+        assert homotopy.metrics["endpoint_dev"] == values["endpoint_dev"]
+        assert homotopy.metrics["bounds_ok"] == values["bound"]
+        (row,) = [row for row in homotopy.rows if row["t"] == BOUND_T]
+        assert row["rhs28"] == values["sign_split"]
 
 
 def test_summary_lines_shape():

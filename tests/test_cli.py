@@ -196,7 +196,16 @@ def test_battery_max_principle_flag(tmp_path, capsys):
     assert "max principle search: 200 instances" in stdout
     with open(os.path.join(out, "summary.json")) as fh:
         summary = json.load(fh)
-    assert summary["max_principle_search"]["counterexamples"] == []
+    search = summary["max_principle_search"]
+    assert list(search) == [
+        "n_instances",
+        "seed",
+        "premises_fail",
+        "conclusion_holds",
+        "counterexamples",
+        "elapsed_seconds",
+    ]
+    assert search["counterexamples"] == []
 
 
 def test_usage_error_exits_two():

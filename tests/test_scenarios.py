@@ -125,6 +125,8 @@ def test_parse_full_scenario():
           "checks": ["tcz"], "phi": {"family": "gauss", "a": 1.0},
           "psi": {"family": "constant", "c": 0.0},
           "params": {"k_list": [10.0, 1e308]}}, "field 'params.k_list[1]'"),
+        ({"checks": ["sweep"], "params": {"c_grid": []}},
+         "'params.c_grid': must be nonempty"),
     ],
 )
 def test_parse_rejects_bad_fields(mutate, needle):
@@ -185,6 +187,20 @@ def test_run_scenario_reference_green():
     homotopy = report.results[3]
     assert homotopy.metrics["endpoint_dev"] <= 1e-12
     assert homotopy.metrics["bounds_ok"]
+
+
+def test_sweep_judges_nesting_in_shift_order():
+    """The sets {psi < phi + c} grow with c, in whatever order c_grid lists it."""
+    up, down = (
+        run_scenario(
+            parse_scenario(two_node_dict(checks=["sweep"], params={"c_grid": grid}))
+        ).results[0]
+        for grid in ([-2.0, 2.0], [2.0, -2.0])
+    )
+    assert [row["set_size"] for row in up.rows] == [0, 2]
+    assert down.passed
+    assert down.metrics == up.metrics
+    assert down.rows == up.rows[::-1]
 
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
