@@ -237,12 +237,28 @@ def max_principle_check(
             "omega must be a nonempty proper subset of the node set"
         )
     (phi, psi), _, (b_phi, b_psi) = _densities(span, measure, phi, psi)
+    return str(max_principle_verdicts(b_phi, b_psi, phi.values, psi.values, omega))
+
+
+def max_principle_verdicts(b_phi, b_psi, phi, psi, omega) -> np.ndarray:
+    """Verdicts of the maximum principle on rows (..., m), one per row.
+
+    Each row holds the densities b_phi and b_psi, the tabulated weight
+    values phi and psi and the node mask omega of one instance.  The
+    premises are b_phi >= b_psi - DENSITY_POINT_TOL * (1 + |b_psi|) at every
+    node of omega and phi <= psi off it; the conclusion is phi <= psi at
+    every node.
+    """
     premise_density = np.all(
-        b_phi[omega] >= b_psi[omega] - DENSITY_POINT_TOL * (1.0 + np.abs(b_psi[omega]))
+        ~omega | (b_phi >= b_psi - DENSITY_POINT_TOL * (1.0 + np.abs(b_psi))),
+        axis=-1,
     )
-    premise_boundary = np.all(phi.values[~omega] <= psi.values[~omega])
-    if not (premise_density and premise_boundary):
-        return MAXPRINCIPLE_PREMISES_FAIL
-    if np.all(phi.values <= psi.values):
-        return MAXPRINCIPLE_CONCLUSION_HOLDS
-    return MAXPRINCIPLE_COUNTEREXAMPLE
+    premise_boundary = np.all(omega | (phi <= psi), axis=-1)
+    conclusion = np.where(
+        np.all(phi <= psi, axis=-1),
+        MAXPRINCIPLE_CONCLUSION_HOLDS,
+        MAXPRINCIPLE_COUNTEREXAMPLE,
+    )
+    return np.where(
+        premise_density & premise_boundary, conclusion, MAXPRINCIPLE_PREMISES_FAIL
+    )

@@ -9,7 +9,10 @@ The Gram matrix of the span is orthonormalized through a Hermitian
 eigendecomposition with relative rank truncation; the reproducing kernel on
 node pairs is K = (V C)(V C)* where C maps the span basis to an orthonormal
 one.  The density of states B(z) = K(z, z) e^{-phi(z)} integrates to the
-rank of the space.
+rank of the space.  The orthonormalization runs on a stack of Grams
+(orthonormal_bases), of which one Gram (orthonormal_basis) is the case of
+one, so many small spaces of one shape take their densities from one
+stacked pass (bergman_densities) with the same arithmetic as one build.
 
 A large monomial Gram on the disk rule (nodes r_i e^{2 pi i j / N}) is
 assembled from one FFT per ring, G[m, n] = sum_i r_i^(m+n) F_i[(n - m) mod N]
@@ -43,6 +46,7 @@ rules.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,9 +116,13 @@ def assemble_gram(
             # r^(m+n) overflows on a wide disk where z^m and d z^n need not.
             if np.isfinite(g).all():
                 return g
-        v = span.basis_values
-        g = v.conj().T @ (d[:, None] * v)
-        return 0.5 * (g + g.conj().T)
+        return _dense_gram(span.basis_values, d)
+
+
+def _dense_gram(values: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """V* diag(factor) V, Hermitian-symmetrized, over any leading stack axes."""
+    g = values.conj().swapaxes(-1, -2) @ (factor[..., None] * values)
+    return 0.5 * (g + g.conj().swapaxes(-1, -2))
 
 
 def _ring_path(span: FunctionSpan, measure: QuadratureMeasure) -> bool:
@@ -123,7 +131,8 @@ def _ring_path(span: FunctionSpan, measure: QuadratureMeasure) -> bool:
     They do for the measure's own monomial span on a disk rule, recognised
     by its points, once the dense work m * d^2 reaches RING_GRAM_MIN_WORK.
     A discrete measure is turned away by one attribute read, since the
-    maximum-principle search asks this of 20 000 small spaces a pass.
+    battery asks this of thousands of small spaces a pass (9 400 builds at
+    seed 0).
     """
     return (
         measure.n_angular is not None
@@ -191,9 +200,10 @@ def equilibration_scales(gram: np.ndarray) -> np.ndarray:
     what changes is that the eigenvalue spread then reflects genuine
     angular degeneracy instead of disparate basis normalizations (monomial
     norms under a scaled weight vary over many decades, yet their Gram is
-    perfectly behaved once equilibrated).
+    perfectly behaved once equilibrated).  A stack of Grams (..., d, d)
+    gives one row of scales per Gram.
     """
-    diag = np.real(np.diag(gram))
+    diag = np.real(np.diagonal(gram, axis1=-2, axis2=-1))
     positive = diag > 0.0
     return np.where(positive, 1.0 / np.sqrt(np.where(positive, diag, 1.0)), 1.0)
 
@@ -203,11 +213,12 @@ def _equilibrated(gram: np.ndarray):
 
     It is not when w e^{-phi} or the span values overflow, or when a
     diagonal entry lies so far below the smallest normal float that its
-    scale squared overflows; the eigensolver cannot take either.
+    scale squared overflows; the eigensolver cannot take either.  A stack
+    of Grams is rescaled Gram by Gram, and must be finite throughout.
     """
     scale = equilibration_scales(gram)
     with np.errstate(over="ignore", invalid="ignore"):
-        rescaled = gram * np.outer(scale, scale)
+        rescaled = gram * (scale[..., :, None] * scale[..., None, :])
     if not np.isfinite(rescaled).all():
         raise InvalidConfigurationError(
             "gram is not finite after equilibration: w e^{-phi} or the span "
@@ -231,28 +242,56 @@ def retained_spread(gram: np.ndarray) -> float:
     return float(top / kept[0])
 
 
+def orthonormal_bases(grams: np.ndarray, rank_tol: float = RANK_TOL) -> list:
+    """Orthonormalize a stack of Grams (n, d, d) by Hermitian eigendecomposition.
+
+    Each Gram is equilibrated to unit diagonal first; eigenvalues of the
+    rescaled matrix at or below rank_tol times its largest are truncated,
+    and C = S U Lambda^(-1/2) on the kept ones satisfies C* G C = I on the
+    retained spectrum.  A Gram with no positive spectrum has rank 0 (not
+    an error); a non-finite Gram, or one that dips below zero by more than
+    PSD_TOL of its largest eigenvalue, raises for the whole stack.
+
+    Returns one pair (items, C) per rank r that occurs, in increasing rank:
+    items indexes the Grams of rank r and C has shape (len(items), d, r).
+    The stack is grouped by rank rather than padded with zero columns, so
+    each C holds exactly the columns that a stack of one keeps, and every
+    product with it sums in the same order.
+    """
+    scale, rescaled = _equilibrated(grams)
+    lam, u = np.linalg.eigh(rescaled)
+    d = lam.shape[1]
+    by_rank = {}
+    for i, row in enumerate(lam.tolist()):
+        top = row[-1] if row else 0.0
+        if top > 0.0 and row[0] < -PSD_TOL * top:
+            raise InvalidConfigurationError(
+                f"gram is not PSD up to tolerance: min eigenvalue {row[0]:.3e} "
+                f"against max {top:.3e} after equilibration"
+            )
+        # The eigenvalues ascend, so the kept ones, above rank_tol * top,
+        # are the last; a Gram with no positive eigenvalue keeps none.
+        rank = d - bisect.bisect_right(row, rank_tol * top) if top > 0.0 else 0
+        by_rank.setdefault(rank, []).append(i)
+    bases = []
+    for rank, items in sorted(by_rank.items()):
+        # A stack of one rank, as every build_space call makes, is sliced
+        # rather than copied by an index array.
+        sel = slice(None) if len(by_rank) == 1 else items
+        kept = slice(d - rank, d)
+        c = scale[sel, :, None] * (u[sel, :, kept] / np.sqrt(lam[sel, None, kept]))
+        bases.append((np.array(items), c))
+    return bases
+
+
 def orthonormal_basis(gram: np.ndarray, rank_tol: float = RANK_TOL):
-    """Orthonormalize a Gram matrix by Hermitian eigendecomposition.
+    """Orthonormalize one Gram matrix: orthonormal_bases on a stack of one.
 
     Returns (C, rank) with C of shape (d, rank) and C* G C = I on the
-    retained spectrum.  The Gram is equilibrated to unit diagonal first;
-    eigenvalues of the rescaled matrix at or below rank_tol times its
-    largest are truncated.  A Gram with no positive spectrum yields rank 0
-    (not an error).
+    retained spectrum.
     """
-    scale, rescaled = _equilibrated(gram)
-    lam, u = np.linalg.eigh(rescaled)
-    lam_max = lam[-1] if lam.size else 0.0
-    if lam_max <= 0.0:
-        return np.zeros((gram.shape[0], 0), dtype=complex), 0
-    if lam[0] < -PSD_TOL * lam_max:
-        raise InvalidConfigurationError(
-            f"gram is not PSD up to tolerance: min eigenvalue {lam[0]:.3e} "
-            f"against max {lam_max:.3e} after equilibration"
-        )
-    keep = lam > rank_tol * lam_max
-    c = scale[:, None] * (u[:, keep] / np.sqrt(lam[keep]))
-    return c, int(np.count_nonzero(keep))
+    ((_, c),) = orthonormal_bases(gram[None], rank_tol)
+    return c[0], c.shape[-1]
 
 
 def build_space(
@@ -319,17 +358,20 @@ def _kernel_diagonal(space: WeightedSpace, points=None) -> np.ndarray:
 
     At the nodes of a space on the ring path the diagonal comes from one FFT
     per ring, where that keeps its digits.  A single block's diagonal is
-    returned as it is, without a copy: the maximum-principle search takes
-    20 000 densities of small spaces a pass.
+    returned as it is, without a copy: the battery takes thousands of
+    densities of small spaces a pass.
     """
     if points is None and _ring_path(space.span, space.measure):
         diag = _ring_row_norms(space.measure, space.ortho_coeffs)
         if diag is not None:
             return diag
-    diags = []
-    for _, e in _node_value_blocks(space, points):
-        diags.append(np.einsum("ij,ij->i", e, e.conj()).real)
+    diags = [_row_norms(e) for _, e in _node_value_blocks(space, points)]
     return diags[0] if len(diags) == 1 else np.concatenate(diags)
+
+
+def _row_norms(e: np.ndarray) -> np.ndarray:
+    """Squared row norms of node values (..., m, r), over any leading axes."""
+    return np.einsum("...ij,...ij->...i", e, e.conj()).real
 
 
 def bergman_density_from_space(space: WeightedSpace) -> np.ndarray:
@@ -339,6 +381,27 @@ def bergman_density_from_space(space: WeightedSpace) -> np.ndarray:
     this is the path to use when the node count is large.
     """
     return _kernel_diagonal(space) * np.exp(-space.weight.values)
+
+
+def bergman_densities(
+    values: np.ndarray, masses: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Densities at the nodes of a stack of n spaces with one shape (m, d).
+
+    values (n, m, d) holds the spans' node values; masses and weights
+    (n, m) hold the measures' masses and the tabulated weight values.  The
+    stack takes one Gram product, one orthonormal_bases call and one
+    product and row-norm pass per rank, instead of n builds.  Each row is
+    bit-identical to bergman_density_from_space(build_space(...)) on a
+    dense Gram in one block of rows, as on a discrete measure with at most
+    BLOCK_ROWS nodes: the arithmetic is the same, item by item.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams = _dense_gram(values, masses * np.exp(-weights))
+    densities = np.empty(weights.shape)
+    for items, c in orthonormal_bases(grams):
+        densities[items] = _row_norms(values[items] @ c) * np.exp(-weights[items])
+    return densities
 
 
 def bergman_density_at(space: WeightedSpace, z) -> np.ndarray:

@@ -11,6 +11,7 @@ import pytest
 from bergmanlab import (
     battery,
     check_instance,
+    comparison,
     generate_instance,
     max_principle_search,
     parse_scenario,
@@ -20,11 +21,26 @@ from bergmanlab import (
 from bergmanlab.battery import (
     MONOMIAL_NODE_MARGIN,
     ORDER_STEPS,
+    SEARCH_CHUNK,
     SPREAD_BOUND,
+    draw_search_instance,
     fit_order_slope,
 )
+from bergmanlab.comparison import (
+    MAXPRINCIPLE_CONCLUSION_HOLDS,
+    MAXPRINCIPLE_COUNTEREXAMPLE,
+    MAXPRINCIPLE_PREMISES_FAIL,
+    max_principle_check,
+)
 from bergmanlab.homotopy import BOUND_T, build_path, weight_at
-from bergmanlab.kernels import assemble_gram, retained_spread
+from bergmanlab.kernels import (
+    assemble_gram,
+    bergman_densities,
+    bergman_density_from_space,
+    build_space,
+    retained_spread,
+)
+from bergmanlab.scenarios import scenario_record
 from bergmanlab.spans import tabulated_span
 
 
@@ -207,3 +223,92 @@ def test_max_principle_search_spans_are_proper(monkeypatch):
     monkeypatch.setattr(battery, "SEARCH_MAX_DIM", 8)
     report = max_principle_search(n_instances=200, seed=3)
     assert not report.found_counterexample
+    rng = np.random.default_rng(3)
+    for inst in (draw_search_instance(rng) for _ in range(200)):
+        assert 2 <= inst.measure.n <= 4
+        assert 1 <= inst.span.dim <= inst.measure.n - 1
+
+
+def _search_draws(n, seed):
+    rng = np.random.default_rng(seed)
+    return [draw_search_instance(rng) for _ in range(n)]
+
+
+def _per_space_verdict(inst):
+    return max_principle_check(inst.phi, inst.psi, inst.omega, inst.span, inst.measure)
+
+
+def test_search_stacks_equal_the_per_space_path():
+    """600 draws cross two chunk boundaries and end in a ragged chunk; every
+    stacked density equals its own build bit for bit, and every verdict
+    equals max_principle_check's."""
+    draws = _search_draws(600, 0)
+    seen = 0
+    for start in range(0, len(draws), SEARCH_CHUNK):
+        chunk = draws[start : start + SEARCH_CHUNK]
+        for items, verdicts in battery._judged_groups(chunk):
+            group = [chunk[i] for i in items]
+            values = np.stack([inst.span.basis_values for inst in group])
+            masses = np.stack([inst.measure.masses for inst in group])
+            b_phi, b_psi = np.split(
+                bergman_densities(
+                    np.concatenate([values, values]),
+                    np.concatenate([masses, masses]),
+                    np.stack(
+                        [inst.phi.values for inst in group]
+                        + [inst.psi.values for inst in group]
+                    ),
+                ),
+                2,
+            )
+            for inst, row_phi, row_psi, verdict in zip(group, b_phi, b_psi, verdicts):
+                for weight, row in ((inst.phi, row_phi), (inst.psi, row_psi)):
+                    space = build_space(inst.span, inst.measure, weight)
+                    assert np.array_equal(row, bergman_density_from_space(space))
+                assert verdict == _per_space_verdict(inst)
+                seen += 1
+    assert seen == 600
+
+
+@pytest.mark.parametrize("n", [1, SEARCH_CHUNK, SEARCH_CHUNK + 1])
+def test_search_tallies_at_chunk_edges(n):
+    report = max_principle_search(n, 4)
+    verdicts = [_per_space_verdict(inst) for inst in _search_draws(n, 4)]
+    assert report.premises_fail == verdicts.count(MAXPRINCIPLE_PREMISES_FAIL)
+    assert report.conclusion_holds == verdicts.count(MAXPRINCIPLE_CONCLUSION_HOLDS)
+    assert report.counterexamples == []
+
+
+def test_search_of_no_instances():
+    report = max_principle_search(0, 4)
+    assert (report.premises_fail, report.conclusion_holds) == (0, 0)
+    assert report.counterexamples == []
+
+
+def test_search_counterexample_records_rerun_as_counterexamples(monkeypatch):
+    """A premise slack of 1e6 admits instances built to break the conclusion.
+
+    Their records equal those of the one-instance-at-a-time search, and each
+    reruns through the scenario runner as a counterexample.
+    """
+    monkeypatch.setattr(comparison, "DENSITY_POINT_TOL", 1e6)
+    report = max_principle_search(200, 0)
+    assert (report.premises_fail, report.conclusion_holds) == (61, 81)
+    expected = []
+    for i, inst in enumerate(_search_draws(200, 0)):
+        if _per_space_verdict(inst) == MAXPRINCIPLE_COUNTEREXAMPLE:
+            record = scenario_record(
+                f"battery-instance-{i}",
+                inst.measure,
+                inst.span,
+                inst.phi,
+                inst.psi,
+                ("maxprinciple",),
+            )
+            record["omega"] = [int(j) for j in np.flatnonzero(inst.omega)]
+            expected.append(record)
+    assert len(expected) == 58
+    assert report.counterexamples == expected
+    for record in report.counterexamples:
+        (result,) = run_scenario(parse_scenario(record)).results
+        assert result.metrics["verdict"] == MAXPRINCIPLE_COUNTEREXAMPLE

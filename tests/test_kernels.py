@@ -112,6 +112,44 @@ def test_orthonormal_basis_rejects_indefinite():
         orthonormal_basis(g)
 
 
+def test_orthonormal_bases_groups_a_stack_by_rank():
+    """Full rank, a repeated column (rank < d) and a zero span in one stack.
+
+    Each item's C and density equal the one-space path bit for bit, and a
+    non-PSD item raises the error a stack of one raises.
+    """
+    measure, span, phi = random_instance(3, d=3)
+    full = span.basis_values
+    repeated = full.copy()
+    repeated[:, 2] = repeated[:, 0]
+    spans = [tabulated_span(v) for v in (full, repeated, np.zeros_like(full))]
+    grams = np.stack([assemble_gram(s, measure, phi) for s in spans])
+    ranks = {}
+    for items, c in kernels.orthonormal_bases(grams):
+        for item, coeffs in zip(items, c):
+            ranks[int(item)] = coeffs.shape[1]
+            assert np.array_equal(coeffs, orthonormal_basis(grams[item])[0])
+    assert ranks == {0: 3, 1: 2, 2: 0}
+
+    densities = kernels.bergman_densities(
+        np.stack([s.basis_values for s in spans]),
+        np.stack([measure.masses] * 3),
+        np.stack([phi.values] * 3),
+    )
+    for s, row in zip(spans, densities):
+        space = build_space(s, measure, phi)
+        assert np.array_equal(row, bergman_density_from_space(space))
+    assert not densities[2].any()
+
+    indefinite = np.array([[1, 2, 0], [2, 1, 0], [0, 0, 1]], dtype=complex)
+    with pytest.raises(InvalidConfigurationError) as alone:
+        orthonormal_basis(indefinite)
+    with pytest.raises(InvalidConfigurationError) as stacked:
+        kernels.orthonormal_bases(np.stack([grams[0], indefinite, grams[2]]))
+    assert str(stacked.value) == str(alone.value)
+    assert "min eigenvalue -1.000e+00 against max 3.000e+00" in str(alone.value)
+
+
 def test_equilibration_scales_unit_diagonal():
     measure, span, phi = random_instance(4)
     g = assemble_gram(span, measure, phi)
