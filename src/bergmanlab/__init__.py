@@ -20,7 +20,6 @@ from .battery import (
 from .comparison import (
     ComparisonReport,
     SandwichReport,
-    comparison_integrals,
     max_principle_check,
     reduce_less_singular,
     sandwich_check,
@@ -47,6 +46,7 @@ from .homotopy import (
     weight_at,
 )
 from .kernels import (
+    Spaces,
     WeightedSpace,
     assemble_gram,
     bergman_density_at,

@@ -30,7 +30,6 @@ from .comparison import (
     MAXPRINCIPLE_CONCLUSION_HOLDS,
     MAXPRINCIPLE_COUNTEREXAMPLE,
     MAXPRINCIPLE_PREMISES_FAIL,
-    comparison_integrals,
     max_principle_verdicts,
     sandwich_check,
     shifted_comparison_sweep,
@@ -44,9 +43,9 @@ from .homotopy import (
     weight_at,
 )
 from .kernels import (
+    Spaces,
     assemble_gram,
     bergman_densities,
-    build_space,
     retained_spread,
 )
 from .measures import build_discrete_measure
@@ -158,7 +157,7 @@ def generate_instance(rng, index: int) -> BatteryInstance:
         span = _draw_span(rng, measure, d, MONOMIAL_NODE_MARGIN)
         phi = eval_weight(tabulated_weight(rng.uniform(*WEIGHT_RANGE, m)), measure)
         psi = eval_weight(tabulated_weight(rng.uniform(*WEIGHT_RANGE, m)), measure)
-        path = build_path(phi, psi)
+        path = build_path(Spaces(span, measure), phi, psi)
         tame = all(
             retained_spread(assemble_gram(span, measure, weight_at(path, t)))
             <= SPREAD_BOUND
@@ -194,31 +193,32 @@ class InstanceMetrics:
 
 
 def check_instance(inst: BatteryInstance) -> InstanceMetrics:
-    """Run all three check groups on one instance."""
-    measure, span, phi, psi = inst.measure, inst.span, inst.phi, inst.psi
+    """Run all three check groups on one instance, building each space once.
 
-    space = build_space(span, measure, phi)
+    The homotopy endpoints are the c = 0 report of the comparison sweep.
+    """
+    spaces = Spaces(inst.span, inst.measure)
+    phi, psi = inst.phi, inst.psi
+
+    space = spaces(phi)
     values = checks.structural_values(space)
-    values["comparison_deficit"] = checks.comparison_deficit(
-        shifted_comparison_sweep(phi, psi, span, measure, DEFAULT_C_GRID)
-    )
-    values["sandwich"] = bool(sandwich_check(phi, psi, span, measure))
+    reports = shifted_comparison_sweep(spaces, phi, psi, DEFAULT_C_GRID)
+    values["comparison_deficit"] = checks.comparison_deficit(reports)
+    values["sandwich"] = bool(sandwich_check(spaces, phi, psi))
 
-    path = build_path(phi, psi)
+    path = build_path(spaces, phi, psi)
     values.update(
         checks.homotopy_values(
             path,
-            [g_derivative_forms(path, BOUND_T, span, measure)],
-            [g for _, g in monotonicity_sweep(path, span, measure)],
-            comparison_integrals(phi, psi, span, measure),
-            span,
-            measure,
+            [g_derivative_forms(path, BOUND_T)],
+            [g for _, g in monotonicity_sweep(path)],
+            reports[DEFAULT_C_GRID.index(0.0)],
         )
     )
 
     order_errors = {}
     for tau in ORDER_STEPS:
-        d_tau = g_derivative_forms(path, BOUND_T, span, measure, fd_step=tau)
+        d_tau = g_derivative_forms(path, BOUND_T, fd_step=tau)
         order_errors[tau] = abs(d_tau.fd_estimate - d_tau.sign_split_form)
 
     return InstanceMetrics(

@@ -2,7 +2,9 @@
 scenario runner alike.
 
 Each check's values have one definition here, which both runners call:
-structural_values, comparison_deficit and homotopy_values.
+structural_values, comparison_deficit and homotopy_values.  They take what
+the runners already hold (a space, comparison reports, a homotopy path with
+its spaces), never a span and a measure to build from.
 
 LIMITS is the one table of pass/fail limits.  Each row names a metric, its
 tolerance constant, and whether the limit bounds the metric from above or
@@ -156,13 +158,13 @@ def structural_values(space) -> dict:
     }
 
 
-def homotopy_values(path, ders, g_values, endpoints, span, measure) -> dict:
+def homotopy_values(path, ders, g_values, endpoints) -> dict:
     """The homotopy metrics and the quotient-bound verdict.
 
     ders are the derivative reports to judge, and g_values is G on a grid
-    from 0 to 1, whose ends must meet the comparison integrals endpoints.
-    The bound verdict holds both kernel quotient bounds at BOUND_T, for
-    every step in BOUND_STEPS.
+    from 0 to 1, whose ends must meet endpoints, the comparison report at
+    c = 0.  The bound verdict holds both kernel quotient bounds at BOUND_T,
+    for every step in BOUND_STEPS, on the spaces of the path.
     """
     return {
         "three_form_dev": max([0.0, *map(three_form_dev, ders)]),
@@ -175,8 +177,8 @@ def homotopy_values(path, ders, g_values, endpoints, span, measure) -> dict:
             abs(g_values[0] - endpoints.lhs), abs(g_values[-1] - endpoints.rhs)
         ),
         "bound": all(
-            difference_quotient_bound_check(path, BOUND_T, tau, span, measure)
-            and l2_difference_bound_check(path, BOUND_T, tau, span, measure)
+            difference_quotient_bound_check(path, BOUND_T, tau)
+            and l2_difference_bound_check(path, BOUND_T, tau)
             for tau in BOUND_STEPS
         ),
     }

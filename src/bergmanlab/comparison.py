@@ -10,6 +10,10 @@ The same holds with phi replaced by phi + c for any constant shift c, since
 B is unchanged by constant shifts of the weight.  When the underlying measure
 discretizes a planar domain and the span restricts holomorphic functions, the
 inequality is strict unless both sides vanish.
+
+Each check takes a kernels.Spaces context for the span and the measure,
+and the weights to compare; it reads their spaces from the context, so a
+space that another check already built is not built again.
 """
 
 from __future__ import annotations
@@ -19,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigurationError
-from .kernels import bergman_density_from_space, build_space
-from .measures import KIND_DISK, QuadratureMeasure
-from .spans import KIND_MONOMIALS, FunctionSpan
-from .weights import WeightFunction, eval_weight
+from .kernels import Spaces, bergman_density_from_space
+from .measures import KIND_DISK
+from .spans import KIND_MONOMIALS
+from .weights import WeightFunction
 
 # Slack granted to the inequality: lhs <= rhs + COMPARISON_TOL * (1 + rhs).
 COMPARISON_TOL = 1e-12
@@ -80,56 +84,30 @@ def sublevel_set(
     return psi.values < phi.values + c
 
 
-def _densities(span, measure, *weights):
-    """Tabulate each weight, build its space, and take its density at the nodes.
-
-    Returns the tabulated weights, the spaces and the densities, each in the
-    order the weights were given.
-    """
-    weights = [eval_weight(weight, measure) for weight in weights]
-    spaces = [build_space(span, measure, weight) for weight in weights]
-    return weights, spaces, [bergman_density_from_space(space) for space in spaces]
-
-
-def comparison_integrals(
-    phi: WeightFunction,
-    psi: WeightFunction,
-    span: FunctionSpan,
-    measure: QuadratureMeasure,
-) -> ComparisonReport:
-    """Both sides of the comparison inequality over {psi < phi}.
-
-    The report's margin is rhs - lhs; the principle asserts margin >=
-    -COMPARISON_TOL * (1 + rhs).  For a shift c, take
-    ``shifted_comparison_sweep(..., (c,))[0]``.
-    """
-    return shifted_comparison_sweep(phi, psi, span, measure, (0.0,))[0]
-
-
 def shifted_comparison_sweep(
-    phi: WeightFunction,
-    psi: WeightFunction,
-    span: FunctionSpan,
-    measure: QuadratureMeasure,
-    c_grid,
+    spaces: Spaces, phi: WeightFunction, psi: WeightFunction, c_grid
 ) -> list:
-    """Comparison reports across a grid of constant shifts.
+    """Comparison reports across a grid of constant shifts; c = 0 is {psi < phi}.
 
-    The two spaces do not depend on the shift, so they are built once.
+    Each report's margin is rhs - lhs; the principle asserts margin >=
+    -COMPARISON_TOL * (1 + rhs).  The two spaces do not depend on the shift,
+    so the grid takes them from the context once.
     """
-    (phi, psi), (_, space_psi), (b_phi, b_psi) = _densities(span, measure, phi, psi)
-    w = measure.masses
+    space_phi, space_psi = spaces(phi), spaces(psi)
+    b_phi = bergman_density_from_space(space_phi)
+    b_psi = bergman_density_from_space(space_psi)
+    w = spaces.measure.masses
     reports = []
     for c in c_grid:
-        s = sublevel_set(phi, psi, c)
+        s = sublevel_set(space_phi.weight, space_psi.weight, c)
         size = int(np.count_nonzero(s))
         proper = 0 < size < s.size
         lhs = float(np.sum(w[s] * b_phi[s]))
         rhs = float(np.sum(w[s] * b_psi[s]))
         strict_expected = (
             proper
-            and span.kind == KIND_MONOMIALS
-            and measure.kind == KIND_DISK
+            and spaces.span.kind == KIND_MONOMIALS
+            and spaces.measure.kind == KIND_DISK
             and space_psi.rank >= 1
             and rhs > STRICT_MARGIN
         )
@@ -164,10 +142,7 @@ def reduce_less_singular(phi: WeightFunction, psi: WeightFunction) -> WeightFunc
 
 
 def sandwich_check(
-    phi: WeightFunction,
-    psi: WeightFunction,
-    span: FunctionSpan,
-    measure: QuadratureMeasure,
+    spaces: Spaces, phi: WeightFunction, psi: WeightFunction
 ) -> SandwichReport:
     """Verify the two-link chain through the less-singular reduction.
 
@@ -175,15 +150,15 @@ def sandwich_check(
     integral_S B_phi <= integral_S B_psi0 <= integral_S B_psi.  The first is
     the comparison principle for (phi, psi0) (their sublevel set is also S);
     the second holds pointwise on S because psi0 <= psi everywhere and the
-    two agree on S.
+    two agree on S.  When psi0 is phi or psi, its space is already built.
     """
-    phi = eval_weight(phi, measure)
-    psi = eval_weight(psi, measure)
-    _, _, (b_phi, b_psi, b_mid) = _densities(
-        span, measure, phi, psi, reduce_less_singular(phi, psi)
-    )
+    space_phi, space_psi = spaces(phi), spaces(psi)
+    phi, psi = space_phi.weight, space_psi.weight
+    b_phi = bergman_density_from_space(space_phi)
+    b_psi = bergman_density_from_space(space_psi)
+    b_mid = bergman_density_from_space(spaces(reduce_less_singular(phi, psi)))
     s = sublevel_set(phi, psi)
-    w = measure.masses
+    w = spaces.measure.masses
     lhs = float(np.sum(w[s] * b_phi[s]))
     mid = float(np.sum(w[s] * b_mid[s]))
     rhs = float(np.sum(w[s] * b_psi[s]))
@@ -214,11 +189,7 @@ def strictness_check(report: ComparisonReport, kernel_psi_nontrivial: bool) -> s
 
 
 def max_principle_check(
-    phi: WeightFunction,
-    psi: WeightFunction,
-    omega_mask,
-    span: FunctionSpan,
-    measure: QuadratureMeasure,
+    spaces: Spaces, phi: WeightFunction, psi: WeightFunction, omega_mask
 ) -> str:
     """Contrapositive check of the maximum principle on a node set.
 
@@ -228,16 +199,24 @@ def max_principle_check(
     counterexample.  omega must be a proper subset of the nodes.
     """
     omega = np.asarray(omega_mask, dtype=bool).reshape(-1)
-    if omega.size != measure.n:
+    if omega.size != spaces.measure.n:
         raise InvalidConfigurationError(
-            f"omega marks {omega.size} nodes, measure has {measure.n}"
+            f"omega marks {omega.size} nodes, measure has {spaces.measure.n}"
         )
     if not 0 < np.count_nonzero(omega) < omega.size:
         raise InvalidConfigurationError(
             "omega must be a nonempty proper subset of the node set"
         )
-    (phi, psi), _, (b_phi, b_psi) = _densities(span, measure, phi, psi)
-    return str(max_principle_verdicts(b_phi, b_psi, phi.values, psi.values, omega))
+    space_phi, space_psi = spaces(phi), spaces(psi)
+    return str(
+        max_principle_verdicts(
+            bergman_density_from_space(space_phi),
+            bergman_density_from_space(space_psi),
+            space_phi.weight.values,
+            space_psi.weight.values,
+            omega,
+        )
+    )
 
 
 def max_principle_verdicts(b_phi, b_psi, phi, psi, omega) -> np.ndarray:

@@ -20,6 +20,12 @@ matching the strict-inequality convention for sublevel sets.
 The kernel's own t-derivative is K'_t(z, w) = integral u(v) K_t(z, v)
 K_t(v, w) e^{-phi_t(v)} dmu(v); finite-difference quotients of the kernel
 obey sup and L2 bounds with the envelope constant 2 u_sup e^{2 u_sup}.
+
+A path carries the kernels.Spaces context of its span and measure, and every
+function here takes the space of phi_t from it: G on the grid, the
+derivative forms, their finite differences and the quotient bounds share
+each space they meet.  phi + 0 u is phi bit for bit, so t = 0 reuses phi's
+space; phi + 1 u need not be psi bit for bit, so t = 1 has its own.
 """
 
 from __future__ import annotations
@@ -29,14 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (
-    WeightedSpace,
+    Spaces,
     _kernel_diagonal,
     bergman_density_from_space,
-    build_space,
     orthonormal_node_values,
 )
-from .measures import QuadratureMeasure
-from .spans import FunctionSpan
 from .weights import WeightFunction
 
 # The times at which the homotopy checks evaluate G, from 0 to 1.  The
@@ -60,8 +63,9 @@ BOUND_FLOOR = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class HomotopyPath:
-    """Straight path of weights t -> phi + t u on a fixed node set."""
+    """Straight path of weights t -> phi + t u, with the spaces along it."""
 
+    spaces: Spaces
     base_values: np.ndarray
     direction: np.ndarray
     u_sup: float
@@ -86,10 +90,13 @@ class DerivativeReport:
         return max(abs(a - b) for a in forms for b in forms)
 
 
-def build_path(phi: WeightFunction, psi: WeightFunction) -> HomotopyPath:
-    """Path from phi to psi; the direction is u = psi - phi."""
+def build_path(
+    spaces: Spaces, phi: WeightFunction, psi: WeightFunction
+) -> HomotopyPath:
+    """Path from phi to psi, tabulated on the context's nodes; u = psi - phi."""
     u = psi.values - phi.values
     return HomotopyPath(
+        spaces=spaces,
         base_values=phi.values,
         direction=u,
         u_sup=float(np.max(np.abs(u))) if u.size else 0.0,
@@ -101,30 +108,16 @@ def weight_at(path: HomotopyPath, t: float) -> WeightFunction:
     return WeightFunction(values=path.base_values + t * path.direction, family=None)
 
 
-def space_at(
-    path: HomotopyPath,
-    t: float,
-    span: FunctionSpan,
-    measure: QuadratureMeasure,
-) -> WeightedSpace:
-    return build_space(span, measure, weight_at(path, t))
-
-
 def negative_direction_indicator(path: HomotopyPath) -> np.ndarray:
     """The profile 1_{u < 0} that turns G into the comparison interpolant."""
     return (path.direction < 0.0).astype(float)
 
 
-def g_of_t(
-    path: HomotopyPath,
-    t: float,
-    span: FunctionSpan,
-    measure: QuadratureMeasure,
-) -> float:
+def g_of_t(path: HomotopyPath, t: float) -> float:
     """G(t) = integral of 1_{u < 0} times the density of the phi_t-space."""
     rho = negative_direction_indicator(path)
-    b = bergman_density_from_space(space_at(path, t, span, measure))
-    return float(np.sum(rho * measure.masses * b))
+    b = bergman_density_from_space(path.spaces(weight_at(path, t)))
+    return float(np.sum(rho * path.spaces.measure.masses * b))
 
 
 def sup_bound_constant(u_sup: float) -> float:
@@ -132,40 +125,28 @@ def sup_bound_constant(u_sup: float) -> float:
     return 2.0 * u_sup * np.exp(2.0 * u_sup)
 
 
-def difference_quotient_bound_check(
-    path: HomotopyPath,
-    t: float,
-    tau: float,
-    span: FunctionSpan,
-    measure: QuadratureMeasure,
-) -> bool:
+def difference_quotient_bound_check(path: HomotopyPath, t: float, tau: float) -> bool:
     """|K_{t+tau}(z, z) - K_t(z, z)| / |tau| <= C_u K_t(z, z) at the nodes.
 
     C_u = 2 u_sup e^{2 u_sup}; requires |tau| <= 1.
     """
-    diag_t = _kernel_diagonal(space_at(path, t, span, measure))
-    diag_s = _kernel_diagonal(space_at(path, t + tau, span, measure))
+    diag_t = _kernel_diagonal(path.spaces(weight_at(path, t)))
+    diag_s = _kernel_diagonal(path.spaces(weight_at(path, t + tau)))
     quotient = np.abs(diag_s - diag_t) / abs(tau)
     floor = BOUND_FLOOR * (1.0 + float(diag_t.max(initial=0.0)))
     bound = sup_bound_constant(path.u_sup) * diag_t + floor
     return bool(np.all(quotient <= bound))
 
 
-def l2_difference_bound_check(
-    path: HomotopyPath,
-    t: float,
-    tau: float,
-    span: FunctionSpan,
-    measure: QuadratureMeasure,
-) -> bool:
+def l2_difference_bound_check(path: HomotopyPath, t: float, tau: float) -> bool:
     """Weighted L2 norm of the kernel increment row against C_u |tau| K_t(z, z).
 
     For each node i the quantity sum_k |K_{t+tau} - K_t|^2(i, k) w_k
     e^{-phi_t(k)} must stay below C_u |tau| K_t(z_i, z_i).
     """
-    space_t = space_at(path, t, span, measure)
+    space_t = path.spaces(weight_at(path, t))
     e_t = orthonormal_node_values(space_t)
-    e_s = orthonormal_node_values(space_at(path, t + tau, span, measure))
+    e_s = orthonormal_node_values(path.spaces(weight_at(path, t + tau)))
     # The increment K_{t+tau} - K_t factors through the stacked frame
     # U = [e_s | e_t] with signature (+1, -1), so the weighted row norms
     # come from a small cross-Gram instead of the full node-pair matrix.
@@ -184,11 +165,7 @@ def l2_difference_bound_check(
 
 
 def g_derivative_forms(
-    path: HomotopyPath,
-    t: float,
-    span: FunctionSpan,
-    measure: QuadratureMeasure,
-    fd_step: float = FD_STEP,
+    path: HomotopyPath, t: float, fd_step: float = FD_STEP
 ) -> DerivativeReport:
     """Evaluate G, its three derivative expressions, and a central FD at t.
 
@@ -196,7 +173,7 @@ def g_derivative_forms(
     """
     rho_vals = negative_direction_indicator(path)
     u = path.direction
-    space = space_at(path, t, span, measure)
+    space = path.spaces(weight_at(path, t))
     e = orthonormal_node_values(space)
     d = space.measure_factor
     diag = np.einsum("ij,ij->i", e, e.conj()).real
@@ -221,12 +198,12 @@ def g_derivative_forms(
         u * neg, pos.astype(float)
     )
 
-    g_plus = g_of_t(path, t + fd_step, span, measure)
-    g_minus = g_of_t(path, t - fd_step, span, measure)
+    g_plus = g_of_t(path, t + fd_step)
+    g_minus = g_of_t(path, t - fd_step)
 
     return DerivativeReport(
         t=float(t),
-        g_value=g_of_t(path, t, span, measure),
+        g_value=g_of_t(path, t),
         direct_form=direct,
         symmetric_form=symmetric,
         sign_split_form=sign_split,
@@ -235,14 +212,10 @@ def g_derivative_forms(
     )
 
 
-def monotonicity_sweep(
-    path: HomotopyPath,
-    span: FunctionSpan,
-    measure: QuadratureMeasure,
-) -> list:
+def monotonicity_sweep(path: HomotopyPath) -> list:
     """(t, G(t)) on T_GRID with rho = 1_{u < 0}.
 
     G must be nondecreasing up to STEP_TOL per step, with G at the endpoints
     equal to the two comparison integrals.
     """
-    return [(t, g_of_t(path, t, span, measure)) for t in T_GRID]
+    return [(t, g_of_t(path, t)) for t in T_GRID]

@@ -13,6 +13,8 @@ rank of the space.  The orthonormalization runs on a stack of Grams
 (orthonormal_bases), of which one Gram (orthonormal_basis) is the case of
 one, so many small spaces of one shape take their densities from one
 stacked pass (bergman_densities) with the same arithmetic as one build.
+The checks take the spaces of one span and one measure from a Spaces
+context, which builds each distinct weight's space once.
 
 A large monomial Gram on the disk rule (nodes r_i e^{2 pi i j / N}) is
 assembled from one FFT per ring, G[m, n] = sum_i r_i^(m+n) F_i[(n - m) mod N]
@@ -311,6 +313,30 @@ def build_space(
         ortho_coeffs=coeffs,
         rank=rank,
     )
+
+
+class Spaces:
+    """The spaces of one span and one measure, each built once.
+
+    spaces(weight) tabulates the weight on the measure and returns its
+    space, built on the first request for those weight values and the same
+    object after that.  The build is deterministic, so reuse changes no
+    number.  A closed-form weight and its tabulation share one space, whose
+    weight is the one first requested.
+    """
+
+    def __init__(self, span: FunctionSpan, measure: QuadratureMeasure):
+        self.span = span
+        self.measure = measure
+        self._built = {}
+
+    def __call__(self, weight: WeightFunction) -> WeightedSpace:
+        weight = eval_weight(weight, self.measure)
+        key = weight.values.tobytes()
+        space = self._built.get(key)
+        if space is None:
+            space = self._built[key] = build_space(self.span, self.measure, weight)
+        return space
 
 
 def orthonormal_node_values(space: WeightedSpace) -> np.ndarray:

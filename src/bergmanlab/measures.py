@@ -76,9 +76,9 @@ def build_discrete_measure(points, masses) -> QuadratureMeasure:
         raise InvalidMeasureError(
             f"got {pts.size} nodes but {w.size} masses"
         )
-    if not np.all(np.isfinite(w)) or not np.all(np.isfinite(pts)):
+    if not np.isfinite(w).all() or not np.isfinite(pts).all():
         raise InvalidMeasureError("nodes and masses must be finite")
-    if np.any(w <= 0.0):
+    if (w <= 0.0).any():
         bad = int(np.argmax(w <= 0.0))
         raise InvalidMeasureError(
             f"masses must be strictly positive; mass[{bad}] = {w[bad]}"

@@ -43,7 +43,6 @@ from . import checks
 from .comparison import (
     MAXPRINCIPLE_COUNTEREXAMPLE,
     VERDICT_STRICT,
-    comparison_integrals,
     max_principle_check,
     sandwich_check,
     shifted_comparison_sweep,
@@ -56,7 +55,7 @@ from .errors import (
     InvalidScenarioError,
 )
 from .homotopy import T_GRID, build_path, g_derivative_forms
-from .kernels import build_space
+from .kernels import Spaces
 from .measures import KIND_DISK, build_discrete_measure, build_disk_measure
 from .quantization import (
     DEFAULT_K_LADDER,
@@ -457,14 +456,14 @@ class RunReport:
         return all(r.passed for r in self.results)
 
 
-def _check_structural(config):
+def _check_structural(config, spaces):
     metrics = {}
     passed = True
     weights = [("phi", config.phi)] + (
         [("psi", config.psi)] if config.psi is not None else []
     )
     for label, weight in weights:
-        space = build_space(config.span, config.measure, weight)
+        space = spaces(weight)
         values = checks.structural_values(space)
         metrics[f"{label}_rank"] = space.rank
         metrics.update({f"{label}_{name}": v for name, v in values.items()})
@@ -472,12 +471,10 @@ def _check_structural(config):
     return passed, metrics, []
 
 
-def _comparison_rows(config, c_grid):
+def _comparison_rows(config, spaces, c_grid):
     """The comparison reports over c_grid, and their CSV rows with each verdict."""
-    reports = shifted_comparison_sweep(
-        config.phi, config.psi, config.span, config.measure, c_grid
-    )
-    psi_nontrivial = build_space(config.span, config.measure, config.psi).rank >= 1
+    reports = shifted_comparison_sweep(spaces, config.phi, config.psi, c_grid)
+    psi_nontrivial = spaces(config.psi).rank >= 1
     rows = [
         {
             "scenario_id": config.scenario_id,
@@ -494,10 +491,10 @@ def _comparison_rows(config, c_grid):
     return reports, rows
 
 
-def _check_comparison(config):
-    (report,), rows = _comparison_rows(config, (0.0,))
+def _check_comparison(config, spaces):
+    (report,), rows = _comparison_rows(config, spaces, (0.0,))
     verdict = rows[0]["verdict"]
-    sandwich = sandwich_check(config.phi, config.psi, config.span, config.measure)
+    sandwich = sandwich_check(spaces, config.phi, config.psi)
     metrics = {
         "lhs": report.lhs,
         "rhs": report.rhs,
@@ -516,8 +513,8 @@ def _check_comparison(config):
     return not checks.failures(values), metrics, rows
 
 
-def _check_sweep(config):
-    reports, rows = _comparison_rows(config, config.c_grid)
+def _check_sweep(config, spaces):
+    reports, rows = _comparison_rows(config, spaces, config.c_grid)
     # The sets {psi < phi + c} grow with c, so they nest in shift order.
     sizes = [r.set_size for r in sorted(reports, key=lambda r: r.shift)]
     values = {
@@ -532,9 +529,9 @@ def _check_sweep(config):
     return not checks.failures(values), metrics, rows
 
 
-def _check_homotopy(config):
-    path = build_path(config.phi, config.psi)
-    ders = [g_derivative_forms(path, t, config.span, config.measure) for t in T_GRID]
+def _check_homotopy(config, spaces):
+    path = build_path(spaces, config.phi, config.psi)
+    ders = [g_derivative_forms(path, t) for t in T_GRID]
     rows = [
         {
             "scenario_id": config.scenario_id,
@@ -553,9 +550,7 @@ def _check_homotopy(config):
         path,
         ders,
         [der.g_value for der in ders],
-        comparison_integrals(config.phi, config.psi, config.span, config.measure),
-        config.span,
-        config.measure,
+        shifted_comparison_sweep(spaces, config.phi, config.psi, (0.0,))[0],
     )
     metrics = {
         "worst_three_form_dev": values["three_form_dev"],
@@ -568,7 +563,9 @@ def _check_homotopy(config):
     return not checks.failures(values), metrics, rows
 
 
-def _check_tcz(config):
+def _check_tcz(config, spaces):
+    # The ladder builds each rung on its own span, so it takes no space
+    # from the scenario's context.
     reports = tcz_convergence_report(
         config.phi,
         config.k_list,
@@ -605,12 +602,10 @@ def _check_tcz(config):
     return not checks.failures(values), metrics, rows
 
 
-def _check_maxprinciple(config):
+def _check_maxprinciple(config, spaces):
     mask = np.zeros(config.measure.n, dtype=bool)
     mask[list(config.omega)] = True
-    verdict = max_principle_check(
-        config.phi, config.psi, mask, config.span, config.measure
-    )
+    verdict = max_principle_check(spaces, config.phi, config.psi, mask)
     metrics = {"verdict": verdict, "omega_size": int(mask.sum())}
     return verdict != MAXPRINCIPLE_COUNTEREXAMPLE, metrics, []
 
@@ -627,13 +622,18 @@ CHECK_NAMES = tuple(_CHECK_TABLE)
 
 
 def run_scenario(config: ScenarioConfig) -> RunReport:
-    """Execute the scenario's checks in declared order."""
+    """Execute the scenario's checks in declared order.
+
+    The checks share one Spaces context, so each distinct space of the
+    scenario's span and measure is built once.
+    """
+    spaces = Spaces(config.span, config.measure)
     results = []
     for name in config.checks:
         runner = _CHECK_TABLE[name]
         t0 = time.perf_counter()
         try:
-            passed, metrics, rows = runner(config)
+            passed, metrics, rows = runner(config, spaces)
         except BergmanlabError as exc:
             raise type(exc)(f"scenario {config.scenario_id!r}: {exc}") from exc
         results.append(

@@ -106,7 +106,7 @@ def harmonic_weight(b: float) -> WeightFunction:
 
 def tabulated_weight(values) -> WeightFunction:
     vals = np.asarray(values, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise InvalidMeasureError("tabulated weight values must be finite")
     return WeightFunction(values=vals, family=None)
 

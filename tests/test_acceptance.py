@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from bergmanlab import (
+    Spaces,
     build_discrete_measure,
     build_disk_measure,
     build_scaled_space,
     build_space,
-    comparison_integrals,
     constant_weight,
     default_degree_rule,
     eval_weight,
@@ -27,6 +27,7 @@ from bergmanlab import (
     monomial_span,
     radial_poly_weight,
     run_battery,
+    shifted_comparison_sweep,
     sublevel_set,
     tabulated_weight,
     tcz_convergence_report,
@@ -79,7 +80,7 @@ def test_criterion_03_two_node_reference():
     span = monomial_span(measure, 0)
     phi = eval_weight(tabulated_weight([0.0, 0.0]), measure)
     psi = eval_weight(tabulated_weight([-1.0, 1.0]), measure)
-    rep = comparison_integrals(phi, psi, span, measure)
+    rep = shifted_comparison_sweep(Spaces(span, measure), phi, psi, (0.0,))[0]
     rhs_exact = E / (E + 1.0 / E)
     devs = (
         abs(rep.lhs - 0.5),
@@ -238,9 +239,9 @@ def test_criterion_10_strict_inequality():
         psi = eval_weight(psi, measure)
         s = sublevel_set(phi, psi)
         assert 0 < s.sum() < s.size, f"pair {i}: sublevel set must be proper"
-        psi_rank = build_space(span, measure, psi).rank
-        assert psi_rank >= 1, f"pair {i}: psi space must have rank >= 1"
-        rep = comparison_integrals(phi, psi, span, measure)
+        spaces = Spaces(span, measure)
+        assert spaces(psi).rank >= 1, f"pair {i}: psi space must have rank >= 1"
+        rep = shifted_comparison_sweep(spaces, phi, psi, (0.0,))[0]
         worst_margin = min(worst_margin, rep.margin)
     ok = worst_margin > 1e-10
     assert _verdict(

@@ -34,6 +34,7 @@ from bergmanlab.comparison import (
 )
 from bergmanlab.homotopy import BOUND_T, build_path, weight_at
 from bergmanlab.kernels import (
+    Spaces,
     assemble_gram,
     bergman_densities,
     bergman_density_from_space,
@@ -55,7 +56,7 @@ def test_generate_instance_respects_bounds(monkeypatch):
         assert 1 <= inst.span.dim <= 5
         if inst.span.kind == "monomials":
             assert inst.span.dim <= max(1, m - MONOMIAL_NODE_MARGIN)
-        path = build_path(inst.phi, inst.psi)
+        path = build_path(Spaces(inst.span, inst.measure), inst.phi, inst.psi)
         for t in (0.0, BOUND_T, 1.0):
             gram = assemble_gram(inst.span, inst.measure, weight_at(path, t))
             assert retained_spread(gram) <= SPREAD_BOUND
@@ -235,7 +236,9 @@ def _search_draws(n, seed):
 
 
 def _per_space_verdict(inst):
-    return max_principle_check(inst.phi, inst.psi, inst.omega, inst.span, inst.measure)
+    return max_principle_check(
+        Spaces(inst.span, inst.measure), inst.phi, inst.psi, inst.omega
+    )
 
 
 def test_search_stacks_equal_the_per_space_path():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from bergmanlab import (
     ComparisonReport,
     InvalidConfigurationError,
+    Spaces,
     build_discrete_measure,
-    comparison_integrals,
     eval_weight,
     max_principle_check,
     monomial_span,
@@ -78,7 +78,7 @@ def test_sublevel_set_shift_moves_threshold():
 def test_two_node_closed_form():
     """Hand-computable reference: B values are logistic weights."""
     measure, span, phi, psi = two_node()
-    rep = comparison_integrals(phi, psi, span, measure)
+    rep = shifted_comparison_sweep(Spaces(span, measure), phi, psi, (0.0,))[0]
     assert rep.set_size == 1
     assert rep.set_proper
     assert abs(rep.lhs - 0.5) <= 1e-12
@@ -89,7 +89,7 @@ def test_two_node_closed_form():
 @pytest.mark.parametrize("seed", range(8))
 def test_comparison_holds_on_random_pairs(seed):
     measure, span, phi, psi = random_pair(seed)
-    rep = comparison_integrals(phi, psi, span, measure)
+    rep = shifted_comparison_sweep(Spaces(span, measure), phi, psi, (0.0,))[0]
     assert rep.margin >= -1e-12 * (1.0 + abs(rep.rhs))
 
 
@@ -98,7 +98,7 @@ def test_sweep_nested_and_clean(seed):
     """Shift sweeps keep the inequality and grow the sets monotonically."""
     measure, span, phi, psi = random_pair(seed + 100)
     reports = shifted_comparison_sweep(
-        phi, psi, span, measure, (-2.0, -1.0, 0.0, 1.0, 2.0)
+        Spaces(span, measure), phi, psi, (-2.0, -1.0, 0.0, 1.0, 2.0)
     )
     sizes = [r.set_size for r in reports]
     assert sizes == sorted(sizes)
@@ -110,8 +110,9 @@ def test_comparison_invariant_under_common_shift():
     """Shifting phi by c equals widening the sublevel threshold by -c."""
     measure, span, phi, psi = random_pair(7)
     shifted_phi = eval_weight(tabulated_weight(phi.values + 0.8), measure)
-    via_c = shifted_comparison_sweep(phi, psi, span, measure, (0.8,))[0]
-    direct = comparison_integrals(shifted_phi, psi, span, measure)
+    spaces = Spaces(span, measure)
+    via_c = shifted_comparison_sweep(spaces, phi, psi, (0.8,))[0]
+    direct = shifted_comparison_sweep(spaces, shifted_phi, psi, (0.0,))[0]
     assert via_c.set_size == direct.set_size
     assert via_c.lhs == pytest.approx(direct.lhs, rel=1e-12)
     assert via_c.rhs == pytest.approx(direct.rhs, rel=1e-12)
@@ -139,7 +140,7 @@ def test_reduction_agrees_on_sublevel_set():
 @pytest.mark.parametrize("seed", range(4))
 def test_sandwich_chain(seed):
     measure, span, phi, psi = random_pair(seed + 50)
-    rep = sandwich_check(phi, psi, span, measure)
+    rep = sandwich_check(Spaces(span, measure), phi, psi)
     assert rep.lower_ok and rep.upper_ok
     assert bool(rep)
     assert rep.lhs <= rep.mid + 1e-10 * (1.0 + abs(rep.mid))
@@ -178,13 +179,13 @@ def test_max_principle_premise_branches():
     # the premises hold; build the lift so the off-region premise holds.
     lift = np.where(omega, 0.0, 1.0)
     psi_ok = eval_weight(tabulated_weight(phi.values + lift), measure)
-    verdict = max_principle_check(phi, psi_ok, omega, span, measure)
+    verdict = max_principle_check(Spaces(span, measure), phi, psi_ok, omega)
     assert verdict in (MAXPRINCIPLE_PREMISES_FAIL, MAXPRINCIPLE_CONCLUSION_HOLDS)
 
     # Violating the boundary premise is reported as such.
     psi_bad = eval_weight(tabulated_weight(phi.values - 1.0), measure)
     assert (
-        max_principle_check(phi, psi_bad, omega, span, measure)
+        max_principle_check(Spaces(span, measure), phi, psi_bad, omega)
         == MAXPRINCIPLE_PREMISES_FAIL
     )
 
@@ -193,18 +194,19 @@ def test_max_principle_identical_weights_conclude():
     measure, span, phi, _ = random_pair(10, m=8, d=2)
     omega = np.zeros(8, dtype=bool)
     omega[0] = True
-    verdict = max_principle_check(phi, phi, omega, span, measure)
+    verdict = max_principle_check(Spaces(span, measure), phi, phi, omega)
     assert verdict == MAXPRINCIPLE_CONCLUSION_HOLDS
 
 
 def test_max_principle_omega_validation():
     measure, span, phi, psi = random_pair(11, m=6, d=2)
+    spaces = Spaces(span, measure)
     with pytest.raises(InvalidConfigurationError, match="proper subset"):
-        max_principle_check(phi, psi, np.ones(6, dtype=bool), span, measure)
+        max_principle_check(spaces, phi, psi, np.ones(6, dtype=bool))
     with pytest.raises(InvalidConfigurationError, match="proper subset"):
-        max_principle_check(phi, psi, np.zeros(6, dtype=bool), span, measure)
+        max_principle_check(spaces, phi, psi, np.zeros(6, dtype=bool))
     with pytest.raises(InvalidConfigurationError):
-        max_principle_check(phi, psi, np.zeros(5, dtype=bool), span, measure)
+        max_principle_check(spaces, phi, psi, np.zeros(5, dtype=bool))
 
 
 @settings(deadline=None, max_examples=30)
@@ -221,5 +223,5 @@ def test_property_comparison_inequality(seed, m, d):
         retained_spread(assemble_gram(span, measure, w)) for w in (phi, psi)
     ) > 1e8:
         return
-    rep = comparison_integrals(phi, psi, span, measure)
+    rep = shifted_comparison_sweep(Spaces(span, measure), phi, psi, (0.0,))[0]
     assert rep.margin >= -1e-10 * (1.0 + abs(rep.rhs))

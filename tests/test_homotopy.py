@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from bergmanlab import (
+    Spaces,
     build_discrete_measure,
     build_path,
-    comparison_integrals,
     difference_quotient_bound_check,
     eval_weight,
     g_derivative_forms,
@@ -17,11 +17,12 @@ from bergmanlab import (
     monomial_span,
     monotonicity_sweep,
     orthonormal_node_values,
+    shifted_comparison_sweep,
     sup_bound_constant,
     tabulated_span,
     tabulated_weight,
 )
-from bergmanlab.homotopy import T_GRID, space_at, weight_at
+from bergmanlab.homotopy import T_GRID, weight_at
 from oracles import (
     fd_order,
     rank_one_kernel_derivative,
@@ -62,16 +63,16 @@ def kernel_derivative_matrix(path, space_t):
     return (k * d[None, :]) @ k
 
 
-def kernel_fd(path, t, tau, span, measure):
+def kernel_fd(path, t, tau):
     """Central finite difference of the node-pair kernel in t."""
-    k_plus = node_kernel(space_at(path, t + tau, span, measure))
-    k_minus = node_kernel(space_at(path, t - tau, span, measure))
+    k_plus = node_kernel(path.spaces(weight_at(path, t + tau)))
+    k_minus = node_kernel(path.spaces(weight_at(path, t - tau)))
     return (k_plus - k_minus) / (2.0 * tau)
 
 
 def test_path_construction():
     measure, span, phi, psi = two_node()
-    path = build_path(phi, psi)
+    path = build_path(Spaces(span, measure), phi, psi)
     assert np.allclose(path.direction, [-1.0, 1.0])
     assert path.u_sup == 1.0
     assert T_GRID[0] == 0.0 and T_GRID[-1] == 1.0
@@ -80,25 +81,25 @@ def test_path_construction():
 
 def test_weight_at_endpoints():
     measure, span, phi, psi = random_setup(0)
-    path = build_path(phi, psi)
+    path = build_path(Spaces(span, measure), phi, psi)
     assert np.max(np.abs(weight_at(path, 0.0).values - phi.values)) == 0.0
     assert np.max(np.abs(weight_at(path, 1.0).values - psi.values)) <= 1e-12
 
 
 def test_two_node_g_closed_form():
     measure, span, phi, psi = two_node()
-    path = build_path(phi, psi)
+    path = build_path(Spaces(span, measure), phi, psi)
     for t in np.linspace(0.0, 1.0, 11):
-        assert g_of_t(path, float(t), span, measure) == pytest.approx(
+        assert g_of_t(path, float(t)) == pytest.approx(
             two_node_g(float(t)), abs=1e-13
         )
 
 
 def test_two_node_derivative_forms_match_closed_form():
     measure, span, phi, psi = two_node()
-    path = build_path(phi, psi)
+    path = build_path(Spaces(span, measure), phi, psi)
     for t in (0.0, 0.25, 0.5, 1.0):
-        der = g_derivative_forms(path, t, span, measure)
+        der = g_derivative_forms(path, t)
         exact = two_node_g_prime(t)
         assert der.direct_form == pytest.approx(exact, abs=1e-12)
         assert der.symmetric_form == pytest.approx(exact, abs=1e-12)
@@ -108,8 +109,8 @@ def test_two_node_derivative_forms_match_closed_form():
 @pytest.mark.parametrize("seed", range(6))
 def test_three_forms_agree(seed):
     measure, span, phi, psi = random_setup(seed)
-    path = build_path(phi, psi)
-    der = g_derivative_forms(path, 0.5, span, measure)
+    path = build_path(Spaces(span, measure), phi, psi)
+    der = g_derivative_forms(path, 0.5)
     scale = 1.0 + max(
         abs(der.direct_form), abs(der.symmetric_form), abs(der.sign_split_form)
     )
@@ -120,8 +121,8 @@ def test_three_forms_agree(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_fd_matches_analytic_derivative(seed):
     measure, span, phi, psi = random_setup(seed + 40)
-    path = build_path(phi, psi)
-    der = g_derivative_forms(path, 0.5, span, measure, fd_step=1e-3)
+    path = build_path(Spaces(span, measure), phi, psi)
+    der = g_derivative_forms(path, 0.5, fd_step=1e-3)
     assert abs(der.fd_estimate - der.sign_split_form) <= 1e-6 * (
         1.0 + abs(der.sign_split_form)
     )
@@ -129,11 +130,11 @@ def test_fd_matches_analytic_derivative(seed):
 
 def test_fd_is_second_order():
     measure, span, phi, psi = random_setup(77)
-    path = build_path(phi, psi)
-    exact = g_derivative_forms(path, 0.5, span, measure).sign_split_form
+    path = build_path(Spaces(span, measure), phi, psi)
+    exact = g_derivative_forms(path, 0.5).sign_split_form
 
     def g(t):
-        return g_of_t(path, t, span, measure)
+        return g_of_t(path, t)
 
     slope = fd_order(g, 0.5, exact, (1e-2, 5e-3, 2e-3, 1e-3))
     assert 1.8 <= slope <= 2.2
@@ -148,9 +149,9 @@ def test_rank_one_kernel_derivative_closed_form():
     span = tabulated_span(h[:, None])
     phi = eval_weight(tabulated_weight(rng.uniform(-1.0, 1.0, m)), measure)
     psi = eval_weight(tabulated_weight(rng.uniform(-1.0, 1.0, m)), measure)
-    path = build_path(phi, psi)
+    path = build_path(Spaces(span, measure), phi, psi)
     t = 0.4
-    space = space_at(path, t, span, measure)
+    space = path.spaces(weight_at(path, t))
     got = kernel_derivative_matrix(path, space)
     ref = rank_one_kernel_derivative(
         h, measure.masses, weight_at(path, t).values, path.direction
@@ -160,10 +161,10 @@ def test_rank_one_kernel_derivative_closed_form():
 
 def test_kernel_fd_matches_derivative_matrix():
     measure, span, phi, psi = random_setup(7, m=8, d=3)
-    path = build_path(phi, psi)
-    space = space_at(path, 0.5, span, measure)
+    path = build_path(Spaces(span, measure), phi, psi)
+    space = path.spaces(weight_at(path, 0.5))
     analytic = kernel_derivative_matrix(path, space)
-    fd = kernel_fd(path, 0.5, 1e-4, span, measure)
+    fd = kernel_fd(path, 0.5, 1e-4)
     scale = 1.0 + np.max(np.abs(analytic))
     assert np.max(np.abs(fd - analytic)) <= 1e-6 * scale
 
@@ -171,12 +172,12 @@ def test_kernel_fd_matches_derivative_matrix():
 @pytest.mark.parametrize("seed", range(5))
 def test_monotonicity_and_endpoints(seed):
     measure, span, phi, psi = random_setup(seed + 90)
-    path = build_path(phi, psi)
-    sweep = monotonicity_sweep(path, span, measure)
+    path = build_path(Spaces(span, measure), phi, psi)
+    sweep = monotonicity_sweep(path)
     values = [g for _, g in sweep]
     for a, b in zip(values, values[1:]):
         assert b >= a - 1e-12
-    rep = comparison_integrals(phi, psi, span, measure)
+    rep = shifted_comparison_sweep(path.spaces, phi, psi, (0.0,))[0]
     assert abs(values[0] - rep.lhs) <= 1e-12
     assert abs(values[-1] - rep.rhs) <= 1e-12
 
@@ -191,26 +192,26 @@ def test_sup_bound_constant_formula():
 @pytest.mark.parametrize("seed", range(3))
 def test_quotient_bounds_hold(seed, tau):
     measure, span, phi, psi = random_setup(seed + 200)
-    path = build_path(phi, psi)
-    assert difference_quotient_bound_check(path, 0.5, tau, span, measure)
-    assert l2_difference_bound_check(path, 0.5, tau, span, measure)
+    path = build_path(Spaces(span, measure), phi, psi)
+    assert difference_quotient_bound_check(path, 0.5, tau)
+    assert l2_difference_bound_check(path, 0.5, tau)
 
 
 def test_l2_bound_matches_explicit_arithmetic():
     """The stacked-frame row norms equal the brute-force kernel increment."""
     measure, span, phi, psi = random_setup(8, m=10, d=3)
-    path = build_path(phi, psi)
+    path = build_path(Spaces(span, measure), phi, psi)
     t, tau = 0.4, 0.1
-    space_t = space_at(path, t, span, measure)
+    space_t = path.spaces(weight_at(path, t))
     k0 = node_kernel(space_t)
-    k1 = node_kernel(space_at(path, t + tau, span, measure))
+    k1 = node_kernel(path.spaces(weight_at(path, t + tau)))
     diff = k1 - k0
     d = space_t.measure_factor
     explicit = np.einsum("ik,k,ik->i", diff, d, diff.conj()).real
     diag = np.real(np.diag(k0))
     bound = sup_bound_constant(path.u_sup) * tau * diag + 1e-12 * (1.0 + diag.max())
     assert np.all(explicit <= bound)
-    assert l2_difference_bound_check(path, t, tau, span, measure)
+    assert l2_difference_bound_check(path, t, tau)
 
 
 def test_zero_span_g_vanishes():
@@ -218,11 +219,11 @@ def test_zero_span_g_vanishes():
     span = tabulated_span(np.zeros((3, 2), dtype=complex))
     phi = eval_weight(tabulated_weight([0.5, -0.5, 0.0]), measure)
     psi = eval_weight(tabulated_weight([-1.0, 1.0, 0.0]), measure)
-    path = build_path(phi, psi)
+    path = build_path(Spaces(span, measure), phi, psi)
     for t in (0.0, 0.5, 1.0):
-        assert g_of_t(path, t, span, measure) == 0.0
-        der = g_derivative_forms(path, t, span, measure)
+        assert g_of_t(path, t) == 0.0
+        der = g_derivative_forms(path, t)
         assert der.sign_split_form == 0.0
         assert der.fd_estimate == 0.0
-    assert difference_quotient_bound_check(path, 0.5, 0.1, span, measure)
-    assert l2_difference_bound_check(path, 0.5, 0.1, span, measure)
+    assert difference_quotient_bound_check(path, 0.5, 0.1)
+    assert l2_difference_bound_check(path, 0.5, 0.1)

@@ -237,9 +237,10 @@ def test_disk_fock_scaling_checks_hold_node_values_in_blocks(name):
     """On the 40 960-node rule, forming the node values whole made each check
     peak above 50 MiB; formed in blocks, each stays far below that."""
     config = load_scenario_file(os.path.join(SCENARIO_DIR, "disk-fock-scaling.json"))
+    spaces = kernels.Spaces(config.span, config.measure)
     tracemalloc.start()
     try:
-        passed, _, _ = getattr(scenarios, name)(config)
+        passed, _, _ = getattr(scenarios, name)(config, spaces)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -254,6 +255,7 @@ def test_disk_fock_scaling_checks_take_kernel_diagonals_ring_by_ring(
     """The diagonals come from one FFT per ring, so the only basis values
     formed are the 20 row blocks of the residual's sum E* D E."""
     config = load_scenario_file(os.path.join(SCENARIO_DIR, "disk-fock-scaling.json"))
+    spaces = kernels.Spaces(config.span, config.measure)
     evaluated = []
 
     def counted(span, z):
@@ -261,7 +263,7 @@ def test_disk_fock_scaling_checks_take_kernel_diagonals_ring_by_ring(
         return evaluate_basis(span, z)
 
     monkeypatch.setattr(kernels, "evaluate_basis", counted)
-    passed, _, _ = getattr(scenarios, name)(config)
+    passed, _, _ = getattr(scenarios, name)(config, spaces)
     assert passed
     assert len(evaluated) == calls
 

@@ -1,0 +1,117 @@
+"""The Spaces context: one build per distinct space of a span and a measure."""
+
+import glob
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from bergmanlab import (
+    InvalidMeasureError,
+    Spaces,
+    bergman_density_from_space,
+    build_discrete_measure,
+    build_disk_measure,
+    build_path,
+    build_space,
+    check_instance,
+    eval_weight,
+    gauss_weight,
+    generate_instance,
+    load_scenario_file,
+    monomial_span,
+    run_scenario,
+    tabulated_span,
+    tabulated_weight,
+)
+from bergmanlab.homotopy import weight_at
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+SCENARIOS = sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.json")))
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every build_space call in the package, as (span, measure, weight bytes).
+
+    Each module that imported build_space by name is patched, so a build
+    outside the context counts too.  The spans and measures are kept alive,
+    so their ids are never reused within a test.
+    """
+    calls = []
+
+    def counted(span, measure, weight, *args, **kwargs):
+        space = build_space(span, measure, weight, *args, **kwargs)
+        calls.append((span, measure, space.weight.values.tobytes()))
+        return space
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bergmanlab" and module is not None:
+            if getattr(module, "build_space", None) is build_space:
+                monkeypatch.setattr(module, "build_space", counted)
+    return calls
+
+
+def _distinct(calls):
+    return {(id(span), id(measure), key) for span, measure, key in calls}
+
+
+def test_each_distinct_space_of_a_battery_instance_is_built_once(builds):
+    rng = np.random.default_rng(0)
+    for i in range(20):
+        check_instance(generate_instance(rng, i))
+        assert builds, "the patched build_space was never called"
+        assert len(builds) == len(_distinct(builds)), f"instance {i}"
+        builds.clear()
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=os.path.basename)
+def test_each_distinct_space_of_a_scenario_is_built_once(builds, path):
+    assert run_scenario(load_scenario_file(path)).green
+    assert builds
+    assert len(builds) == len(_distinct(builds))
+
+
+def _discrete(m=9, d=3, seed=5):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.6, 1.4, m) * np.exp(2j * np.pi * rng.uniform(size=m))
+    measure = build_discrete_measure(pts, np.exp(rng.uniform(-1.0, 1.0, m)))
+    vals = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+    phi = tabulated_weight(rng.uniform(-2.0, 2.0, m))
+    psi = tabulated_weight(rng.uniform(-2.0, 2.0, m))
+    return measure, tabulated_span(vals), phi, psi
+
+
+def test_a_closed_form_weight_and_its_tabulation_share_one_space():
+    measure = build_disk_measure(1.0, 6, 12)
+    spaces = Spaces(monomial_span(measure, 4), measure)
+    phi = gauss_weight(1.0)
+    tabulated = tabulated_weight(eval_weight(phi, measure).values)
+    assert spaces(tabulated) is spaces(phi)
+    assert spaces(phi) is spaces(phi)
+
+
+def test_the_path_at_t_zero_reuses_the_space_of_phi():
+    measure, span, phi, psi = _discrete()
+    spaces = Spaces(span, measure)
+    path = build_path(spaces, phi, psi)
+    assert path.spaces is spaces
+    assert spaces(weight_at(path, 0.0)) is spaces(phi)
+
+
+def test_a_weight_of_the_wrong_length_is_rejected_before_it_is_keyed():
+    measure, span, _, _ = _discrete()
+    spaces = Spaces(span, measure)
+    with pytest.raises(InvalidMeasureError, match="tabulates 2 nodes, measure has 9"):
+        spaces(tabulated_weight([0.0, 1.0]))
+
+
+def test_a_context_space_has_the_densities_of_its_own_build():
+    measure, span, phi, psi = _discrete()
+    spaces = Spaces(span, measure)
+    for weight in (phi, psi, phi):
+        assert np.array_equal(
+            bergman_density_from_space(spaces(weight)),
+            bergman_density_from_space(build_space(span, measure, weight)),
+        )
