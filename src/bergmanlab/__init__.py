@@ -57,7 +57,6 @@ from .kernels import (
     orthonormal_basis,
     orthonormal_node_values,
     reproducing_residual,
-    retained_spread,
 )
 from .measures import (
     QuadratureMeasure,

@@ -38,22 +38,18 @@ from .homotopy import (
     BOUND_T,
     ORDER_STEPS,
     build_path,
+    central_difference,
     g_derivative_forms,
     monotonicity_sweep,
     weight_at,
 )
-from .kernels import (
-    Spaces,
-    assemble_gram,
-    bergman_densities,
-    retained_spread,
-)
+from .kernels import Spaces, bergman_densities
 from .measures import build_discrete_measure
 from .scenarios import DEFAULT_C_GRID, scenario_record
 from .spans import monomial_span, tabulated_span
 from .weights import eval_weight, tabulated_weight
 
-# Gram spectra with a retained eigenvalue spread beyond this amplify
+# Spaces with a retained spread (WeightedSpace.spread) beyond this amplify
 # eigensolver roundoff past the battery tolerances, so the generator
 # resamples such draws, up to MAX_RESAMPLES times.  The bound leaves
 # roughly three orders of magnitude of headroom against the tightest
@@ -100,14 +96,22 @@ ORDER_EXACT_FLOOR = 1e-14
 
 @dataclass
 class BatteryInstance:
-    """One generated instance plus the bookkeeping to rerun it."""
+    """One generated instance, the context of its spaces, and the bookkeeping
+    to rerun it."""
 
     index: int
-    measure: object
-    span: object
+    spaces: Spaces
     phi: object
     psi: object
     resamples: int
+
+    @property
+    def measure(self):
+        return self.spaces.measure
+
+    @property
+    def span(self):
+        return self.spaces.span
 
     def scenario_dict(self, checks=("structural", "comparison", "homotopy")) -> dict:
         """A scenario-file dictionary that reruns this instance."""
@@ -144,11 +148,13 @@ def _draw_span(rng, measure, d: int, node_margin: int):
 
 
 def generate_instance(rng, index: int) -> BatteryInstance:
-    """Draw one instance, resampling until the Gram spectra are tame.
+    """Draw one instance, resampling until its spaces are tame.
 
-    Conditioning is checked at both homotopy endpoints and the midpoint,
-    since the derivative checks build spaces there.  Resampling keeps the
-    stream deterministic: a given seed always yields the same instances.
+    A draw is tame when the spaces at both homotopy endpoints and the
+    midpoint, where the derivative checks build them, have a spread of at
+    most SPREAD_BOUND.  Those spaces are built in the instance's own Spaces
+    context, which check_instance reuses.  Resampling keeps the stream
+    deterministic: a given seed always yields the same instances.
     """
     for attempt in range(MAX_RESAMPLES):
         m = int(rng.integers(2, MAX_NODES + 1))
@@ -157,21 +163,13 @@ def generate_instance(rng, index: int) -> BatteryInstance:
         span = _draw_span(rng, measure, d, MONOMIAL_NODE_MARGIN)
         phi = eval_weight(tabulated_weight(rng.uniform(*WEIGHT_RANGE, m)), measure)
         psi = eval_weight(tabulated_weight(rng.uniform(*WEIGHT_RANGE, m)), measure)
-        path = build_path(Spaces(span, measure), phi, psi)
-        tame = all(
-            retained_spread(assemble_gram(span, measure, weight_at(path, t)))
-            <= SPREAD_BOUND
+        spaces = Spaces(span, measure)
+        path = build_path(spaces, phi, psi)
+        if all(
+            spaces(weight_at(path, t)).spread <= SPREAD_BOUND
             for t in (0.0, BOUND_T, 1.0)
-        )
-        if tame:
-            return BatteryInstance(
-                index=index,
-                measure=measure,
-                span=span,
-                phi=phi,
-                psi=psi,
-                resamples=attempt,
-            )
+        ):
+            return BatteryInstance(index, spaces, phi, psi, resamples=attempt)
     raise RuntimeError(
         f"instance {index}: no tame draw in {MAX_RESAMPLES} attempts"
     )
@@ -195,10 +193,13 @@ class InstanceMetrics:
 def check_instance(inst: BatteryInstance) -> InstanceMetrics:
     """Run all three check groups on one instance, building each space once.
 
-    The homotopy endpoints are the c = 0 report of the comparison sweep.
+    The spaces come from the instance's context, which already holds the
+    three whose spread generate_instance judged tame.  The homotopy
+    endpoints are the c = 0 report of the comparison sweep, and G' at
+    BOUND_T is formed once: each order error is a central difference
+    against its sign-split form.
     """
-    spaces = Spaces(inst.span, inst.measure)
-    phi, psi = inst.phi, inst.psi
+    spaces, phi, psi = inst.spaces, inst.phi, inst.psi
 
     space = spaces(phi)
     values = checks.structural_values(space)
@@ -207,19 +208,19 @@ def check_instance(inst: BatteryInstance) -> InstanceMetrics:
     values["sandwich"] = bool(sandwich_check(spaces, phi, psi))
 
     path = build_path(spaces, phi, psi)
+    forms = g_derivative_forms(path, BOUND_T)
     values.update(
         checks.homotopy_values(
             path,
-            [g_derivative_forms(path, BOUND_T)],
+            [forms],
             [g for _, g in monotonicity_sweep(path)],
             reports[DEFAULT_C_GRID.index(0.0)],
         )
     )
-
-    order_errors = {}
-    for tau in ORDER_STEPS:
-        d_tau = g_derivative_forms(path, BOUND_T, fd_step=tau)
-        order_errors[tau] = abs(d_tau.fd_estimate - d_tau.sign_split_form)
+    order_errors = {
+        tau: abs(central_difference(path, BOUND_T, tau) - forms.sign_split_form)
+        for tau in ORDER_STEPS
+    }
 
     return InstanceMetrics(
         index=inst.index,

@@ -198,18 +198,20 @@ def g_derivative_forms(
         u * neg, pos.astype(float)
     )
 
-    g_plus = g_of_t(path, t + fd_step)
-    g_minus = g_of_t(path, t - fd_step)
-
     return DerivativeReport(
         t=float(t),
         g_value=g_of_t(path, t),
         direct_form=direct,
         symmetric_form=symmetric,
         sign_split_form=sign_split,
-        fd_estimate=float((g_plus - g_minus) / (2.0 * fd_step)),
+        fd_estimate=central_difference(path, t, fd_step),
         fd_step=float(fd_step),
     )
+
+
+def central_difference(path: HomotopyPath, t: float, step: float) -> float:
+    """The central difference (G(t + step) - G(t - step)) / (2 step) of G at t."""
+    return float((g_of_t(path, t + step) - g_of_t(path, t - step)) / (2.0 * step))
 
 
 def monotonicity_sweep(path: HomotopyPath) -> list:

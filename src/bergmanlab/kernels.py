@@ -86,7 +86,10 @@ class WeightedSpace:
 
     ortho_coeffs is the (d, rank) matrix C with C* G C = I on the retained
     spectrum; the functions e_l = sum_n C[n, l] basis_n form an orthonormal
-    basis of the non-degenerate part of the span.
+    basis of the non-degenerate part of the span.  spread is the retained
+    equilibrated spread: the largest eigenvalue of the unit-diagonal Gram
+    over the smallest one kept (1.0 at rank 0), the conditioning that the
+    orthonormalization faced; identity residuals scale with roundoff times it.
     """
 
     span: FunctionSpan
@@ -94,6 +97,7 @@ class WeightedSpace:
     weight: WeightFunction
     ortho_coeffs: np.ndarray
     rank: int
+    spread: float
 
     @property
     def measure_factor(self) -> np.ndarray:
@@ -133,7 +137,7 @@ def _ring_path(span: FunctionSpan, measure: QuadratureMeasure) -> bool:
     They do for the measure's own monomial span on a disk rule, recognised
     by its points, once the dense work m * d^2 reaches RING_GRAM_MIN_WORK.
     A discrete measure is turned away by one attribute read, since the
-    battery asks this of thousands of small spaces a pass (9 400 builds at
+    battery asks this of thousands of small spaces a pass (3 795 builds at
     seed 0).
     """
     return (
@@ -229,21 +233,6 @@ def _equilibrated(gram: np.ndarray):
     return scale, rescaled
 
 
-def retained_spread(gram: np.ndarray) -> float:
-    """Spread (max/min) of the retained equilibrated Gram spectrum.
-
-    This is the conditioning the orthonormalization actually faces after
-    rank truncation; identity residuals scale with roundoff times this
-    number.
-    """
-    lam = np.linalg.eigvalsh(_equilibrated(gram)[1])
-    top = lam[-1] if lam.size else 0.0
-    if top <= 0.0:
-        return 1.0
-    kept = lam[lam > RANK_TOL * top]
-    return float(top / kept[0])
-
-
 def orthonormal_bases(grams: np.ndarray, rank_tol: float = RANK_TOL) -> list:
     """Orthonormalize a stack of Grams (n, d, d) by Hermitian eigendecomposition.
 
@@ -254,8 +243,10 @@ def orthonormal_bases(grams: np.ndarray, rank_tol: float = RANK_TOL) -> list:
     an error); a non-finite Gram, or one that dips below zero by more than
     PSD_TOL of its largest eigenvalue, raises for the whole stack.
 
-    Returns one pair (items, C) per rank r that occurs, in increasing rank:
-    items indexes the Grams of rank r and C has shape (len(items), d, r).
+    Returns one triple (items, C, spreads) per rank r that occurs, in
+    increasing rank: items indexes the Grams of rank r, C has shape
+    (len(items), d, r) and spreads holds their retained spreads, the largest
+    eigenvalue over the smallest one kept (1.0 at rank 0).
     The stack is grouped by rank rather than padded with zero columns, so
     each C holds exactly the columns that a stack of one keeps, and every
     product with it sums in the same order.
@@ -264,6 +255,7 @@ def orthonormal_bases(grams: np.ndarray, rank_tol: float = RANK_TOL) -> list:
     lam, u = np.linalg.eigh(rescaled)
     d = lam.shape[1]
     by_rank = {}
+    spreads = []
     for i, row in enumerate(lam.tolist()):
         top = row[-1] if row else 0.0
         if top > 0.0 and row[0] < -PSD_TOL * top:
@@ -275,6 +267,8 @@ def orthonormal_bases(grams: np.ndarray, rank_tol: float = RANK_TOL) -> list:
         # are the last; a Gram with no positive eigenvalue keeps none.
         rank = d - bisect.bisect_right(row, rank_tol * top) if top > 0.0 else 0
         by_rank.setdefault(rank, []).append(i)
+        spreads.append(top / row[d - rank] if rank else 1.0)
+    spreads = np.array(spreads)
     bases = []
     for rank, items in sorted(by_rank.items()):
         # A stack of one rank, as every build_space call makes, is sliced
@@ -282,18 +276,18 @@ def orthonormal_bases(grams: np.ndarray, rank_tol: float = RANK_TOL) -> list:
         sel = slice(None) if len(by_rank) == 1 else items
         kept = slice(d - rank, d)
         c = scale[sel, :, None] * (u[sel, :, kept] / np.sqrt(lam[sel, None, kept]))
-        bases.append((np.array(items), c))
+        bases.append((np.array(items), c, spreads[sel]))
     return bases
 
 
 def orthonormal_basis(gram: np.ndarray, rank_tol: float = RANK_TOL):
     """Orthonormalize one Gram matrix: orthonormal_bases on a stack of one.
 
-    Returns (C, rank) with C of shape (d, rank) and C* G C = I on the
-    retained spectrum.
+    Returns (C, rank, spread) with C of shape (d, rank), C* G C = I on the
+    retained spectrum, and the retained spread.
     """
-    ((_, c),) = orthonormal_bases(gram[None], rank_tol)
-    return c[0], c.shape[-1]
+    ((_, c, spreads),) = orthonormal_bases(gram[None], rank_tol)
+    return c[0], c.shape[-1], float(spreads[0])
 
 
 def build_space(
@@ -305,13 +299,14 @@ def build_space(
     """Assemble the Gram and orthonormalize; the returned space is immutable."""
     weight = eval_weight(weight, measure)
     gram = assemble_gram(span, measure, weight)
-    coeffs, rank = orthonormal_basis(gram, rank_tol)
+    coeffs, rank, spread = orthonormal_basis(gram, rank_tol)
     return WeightedSpace(
         span=span,
         measure=measure,
         weight=weight,
         ortho_coeffs=coeffs,
         rank=rank,
+        spread=spread,
     )
 
 
@@ -425,7 +420,7 @@ def bergman_densities(
     with np.errstate(over="ignore", invalid="ignore"):
         grams = _dense_gram(values, masses * np.exp(-weights))
     densities = np.empty(weights.shape)
-    for items, c in orthonormal_bases(grams):
+    for items, c, _ in orthonormal_bases(grams):
         densities[items] = _row_norms(values[items] @ c) * np.exp(-weights[items])
     return densities
 

@@ -32,14 +32,12 @@ from bergmanlab.comparison import (
     MAXPRINCIPLE_PREMISES_FAIL,
     max_principle_check,
 )
-from bergmanlab.homotopy import BOUND_T, build_path, weight_at
+from bergmanlab.homotopy import BOUND_T, build_path, g_derivative_forms, weight_at
 from bergmanlab.kernels import (
     Spaces,
-    assemble_gram,
     bergman_densities,
     bergman_density_from_space,
     build_space,
-    retained_spread,
 )
 from bergmanlab.scenarios import scenario_record
 from bergmanlab.spans import tabulated_span
@@ -56,10 +54,25 @@ def test_generate_instance_respects_bounds(monkeypatch):
         assert 1 <= inst.span.dim <= 5
         if inst.span.kind == "monomials":
             assert inst.span.dim <= max(1, m - MONOMIAL_NODE_MARGIN)
-        path = build_path(Spaces(inst.span, inst.measure), inst.phi, inst.psi)
+        spaces = Spaces(inst.span, inst.measure)
+        path = build_path(spaces, inst.phi, inst.psi)
         for t in (0.0, BOUND_T, 1.0):
-            gram = assemble_gram(inst.span, inst.measure, weight_at(path, t))
-            assert retained_spread(gram) <= SPREAD_BOUND
+            assert spaces(weight_at(path, t)).spread <= SPREAD_BOUND
+
+
+def test_generate_instance_resamples_an_untame_draw():
+    """Instance 80 of seed 18 is the first resampled draw of seeds 0-999."""
+    rng = np.random.default_rng(18)
+    resamples = [generate_instance(rng, i).resamples for i in range(81)]
+    assert resamples == [0] * 80 + [1]
+
+
+def test_generate_instance_gives_up_after_max_resamples(monkeypatch):
+    """Every spread is at least 1, so a bound of 0.5 rejects every draw."""
+    monkeypatch.setattr(battery, "SPREAD_BOUND", 0.5)
+    message = f"instance 3: no tame draw in {battery.MAX_RESAMPLES} attempts"
+    with pytest.raises(RuntimeError, match=message):
+        generate_instance(np.random.default_rng(0), 3)
 
 
 def test_generate_instance_deterministic():
@@ -77,6 +90,18 @@ def test_check_instance_green_at_default_tolerances():
     assert metrics.failures == []
     assert metrics.rank >= 1
     assert set(metrics.order_errors) == set(ORDER_STEPS)
+
+
+def test_order_errors_take_the_sign_split_form_at_each_step():
+    """Each order error equals the derivative report's at that step."""
+    rng = np.random.default_rng(0)
+    for i in range(20):
+        inst = generate_instance(rng, i)
+        order_errors = check_instance(inst).order_errors
+        path = build_path(inst.spaces, inst.phi, inst.psi)
+        for tau in ORDER_STEPS:
+            d = g_derivative_forms(path, BOUND_T, fd_step=tau)
+            assert order_errors[tau] == abs(d.fd_estimate - d.sign_split_form)
 
 
 def test_check_instance_flags_a_tightened_limit(tight_trace_limit):
@@ -135,7 +160,8 @@ def test_run_battery_zero_span_degrades_cleanly(monkeypatch):
     def zero_span_instance(rng, index):
         inst = generate_instance(rng, index)
         zeros = np.zeros((inst.measure.n, inst.span.dim), dtype=complex)
-        return dataclasses.replace(inst, span=tabulated_span(zeros))
+        spaces = Spaces(tabulated_span(zeros), inst.measure)
+        return dataclasses.replace(inst, spaces=spaces)
 
     monkeypatch.setattr(battery, "generate_instance", zero_span_instance)
     report = run_battery(n_instances=15, seed=0)

@@ -22,7 +22,7 @@ from bergmanlab import (
     tabulated_span,
     tabulated_weight,
 )
-from bergmanlab.homotopy import T_GRID, weight_at
+from bergmanlab.homotopy import ORDER_STEPS, T_GRID, central_difference, weight_at
 from oracles import (
     fd_order,
     rank_one_kernel_derivative,
@@ -126,6 +126,15 @@ def test_fd_matches_analytic_derivative(seed):
     assert abs(der.fd_estimate - der.sign_split_form) <= 1e-6 * (
         1.0 + abs(der.sign_split_form)
     )
+
+
+@pytest.mark.parametrize("t", [0.3, 0.5])
+def test_central_difference_is_the_reports_fd_estimate(t):
+    measure, span, phi, psi = random_setup(41)
+    path = build_path(Spaces(span, measure), phi, psi)
+    for step in ORDER_STEPS:
+        fd = g_derivative_forms(path, t, fd_step=step).fd_estimate
+        assert central_difference(path, t, step) == fd
 
 
 def test_fd_is_second_order():

@@ -17,6 +17,7 @@ from bergmanlab import (
     build_discrete_measure,
     build_disk_measure,
     build_space,
+    check_instance,
     constant_weight,
     equilibration_scales,
     eval_weight,
@@ -29,7 +30,6 @@ from bergmanlab import (
     orthonormal_basis,
     orthonormal_node_values,
     reproducing_residual,
-    retained_spread,
     scaled_weight,
     tabulated_span,
     tabulated_weight,
@@ -84,7 +84,7 @@ def test_gram_node_count_mismatch():
 def test_orthonormal_basis_whitens_gram():
     measure, span, phi = random_instance(2)
     g = assemble_gram(span, measure, phi)
-    c, rank = orthonormal_basis(g)
+    c, rank, _ = orthonormal_basis(g)
     assert rank == span.dim
     identity = c.conj().T @ g @ c
     assert np.allclose(identity, np.eye(rank), atol=1e-10)
@@ -96,12 +96,12 @@ def test_orthonormal_basis_detects_degenerate_span():
     vals = span.basis_values.copy()
     vals[:, 2] = vals[:, 0]
     g = assemble_gram(tabulated_span(vals), measure, phi)
-    _, rank = orthonormal_basis(g)
+    _, rank, _ = orthonormal_basis(g)
     assert rank == 2
 
 
 def test_orthonormal_basis_zero_gram():
-    c, rank = orthonormal_basis(np.zeros((3, 3)))
+    c, rank, _ = orthonormal_basis(np.zeros((3, 3)))
     assert rank == 0
     assert c.shape == (3, 0)
 
@@ -115,8 +115,8 @@ def test_orthonormal_basis_rejects_indefinite():
 def test_orthonormal_bases_groups_a_stack_by_rank():
     """Full rank, a repeated column (rank < d) and a zero span in one stack.
 
-    Each item's C and density equal the one-space path bit for bit, and a
-    non-PSD item raises the error a stack of one raises.
+    Each item's C, spread and density equal the one-space path bit for bit,
+    and a non-PSD item raises the error a stack of one raises.
     """
     measure, span, phi = random_instance(3, d=3)
     full = span.basis_values
@@ -125,10 +125,11 @@ def test_orthonormal_bases_groups_a_stack_by_rank():
     spans = [tabulated_span(v) for v in (full, repeated, np.zeros_like(full))]
     grams = np.stack([assemble_gram(s, measure, phi) for s in spans])
     ranks = {}
-    for items, c in kernels.orthonormal_bases(grams):
-        for item, coeffs in zip(items, c):
+    for items, c, spreads in kernels.orthonormal_bases(grams):
+        for item, coeffs, spread in zip(items, c, spreads):
             ranks[int(item)] = coeffs.shape[1]
             assert np.array_equal(coeffs, orthonormal_basis(grams[item])[0])
+            assert spread == build_space(spans[item], measure, phi).spread
     assert ranks == {0: 3, 1: 2, 2: 0}
 
     densities = kernels.bergman_densities(
@@ -166,11 +167,37 @@ def test_equilibration_handles_null_directions():
     assert lam[-1] == pytest.approx(1.0)
 
 
-def test_retained_spread_ignores_scale():
+def test_space_spread_ignores_scale():
     """A diagonal Gram spanning many decades equilibrates to spread one."""
-    g = np.diag(10.0 ** np.arange(-30.0, 10.0, 5.0))
-    assert retained_spread(g) == pytest.approx(1.0)
-    assert retained_spread(np.zeros((2, 2))) == 1.0
+    scales = 10.0 ** np.arange(-15.0, 5.0, 2.5)
+    measure = build_discrete_measure(np.arange(1.0, 9.0), np.ones(8))
+    zero = eval_weight(constant_weight(0.0), measure)
+    space = build_space(tabulated_span(np.diag(scales)), measure, zero)
+    assert np.array_equal(
+        assemble_gram(space.span, measure, zero), np.diag(scales**2)
+    )
+    assert space.spread == pytest.approx(1.0)
+    zero_span = tabulated_span(np.zeros((8, 2)))
+    assert build_space(zero_span, measure, zero).spread == 1.0
+
+
+def test_space_spread_matches_eigvalsh_on_battery_spaces():
+    """The spread from the factorization's eigenvalues against eigvalsh.
+
+    The oracle takes the equilibrated Gram's spectrum with a second
+    eigensolver and keeps what the rank cutoff keeps.
+    """
+    rng = np.random.default_rng(0)
+    for i in range(50):
+        inst = generate_instance(rng, i)
+        check_instance(inst)
+        for space in inst.spaces._built.values():
+            gram = assemble_gram(space.span, space.measure, space.weight)
+            s = equilibration_scales(gram)
+            lam = np.linalg.eigvalsh(gram * np.outer(s, s))
+            kept = lam[lam > kernels.RANK_TOL * lam[-1]]
+            expected = lam[-1] / kept[0] if lam[-1] > 0.0 else 1.0
+            assert space.spread == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("monomial", [False, True])
@@ -559,10 +586,9 @@ def test_property_trace_identity(seed, m, d):
     vals = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
     span = tabulated_span(vals)
     phi = eval_weight(tabulated_weight(rng.uniform(-2.0, 2.0, m)), measure)
-    g = assemble_gram(span, measure, phi)
-    if retained_spread(g) > 1e8:
-        return
     space = build_space(span, measure, phi)
+    if space.spread > 1e8:
+        return
     density = bergman_density_from_space(space)
     assert (
         abs(measure.masses @ density - space.rank)

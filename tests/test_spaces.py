@@ -10,6 +10,7 @@ import pytest
 from bergmanlab import (
     InvalidMeasureError,
     Spaces,
+    assemble_gram,
     bergman_density_from_space,
     build_discrete_measure,
     build_disk_measure,
@@ -32,45 +33,60 @@ SCENARIOS = sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.json")))
 
 
 @pytest.fixture
-def builds(monkeypatch):
-    """Every build_space call in the package, as (span, measure, weight bytes).
+def calls(monkeypatch):
+    """Every build_space and assemble_gram call in the package, by name.
 
-    Each module that imported build_space by name is patched, so a build
-    outside the context counts too.  The spans and measures are kept alive,
-    so their ids are never reused within a test.
+    Each call is kept as (span, measure, weight bytes).  Each module that
+    imported either function by name is patched, so a call outside the
+    context counts too, and so does the Gram that build_space assembles.
+    The spans and measures are kept alive, so their ids are never reused
+    within a test.
     """
-    calls = []
+    counted = {}
+    for fn in (build_space, assemble_gram):
+        wrapper = _counting(fn, counted.setdefault(fn.__name__, []))
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "bergmanlab" and module is not None:
+                if getattr(module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, wrapper)
+    return counted
 
+
+def _counting(fn, made):
     def counted(span, measure, weight, *args, **kwargs):
-        space = build_space(span, measure, weight, *args, **kwargs)
-        calls.append((span, measure, space.weight.values.tobytes()))
-        return space
+        made.append((span, measure, eval_weight(weight, measure).values.tobytes()))
+        return fn(span, measure, weight, *args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "bergmanlab" and module is not None:
-            if getattr(module, "build_space", None) is build_space:
-                monkeypatch.setattr(module, "build_space", counted)
-    return calls
+    return counted
 
 
 def _distinct(calls):
     return {(id(span), id(measure), key) for span, measure, key in calls}
 
 
-def test_each_distinct_space_of_a_battery_instance_is_built_once(builds):
+def test_each_distinct_space_of_a_battery_instance_is_built_once(calls):
+    """From draw to verdict, each distinct space has one build and one Gram.
+
+    The draw's tame check reads the spread of the spaces the checks use.
+    """
+    builds, grams = calls["build_space"], calls["assemble_gram"]
     rng = np.random.default_rng(0)
     for i in range(20):
         check_instance(generate_instance(rng, i))
         assert builds, "the patched build_space was never called"
         assert len(builds) == len(_distinct(builds)), f"instance {i}"
+        assert len(grams) == len(_distinct(builds)), f"instance {i}"
         builds.clear()
+        grams.clear()
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=os.path.basename)
-def test_each_distinct_space_of_a_scenario_is_built_once(builds, path):
+def test_each_distinct_space_of_a_scenario_is_built_once(calls, path):
+    builds = calls["build_space"]
     assert run_scenario(load_scenario_file(path)).green
     assert builds
     assert len(builds) == len(_distinct(builds))
+    assert len(calls["assemble_gram"]) == len(builds)
 
 
 def _discrete(m=9, d=3, seed=5):
