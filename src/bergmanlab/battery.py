@@ -197,7 +197,7 @@ def check_instance(inst: BatteryInstance) -> InstanceMetrics:
     three whose spread generate_instance judged tame.  The homotopy
     endpoints are the c = 0 report of the comparison sweep, and G' at
     BOUND_T is formed once: each order error is a central difference
-    against its sign-split form.
+    against its sign-split form, and the one at FD_STEP is the report's own.
     """
     spaces, phi, psi = inst.spaces, inst.phi, inst.psi
 
@@ -217,10 +217,13 @@ def check_instance(inst: BatteryInstance) -> InstanceMetrics:
             reports[DEFAULT_C_GRID.index(0.0)],
         )
     )
-    order_errors = {
-        tau: abs(central_difference(path, BOUND_T, tau) - forms.sign_split_form)
-        for tau in ORDER_STEPS
-    }
+    order_errors = {}
+    for tau in ORDER_STEPS:
+        if tau == forms.fd_step:
+            fd = forms.fd_estimate
+        else:
+            fd = central_difference(path, BOUND_T, tau)
+        order_errors[tau] = abs(fd - forms.sign_split_form)
 
     return InstanceMetrics(
         index=inst.index,
@@ -231,9 +234,15 @@ def check_instance(inst: BatteryInstance) -> InstanceMetrics:
     )
 
 
-def _worst_field(lim) -> str:
-    """The BatteryReport field holding a metric's worst value over instances."""
-    return ("worst_" if lim.upper else "min_") + lim.metric
+def _worst_fields() -> dict:
+    """The rows of checks.LIMITS that the battery measures on every instance,
+    by the BatteryReport field that holds their worst value over instances."""
+    rows = {}
+    for lim in checks.LIMITS:
+        field = ("worst_" if lim.upper else "min_") + lim.metric
+        if field in BatteryReport.__dataclass_fields__:
+            rows[field] = lim
+    return rows
 
 
 @dataclass
@@ -280,8 +289,9 @@ class BatteryReport:
             f"battery: {self.n_instances} instances, seed {self.seed}, "
             f"{self.elapsed_seconds:.2f}s"
         ]
-        for lim in sorted(BATTERY_LIMITS, key=lambda lim: not lim.upper):
-            value = getattr(self, _worst_field(lim))
+        rows = sorted(_worst_fields().items(), key=lambda row: not row[1].upper)
+        for field, lim in rows:
+            value = getattr(self, field)
             worst, limit = ("worst", "limit") if lim.upper else ("min", "floor")
             mark = "ok" if lim.holds(value) else "FAIL"
             lines.append(
@@ -306,7 +316,7 @@ class BatteryReport:
     def document(self) -> dict:
         """The report as the JSON block of the battery command."""
         doc = {"n_instances": self.n_instances, "seed": self.seed}
-        doc.update({f: getattr(self, f) for f in map(_worst_field, BATTERY_LIMITS)})
+        doc.update({f: getattr(self, f) for f in _worst_fields()})
         doc.update(
             bound_violations=self.bound_violations,
             sandwich_failures=self.sandwich_failures,
@@ -316,14 +326,6 @@ class BatteryReport:
             elapsed_seconds=self.elapsed_seconds,
         )
         return doc
-
-
-# The rows of the check table that the battery measures on every instance.
-BATTERY_LIMITS = tuple(
-    lim
-    for lim in checks.LIMITS
-    if _worst_field(lim) in BatteryReport.__dataclass_fields__
-)
 
 
 def fit_order_slope(order_max_errors: dict) -> float:
@@ -349,11 +351,16 @@ def run_battery(
     """Generate and check a full battery; optionally dump failures.
 
     dump_dir, when given, receives one rerunnable scenario JSON per
-    failing instance.
+    failing instance; the dumps of an earlier run there are removed first.
     """
+    import glob
     import json
     import os
 
+    if dump_dir is not None:
+        pattern = os.path.join(glob.escape(dump_dir), "battery-failure-*.json")
+        for stale in glob.glob(pattern):
+            os.remove(stale)
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     results = []
@@ -371,9 +378,9 @@ def run_battery(
             dumps.append(path)
 
     worst = {}
-    for lim in BATTERY_LIMITS:
+    for field, lim in _worst_fields().items():
         values = [m.values[lim.metric] for m in results]
-        worst[_worst_field(lim)] = (max if lim.upper else min)(values, default=0.0)
+        worst[field] = (max if lim.upper else min)(values, default=0.0)
     order_max = {
         tau: max([0.0, *(m.order_errors[tau] for m in results)]) for tau in ORDER_STEPS
     }

@@ -6,9 +6,13 @@ structural_values, comparison_deficit and homotopy_values.  They take what
 the runners already hold (a space, comparison reports, a homotopy path with
 its spaces), never a span and a measure to build from.
 
-LIMITS is the one table of pass/fail limits.  Each row names a metric, its
-tolerance constant, and whether the limit bounds the metric from above or
-below.  A row's form says how the constant reaches the metric:
+LIMITS is the one table of pass/fail limits and the one place each judged
+tolerance is written: every lookup (limit, failures, the battery's rows,
+the reports' tolerances) reads it when called.  Each row names a metric,
+its tolerance, and whether the limit bounds the metric from above or below.
+Two rows take the constant their layer applies: the sandwich slack and the
+strict margin, the threshold of comparison.strictness_check.  A row's form
+says how the constant reaches the metric:
 
   absolute  the metric is compared with the constant itself;
   excess    the constant is an allowance on a margin, relative to 1 + |rhs|,
@@ -17,11 +21,9 @@ below.  A row's form says how the constant reaches the metric:
   ratio     the metric is a mismatch divided by its allowance, relative
             to 1 + |reference|, so its limit is 1.
 
-The strict margin is the threshold of the comparison verdict itself
-(``comparison.strictness_check``); it is listed so that reports carry it.
-The quotient-bound envelope and the sandwich slack are fixed claims judged
-inside their layer functions, and the TCZ monotone slack and the battery's
-order window are fixed too.
+Tolerances applied only inside a layer function stay in its module
+(BOUND_FLOOR, DENSITY_POINT_TOL, RANK_TOL, PSD_TOL, the TCZ monotone slack
+and floor), and the battery's order window stays in battery.
 """
 
 from __future__ import annotations
@@ -35,21 +37,10 @@ from .comparison import COMPARISON_TOL, STRICT_MARGIN
 from .homotopy import (
     BOUND_STEPS,
     BOUND_T,
-    ENDPOINT_TOL,
-    FD_MATCH_TOL,
-    SIGN_SPLIT_FLOOR,
-    STEP_TOL,
-    THREE_FORM_RTOL,
     difference_quotient_bound_check,
     l2_difference_bound_check,
 )
-from .kernels import (
-    REPRODUCING_TOL,
-    TRACE_TOL,
-    bergman_density_from_space,
-    reproducing_residual,
-)
-from .quantization import TCZ_FINAL_DEV_LIMIT
+from .kernels import bergman_density_from_space, reproducing_residual
 
 ABSOLUTE = "absolute"
 EXCESS = "excess"
@@ -91,26 +82,30 @@ class Limit:
 
 LIMITS = (
     # key, metric, battery failure label, battery summary title, constant
-    Limit("trace", "trace_error", "trace", "trace identity", TRACE_TOL),
+    Limit("trace", "trace_error", "trace", "trace identity", 1e-9),
     Limit("reproducing", "reproducing_residual", "reproducing",
-          "reproducing residual", REPRODUCING_TOL),
+          "reproducing residual", 1e-9),
     Limit("comparison", "comparison_deficit", "comparison", "comparison deficit",
           COMPARISON_TOL, form=EXCESS),
     Limit("three_form", "three_form_dev", "three-form", "three-form deviation",
-          THREE_FORM_RTOL),
+          1e-10),
     Limit("sign_split_floor", "sign_split", "sign-split", "sign-split floor",
-          SIGN_SPLIT_FLOOR, upper=False),
-    Limit("fd_match", "fd_match_ratio", "fd-match", "fd match ratio",
-          FD_MATCH_TOL, form=RATIO),
+          -1e-12, upper=False),
+    Limit("fd_match", "fd_match_ratio", "fd-match", "fd match ratio", 1e-6,
+          form=RATIO),
     Limit("monotonicity_step", "monotonicity_drop", "monotonicity",
-          "monotonicity drop", STEP_TOL),
-    Limit("endpoint", "endpoint_dev", "endpoint", "endpoint deviation", ENDPOINT_TOL),
+          "monotonicity drop", 1e-12),
+    Limit("endpoint", "endpoint_dev", "endpoint", "endpoint deviation", 1e-12),
     Limit("strict_margin", "margin", "strict", "strict margin", STRICT_MARGIN,
           upper=False),
     Limit("tcz_final_dev", "final_max_abs_dev", "tcz", "tcz final deviation",
-          TCZ_FINAL_DEV_LIMIT),
+          0.05),
 )
-LIMIT_BY_METRIC = {limit.metric: limit for limit in LIMITS}
+
+
+def limit(metric: str) -> Limit:
+    """The row of LIMITS that judges metric."""
+    return next(lim for lim in LIMITS if lim.metric == metric)
 
 
 def failures(values: dict) -> list:
@@ -124,15 +119,15 @@ def failures(values: dict) -> list:
         if isinstance(value, bool):
             if not value:
                 failed.append(name)
-        elif not LIMIT_BY_METRIC[name].holds(value):
-            failed.append(LIMIT_BY_METRIC[name].label)
+        elif not limit(name).holds(value):
+            failed.append(limit(name).label)
     return failed
 
 
 def comparison_deficit(reports) -> float:
     """How far the worst comparison margin falls below its allowance; 0 if none."""
-    limit = LIMIT_BY_METRIC["comparison_deficit"]
-    return max([0.0, *(-(r.margin + limit.bound(r.rhs)) for r in reports)])
+    row = limit("comparison_deficit")
+    return max([0.0, *(-(r.margin + row.bound(r.rhs)) for r in reports)])
 
 
 def three_form_dev(der) -> float:
@@ -144,9 +139,9 @@ def three_form_dev(der) -> float:
 
 
 def fd_match_ratio(der) -> float:
-    """|fd - sign-split| over its allowance FD_MATCH_TOL (1 + |sign-split|)."""
-    limit = LIMIT_BY_METRIC["fd_match_ratio"]
-    return abs(der.fd_estimate - der.sign_split_form) / limit.bound(der.sign_split_form)
+    """|fd - sign-split| over its allowance relative to 1 + |sign-split|."""
+    row = limit("fd_match_ratio")
+    return abs(der.fd_estimate - der.sign_split_form) / row.bound(der.sign_split_form)
 
 
 def structural_values(space) -> dict:

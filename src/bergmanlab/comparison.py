@@ -150,24 +150,20 @@ def sandwich_check(
     integral_S B_phi <= integral_S B_psi0 <= integral_S B_psi.  The first is
     the comparison principle for (phi, psi0) (their sublevel set is also S);
     the second holds pointwise on S because psi0 <= psi everywhere and the
-    two agree on S.  When psi0 is phi or psi, its space is already built.
+    two agree on S.  The outer integrals are the c = 0 comparison report;
+    when psi0 is phi or psi, its space is already built.
     """
-    space_phi, space_psi = spaces(phi), spaces(psi)
-    phi, psi = space_phi.weight, space_psi.weight
-    b_phi = bergman_density_from_space(space_phi)
-    b_psi = bergman_density_from_space(space_psi)
+    report = shifted_comparison_sweep(spaces, phi, psi, (0.0,))[0]
+    phi, psi = spaces(phi).weight, spaces(psi).weight
     b_mid = bergman_density_from_space(spaces(reduce_less_singular(phi, psi)))
     s = sublevel_set(phi, psi)
-    w = spaces.measure.masses
-    lhs = float(np.sum(w[s] * b_phi[s]))
-    mid = float(np.sum(w[s] * b_mid[s]))
-    rhs = float(np.sum(w[s] * b_psi[s]))
+    mid = float(np.sum(spaces.measure.masses[s] * b_mid[s]))
     return SandwichReport(
-        lower_ok=bool(lhs <= mid + COMPARISON_TOL * (1.0 + abs(mid))),
-        upper_ok=bool(mid <= rhs + COMPARISON_TOL * (1.0 + abs(rhs))),
-        lhs=lhs,
+        lower_ok=bool(report.lhs <= mid + COMPARISON_TOL * (1.0 + abs(mid))),
+        upper_ok=bool(mid <= report.rhs + COMPARISON_TOL * (1.0 + abs(report.rhs))),
+        lhs=report.lhs,
         mid=mid,
-        rhs=rhs,
+        rhs=report.rhs,
     )
 
 

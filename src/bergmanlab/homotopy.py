@@ -50,12 +50,6 @@ BOUND_T = T_GRID[5]
 BOUND_STEPS = (0.5, 0.1, 0.01)
 FD_STEP = 1e-3
 ORDER_STEPS = (1e-2, 1e-3, 1e-4)
-
-THREE_FORM_RTOL = 1e-10
-SIGN_SPLIT_FLOOR = -1e-12
-FD_MATCH_TOL = 1e-6
-STEP_TOL = 1e-12
-ENDPOINT_TOL = 1e-12
 # Absolute slack added to the quotient bounds so nodes with a vanishing
 # kernel diagonal pass exactly.
 BOUND_FLOOR = 1e-12
@@ -164,12 +158,11 @@ def l2_difference_bound_check(path: HomotopyPath, t: float, tau: float) -> bool:
     return bool(np.all(lhs <= bound))
 
 
-def g_derivative_forms(
-    path: HomotopyPath, t: float, fd_step: float = FD_STEP
-) -> DerivativeReport:
+def g_derivative_forms(path: HomotopyPath, t: float) -> DerivativeReport:
     """Evaluate G, its three derivative expressions, and a central FD at t.
 
     The profile is rho = 1_{u < 0}, for which the sign-split form holds.
+    The finite difference has step FD_STEP.
     """
     rho_vals = negative_direction_indicator(path)
     u = path.direction
@@ -204,8 +197,8 @@ def g_derivative_forms(
         direct_form=direct,
         symmetric_form=symmetric,
         sign_split_form=sign_split,
-        fd_estimate=central_difference(path, t, fd_step),
-        fd_step=float(fd_step),
+        fd_estimate=central_difference(path, t, FD_STEP),
+        fd_step=FD_STEP,
     )
 
 
@@ -217,7 +210,7 @@ def central_difference(path: HomotopyPath, t: float, step: float) -> float:
 def monotonicity_sweep(path: HomotopyPath) -> list:
     """(t, G(t)) on T_GRID with rho = 1_{u < 0}.
 
-    G must be nondecreasing up to STEP_TOL per step, with G at the endpoints
-    equal to the two comparison integrals.
+    G must be nondecreasing up to its checks.LIMITS step limit, with G at the
+    endpoints equal to the two comparison integrals.
     """
     return [(t, g_of_t(path, t)) for t in T_GRID]

@@ -63,9 +63,6 @@ RANK_TOL = 1e-12
 # A Gram may dip this far (relative to its largest eigenvalue) below zero
 # before it stops being PSD-up-to-roundoff.
 PSD_TOL = 1e-13
-# Residual allowances for the identities the engine guarantees.
-TRACE_TOL = 1e-9
-REPRODUCING_TOL = 1e-9
 # Work m * d^2 of the dense Gram product from which a monomial span on the
 # disk rule is assembled ring by ring instead.  Below it the dense product
 # takes about a millisecond or less, so the ring path would gain nothing;

@@ -31,11 +31,9 @@ DEFAULT_K_LADDER = (10, 20, 40)
 # Positivity floor below which a limit-density node is skipped.
 DENSITY_SKIP_TOL = 1e-12
 
-# Pass limits for a convergence run: the deviation at the last rung of the
-# ladder, and the slack factor allowed when requiring the per-rung maximum
-# deviation to be nonincreasing.  The absolute floor keeps the monotonicity
-# requirement meaningful once deviations reach quadrature noise.
-TCZ_FINAL_DEV_LIMIT = 0.05
+# The slack factor allowed when requiring the per-rung maximum deviation to
+# be nonincreasing in k.  The absolute floor keeps the requirement
+# meaningful once deviations reach quadrature noise.
 TCZ_MONOTONE_SLACK = 1.1
 TCZ_DEV_FLOOR = 1e-9
 

@@ -572,22 +572,21 @@ def _check_tcz(config, spaces):
         config.measure,
         interior_radius=config.interior_radius,
     )
-    rows = []
-    devs = []
-    for rep in reports:
-        rows.append(
-            {
-                "scenario_id": config.scenario_id,
-                "k": rep.k,
-                "degree": rep.degree,
-                "n_eval_points": len(rep.eval_indices),
-                "max_abs_dev": rep.max_abs_dev_from_1,
-                "mean_abs_dev": rep.mean_abs_dev,
-            }
-        )
-        devs.append(rep.max_abs_dev_from_1)
+    rows = [
+        {
+            "scenario_id": config.scenario_id,
+            "k": rep.k,
+            "degree": rep.degree,
+            "n_eval_points": len(rep.eval_indices),
+            "max_abs_dev": rep.max_abs_dev_from_1,
+            "mean_abs_dev": rep.mean_abs_dev,
+        }
+        for rep in reports
+    ]
+    # The ladder is judged in increasing k, whatever order it is listed in.
     # The parser guarantees a nonempty ladder that reads at least one node,
     # so every deviation is a number.
+    devs = [rep.max_abs_dev_from_1 for rep in sorted(reports, key=lambda r: r.k)]
     values = {
         "final_max_abs_dev": devs[-1],
         "deviations_monotone": all(
@@ -715,7 +714,8 @@ def emit_report(reports, out_dir, extra=None) -> list:
     """Write result artifacts; returns the list of file paths written.
 
     One CSV file per check suite that has rows and a column contract, plus
-    summary.json.
+    summary.json.  A contract CSV that this run writes no rows for is
+    removed from out_dir, so every file there belongs to this run.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -731,10 +731,11 @@ def emit_report(reports, out_dir, extra=None) -> list:
             for result in report.results:
                 if result.name in sources:
                     rows.extend(result.rows)
+        path = os.path.join(out_dir, filename)
         if rows:
-            written.append(
-                _write_csv(os.path.join(out_dir, filename), columns, rows)
-            )
+            written.append(_write_csv(path, columns, rows))
+        elif os.path.exists(path):
+            os.remove(path)
     path = os.path.join(out_dir, "summary.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, allow_nan=False)

@@ -11,10 +11,12 @@ import pytest
 from bergmanlab import (
     battery,
     check_instance,
+    checks,
     comparison,
     generate_instance,
     max_principle_search,
     parse_scenario,
+    report_document,
     run_battery,
     run_scenario,
 )
@@ -32,7 +34,13 @@ from bergmanlab.comparison import (
     MAXPRINCIPLE_PREMISES_FAIL,
     max_principle_check,
 )
-from bergmanlab.homotopy import BOUND_T, build_path, g_derivative_forms, weight_at
+from bergmanlab.homotopy import (
+    BOUND_T,
+    build_path,
+    central_difference,
+    g_derivative_forms,
+    weight_at,
+)
 from bergmanlab.kernels import (
     Spaces,
     bergman_densities,
@@ -93,15 +101,17 @@ def test_check_instance_green_at_default_tolerances():
 
 
 def test_order_errors_take_the_sign_split_form_at_each_step():
-    """Each order error equals the derivative report's at that step."""
+    """Each order error is the central difference at that step against the
+    report's sign-split form."""
     rng = np.random.default_rng(0)
     for i in range(20):
         inst = generate_instance(rng, i)
         order_errors = check_instance(inst).order_errors
         path = build_path(inst.spaces, inst.phi, inst.psi)
+        exact = g_derivative_forms(path, BOUND_T).sign_split_form
         for tau in ORDER_STEPS:
-            d = g_derivative_forms(path, BOUND_T, fd_step=tau)
-            assert order_errors[tau] == abs(d.fd_estimate - d.sign_split_form)
+            fd = central_difference(path, BOUND_T, tau)
+            assert order_errors[tau] == abs(fd - exact)
 
 
 def test_check_instance_flags_a_tightened_limit(tight_trace_limit):
@@ -185,6 +195,23 @@ def test_run_battery_dumps_failures(tight_trace_limit, monkeypatch, tmp_path):
         assert rerun.green  # red under the tightened row, green under the table
 
 
+def test_failure_dumps_hold_only_the_last_runs(
+    tight_trace_limit, monkeypatch, tmp_path
+):
+    """A run removes the dumps an earlier run left in its dump directory."""
+    dump_dir = os.fspath(tmp_path / "failures")
+    red = run_battery(n_instances=4, seed=0, dump_dir=dump_dir)
+    assert len(os.listdir(dump_dir)) == len(red.failure_dumps) == 4
+    fewer = run_battery(n_instances=2, seed=0, dump_dir=dump_dir)
+    assert sorted(os.listdir(dump_dir)) == sorted(
+        os.path.basename(p) for p in fewer.failure_dumps
+    )
+    monkeypatch.undo()
+    green = run_battery(n_instances=4, seed=0, dump_dir=dump_dir)
+    assert green.all_green
+    assert os.listdir(dump_dir) == []
+
+
 def test_summary_lines_follow_the_limit_table(tight_trace_limit):
     """Each line is judged against its row of the table, as the verdict is."""
     report = run_battery(n_instances=6, seed=0)
@@ -192,6 +219,27 @@ def test_summary_lines_follow_the_limit_table(tight_trace_limit):
     lines = report.summary_lines()
     trace = next(line for line in lines if "trace identity" in line)
     assert "(limit 1.0e-21) FAIL" in trace
+
+
+def test_one_row_of_the_limit_table_drives_every_output(monkeypatch):
+    """Replacing the trace row of checks.LIMITS, and nothing else, changes
+    the verdicts, the summary line, the document and the tolerances block."""
+    rows = tuple(
+        dataclasses.replace(lim, constant=1e-21) if lim.key == "trace" else lim
+        for lim in checks.LIMITS
+    )
+    monkeypatch.setattr(checks, "LIMITS", rows)
+    report = run_battery(10, 0)
+    assert report.failures
+    assert all("trace" in labels for _, labels in report.failures)
+    assert not report.all_green
+    trace = next(line for line in report.summary_lines() if "trace identity" in line)
+    assert "(limit 1.0e-21) FAIL" in trace
+    doc = report_document([], extra={"battery": report.document()})
+    assert doc["tolerances"]["trace"] == 1e-21
+    assert doc["battery"]["failing_instances"] == [
+        [i, labels] for i, labels in report.failures
+    ]
 
 
 def test_check_instance_agrees_with_its_scenario_rerun():

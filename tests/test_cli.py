@@ -186,6 +186,15 @@ def test_battery_red_under_a_tightened_limit(tight_trace_limit, tmp_path, capsys
     assert os.listdir(failures)
 
 
+def test_out_holds_only_the_last_runs_results(scenario_file, tmp_path, capsys):
+    """A battery run into a scenario run's --out leaves no stale CSV there."""
+    out = os.fspath(tmp_path / "out")
+    assert main(["run", scenario_file, "--out", out]) == EXIT_GREEN
+    assert os.path.exists(os.path.join(out, "homotopy.csv"))
+    assert main(["battery", "--n", "2", "--seed", "0", "--out", out]) == EXIT_GREEN
+    assert os.listdir(out) == ["summary.json"]
+
+
 def test_battery_max_principle_flag(tmp_path, capsys):
     out = os.fspath(tmp_path / "mp")
     code = main(

@@ -22,7 +22,7 @@ from bergmanlab import (
     tabulated_span,
     tabulated_weight,
 )
-from bergmanlab.homotopy import ORDER_STEPS, T_GRID, central_difference, weight_at
+from bergmanlab.homotopy import FD_STEP, T_GRID, central_difference, weight_at
 from oracles import (
     fd_order,
     rank_one_kernel_derivative,
@@ -122,19 +122,18 @@ def test_three_forms_agree(seed):
 def test_fd_matches_analytic_derivative(seed):
     measure, span, phi, psi = random_setup(seed + 40)
     path = build_path(Spaces(span, measure), phi, psi)
-    der = g_derivative_forms(path, 0.5, fd_step=1e-3)
-    assert abs(der.fd_estimate - der.sign_split_form) <= 1e-6 * (
-        1.0 + abs(der.sign_split_form)
-    )
+    der = g_derivative_forms(path, 0.5)
+    fd = central_difference(path, 0.5, 1e-3)
+    assert abs(fd - der.sign_split_form) <= 1e-6 * (1.0 + abs(der.sign_split_form))
 
 
 @pytest.mark.parametrize("t", [0.3, 0.5])
 def test_central_difference_is_the_reports_fd_estimate(t):
     measure, span, phi, psi = random_setup(41)
     path = build_path(Spaces(span, measure), phi, psi)
-    for step in ORDER_STEPS:
-        fd = g_derivative_forms(path, t, fd_step=step).fd_estimate
-        assert central_difference(path, t, step) == fd
+    der = g_derivative_forms(path, t)
+    assert der.fd_step == FD_STEP
+    assert central_difference(path, t, FD_STEP) == der.fd_estimate
 
 
 def test_fd_is_second_order():

@@ -34,7 +34,7 @@ from bergmanlab import (
     tabulated_span,
     tabulated_weight,
 )
-from bergmanlab import kernels
+from bergmanlab import checks, kernels
 from oracles import (
     brute_force_kernel,
     disk_moment_exact,
@@ -552,7 +552,7 @@ def test_blocked_densities_and_residual_match_the_full_node_values(which):
         at_nodes = bergman_density_at(space, space.measure.points)
         assert np.array_equal(at_nodes, reference)
     bound = reproducing_residual(space)
-    assert bound <= kernels.REPRODUCING_TOL
+    assert bound <= checks.limit("reproducing_residual").constant
     kmax = float(np.max(np.einsum("ij,ij->i", e, e.conj()).real))
     slack = np.finfo(float).eps * space.measure.n * max(1.0, kmax) ** 2
     assert blocked_node_pair_residual(space) <= bound + slack

@@ -17,8 +17,7 @@ from bergmanlab import (
     report_document,
     run_scenario,
 )
-from bergmanlab import kernels, scenarios
-from bergmanlab.kernels import REPRODUCING_TOL
+from bergmanlab import checks, kernels, scenarios
 from bergmanlab.scenarios import (
     COMPARISON_COLUMNS,
     HOMOTOPY_COLUMNS,
@@ -229,7 +228,8 @@ def test_structural_checks_the_reproducing_identity_above_2048_nodes():
     assert config.measure.n == 2304
     result = run_scenario(config).results[0]
     assert result.passed
-    assert result.metrics["phi_reproducing_residual"] <= REPRODUCING_TOL
+    limit = checks.limit("reproducing_residual").constant
+    assert result.metrics["phi_reproducing_residual"] <= limit
 
 
 @pytest.mark.parametrize("name", ["_check_structural", "_check_tcz"])
@@ -308,6 +308,17 @@ def test_emit_csv_contract(tmp_path):
     assert not os.path.exists(os.path.join(out, "tcz.csv"))
 
 
+def test_emit_removes_the_csvs_an_earlier_run_left(tmp_path):
+    """A contract CSV that the current run writes no rows for is removed."""
+    out = os.fspath(tmp_path / "reports")
+    emit_report([run_scenario(parse_scenario(two_node_dict()))], out)
+    assert os.path.exists(os.path.join(out, "homotopy.csv"))
+    only_structural = parse_scenario(two_node_dict(checks=["structural"]))
+    written = emit_report([run_scenario(only_structural)], out)
+    assert sorted(os.listdir(out)) == ["summary.json"]
+    assert written == [os.path.join(out, "summary.json")]
+
+
 def test_emit_csv_booleans_and_floats(tmp_path):
     report = run_scenario(parse_scenario(two_node_dict()))
     out = os.fspath(tmp_path / "fmt")
@@ -343,8 +354,8 @@ def test_emit_json_single_document(tmp_path):
     assert doc["scenarios"][0]["scenario_id"] == "ref"
 
 
-def test_tcz_rows_create_tcz_csv(tmp_path):
-    d = {
+def small_ladder_dict(k_list):
+    return {
         "id": "scaling",
         "measure": {
             "kind": "disk-product",
@@ -355,9 +366,27 @@ def test_tcz_rows_create_tcz_csv(tmp_path):
         "span": {"kind": "monomials", "degree": 4},
         "phi": {"family": "gauss", "a": 1.0},
         "checks": ["tcz"],
-        "params": {"k_list": [6.0, 12.0], "interior_radius": 0.5},
+        "params": {"k_list": k_list, "interior_radius": 0.5},
     }
-    report = run_scenario(parse_scenario(d))
+
+
+def test_tcz_judges_the_ladder_in_increasing_k():
+    """A ladder listed from the largest k down gets the ascending verdict;
+    its rows and requested degrees keep the listed order."""
+    up, down = (
+        run_scenario(parse_scenario(small_ladder_dict(k_list))).results[0]
+        for k_list in ([6.0, 12.0], [12.0, 6.0])
+    )
+    assert up.rows[0]["max_abs_dev"] > up.rows[1]["max_abs_dev"]
+    assert down.passed and up.passed
+    for name in ("final_max_abs_dev", "deviations_monotone", "n_skipped"):
+        assert down.metrics[name] == up.metrics[name]
+    assert down.metrics["degrees_requested"] == up.metrics["degrees_requested"][::-1]
+    assert down.rows == up.rows[::-1]
+
+
+def test_tcz_rows_create_tcz_csv(tmp_path):
+    report = run_scenario(parse_scenario(small_ladder_dict([6.0, 12.0])))
     assert report.green
     out = os.fspath(tmp_path / "tcz")
     written = emit_report([report], out)
