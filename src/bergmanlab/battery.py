@@ -11,15 +11,19 @@ dictionaries.
 A separate randomized search drives the maximum principle contrapositively:
 it manufactures weight pairs whose conclusion fails by construction and
 confirms the premises never hold for them.  Its instances are small and
-many, so it judges them in stacks: SEARCH_CHUNK draws at a time, grouped by
-node count and span dimension, each group's densities from one stacked
-factorization (kernels.bergman_densities) and its verdicts from one call of
-the function that max_principle_check uses.
+many, so it never builds one as objects: each draw is written as one row
+of a preallocated stack for its shape (node count, span dimension), and a
+stack of SEARCH_CHUNK rows is judged at once.  Judging validates the rows
+as the constructors would, takes their densities from one stacked
+factorization (kernels.bergman_densities) and their verdicts from one call
+of the function that max_principle_check uses.  Only a counterexample is
+built back into objects, for its scenario record.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -33,7 +37,9 @@ from .comparison import (
     max_principle_verdicts,
     sandwich_check,
     shifted_comparison_sweep,
+    validate_region,
 )
+from .errors import InvalidConfigurationError
 from .homotopy import (
     BOUND_T,
     ORDER_STEPS,
@@ -44,10 +50,10 @@ from .homotopy import (
     weight_at,
 )
 from .kernels import Spaces, bergman_densities
-from .measures import build_discrete_measure
+from .measures import build_discrete_measure, validate_nodes
 from .scenarios import DEFAULT_C_GRID, scenario_record
 from .spans import monomial_span, tabulated_span
-from .weights import eval_weight, tabulated_weight
+from .weights import eval_weight, tabulated_weight, validate_weight_values
 
 # Spaces with a retained spread (WeightedSpace.spread) beyond this amplify
 # eigensolver roundoff past the battery tolerances, so the generator
@@ -71,12 +77,17 @@ MAX_NODES = 50
 MAX_DIM = 10
 SEARCH_MAX_NODES = 12
 SEARCH_MAX_DIM = 4
-# Search instances drawn and judged at a time.  A pass of 10 000 in a bare
-# process (1 BLAS thread, 2 shared cores) took 3.6-3.8 s one instance at a
-# time, at a peak RSS of 38.3 MB.  In chunks of 128, 256, 512 and 1024 it
-# took 2.0, 1.5-1.6, 1.3-1.4 and 1.2-1.4 s at 38.7, 39.1, 40.8 and 44 MB;
-# holding the whole pass took 1.1-1.3 s at 65.5 MB, about 2.7 KB an instance.
-SEARCH_CHUNK = 256
+# Search rows per stack: the search keeps one stack for each shape (m, d),
+# judges it when it holds SEARCH_CHUNK rows, and judges the partly filled
+# ones at the end of the pass.  A pass of 10 000 instances forms 641, 329
+# and 176 stacks with 16, 32 and 64 rows.  Measured with bench/run.py
+# (1 BLAS thread, 2 shared cores), 32 rows take a pass from a median of
+# 1.66 s, for 256-draw chunks drawn as objects and grouped by shape, to
+# 0.97-1.01 s at the same peak RSS, 42.3 MB.  64 rows add 1.1 MB to the
+# peak for up to 0.1 s less a pass, and 256 rows add 6.7 MB.  Of a pass at 32
+# rows the draws take 0.77-0.86 s, the generator calls alone 0.45-0.51 s
+# of it, and the judging 0.21-0.23 s.
+SEARCH_CHUNK = 32
 
 # Monomial node-value matrices need strictly more nodes than columns to
 # stay away from the square-Vandermonde conditioning cliff.
@@ -125,26 +136,32 @@ class BatteryInstance:
         )
 
 
-def _draw_measure(rng, m: int):
-    """m nodes at uniform radii and angles, with log-uniform masses."""
+def _draw_nodes(rng, m: int):
+    """m nodes at uniform radii and angles, and their log-uniform masses."""
     radii = rng.uniform(*RADIUS_RANGE, m)
     angles = rng.uniform(0.0, 2.0 * math.pi, m)
     lo_m, hi_m = MASS_RANGE
     masses = np.exp(rng.uniform(math.log(lo_m), math.log(hi_m), m))
-    return build_discrete_measure(radii * np.exp(1j * angles), masses)
+    return radii * np.exp(1j * angles), masses
 
 
-def _draw_span(rng, measure, d: int, node_margin: int):
-    """A monomial span with probability MONOMIAL_FRACTION, else a random one.
-
-    Both have dimension d, but a monomial span shrinks (to 1 at least) to
-    keep node_margin more nodes than columns.
-    """
-    m = measure.n
+def _draw_span_values(rng, m: int, d: int):
+    """None for a monomial span, drawn with probability MONOMIAL_FRACTION;
+    otherwise the (m, d) node values of a random span."""
     if rng.uniform() < MONOMIAL_FRACTION:
-        return monomial_span(measure, min(d, max(1, m - node_margin)) - 1)
+        return None
     vals = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
-    return tabulated_span(vals / math.sqrt(2.0))
+    return vals / math.sqrt(2.0)
+
+
+def _draw_span(rng, measure, d: int):
+    """A span of dimension d; a monomial one shrinks (to 1 at least) to keep
+    MONOMIAL_NODE_MARGIN more nodes than columns."""
+    m = measure.n
+    values = _draw_span_values(rng, m, d)
+    if values is None:
+        return monomial_span(measure, min(d, max(1, m - MONOMIAL_NODE_MARGIN)) - 1)
+    return tabulated_span(values)
 
 
 def generate_instance(rng, index: int) -> BatteryInstance:
@@ -159,8 +176,8 @@ def generate_instance(rng, index: int) -> BatteryInstance:
     for attempt in range(MAX_RESAMPLES):
         m = int(rng.integers(2, MAX_NODES + 1))
         d = int(rng.integers(1, MAX_DIM + 1))
-        measure = _draw_measure(rng, m)
-        span = _draw_span(rng, measure, d, MONOMIAL_NODE_MARGIN)
+        measure = build_discrete_measure(*_draw_nodes(rng, m))
+        span = _draw_span(rng, measure, d)
         phi = eval_weight(tabulated_weight(rng.uniform(*WEIGHT_RANGE, m)), measure)
         psi = eval_weight(tabulated_weight(rng.uniform(*WEIGHT_RANGE, m)), measure)
         spaces = Spaces(span, measure)
@@ -343,6 +360,18 @@ def fit_order_slope(order_max_errors: dict) -> float:
     return float(slope)
 
 
+def _validate_count(n_instances) -> None:
+    """Raise unless n_instances is a nonnegative integer."""
+    if (
+        isinstance(n_instances, bool)
+        or not isinstance(n_instances, numbers.Integral)
+        or n_instances < 0
+    ):
+        raise InvalidConfigurationError(
+            f"n_instances must be a nonnegative integer, got {n_instances!r}"
+        )
+
+
 def run_battery(
     n_instances: int = DEFAULT_N_INSTANCES,
     seed: int = 0,
@@ -350,13 +379,15 @@ def run_battery(
 ) -> BatteryReport:
     """Generate and check a full battery; optionally dump failures.
 
-    dump_dir, when given, receives one rerunnable scenario JSON per
-    failing instance; the dumps of an earlier run there are removed first.
+    n_instances must be a nonnegative integer.  dump_dir, when given,
+    receives one rerunnable scenario JSON per failing instance; the dumps
+    of an earlier run there are removed first.
     """
     import glob
     import json
     import os
 
+    _validate_count(n_instances)
     if dump_dir is not None:
         pattern = os.path.join(glob.escape(dump_dir), "battery-failure-*.json")
         for stale in glob.glob(pattern):
@@ -414,25 +445,36 @@ class MaxPrincipleSearchReport:
         return bool(self.counterexamples)
 
 
-@dataclass(frozen=True)
-class SearchInstance:
-    """One draw of the maximum-principle search: a region and a weight pair."""
+class _SearchStack:
+    """Search draws of one shape (m nodes, span dimension d), one per row.
 
-    measure: object
-    span: object
-    omega: np.ndarray
-    phi: object
-    psi: object
+    Row k holds a draw's instance index, nodes, masses, span node values,
+    whether its span is monomial, its region omega and its tabulated phi
+    and psi.  size counts the rows written since the stack was last judged.
+    """
+
+    def __init__(self, m: int, d: int):
+        self.size = 0
+        self.index = np.empty(SEARCH_CHUNK, dtype=np.int64)
+        self.points = np.empty((SEARCH_CHUNK, m), dtype=complex)
+        self.masses = np.empty((SEARCH_CHUNK, m))
+        self.values = np.empty((SEARCH_CHUNK, m, d), dtype=complex)
+        self.monomial = np.empty(SEARCH_CHUNK, dtype=bool)
+        self.omega = np.empty((SEARCH_CHUNK, m), dtype=bool)
+        self.phi = np.empty((SEARCH_CHUNK, m))
+        self.psi = np.empty((SEARCH_CHUNK, m))
 
 
-def draw_search_instance(rng) -> SearchInstance:
-    """Draw the next instance of the maximum-principle search from rng.
+def _draw_search_row(rng, stacks: dict, index: int) -> _SearchStack:
+    """Draw search instance `index` from rng into the next row of the stack
+    for its shape, kept in stacks by (m, d); returns that stack.
 
     Four weight families interleave: fully random pairs; pairs with the
     off-region premise forced; pairs built to violate the conclusion inside
     the region (so a counterexample appears the moment the density premise
     holds for one of them); and constant-offset pairs that sit on the
-    equality edge of the density premise.
+    equality edge of the density premise.  The row is not validated here;
+    _judge_stack checks a whole stack at once.
     """
     m = int(rng.integers(2, SEARCH_MAX_NODES + 1))
     # The span must be a proper subspace of the node functions: with
@@ -441,10 +483,21 @@ def draw_search_instance(rng) -> SearchInstance:
     # is vacuous.  That degenerate regime has no counterpart in the
     # function-space setting being modeled, so the search excludes it.
     d = int(rng.integers(1, min(SEARCH_MAX_DIM, m - 1) + 1))
-    measure = _draw_measure(rng, m)
-    # With d <= m - 1, a node margin of 1 keeps every monomial span at d.
-    span = _draw_span(rng, measure, d, 1)
-    omega = np.zeros(m, dtype=bool)
+    stack = stacks.get((m, d))
+    if stack is None:
+        stack = stacks[m, d] = _SearchStack(m, d)
+    k = stack.size
+    stack.size += 1
+    stack.index[k] = index
+    stack.points[k], stack.masses[k] = _draw_nodes(rng, m)
+    values = _draw_span_values(rng, m, d)
+    stack.monomial[k] = values is None
+    # With d <= m - 1 no monomial span needs to shrink.
+    if values is None:
+        values = np.vander(stack.points[k], d, increasing=True)
+    stack.values[k] = values
+    omega = stack.omega[k]
+    omega[:] = False
     omega[rng.choice(m, size=int(rng.integers(1, m)), replace=False)] = True
 
     phi_vals = rng.uniform(*WEIGHT_RANGE, m)
@@ -459,38 +512,57 @@ def draw_search_instance(rng) -> SearchInstance:
         psi_vals = phi_vals + lift - dent
     else:
         psi_vals = phi_vals + rng.uniform(-1.0, 1.0)
+    stack.phi[k] = phi_vals
+    stack.psi[k] = psi_vals
+    return stack
 
-    phi = eval_weight(tabulated_weight(phi_vals), measure)
-    psi = eval_weight(tabulated_weight(psi_vals), measure)
-    return SearchInstance(measure, span, omega, phi, psi)
 
+def _judge_stack(stack: _SearchStack) -> np.ndarray:
+    """Verdicts of the written rows of a stack, one per row.
 
-def _judged_groups(chunk):
-    """Judge search instances a group of one node count and dimension at a time.
-
-    Yields (items, verdicts) per group: the positions of its k instances in
-    chunk and their verdicts.  The group's phi and psi spaces are one stack
-    of bergman_densities, and its verdicts one call of max_principle_verdicts.
+    The rows first pass, all at once, every check that the per-instance
+    path runs: build_discrete_measure's on the nodes and masses,
+    tabulated_weight's on phi and psi, and max_principle_check's on omega,
+    with their error classes and messages.  The phi and psi spaces are then
+    one stack of bergman_densities, and the verdicts one call of the
+    function that max_principle_check uses, so each row's verdict is the
+    one max_principle_check gives its instance.
     """
-    groups = {}
-    for i, inst in enumerate(chunk):
-        groups.setdefault((inst.measure.n, inst.span.dim), []).append(i)
-    for items in groups.values():
-        group = [chunk[i] for i in items]
-        values = np.stack([inst.span.basis_values for inst in group])
-        masses = np.stack([inst.measure.masses for inst in group])
-        phi = np.stack([inst.phi.values for inst in group])
-        psi = np.stack([inst.psi.values for inst in group])
-        b_phi, b_psi = np.split(
-            bergman_densities(
-                np.concatenate([values, values]),
-                np.concatenate([masses, masses]),
-                np.concatenate([phi, psi]),
-            ),
-            2,
-        )
-        omega = np.stack([inst.omega for inst in group])
-        yield items, max_principle_verdicts(b_phi, b_psi, phi, psi, omega)
+    n = stack.size
+    masses, omega = stack.masses[:n], stack.omega[:n]
+    phi, psi, values = stack.phi[:n], stack.psi[:n], stack.values[:n]
+    validate_nodes(stack.points[:n], masses)
+    validate_weight_values(phi)
+    validate_weight_values(psi)
+    validate_region(omega)
+    b_phi, b_psi = np.split(
+        bergman_densities(
+            np.concatenate([values, values]),
+            np.concatenate([masses, masses]),
+            np.concatenate([phi, psi]),
+        ),
+        2,
+    )
+    return max_principle_verdicts(b_phi, b_psi, phi, psi, omega)
+
+
+def _search_record(stack: _SearchStack, k: int) -> dict:
+    """The scenario record of row k, built through the public constructors."""
+    measure = build_discrete_measure(stack.points[k], stack.masses[k])
+    if stack.monomial[k]:
+        span = monomial_span(measure, stack.values.shape[2] - 1)
+    else:
+        span = tabulated_span(stack.values[k])
+    record = scenario_record(
+        f"battery-instance-{stack.index[k]}",
+        measure,
+        span,
+        tabulated_weight(stack.phi[k]),
+        tabulated_weight(stack.psi[k]),
+        ("maxprinciple",),
+    )
+    record["omega"] = [int(j) for j in np.flatnonzero(stack.omega[k])]
+    return record
 
 
 def max_principle_search(
@@ -499,11 +571,14 @@ def max_principle_search(
 ) -> MaxPrincipleSearchReport:
     """Hunt for a maximum-principle counterexample over random instances.
 
-    The instances come from draw_search_instance, in the order of the seed's
-    stream, and are judged SEARCH_CHUNK at a time by _judged_groups; each
-    verdict equals max_principle_check's on its instance.  The principle
+    _draw_search_row draws the instances in the order of the seed's stream,
+    each into the stack for its shape, and a stack is judged by _judge_stack
+    when it holds SEARCH_CHUNK rows; the partly filled ones are judged at
+    the end.  Each verdict equals max_principle_check's on its instance, and
+    the counterexample records come in instance order.  The principle
     predicts the counterexample list stays empty.
     """
+    _validate_count(n_instances)
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     tally = {
@@ -511,34 +586,30 @@ def max_principle_search(
         MAXPRINCIPLE_CONCLUSION_HOLDS: 0,
         MAXPRINCIPLE_COUNTEREXAMPLE: 0,
     }
-    counterexamples = []
+    found = []
 
-    for start in range(0, n_instances, SEARCH_CHUNK):
-        size = min(SEARCH_CHUNK, n_instances - start)
-        chunk = [draw_search_instance(rng) for _ in range(size)]
-        verdicts = [None] * size
-        for items, group in _judged_groups(chunk):
-            for i, verdict in zip(items, group):
-                verdicts[i] = str(verdict)
-        for i, (inst, verdict) in enumerate(zip(chunk, verdicts)):
-            tally[verdict] += 1
-            if verdict == MAXPRINCIPLE_COUNTEREXAMPLE:
-                record = scenario_record(
-                    f"battery-instance-{start + i}",
-                    inst.measure,
-                    inst.span,
-                    inst.phi,
-                    inst.psi,
-                    ("maxprinciple",),
-                )
-                record["omega"] = [int(j) for j in np.flatnonzero(inst.omega)]
-                counterexamples.append(record)
+    def judge(stack):
+        verdicts = _judge_stack(stack)
+        for verdict in tally:
+            tally[verdict] += int(np.count_nonzero(verdicts == verdict))
+        for k in np.flatnonzero(verdicts == MAXPRINCIPLE_COUNTEREXAMPLE):
+            found.append((int(stack.index[k]), _search_record(stack, k)))
+        stack.size = 0
+
+    stacks = {}
+    for index in range(n_instances):
+        stack = _draw_search_row(rng, stacks, index)
+        if stack.size == SEARCH_CHUNK:
+            judge(stack)
+    for stack in stacks.values():
+        if stack.size:
+            judge(stack)
 
     return MaxPrincipleSearchReport(
         n_instances=n_instances,
         seed=seed,
         premises_fail=tally[MAXPRINCIPLE_PREMISES_FAIL],
         conclusion_holds=tally[MAXPRINCIPLE_CONCLUSION_HOLDS],
-        counterexamples=counterexamples,
+        counterexamples=[record for _, record in sorted(found, key=lambda f: f[0])],
         elapsed_seconds=time.perf_counter() - t0,
     )

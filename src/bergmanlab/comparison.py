@@ -199,10 +199,7 @@ def max_principle_check(
         raise InvalidConfigurationError(
             f"omega marks {omega.size} nodes, measure has {spaces.measure.n}"
         )
-    if not 0 < np.count_nonzero(omega) < omega.size:
-        raise InvalidConfigurationError(
-            "omega must be a nonempty proper subset of the node set"
-        )
+    validate_region(omega)
     space_phi, space_psi = spaces(phi), spaces(psi)
     return str(
         max_principle_verdicts(
@@ -213,6 +210,16 @@ def max_principle_check(
             omega,
         )
     )
+
+
+def validate_region(omega: np.ndarray) -> None:
+    """Raise unless each row of the node mask omega (..., m) marks a
+    nonempty proper subset of its m nodes."""
+    marked = np.count_nonzero(omega, axis=-1)
+    if not ((0 < marked) & (marked < omega.shape[-1])).all():
+        raise InvalidConfigurationError(
+            "omega must be a nonempty proper subset of the node set"
+        )
 
 
 def max_principle_verdicts(b_phi, b_psi, phi, psi, omega) -> np.ndarray:

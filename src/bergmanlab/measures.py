@@ -76,14 +76,22 @@ def build_discrete_measure(points, masses) -> QuadratureMeasure:
         raise InvalidMeasureError(
             f"got {pts.size} nodes but {w.size} masses"
         )
-    if not np.isfinite(w).all() or not np.isfinite(pts).all():
-        raise InvalidMeasureError("nodes and masses must be finite")
-    if (w <= 0.0).any():
-        bad = int(np.argmax(w <= 0.0))
-        raise InvalidMeasureError(
-            f"masses must be strictly positive; mass[{bad}] = {w[bad]}"
-        )
+    validate_nodes(pts, w)
     return QuadratureMeasure(points=pts, masses=w, kind=KIND_DISCRETE)
+
+
+def validate_nodes(points: np.ndarray, masses: np.ndarray) -> None:
+    """Raise unless the nodes are finite and the masses finite and strictly
+    positive; the last axis runs over the nodes of one measure, so a stack
+    of measures is checked at once."""
+    if not np.isfinite(masses).all() or not np.isfinite(points).all():
+        raise InvalidMeasureError("nodes and masses must be finite")
+    bad = masses <= 0.0
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        raise InvalidMeasureError(
+            f"masses must be strictly positive; mass[{at[-1]}] = {masses[at]}"
+        )
 
 
 def build_disk_measure(radius: float, n_radial: int, n_angular: int) -> QuadratureMeasure:

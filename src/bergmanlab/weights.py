@@ -106,9 +106,15 @@ def harmonic_weight(b: float) -> WeightFunction:
 
 def tabulated_weight(values) -> WeightFunction:
     vals = np.asarray(values, dtype=float).reshape(-1)
-    if not np.isfinite(vals).all():
-        raise InvalidMeasureError("tabulated weight values must be finite")
+    validate_weight_values(vals)
     return WeightFunction(values=vals, family=None)
+
+
+def validate_weight_values(values: np.ndarray) -> None:
+    """Raise unless every tabulated weight value, of one weight or of a
+    stack of them, is finite."""
+    if not np.isfinite(values).all():
+        raise InvalidMeasureError("tabulated weight values must be finite")
 
 
 def eval_weight(weight: WeightFunction, measure: QuadratureMeasure) -> WeightFunction:

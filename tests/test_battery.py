@@ -1,9 +1,12 @@
 """Random-instance battery: generation, checks, aggregation, determinism."""
 
 import dataclasses
+import itertools
 import json
 import math
 import os
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +28,6 @@ from bergmanlab.battery import (
     ORDER_STEPS,
     SEARCH_CHUNK,
     SPREAD_BOUND,
-    draw_search_instance,
     fit_order_slope,
 )
 from bergmanlab.comparison import (
@@ -47,8 +49,15 @@ from bergmanlab.kernels import (
     bergman_density_from_space,
     build_space,
 )
+from bergmanlab.errors import (
+    BergmanlabError,
+    InvalidConfigurationError,
+    InvalidMeasureError,
+)
+from bergmanlab.measures import build_discrete_measure
 from bergmanlab.scenarios import scenario_record
-from bergmanlab.spans import tabulated_span
+from bergmanlab.spans import monomial_span, tabulated_span
+from bergmanlab.weights import eval_weight, tabulated_weight
 
 
 def test_generate_instance_respects_bounds(monkeypatch):
@@ -290,23 +299,106 @@ def test_max_principle_search_small_run():
     assert again.conclusion_holds == report.conclusion_holds
 
 
+@pytest.mark.parametrize("entry", [run_battery, max_principle_search])
+@pytest.mark.parametrize("count", [-3, -5, 2.5, "3", True])
+def test_entry_points_reject_a_bad_count(entry, count):
+    with pytest.raises(InvalidConfigurationError, match="n_instances"):
+        entry(count, 0)
+
+
+def test_run_battery_of_no_instances():
+    report = run_battery(0, 0)
+    assert report.n_instances == 0
+    assert report.all_green
+
+
+def _judged_stacks(monkeypatch):
+    """Record each stack the search judges: its (m, d), its instance indices,
+    its verdicts and its stacked phi and psi densities."""
+    judged = []
+    stacked_densities = battery.bergman_densities
+    judge_stack = battery._judge_stack
+
+    def densities(values, masses, weights):
+        out = stacked_densities(values, masses, weights)
+        judged[-1]["densities"] = np.split(out, 2)
+        return out
+
+    def judge(stack):
+        judged.append(
+            {
+                "shape": stack.values.shape[1:],
+                "index": stack.index[: stack.size].copy(),
+            }
+        )
+        verdicts = judge_stack(stack)
+        judged[-1]["verdicts"] = verdicts
+        return verdicts
+
+    monkeypatch.setattr(battery, "bergman_densities", densities)
+    monkeypatch.setattr(battery, "_judge_stack", judge)
+    return judged
+
+
 def test_max_principle_search_spans_are_proper(monkeypatch):
     """The search must stay inside proper subspaces; with span dimension
     equal to the node count the density forgets the weight entirely and the
     discrete statement is vacuous."""
     monkeypatch.setattr(battery, "SEARCH_MAX_NODES", 4)
     monkeypatch.setattr(battery, "SEARCH_MAX_DIM", 8)
+    judged = _judged_stacks(monkeypatch)
     report = max_principle_search(n_instances=200, seed=3)
     assert not report.found_counterexample
-    rng = np.random.default_rng(3)
-    for inst in (draw_search_instance(rng) for _ in range(200)):
-        assert 2 <= inst.measure.n <= 4
-        assert 1 <= inst.span.dim <= inst.measure.n - 1
+    assert sum(len(stack["index"]) for stack in judged) == 200
+    for stack in judged:
+        m, d = stack["shape"]
+        assert 2 <= m <= 4
+        assert 1 <= d <= m - 1
 
 
-def _search_draws(n, seed):
+def _reference_search_draws(n, seed):
+    """The search's draws one instance at a time through the public
+    constructors, in the order of the seed's stream: the reference that the
+    stack writer must reproduce."""
     rng = np.random.default_rng(seed)
-    return [draw_search_instance(rng) for _ in range(n)]
+    draws = []
+    for _ in range(n):
+        m = int(rng.integers(2, battery.SEARCH_MAX_NODES + 1))
+        d = int(rng.integers(1, min(battery.SEARCH_MAX_DIM, m - 1) + 1))
+        radii = rng.uniform(*battery.RADIUS_RANGE, m)
+        angles = rng.uniform(0.0, 2.0 * math.pi, m)
+        lo, hi = battery.MASS_RANGE
+        masses = np.exp(rng.uniform(math.log(lo), math.log(hi), m))
+        measure = build_discrete_measure(radii * np.exp(1j * angles), masses)
+        if rng.uniform() < battery.MONOMIAL_FRACTION:
+            span = monomial_span(measure, d - 1)
+        else:
+            vals = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+            span = tabulated_span(vals / math.sqrt(2.0))
+        omega = np.zeros(m, dtype=bool)
+        omega[rng.choice(m, size=int(rng.integers(1, m)), replace=False)] = True
+        phi_vals = rng.uniform(*battery.WEIGHT_RANGE, m)
+        family = int(rng.integers(0, 4))
+        if family == 0:
+            psi_vals = rng.uniform(*battery.WEIGHT_RANGE, m)
+        elif family == 1:
+            psi_vals = phi_vals + np.where(omega, 0.0, rng.uniform(0.0, 2.0, m))
+        elif family == 2:
+            lift = np.where(omega, 0.0, rng.uniform(0.0, 2.0, m))
+            dent = np.where(omega, rng.uniform(0.0, 2.0, m), 0.0)
+            psi_vals = phi_vals + lift - dent
+        else:
+            psi_vals = phi_vals + rng.uniform(-1.0, 1.0)
+        draws.append(
+            SimpleNamespace(
+                measure=measure,
+                span=span,
+                omega=omega,
+                phi=eval_weight(tabulated_weight(phi_vals), measure),
+                psi=eval_weight(tabulated_weight(psi_vals), measure),
+            )
+        )
+    return draws
 
 
 def _per_space_verdict(inst):
@@ -315,42 +407,50 @@ def _per_space_verdict(inst):
     )
 
 
-def test_search_stacks_equal_the_per_space_path():
-    """600 draws cross two chunk boundaries and end in a ragged chunk; every
-    stacked density equals its own build bit for bit, and every verdict
-    equals max_principle_check's."""
-    draws = _search_draws(600, 0)
-    seen = 0
-    for start in range(0, len(draws), SEARCH_CHUNK):
-        chunk = draws[start : start + SEARCH_CHUNK]
-        for items, verdicts in battery._judged_groups(chunk):
-            group = [chunk[i] for i in items]
-            values = np.stack([inst.span.basis_values for inst in group])
-            masses = np.stack([inst.measure.masses for inst in group])
-            b_phi, b_psi = np.split(
-                bergman_densities(
-                    np.concatenate([values, values]),
-                    np.concatenate([masses, masses]),
-                    np.stack(
-                        [inst.phi.values for inst in group]
-                        + [inst.psi.values for inst in group]
-                    ),
-                ),
-                2,
-            )
-            for inst, row_phi, row_psi, verdict in zip(group, b_phi, b_psi, verdicts):
-                for weight, row in ((inst.phi, row_phi), (inst.psi, row_psi)):
-                    space = build_space(inst.span, inst.measure, weight)
-                    assert np.array_equal(row, bergman_density_from_space(space))
-                assert verdict == _per_space_verdict(inst)
-                seen += 1
-    assert seen == 600
+def test_search_stacks_equal_the_per_space_path(monkeypatch):
+    """1000 draws fill the (2, 1) stack more than once and end in partly
+    filled stacks; every stacked density equals its own build bit for bit,
+    and every verdict equals max_principle_check's."""
+    judged = _judged_stacks(monkeypatch)
+    max_principle_search(1000, 0)
+    draws = _reference_search_draws(1000, 0)
+    full = [stack["shape"] for stack in judged if len(stack["index"]) == SEARCH_CHUNK]
+    assert max(full.count(shape) for shape in full) >= 2
+    assert any(len(stack["index"]) < SEARCH_CHUNK for stack in judged)
+    seen = []
+    for stack in judged:
+        b_phi, b_psi = stack["densities"]
+        for i, row_phi, row_psi, verdict in zip(
+            stack["index"], b_phi, b_psi, stack["verdicts"]
+        ):
+            inst = draws[i]
+            assert (inst.measure.n, inst.span.dim) == stack["shape"]
+            for weight, row in ((inst.phi, row_phi), (inst.psi, row_psi)):
+                space = build_space(inst.span, inst.measure, weight)
+                assert np.array_equal(row, bergman_density_from_space(space))
+            assert verdict == _per_space_verdict(inst)
+            seen.append(i)
+    assert sorted(seen) == list(range(1000))
 
 
-@pytest.mark.parametrize("n", [1, SEARCH_CHUNK, SEARCH_CHUNK + 1])
-def test_search_tallies_at_chunk_edges(n):
+def _first_fill(seed):
+    """The number of draws after which the seed's first stack is full."""
+    counts = {}
+    for n, inst in enumerate(_reference_search_draws(1000, seed), start=1):
+        shape = (inst.measure.n, inst.span.dim)
+        counts[shape] = counts.get(shape, 0) + 1
+        if counts[shape] == SEARCH_CHUNK:
+            return n
+    raise AssertionError("no stack filled in 1000 draws")
+
+
+@pytest.mark.parametrize("edge", ["1", "fill-1", "fill", "fill+1"])
+def test_search_tallies_at_chunk_edges(edge):
+    """One draw, and the draws around the first stack that fills."""
+    fill = _first_fill(4)
+    n = {"1": 1, "fill-1": fill - 1, "fill": fill, "fill+1": fill + 1}[edge]
     report = max_principle_search(n, 4)
-    verdicts = [_per_space_verdict(inst) for inst in _search_draws(n, 4)]
+    verdicts = [_per_space_verdict(inst) for inst in _reference_search_draws(n, 4)]
     assert report.premises_fail == verdicts.count(MAXPRINCIPLE_PREMISES_FAIL)
     assert report.conclusion_holds == verdicts.count(MAXPRINCIPLE_CONCLUSION_HOLDS)
     assert report.counterexamples == []
@@ -362,17 +462,80 @@ def test_search_of_no_instances():
     assert report.counterexamples == []
 
 
+def _full_stack(seed):
+    """The first stack of the seed's search to fill, not yet judged."""
+    rng = np.random.default_rng(seed)
+    stacks = {}
+    for index in itertools.count():
+        stack = battery._draw_search_row(rng, stacks, index)
+        if stack.size == SEARCH_CHUNK:
+            return stack
+
+
+def _row_verdict(stack, k):
+    """Row k of a stack judged alone, through the public constructors."""
+    measure = build_discrete_measure(stack.points[k], stack.masses[k])
+    if stack.monomial[k]:
+        span = monomial_span(measure, stack.values.shape[2] - 1)
+    else:
+        span = tabulated_span(stack.values[k])
+    return max_principle_check(
+        Spaces(span, measure),
+        tabulated_weight(stack.phi[k]),
+        tabulated_weight(stack.psi[k]),
+        stack.omega[k],
+    )
+
+
+@pytest.mark.parametrize(
+    "corruption, error",
+    [
+        ("nan-point", InvalidMeasureError),
+        ("nan-mass", InvalidMeasureError),
+        ("zero-mass", InvalidMeasureError),
+        ("inf-phi", InvalidMeasureError),
+        ("inf-psi", InvalidMeasureError),
+        ("omega-all", InvalidConfigurationError),
+        ("omega-none", InvalidConfigurationError),
+    ],
+)
+def test_judging_a_stack_runs_the_per_instance_checks(corruption, error):
+    """One corrupted row makes the stack's judge raise what the
+    per-instance constructors or max_principle_check raise on that row."""
+    stack = _full_stack(0)
+    k = 5
+    rows = {
+        "nan-point": (stack.points, np.nan),
+        "nan-mass": (stack.masses, np.nan),
+        "zero-mass": (stack.masses, 0.0),
+        "inf-phi": (stack.phi, np.inf),
+        "inf-psi": (stack.psi, np.inf),
+    }
+    if corruption in rows:
+        array, value = rows[corruption]
+        array[k, 1] = value
+    else:
+        stack.omega[k] = corruption == "omega-all"
+    with pytest.raises(BergmanlabError) as alone:
+        _row_verdict(stack, k)
+    assert type(alone.value) is error
+    with pytest.raises(error, match=re.escape(str(alone.value))) as stacked:
+        battery._judge_stack(stack)
+    assert type(stacked.value) is error
+
+
 def test_search_counterexample_records_rerun_as_counterexamples(monkeypatch):
     """A premise slack of 1e6 admits instances built to break the conclusion.
 
-    Their records equal those of the one-instance-at-a-time search, and each
-    reruns through the scenario runner as a counterexample.
+    Their records equal those of the one-instance-at-a-time search, in
+    instance order, and each reruns through the scenario runner as a
+    counterexample.
     """
     monkeypatch.setattr(comparison, "DENSITY_POINT_TOL", 1e6)
     report = max_principle_search(200, 0)
     assert (report.premises_fail, report.conclusion_holds) == (61, 81)
     expected = []
-    for i, inst in enumerate(_search_draws(200, 0)):
+    for i, inst in enumerate(_reference_search_draws(200, 0)):
         if _per_space_verdict(inst) == MAXPRINCIPLE_COUNTEREXAMPLE:
             record = scenario_record(
                 f"battery-instance-{i}",
