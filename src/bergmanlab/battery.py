@@ -11,13 +11,17 @@ dictionaries.
 A separate randomized search drives the maximum principle contrapositively:
 it manufactures weight pairs whose conclusion fails by construction and
 confirms the premises never hold for them.  Its instances are small and
-many, so it never builds one as objects: each draw is written as one row
-of a preallocated stack for its shape (node count, span dimension), and a
-stack of SEARCH_CHUNK rows is judged at once.  Judging validates the rows
-as the constructors would, takes their densities from one stacked
-factorization (kernels.bergman_densities) and their verdicts from one call
-of the function that max_principle_check uses.  Only a counterexample is
-built back into objects, for its scenario record.
+many, so it never builds one as objects: each draw writes only the
+generator's output, as one row of a preallocated stack for its shape (node
+count, span dimension).  When a stack holds SEARCH_CHUNK rows, one
+vectorized pass derives their nodes, masses, span values and weights, by
+the same arithmetic as numpy's uniform and vander (the battery draws its
+nodes through the same mapping), and the stack is judged at once.
+Judging validates the rows as the constructors would, takes their
+densities from one stacked factorization (kernels.bergman_densities), and
+from them the verdicts, by the function that max_principle_check uses, and
+how close each candidate came to a counterexample.  Only a counterexample
+is built back into objects, for its scenario record.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .comparison import (
     MAXPRINCIPLE_CONCLUSION_HOLDS,
     MAXPRINCIPLE_COUNTEREXAMPLE,
     MAXPRINCIPLE_PREMISES_FAIL,
+    max_principle_approach,
     max_principle_verdicts,
     sandwich_check,
     shifted_comparison_sweep,
@@ -81,12 +86,14 @@ SEARCH_MAX_DIM = 4
 # judges it when it holds SEARCH_CHUNK rows, and judges the partly filled
 # ones at the end of the pass.  A pass of 10 000 instances forms 641, 329
 # and 176 stacks with 16, 32 and 64 rows.  Measured with bench/run.py
-# (1 BLAS thread, 2 shared cores), 32 rows take a pass from a median of
+# (1 BLAS thread, 2 shared cores), 32 rows took a pass from a median of
 # 1.66 s, for 256-draw chunks drawn as objects and grouped by shape, to
-# 0.97-1.01 s at the same peak RSS, 42.3 MB.  64 rows add 1.1 MB to the
-# peak for up to 0.1 s less a pass, and 256 rows add 6.7 MB.  Of a pass at 32
-# rows the draws take 0.77-0.86 s, the generator calls alone 0.45-0.51 s
-# of it, and the judging 0.21-0.23 s.
+# 0.97-1.01 s at the same peak RSS, 42.3 MB; 64 rows add 1.1 MB to the peak
+# for up to 0.1 s less a pass, and 256 rows add 6.7 MB.  Each row holds
+# only generator output and a stack derives the rest in one pass, so the
+# draws of a pass (0.27-0.38 s of CPU time, on the same host) take about
+# what the same generator calls take alone (0.31-0.33 s), and the deriving
+# and judging of the full stacks 0.27-0.28 s.
 SEARCH_CHUNK = 32
 
 # Monomial node-value matrices need strictly more nodes than columns to
@@ -136,32 +143,28 @@ class BatteryInstance:
         )
 
 
-def _draw_nodes(rng, m: int):
-    """m nodes at uniform radii and angles, and their log-uniform masses."""
-    radii = rng.uniform(*RADIUS_RANGE, m)
-    angles = rng.uniform(0.0, 2.0 * math.pi, m)
-    lo_m, hi_m = MASS_RANGE
-    masses = np.exp(rng.uniform(math.log(lo_m), math.log(hi_m), m))
+def _uniform(u, lo: float, hi: float):
+    """rng.uniform(lo, hi) at the generator's doubles u (rng.random): numpy
+    computes it as lo + (hi - lo) * u, so this gives its values bit for
+    bit."""
+    return lo + (hi - lo) * u
+
+
+def _nodes_from_uniforms(u):
+    """The nodes and masses given by the uniforms u (..., 3m): the node
+    radii, angles and log-masses, m of each, each uniform over its range."""
+    m = u.shape[-1] // 3
+    radii = _uniform(u[..., :m], *RADIUS_RANGE)
+    angles = _uniform(u[..., m : 2 * m], 0.0, 2.0 * math.pi)
+    lo, hi = MASS_RANGE
+    masses = np.exp(_uniform(u[..., 2 * m :], math.log(lo), math.log(hi)))
     return radii * np.exp(1j * angles), masses
 
 
-def _draw_span_values(rng, m: int, d: int):
-    """None for a monomial span, drawn with probability MONOMIAL_FRACTION;
-    otherwise the (m, d) node values of a random span."""
-    if rng.uniform() < MONOMIAL_FRACTION:
-        return None
-    vals = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
-    return vals / math.sqrt(2.0)
-
-
-def _draw_span(rng, measure, d: int):
-    """A span of dimension d; a monomial one shrinks (to 1 at least) to keep
-    MONOMIAL_NODE_MARGIN more nodes than columns."""
-    m = measure.n
-    values = _draw_span_values(rng, m, d)
-    if values is None:
-        return monomial_span(measure, min(d, max(1, m - MONOMIAL_NODE_MARGIN)) - 1)
-    return tabulated_span(values)
+def _span_values_from_normals(z):
+    """The node values (..., m, d) of a random span from the standard
+    normals z (..., 2, m, d): their real and imaginary parts."""
+    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / math.sqrt(2.0)
 
 
 def generate_instance(rng, index: int) -> BatteryInstance:
@@ -176,8 +179,18 @@ def generate_instance(rng, index: int) -> BatteryInstance:
     for attempt in range(MAX_RESAMPLES):
         m = int(rng.integers(2, MAX_NODES + 1))
         d = int(rng.integers(1, MAX_DIM + 1))
-        measure = build_discrete_measure(*_draw_nodes(rng, m))
-        span = _draw_span(rng, measure, d)
+        # The nodes, the masses and the span coin, as one search row draws
+        # them (_SearchStack).
+        u = rng.random(3 * m + 1)
+        measure = build_discrete_measure(*_nodes_from_uniforms(u[:-1]))
+        if u[-1] < MONOMIAL_FRACTION:
+            # A monomial span shrinks (to 1 at least) to keep
+            # MONOMIAL_NODE_MARGIN more nodes than columns.
+            degree = min(d, max(1, m - MONOMIAL_NODE_MARGIN)) - 1
+            span = monomial_span(measure, degree)
+        else:
+            normals = rng.standard_normal((2, m, d))
+            span = tabulated_span(_span_values_from_normals(normals))
         phi = eval_weight(tabulated_weight(rng.uniform(*WEIGHT_RANGE, m)), measure)
         psi = eval_weight(tabulated_weight(rng.uniform(*WEIGHT_RANGE, m)), measure)
         spaces = Spaces(span, measure)
@@ -360,15 +373,12 @@ def fit_order_slope(order_max_errors: dict) -> float:
     return float(slope)
 
 
-def _validate_count(n_instances) -> None:
-    """Raise unless n_instances is a nonnegative integer."""
-    if (
-        isinstance(n_instances, bool)
-        or not isinstance(n_instances, numbers.Integral)
-        or n_instances < 0
-    ):
+def _validate_nonnegative_int(name: str, value) -> None:
+    """Raise unless value, the argument called name, is a nonnegative
+    integer (and not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
         raise InvalidConfigurationError(
-            f"n_instances must be a nonnegative integer, got {n_instances!r}"
+            f"{name} must be a nonnegative integer, got {value!r}"
         )
 
 
@@ -379,7 +389,7 @@ def run_battery(
 ) -> BatteryReport:
     """Generate and check a full battery; optionally dump failures.
 
-    n_instances must be a nonnegative integer.  dump_dir, when given,
+    n_instances and seed must be nonnegative integers.  dump_dir, when given,
     receives one rerunnable scenario JSON per failing instance; the dumps
     of an earlier run there are removed first.
     """
@@ -387,7 +397,8 @@ def run_battery(
     import json
     import os
 
-    _validate_count(n_instances)
+    _validate_nonnegative_int("n_instances", n_instances)
+    _validate_nonnegative_int("seed", seed)
     if dump_dir is not None:
         pattern = os.path.join(glob.escape(dump_dir), "battery-failure-*.json")
         for stale in glob.glob(pattern):
@@ -431,13 +442,24 @@ def run_battery(
 
 @dataclass
 class MaxPrincipleSearchReport:
-    """Verdict tally of the randomized contrapositive search."""
+    """Verdict tally of the randomized contrapositive search, and how close
+    it came to a counterexample.
+
+    A candidate is a draw that meets the boundary premise and breaks the
+    conclusion, so only the density premise stands between it and a
+    counterexample.  closest_approach is the least premise deficit over the
+    candidates (comparison.max_principle_approach) and closest_instance the
+    draw that has it; both are None when no draw is a candidate.
+    """
 
     n_instances: int
     seed: int
     premises_fail: int
     conclusion_holds: int
     counterexamples: list
+    candidates: int
+    closest_approach: float | None
+    closest_instance: int | None
     elapsed_seconds: float
 
     @property
@@ -448,33 +470,87 @@ class MaxPrincipleSearchReport:
 class _SearchStack:
     """Search draws of one shape (m nodes, span dimension d), one per row.
 
-    Row k holds a draw's instance index, nodes, masses, span node values,
-    whether its span is monomial, its region omega and its tabulated phi
-    and psi.  size counts the rows written since the stack was last judged.
+    A row holds only what the generator wrote for a draw, in the order it
+    drew it: the instance index; 3m + 1 uniforms for the node radii, angles
+    and log-masses and the span coin; 2md standard normals when the span is
+    tabulated; the region omega; m uniforms for phi; the weight family; and
+    up to 2m uniforms for that family's psi.  size counts the rows written
+    since the stack was last judged.  derive() makes the arrays that
+    _judge_stack judges from the written rows, and clear() empties the
+    stack.
     """
 
     def __init__(self, m: int, d: int):
-        self.size = 0
+        self.clear()
         self.index = np.empty(SEARCH_CHUNK, dtype=np.int64)
-        self.points = np.empty((SEARCH_CHUNK, m), dtype=complex)
-        self.masses = np.empty((SEARCH_CHUNK, m))
-        self.values = np.empty((SEARCH_CHUNK, m, d), dtype=complex)
-        self.monomial = np.empty(SEARCH_CHUNK, dtype=bool)
+        self.uniforms = np.empty((SEARCH_CHUNK, 3 * m + 1))
+        self.normals = np.empty((SEARCH_CHUNK, 2, m, d))
         self.omega = np.empty((SEARCH_CHUNK, m), dtype=bool)
-        self.phi = np.empty((SEARCH_CHUNK, m))
-        self.psi = np.empty((SEARCH_CHUNK, m))
+        self.family = np.empty(SEARCH_CHUNK, dtype=np.int64)
+        self.weight_uniforms = np.empty((SEARCH_CHUNK, 3 * m))
+        # Where each family's psi uniforms end in a row of weight_uniforms.
+        self.family_end = (2 * m, 2 * m, 3 * m, m + 1)
+
+    def derive(self) -> None:
+        """Set, for the written rows, the nodes and masses (points, masses),
+        the span node values and whether the span is monomial (values,
+        monomial), and the weights phi and psi: what drawing the instance
+        through the public constructors gives, bit for bit."""
+        n = self.size
+        m, d = self.normals.shape[2:]
+        u = self.uniforms[:n]
+        self.points, self.masses = _nodes_from_uniforms(u[:, :-1])
+        self.monomial = mono = u[:, -1] < MONOMIAL_FRACTION
+        self.values = np.empty((n, m, d), dtype=complex)
+        self.values[~mono] = _span_values_from_normals(self.normals[:n][~mono])
+        # With d <= m - 1 no monomial span needs to shrink.
+        self.values[mono] = _vandermonde(self.points[mono], d)
+
+        w, omega, family = self.weight_uniforms[:n], self.omega[:n], self.family[:n]
+        self.phi = phi = _uniform(w[:, :m], *WEIGHT_RANGE)
+        self.psi = psi = np.empty_like(phi)
+        # Fully random pairs; pairs with the off-region premise forced; pairs
+        # built to violate the conclusion inside the region (so a
+        # counterexample appears the moment the density premise holds for
+        # one of them); and constant-offset pairs that sit on the equality
+        # edge of the density premise.
+        f = family == 0
+        psi[f] = _uniform(w[f, m : 2 * m], *WEIGHT_RANGE)
+        f = (family == 1) | (family == 2)
+        lift = np.where(omega[f], 0.0, _uniform(w[f, m : 2 * m], 0.0, 2.0))
+        psi[f] = phi[f] + lift
+        f = family == 2
+        psi[f] -= np.where(omega[f], _uniform(w[f, 2 * m :], 0.0, 2.0), 0.0)
+        f = family == 3
+        psi[f] = phi[f] + _uniform(w[f, m : m + 1], -1.0, 1.0)
+
+    def clear(self) -> None:
+        """Empty the stack and drop its derived arrays, which derive()
+        rebuilds: held from one judging to the next, they would add about a
+        megabyte to the peak memory of a search."""
+        self.size = 0
+        self.points = self.masses = self.values = None
+        self.monomial = self.phi = self.psi = None
+
+
+def _vandermonde(points, d: int):
+    """np.vander(row, d, increasing=True) for each row of points (n, m),
+    by the same running product of the nodes."""
+    v = np.empty((*points.shape, d), dtype=complex)
+    v[..., 0] = 1
+    v[..., 1:] = points[..., None]
+    np.multiply.accumulate(v[..., 1:], axis=-1, out=v[..., 1:])
+    return v
 
 
 def _draw_search_row(rng, stacks: dict, index: int) -> _SearchStack:
     """Draw search instance `index` from rng into the next row of the stack
     for its shape, kept in stacks by (m, d); returns that stack.
 
-    Four weight families interleave: fully random pairs; pairs with the
-    off-region premise forced; pairs built to violate the conclusion inside
-    the region (so a counterexample appears the moment the density premise
-    holds for one of them); and constant-offset pairs that sit on the
-    equality edge of the density premise.  The row is not validated here;
-    _judge_stack checks a whole stack at once.
+    The generator calls are those of drawing the instance through the
+    public constructors, in the same order, and each writes straight into
+    the row.  Nothing is derived or validated here; _SearchStack.derive and
+    _judge_stack do that for a whole stack at once.
     """
     m = int(rng.integers(2, SEARCH_MAX_NODES + 1))
     # The span must be a proper subspace of the node functions: with
@@ -489,36 +565,22 @@ def _draw_search_row(rng, stacks: dict, index: int) -> _SearchStack:
     k = stack.size
     stack.size += 1
     stack.index[k] = index
-    stack.points[k], stack.masses[k] = _draw_nodes(rng, m)
-    values = _draw_span_values(rng, m, d)
-    stack.monomial[k] = values is None
-    # With d <= m - 1 no monomial span needs to shrink.
-    if values is None:
-        values = np.vander(stack.points[k], d, increasing=True)
-    stack.values[k] = values
+    u = stack.uniforms[k]
+    rng.random(out=u)
+    if u[-1] >= MONOMIAL_FRACTION:
+        rng.standard_normal(out=stack.normals[k])
     omega = stack.omega[k]
     omega[:] = False
     omega[rng.choice(m, size=int(rng.integers(1, m)), replace=False)] = True
-
-    phi_vals = rng.uniform(*WEIGHT_RANGE, m)
-    family = int(rng.integers(0, 4))
-    if family == 0:
-        psi_vals = rng.uniform(*WEIGHT_RANGE, m)
-    elif family == 1:
-        psi_vals = phi_vals + np.where(omega, 0.0, rng.uniform(0.0, 2.0, m))
-    elif family == 2:
-        lift = np.where(omega, 0.0, rng.uniform(0.0, 2.0, m))
-        dent = np.where(omega, rng.uniform(0.0, 2.0, m), 0.0)
-        psi_vals = phi_vals + lift - dent
-    else:
-        psi_vals = phi_vals + rng.uniform(-1.0, 1.0)
-    stack.phi[k] = phi_vals
-    stack.psi[k] = psi_vals
+    w = stack.weight_uniforms[k]
+    rng.random(out=w[:m])
+    family = stack.family[k] = rng.integers(0, 4)
+    rng.random(out=w[m : stack.family_end[family]])
     return stack
 
 
-def _judge_stack(stack: _SearchStack) -> np.ndarray:
-    """Verdicts of the written rows of a stack, one per row.
+def _judge_stack(stack: _SearchStack):
+    """Verdicts and approaches of the derived rows of a stack, one per row.
 
     The rows first pass, all at once, every check that the per-instance
     path runs: build_discrete_measure's on the nodes and masses,
@@ -526,12 +588,12 @@ def _judge_stack(stack: _SearchStack) -> np.ndarray:
     with their error classes and messages.  The phi and psi spaces are then
     one stack of bergman_densities, and the verdicts one call of the
     function that max_principle_check uses, so each row's verdict is the
-    one max_principle_check gives its instance.
+    one max_principle_check gives its instance.  The approaches come from
+    the same densities (comparison.max_principle_approach).
     """
-    n = stack.size
-    masses, omega = stack.masses[:n], stack.omega[:n]
-    phi, psi, values = stack.phi[:n], stack.psi[:n], stack.values[:n]
-    validate_nodes(stack.points[:n], masses)
+    masses, omega = stack.masses, stack.omega[: stack.size]
+    phi, psi, values = stack.phi, stack.psi, stack.values
+    validate_nodes(stack.points, masses)
     validate_weight_values(phi)
     validate_weight_values(psi)
     validate_region(omega)
@@ -543,7 +605,10 @@ def _judge_stack(stack: _SearchStack) -> np.ndarray:
         ),
         2,
     )
-    return max_principle_verdicts(b_phi, b_psi, phi, psi, omega)
+    return (
+        max_principle_verdicts(b_phi, b_psi, phi, psi, omega),
+        max_principle_approach(b_phi, b_psi, phi, psi, omega),
+    )
 
 
 def _search_record(stack: _SearchStack, k: int) -> dict:
@@ -572,13 +637,15 @@ def max_principle_search(
     """Hunt for a maximum-principle counterexample over random instances.
 
     _draw_search_row draws the instances in the order of the seed's stream,
-    each into the stack for its shape, and a stack is judged by _judge_stack
-    when it holds SEARCH_CHUNK rows; the partly filled ones are judged at
-    the end.  Each verdict equals max_principle_check's on its instance, and
-    the counterexample records come in instance order.  The principle
-    predicts the counterexample list stays empty.
+    each into the stack for its shape, and a stack is derived and judged by
+    _judge_stack when it holds SEARCH_CHUNK rows; the partly filled ones are
+    judged at the end.  Each verdict equals max_principle_check's on its
+    instance, and the counterexample records come in instance order.  The
+    principle predicts the counterexample list stays empty.  n_instances
+    and seed must be nonnegative integers.
     """
-    _validate_count(n_instances)
+    _validate_nonnegative_int("n_instances", n_instances)
+    _validate_nonnegative_int("seed", seed)
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     tally = {
@@ -587,14 +654,22 @@ def max_principle_search(
         MAXPRINCIPLE_COUNTEREXAMPLE: 0,
     }
     found = []
+    candidates, closest = 0, (math.inf, None)
 
     def judge(stack):
-        verdicts = _judge_stack(stack)
+        nonlocal candidates, closest
+        stack.derive()
+        verdicts, approach = _judge_stack(stack)
         for verdict in tally:
             tally[verdict] += int(np.count_nonzero(verdicts == verdict))
         for k in np.flatnonzero(verdicts == MAXPRINCIPLE_COUNTEREXAMPLE):
             found.append((int(stack.index[k]), _search_record(stack, k)))
-        stack.size = 0
+        n_candidates = int(np.count_nonzero(~np.isnan(approach)))
+        candidates += n_candidates
+        if n_candidates:
+            k = np.nanargmin(approach)
+            closest = min(closest, (float(approach[k]), int(stack.index[k])))
+        stack.clear()
 
     stacks = {}
     for index in range(n_instances):
@@ -605,11 +680,15 @@ def max_principle_search(
         if stack.size:
             judge(stack)
 
+    approach, instance = closest
     return MaxPrincipleSearchReport(
         n_instances=n_instances,
         seed=seed,
         premises_fail=tally[MAXPRINCIPLE_PREMISES_FAIL],
         conclusion_holds=tally[MAXPRINCIPLE_CONCLUSION_HOLDS],
         counterexamples=[record for _, record in sorted(found, key=lambda f: f[0])],
+        candidates=candidates,
+        closest_approach=None if instance is None else approach,
+        closest_instance=instance,
         elapsed_seconds=time.perf_counter() - t0,
     )

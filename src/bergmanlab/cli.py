@@ -128,12 +128,19 @@ def _battery_verb(args) -> int:
 
     if args.max_principle > 0:
         search = max_principle_search(args.max_principle, seed=args.seed)
-        print(
+        line = (
             f"max principle search: {search.n_instances} instances, "
             f"premises-fail {search.premises_fail}, "
             f"conclusion-holds {search.conclusion_holds}, "
-            f"counterexamples {len(search.counterexamples)}"
+            f"counterexamples {len(search.counterexamples)}, "
+            f"candidates {search.candidates}"
         )
+        if search.closest_instance is not None:
+            line += (
+                f", closest approach {search.closest_approach:.3g} "
+                f"at instance {search.closest_instance}"
+            )
+        print(line)
         extra["max_principle_search"] = dataclasses.asdict(search)
         green = green and not search.found_counterexample
 

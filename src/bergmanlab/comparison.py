@@ -244,3 +244,20 @@ def max_principle_verdicts(b_phi, b_psi, phi, psi, omega) -> np.ndarray:
     return np.where(
         premise_density & premise_boundary, conclusion, MAXPRINCIPLE_PREMISES_FAIL
     )
+
+
+def max_principle_approach(b_phi, b_psi, phi, psi, omega) -> np.ndarray:
+    """How close each row (..., m) of max_principle_verdicts' input came to
+    a counterexample: NaN unless the row is a candidate.
+
+    A candidate meets the boundary premise, phi <= psi off omega, and breaks
+    the conclusion, phi > psi at some node of omega; it is a counterexample
+    once the density premise holds too.  Its approach is the premise's
+    deficit, max over omega of (b_psi - b_phi) / b_psi, which the premise
+    admits up to about DENSITY_POINT_TOL.
+    """
+    candidate = np.all(omega | (phi <= psi), axis=-1) & np.any(
+        omega & (phi > psi), axis=-1
+    )
+    deficit = np.max(np.where(omega, (b_psi - b_phi) / b_psi, -np.inf), axis=-1)
+    return np.where(candidate, deficit, np.nan)

@@ -56,7 +56,7 @@ from bergmanlab.errors import (
 )
 from bergmanlab.measures import build_discrete_measure
 from bergmanlab.scenarios import scenario_record
-from bergmanlab.spans import monomial_span, tabulated_span
+from bergmanlab.spans import KIND_MONOMIALS, monomial_span, tabulated_span
 from bergmanlab.weights import eval_weight, tabulated_weight
 
 
@@ -306,6 +306,13 @@ def test_entry_points_reject_a_bad_count(entry, count):
         entry(count, 0)
 
 
+@pytest.mark.parametrize("entry", [run_battery, max_principle_search])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+def test_entry_points_reject_a_bad_seed(entry, seed):
+    with pytest.raises(InvalidConfigurationError, match="seed"):
+        entry(3, seed)
+
+
 def test_run_battery_of_no_instances():
     report = run_battery(0, 0)
     assert report.n_instances == 0
@@ -314,7 +321,8 @@ def test_run_battery_of_no_instances():
 
 def _judged_stacks(monkeypatch):
     """Record each stack the search judges: its (m, d), its instance indices,
-    its verdicts and its stacked phi and psi densities."""
+    the arrays it judges and each row's weight family, its verdicts and its
+    stacked phi and psi densities."""
     judged = []
     stacked_densities = battery.bergman_densities
     judge_stack = battery._judge_stack
@@ -325,15 +333,22 @@ def _judged_stacks(monkeypatch):
         return out
 
     def judge(stack):
+        n = stack.size
+        rows = {
+            name: getattr(stack, name).copy()
+            for name in ("points", "masses", "values", "monomial", "phi", "psi")
+        }
+        rows.update(omega=stack.omega[:n].copy(), family=stack.family[:n].copy())
         judged.append(
             {
                 "shape": stack.values.shape[1:],
-                "index": stack.index[: stack.size].copy(),
+                "index": stack.index[:n].copy(),
+                "rows": rows,
             }
         )
-        verdicts = judge_stack(stack)
+        verdicts, approach = judge_stack(stack)
         judged[-1]["verdicts"] = verdicts
-        return verdicts
+        return verdicts, approach
 
     monkeypatch.setattr(battery, "bergman_densities", densities)
     monkeypatch.setattr(battery, "_judge_stack", judge)
@@ -343,7 +358,8 @@ def _judged_stacks(monkeypatch):
 def test_max_principle_search_spans_are_proper(monkeypatch):
     """The search must stay inside proper subspaces; with span dimension
     equal to the node count the density forgets the weight entirely and the
-    discrete statement is vacuous."""
+    discrete statement is vacuous.  The size bounds are read at draw time,
+    so the rows still follow the stream."""
     monkeypatch.setattr(battery, "SEARCH_MAX_NODES", 4)
     monkeypatch.setattr(battery, "SEARCH_MAX_DIM", 8)
     judged = _judged_stacks(monkeypatch)
@@ -354,6 +370,7 @@ def test_max_principle_search_spans_are_proper(monkeypatch):
         m, d = stack["shape"]
         assert 2 <= m <= 4
         assert 1 <= d <= m - 1
+    _assert_judged_rows_follow_the_stream(judged, _reference_search_draws(200, 3))
 
 
 def _reference_search_draws(n, seed):
@@ -394,6 +411,7 @@ def _reference_search_draws(n, seed):
                 measure=measure,
                 span=span,
                 omega=omega,
+                family=family,
                 phi=eval_weight(tabulated_weight(phi_vals), measure),
                 psi=eval_weight(tabulated_weight(psi_vals), measure),
             )
@@ -433,6 +451,80 @@ def test_search_stacks_equal_the_per_space_path(monkeypatch):
     assert sorted(seen) == list(range(1000))
 
 
+def _assert_judged_rows_follow_the_stream(judged, draws):
+    """Every judged row equals its draw through the public constructors, bit
+    for bit; returns the weight families and span kinds the rows covered."""
+    covered = set()
+    seen = []
+    for stack in judged:
+        rows = stack["rows"]
+        for k, i in enumerate(stack["index"]):
+            inst = draws[i]
+            monomial = inst.span.kind == KIND_MONOMIALS
+            assert rows["monomial"][k] == monomial
+            assert rows["family"][k] == inst.family
+            for name, expected in (
+                ("points", inst.measure.points),
+                ("masses", inst.measure.masses),
+                ("values", inst.span.basis_values),
+                ("omega", inst.omega),
+                ("phi", inst.phi.values),
+                ("psi", inst.psi.values),
+            ):
+                assert np.array_equal(rows[name][k], expected), (i, name)
+            covered.add((int(inst.family), monomial))
+            seen.append(int(i))
+    assert sorted(seen) == list(range(len(draws)))
+    return covered
+
+
+def test_search_rows_follow_the_stream(monkeypatch):
+    """The rows hold only generator output, and what a stack derives from
+    them is what the one-instance-at-a-time draw gives, at seeds 0-4: nodes,
+    masses, span values, the monomial flag, omega, phi and psi."""
+    judged = _judged_stacks(monkeypatch)
+    covered = set()
+    for seed in range(5):
+        judged.clear()
+        max_principle_search(2000, seed)
+        draws = _reference_search_draws(2000, seed)
+        covered |= _assert_judged_rows_follow_the_stream(judged, draws)
+    assert covered == {(f, mono) for f in range(4) for mono in (False, True)}
+
+
+def _per_space_approach(inst):
+    """The row's approach, from densities of spaces built one at a time:
+    None unless phi <= psi off omega and phi > psi somewhere on omega."""
+    phi, psi, omega = inst.phi.values, inst.psi.values, inst.omega
+    if np.any(~omega & (phi > psi)) or not np.any(omega & (phi > psi)):
+        return None
+    b_phi, b_psi = (
+        bergman_density_from_space(build_space(inst.span, inst.measure, weight))
+        for weight in (inst.phi, inst.psi)
+    )
+    return max((b_psi - b_phi)[omega] / b_psi[omega])
+
+
+def test_search_closest_approach_equals_the_per_instance_one():
+    report = max_principle_search(1000, 0)
+    approaches = [
+        (a, i)
+        for i, inst in enumerate(_reference_search_draws(1000, 0))
+        if (a := _per_space_approach(inst)) is not None
+    ]
+    assert report.candidates == len(approaches) > 0
+    assert (report.closest_approach, report.closest_instance) == min(approaches)
+
+
+def test_search_closest_approach_at_seed_0():
+    """At seed 0, 2 968 of 10 000 draws are candidates, and the closest
+    stays eight orders of magnitude above the premise's slack."""
+    report = max_principle_search(10_000, 0)
+    assert report.candidates == 2968
+    assert report.closest_instance == 2936
+    assert report.closest_approach == pytest.approx(3.16e-4, rel=1e-3)
+
+
 def _first_fill(seed):
     """The number of draws after which the seed's first stack is full."""
     counts = {}
@@ -460,15 +552,19 @@ def test_search_of_no_instances():
     report = max_principle_search(0, 4)
     assert (report.premises_fail, report.conclusion_holds) == (0, 0)
     assert report.counterexamples == []
+    assert (report.candidates, report.closest_approach) == (0, None)
+    assert report.closest_instance is None
 
 
 def _full_stack(seed):
-    """The first stack of the seed's search to fill, not yet judged."""
+    """The first stack of the seed's search to fill, derived, not yet
+    judged."""
     rng = np.random.default_rng(seed)
     stacks = {}
     for index in itertools.count():
         stack = battery._draw_search_row(rng, stacks, index)
         if stack.size == SEARCH_CHUNK:
+            stack.derive()
             return stack
 
 
@@ -500,8 +596,9 @@ def _row_verdict(stack, k):
     ],
 )
 def test_judging_a_stack_runs_the_per_instance_checks(corruption, error):
-    """One corrupted row makes the stack's judge raise what the
-    per-instance constructors or max_principle_check raise on that row."""
+    """One corrupted row of the derived arrays makes the stack's judge raise
+    what the per-instance constructors or max_principle_check raise on that
+    row."""
     stack = _full_stack(0)
     k = 5
     rows = {

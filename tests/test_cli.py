@@ -212,9 +212,30 @@ def test_battery_max_principle_flag(tmp_path, capsys):
         "premises_fail",
         "conclusion_holds",
         "counterexamples",
+        "candidates",
+        "closest_approach",
+        "closest_instance",
         "elapsed_seconds",
     ]
     assert search["counterexamples"] == []
+    approach = f"{search['closest_approach']:.3g}"
+    assert (
+        f"candidates {search['candidates']}, closest approach {approach} "
+        f"at instance {search['closest_instance']}\n"
+    ) in stdout
+
+
+def test_battery_max_principle_line_without_candidates(tmp_path, capsys):
+    """With no candidate the approach fields are null and the line ends at
+    the count."""
+    out = os.fspath(tmp_path / "mp")
+    args = ["battery", "--n", "1", "--seed", "4", "--max-principle", "1"]
+    assert main([*args, "--out", out]) == EXIT_GREEN
+    assert "counterexamples 0, candidates 0\n" in capsys.readouterr().out
+    with open(os.path.join(out, "summary.json")) as fh:
+        search = json.load(fh)["max_principle_search"]
+    assert search["closest_approach"] is None
+    assert search["closest_instance"] is None
 
 
 def test_usage_error_exits_two():
