@@ -26,8 +26,11 @@ is built back into objects, for its scenario record.
 
 from __future__ import annotations
 
+import glob
+import json
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass
 
@@ -57,7 +60,7 @@ from .homotopy import (
 from .kernels import Spaces, bergman_densities
 from .measures import build_discrete_measure, validate_nodes
 from .scenarios import DEFAULT_C_GRID, scenario_record
-from .spans import monomial_span, tabulated_span
+from .spans import monomial_span, tabulated_span, vandermonde
 from .weights import eval_weight, tabulated_weight, validate_weight_values
 
 # Spaces with a retained spread (WeightedSpace.spread) beyond this amplify
@@ -382,6 +385,13 @@ def _validate_nonnegative_int(name: str, value) -> None:
         )
 
 
+def remove_failure_dumps(dump_dir) -> None:
+    """Remove the failing-instance dumps that a battery run left in dump_dir."""
+    pattern = os.path.join(glob.escape(dump_dir), "battery-failure-*.json")
+    for stale in glob.glob(pattern):
+        os.remove(stale)
+
+
 def run_battery(
     n_instances: int = DEFAULT_N_INSTANCES,
     seed: int = 0,
@@ -393,16 +403,10 @@ def run_battery(
     receives one rerunnable scenario JSON per failing instance; the dumps
     of an earlier run there are removed first.
     """
-    import glob
-    import json
-    import os
-
     _validate_nonnegative_int("n_instances", n_instances)
     _validate_nonnegative_int("seed", seed)
     if dump_dir is not None:
-        pattern = os.path.join(glob.escape(dump_dir), "battery-failure-*.json")
-        for stale in glob.glob(pattern):
-            os.remove(stale)
+        remove_failure_dumps(dump_dir)
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     results = []
@@ -504,7 +508,7 @@ class _SearchStack:
         self.values = np.empty((n, m, d), dtype=complex)
         self.values[~mono] = _span_values_from_normals(self.normals[:n][~mono])
         # With d <= m - 1 no monomial span needs to shrink.
-        self.values[mono] = _vandermonde(self.points[mono], d)
+        self.values[mono] = vandermonde(self.points[mono], d)
 
         w, omega, family = self.weight_uniforms[:n], self.omega[:n], self.family[:n]
         self.phi = phi = _uniform(w[:, :m], *WEIGHT_RANGE)
@@ -531,16 +535,6 @@ class _SearchStack:
         self.size = 0
         self.points = self.masses = self.values = None
         self.monomial = self.phi = self.psi = None
-
-
-def _vandermonde(points, d: int):
-    """np.vander(row, d, increasing=True) for each row of points (n, m),
-    by the same running product of the nodes."""
-    v = np.empty((*points.shape, d), dtype=complex)
-    v[..., 0] = 1
-    v[..., 1:] = points[..., None]
-    np.multiply.accumulate(v[..., 1:], axis=-1, out=v[..., 1:])
-    return v
 
 
 def _draw_search_row(rng, stacks: dict, index: int) -> _SearchStack:

@@ -19,13 +19,14 @@ import dataclasses
 import os
 import sys
 
-from .battery import max_principle_search, run_battery
+from .battery import max_principle_search, remove_failure_dumps, run_battery
 from .errors import BergmanlabError
 from .scenarios import emit_report, load_scenario_file, run_scenario
 
 EXIT_GREEN = 0
 EXIT_RED = 1
 EXIT_CONFIG = 2
+FAILURES_DIR = "failures"  # where a battery dumps failing instances, in --out
 
 
 def positive_int(text: str) -> int:
@@ -99,6 +100,8 @@ def _run_verb(args) -> int:
         seen.add(config.scenario_id)
 
     os.makedirs(args.out, exist_ok=True)
+    # A scenario run dumps nothing, so an earlier battery's dumps go.
+    remove_failure_dumps(os.path.join(args.out, FAILURES_DIR))
     try:
         reports = [run_scenario(c) for c in configs]
     except BergmanlabError as exc:
@@ -119,7 +122,7 @@ def _run_verb(args) -> int:
 
 def _battery_verb(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    dump_dir = os.path.join(args.out, "failures")
+    dump_dir = os.path.join(args.out, FAILURES_DIR)
     report = run_battery(n_instances=args.n, seed=args.seed, dump_dir=dump_dir)
     for line in report.summary_lines():
         print(line)

@@ -25,7 +25,8 @@ A path carries the kernels.Spaces context of its span and measure, and every
 function here takes the space of phi_t from it: G on the grid, the
 derivative forms, their finite differences and the quotient bounds share
 each space they meet.  phi + 0 u is phi bit for bit, so t = 0 reuses phi's
-space; phi + 1 u need not be psi bit for bit, so t = 1 has its own.
+space; phi + 1 u need not be psi bit for bit, so t = 1 has its own.  Each
+reads K_t(z, z) from its space (WeightedSpace.diagonal), formed once there.
 """
 
 from __future__ import annotations
@@ -34,12 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (
-    Spaces,
-    _kernel_diagonal,
-    bergman_density_from_space,
-    orthonormal_node_values,
-)
+from .kernels import Spaces, bergman_density_from_space, orthonormal_node_values
 from .weights import WeightFunction
 
 # The times at which the homotopy checks evaluate G, from 0 to 1.  The
@@ -57,12 +53,14 @@ BOUND_FLOOR = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class HomotopyPath:
-    """Straight path of weights t -> phi + t u, with the spaces along it."""
+    """Straight path of weights t -> phi + t u, with the spaces along it and
+    the profile rho = 1_{u < 0} that turns G into the comparison interpolant."""
 
     spaces: Spaces
     base_values: np.ndarray
     direction: np.ndarray
     u_sup: float
+    profile: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -94,6 +92,7 @@ def build_path(
         base_values=phi.values,
         direction=u,
         u_sup=float(np.max(np.abs(u))) if u.size else 0.0,
+        profile=(u < 0.0).astype(float),
     )
 
 
@@ -102,16 +101,10 @@ def weight_at(path: HomotopyPath, t: float) -> WeightFunction:
     return WeightFunction(values=path.base_values + t * path.direction, family=None)
 
 
-def negative_direction_indicator(path: HomotopyPath) -> np.ndarray:
-    """The profile 1_{u < 0} that turns G into the comparison interpolant."""
-    return (path.direction < 0.0).astype(float)
-
-
 def g_of_t(path: HomotopyPath, t: float) -> float:
     """G(t) = integral of 1_{u < 0} times the density of the phi_t-space."""
-    rho = negative_direction_indicator(path)
     b = bergman_density_from_space(path.spaces(weight_at(path, t)))
-    return float(np.sum(rho * path.spaces.measure.masses * b))
+    return float(np.sum(path.profile * path.spaces.measure.masses * b))
 
 
 def sup_bound_constant(u_sup: float) -> float:
@@ -124,8 +117,8 @@ def difference_quotient_bound_check(path: HomotopyPath, t: float, tau: float) ->
 
     C_u = 2 u_sup e^{2 u_sup}; requires |tau| <= 1.
     """
-    diag_t = _kernel_diagonal(path.spaces(weight_at(path, t)))
-    diag_s = _kernel_diagonal(path.spaces(weight_at(path, t + tau)))
+    diag_t = path.spaces(weight_at(path, t)).diagonal
+    diag_s = path.spaces(weight_at(path, t + tau)).diagonal
     quotient = np.abs(diag_s - diag_t) / abs(tau)
     floor = BOUND_FLOOR * (1.0 + float(diag_t.max(initial=0.0)))
     bound = sup_bound_constant(path.u_sup) * diag_t + floor
@@ -152,7 +145,7 @@ def l2_difference_bound_check(path: HomotopyPath, t: float, tau: float) -> bool:
     w_gram = u_frame.conj().T @ (d[:, None] * u_frame)
     core = signs[:, None] * w_gram * signs[None, :]
     lhs = np.einsum("ia,ab,ib->i", u_frame, core, u_frame.conj()).real
-    diag_t = np.einsum("ij,ij->i", e_t, e_t.conj()).real
+    diag_t = space_t.diagonal
     floor = BOUND_FLOOR * (1.0 + float(diag_t.max(initial=0.0)))
     bound = sup_bound_constant(path.u_sup) * abs(tau) * diag_t + floor
     return bool(np.all(lhs <= bound))
@@ -164,12 +157,11 @@ def g_derivative_forms(path: HomotopyPath, t: float) -> DerivativeReport:
     The profile is rho = 1_{u < 0}, for which the sign-split form holds.
     The finite difference has step FD_STEP.
     """
-    rho_vals = negative_direction_indicator(path)
+    rho_vals = path.profile
     u = path.direction
     space = path.spaces(weight_at(path, t))
     e = orthonormal_node_values(space)
     d = space.measure_factor
-    diag = np.einsum("ij,ij->i", e, e.conj()).real
 
     # Quadratic forms x' M y with M = |K|^2 (d x d) reduce to traces of
     # small cross-Grams: sum_jk x_j |K_jk|^2 y_k = tr(A(x d) A(y d)) where
@@ -182,7 +174,7 @@ def g_derivative_forms(path: HomotopyPath, t: float) -> DerivativeReport:
         return float(np.trace(cross_gram(x * d) @ cross_gram(y * d)).real)
 
     rho_m_u = pair_sum(rho_vals, u)
-    direct = float(-np.sum(rho_vals * u * diag * d) + rho_m_u)
+    direct = float(-np.sum(rho_vals * u * space.diagonal * d) + rho_m_u)
     symmetric = rho_m_u - pair_sum(rho_vals * u, np.ones_like(u))
 
     neg = u < 0.0

@@ -27,29 +27,31 @@ bit-identical to that product.  Densities at chosen points
 (bergman_density_at) cost only as many basis evaluations as there are
 points.
 
-The kernel diagonal at the nodes takes the same path under the same rule
-(_ring_path): with M = C C*, K(r_i e^{i theta_j}) = N ifft(A_i)[j], where
-A_i[k] = sum_s r_i^s Q[s, k] and Q[s, k mod N] sums M[n, m] over n + m = s
-and n - m = k.  That is O(d^2 rank + rings d^2 + rings N log N) work instead
-of O(m d rank).  Node densities, the scaling ladder, the trace error and
-the second pass of the reproducing residual read it.
-The folded sum's error scales with the ring's mean of K, not with K at the
-node, so where a ring's smallest value lies far below its mean (a strongly
-non-radial weight), or where r^(2d-2) overflows, they fall back to the
-blocks below.
+Each space forms its kernel diagonal at the nodes once, on the first read
+of WeightedSpace.diagonal: node densities, the scaling ladder, the trace
+error, the residual and the homotopy checks read that one array.  It takes
+the Gram's path under the same rule (_ring_path): with M = C C*,
+K(r_i e^{i theta_j}) = N ifft(A_i)[j], where A_i[k] = sum_s r_i^s Q[s, k]
+and Q[s, k mod N] sums M[n, m] over n + m = s and n - m = k, in
+O(d^2 rank + rings d^2 + rings N log N) work instead of O(m d rank), as
+the residual's row norms do.  The folded sum's error scales with the ring's
+mean of K, not with K at the node, so where a ring's smallest value lies
+far below its mean (a strongly non-radial weight), or where r^(2d-2)
+overflows, they fall back to the blocks below.
 
-Otherwise densities, kernel diagonals and the reproducing residual form the
-orthonormal node values E = V C BLOCK_ROWS rows at a time, so their memory
-does not grow with the node count; above BLOCK_ROWS rows a monomial span is
-evaluated block by block and never tabulated.  orthonormal_node_values
-still returns the full matrix, for the homotopy checks, which run on small
-rules.
+Otherwise the diagonal, densities at chosen points and the reproducing
+residual form the orthonormal node values E = V C BLOCK_ROWS rows at a
+time, so their memory does not grow with the node count; above BLOCK_ROWS
+rows a monomial span is evaluated block by block and never tabulated.
+orthonormal_node_values still returns the full matrix, for the homotopy
+checks, which run on small rules.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,6 +102,17 @@ class WeightedSpace:
     def measure_factor(self) -> np.ndarray:
         """w_j e^{-phi_j}, the discrete measure against which functions pair."""
         return self.measure.masses * np.exp(-self.weight.values)
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """K(z_j, z_j) at the nodes, formed on the first read; read-only."""
+        diag = None
+        if _ring_path(self.span, self.measure):
+            diag = _ring_row_norms(self.measure, self.ortho_coeffs)
+        if diag is None:
+            diag = _block_diagonal(self)
+        diag.flags.writeable = False
+        return diag
 
 
 def assemble_gram(
@@ -186,7 +199,8 @@ def _ring_row_norms(measure: QuadratureMeasure, x: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         np.add.at(q, (n[:, None] + n, (n[:, None] - n) % n_ang), x @ x.conj().T)
         a = (r[:, None] ** np.arange(2 * n.size - 1)) @ q
-        norms = (n_ang * np.fft.ifft(a, axis=1)).real
+        # A float copy, so that a kept result does not hold the transform.
+        norms = (n_ang * np.fft.ifft(a, axis=1)).real.copy()
     if not np.isfinite(norms).all():
         return None
     error = 4 * np.finfo(float).eps * n.size * norms.mean(axis=1)
@@ -371,20 +385,10 @@ def _node_value_blocks(space: WeightedSpace, points=None):
     return ((rows, evaluate_basis(span, pts[rows]) @ c) for rows in blocks)
 
 
-def _kernel_diagonal(space: WeightedSpace, points=None) -> np.ndarray:
-    """K(z, z) at the nodes, or at points, from the row norms of E.
-
-    At the nodes of a space on the ring path the diagonal comes from one FFT
-    per ring, where that keeps its digits.  A single block's diagonal is
-    returned as it is, without a copy: the battery takes thousands of
-    densities of small spaces a pass.
-    """
-    if points is None and _ring_path(space.span, space.measure):
-        diag = _ring_row_norms(space.measure, space.ortho_coeffs)
-        if diag is not None:
-            return diag
-    diags = [_row_norms(e) for _, e in _node_value_blocks(space, points)]
-    return diags[0] if len(diags) == 1 else np.concatenate(diags)
+def _block_diagonal(space: WeightedSpace, points=None) -> np.ndarray:
+    """K(z, z) at the nodes, or at points, from the row norms of E in blocks."""
+    blocks = _node_value_blocks(space, points)
+    return np.concatenate([_row_norms(e) for _, e in blocks])
 
 
 def _row_norms(e: np.ndarray) -> np.ndarray:
@@ -393,12 +397,9 @@ def _row_norms(e: np.ndarray) -> np.ndarray:
 
 
 def bergman_density_from_space(space: WeightedSpace) -> np.ndarray:
-    """Density of states at the nodes, without forming the node-pair kernel.
-
-    Row norms of the orthonormal basis give the kernel diagonal directly;
-    this is the path to use when the node count is large.
-    """
-    return _kernel_diagonal(space) * np.exp(-space.weight.values)
+    """Density of states at the nodes, B = K(z, z) e^{-phi}, from the space's
+    kernel diagonal, without forming the node-pair kernel."""
+    return space.diagonal * np.exp(-space.weight.values)
 
 
 def bergman_densities(
@@ -425,8 +426,7 @@ def bergman_densities(
 def bergman_density_at(space: WeightedSpace, z) -> np.ndarray:
     """Density of states at arbitrary points (monomial span, closed-form weight)."""
     pts = np.asarray(z, dtype=complex).reshape(-1)
-    diag = _kernel_diagonal(space, pts)
-    return diag * np.exp(-space.weight.evaluate_at(pts))
+    return _block_diagonal(space, pts) * np.exp(-space.weight.evaluate_at(pts))
 
 
 def reproducing_residual(space: WeightedSpace) -> float:
@@ -436,10 +436,10 @@ def reproducing_residual(space: WeightedSpace) -> float:
     so entry (i, j) is at most ||(E A)_i|| ||E_j||.  The bound, max_i of the
     first factor times max_j of the second, is zero in exact arithmetic and
     costs O(m r^2), so it is computed at every node count: A is summed over
-    the row blocks of E, and a second pass over them takes the two maxima.
-    On the ring path the second pass is one FFT per ring for each factor,
-    the row norms of V (C A) and the kernel diagonal, where they keep their
-    digits.
+    the row blocks of E.  The first factor's squares are the row norms of
+    E A, from a second pass over the blocks or, on the ring path, from one
+    FFT per ring, the row norms of V (C A), where that keeps its digits; the
+    second factor's are the space's kernel diagonal.
     """
     if space.rank == 0:
         return 0.0
@@ -447,16 +447,10 @@ def reproducing_residual(space: WeightedSpace) -> float:
     a = sum(
         e.conj().T @ (d[rows, None] * e) for rows, e in _node_value_blocks(space)
     ) - np.eye(space.rank)
+    row_sq = None
     if _ring_path(space.span, space.measure):
         row_sq = _ring_row_norms(space.measure, space.ortho_coeffs @ a)
-        if row_sq is not None:
-            col_sq = _kernel_diagonal(space)
-            return float(np.sqrt(row_sq.max()) * np.sqrt(col_sq.max()))
-    row_peak, col_peak = np.max(
-        [
-            (np.max(np.linalg.norm(e @ a, axis=1)), np.max(np.linalg.norm(e, axis=1)))
-            for _, e in _node_value_blocks(space)
-        ],
-        axis=0,
-    )
-    return float(row_peak * col_peak)
+    if row_sq is None:
+        blocks = _node_value_blocks(space)
+        row_sq = np.array([_row_norms(e @ a).max() for _, e in blocks])
+    return float(np.sqrt(row_sq.max()) * np.sqrt(space.diagonal.max()))

@@ -85,4 +85,14 @@ def evaluate_basis(span: FunctionSpan, z) -> np.ndarray:
             "off-node evaluation is only available for monomial spans"
         )
     pts = np.asarray(z, dtype=complex).reshape(-1)
-    return np.vander(pts, N=span.degree + 1, increasing=True)
+    return vandermonde(pts, span.degree + 1)
+
+
+def vandermonde(points, d: int) -> np.ndarray:
+    """np.vander(x, d, increasing=True) for each row x along the last axis of
+    points, bit for bit: the same running product of the nodes."""
+    v = np.empty((*points.shape, d), dtype=complex)
+    v[..., 0] = 1
+    v[..., 1:] = points[..., None]
+    np.multiply.accumulate(v[..., 1:], axis=-1, out=v[..., 1:])
+    return v

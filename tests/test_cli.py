@@ -195,6 +195,18 @@ def test_out_holds_only_the_last_runs_results(scenario_file, tmp_path, capsys):
     assert os.listdir(out) == ["summary.json"]
 
 
+def test_a_scenario_run_removes_an_earlier_batterys_failure_dumps(
+    tight_trace_limit, monkeypatch, scenario_file, tmp_path, capsys
+):
+    out = os.fspath(tmp_path / "out")
+    failures = os.path.join(out, "failures")
+    assert main(["battery", "--n", "2", "--seed", "0", "--out", out]) == EXIT_RED
+    assert os.listdir(failures)
+    monkeypatch.undo()
+    assert main(["run", scenario_file, "--out", out]) == EXIT_GREEN
+    assert os.listdir(failures) == []
+
+
 def test_battery_max_principle_flag(tmp_path, capsys):
     out = os.fspath(tmp_path / "mp")
     code = main(

@@ -293,8 +293,8 @@ def test_kernel_diagonal_monotone_in_weight():
     measure, span, phi = random_instance(34)
     hi = eval_weight(tabulated_weight(phi.values + np.abs(phi.values) + 0.3), measure)
     assert np.all(phi.values <= hi.values)
-    k_lo = kernels._kernel_diagonal(build_space(span, measure, phi))
-    k_hi = kernels._kernel_diagonal(build_space(span, measure, hi))
+    k_lo = build_space(span, measure, phi).diagonal
+    k_hi = build_space(span, measure, hi).diagonal
     assert np.all(k_lo <= k_hi + 1e-12 * (1.0 + k_hi))
 
 
@@ -413,9 +413,11 @@ def test_ring_path_recognises_the_span_by_its_points():
     )
 
 
-def blocks_only(monkeypatch):
-    """Turn the ring path off, so every call forms node values in blocks."""
+def blocks_only(monkeypatch, space):
+    """Turn the ring path off, and return a copy of space with nothing cached,
+    whose diagonal and residual therefore come from the node value blocks."""
     monkeypatch.setattr(kernels, "_ring_path", lambda span, measure: False)
+    return dataclasses.replace(space)
 
 
 @pytest.mark.parametrize(
@@ -438,19 +440,18 @@ def test_ring_kernel_diagonal_matches_the_blocks(
         weight = tabulated_weight(np.random.default_rng(7).uniform(-2, 2, measure.n))
     space = build_space(monomial_span(measure, degree), measure, weight)
     assert kernels._ring_path(space.span, measure)
-    ring = kernels._kernel_diagonal(space)
+    ring = space.diagonal
     assert np.array_equal(ring, kernels._ring_row_norms(measure, space.ortho_coeffs))
     residual = reproducing_residual(space)
-    blocks_only(monkeypatch)
-    blocks = kernels._kernel_diagonal(space)
+    fresh = blocks_only(monkeypatch, space)
+    blocks = kernels._block_diagonal(space)
+    assert np.array_equal(fresh.diagonal, blocks)
     assert np.max(np.abs(ring - blocks) / blocks) <= 1e-12
-    assert reproducing_residual(space) == pytest.approx(residual, rel=1e-12)
+    assert reproducing_residual(fresh) == pytest.approx(residual, rel=1e-12)
 
 
 @pytest.mark.parametrize("b", [0.25, 0.5, 1.0, 2.0, 2.5])
-def test_ring_kernel_diagonal_keeps_twelve_digits_on_non_radial_weights(
-    b, monkeypatch
-):
+def test_ring_kernel_diagonal_keeps_twelve_digits_on_non_radial_weights(b):
     """The folded sum's error scales with K's mean over a ring.  Under
     b Re(z^2) on a radius-2 disk K spans a factor of about e^(8b) around a
     ring, so at b = 2.5 (b R^2 = 10) the ring path would lose four digits at
@@ -458,11 +459,10 @@ def test_ring_kernel_diagonal_keeps_twelve_digits_on_non_radial_weights(
     measure = build_disk_measure(2.0, 64, 128)
     space = build_space(monomial_span(measure, 30), measure, harmonic_weight(b))
     assert kernels._ring_path(space.span, measure)
-    ring = kernels._kernel_diagonal(space)
+    ring = space.diagonal
     on_rings = kernels._ring_row_norms(measure, space.ortho_coeffs) is not None
     assert on_rings == (b <= 0.5)
-    blocks_only(monkeypatch)
-    blocks = kernels._kernel_diagonal(space)
+    blocks = kernels._block_diagonal(space)
     assert np.max(np.abs(ring - blocks) / blocks) <= 1e-12
     if not on_rings:
         assert np.array_equal(ring, blocks)
@@ -487,10 +487,31 @@ def test_ring_kernel_diagonal_falls_back_to_the_blocks_when_it_overflows(
     assert kernels._ring_path(space.span, measure)
     assert kernels._ring_row_norms(measure, space.ortho_coeffs) is None
     density, residual = bergman_density_from_space(space), reproducing_residual(space)
-    blocks_only(monkeypatch)
-    assert np.array_equal(density, bergman_density_from_space(space))
-    assert residual == reproducing_residual(space)
+    assert np.array_equal(space.diagonal, kernels._block_diagonal(space))
+    fresh = blocks_only(monkeypatch, space)
+    assert np.array_equal(density, bergman_density_from_space(fresh))
+    assert residual == reproducing_residual(fresh)
     assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("ring", [False, True], ids=["blocks", "rings"])
+def test_kernel_diagonal_is_formed_once_and_read_only(ring):
+    """The space keeps one float diagonal, which no reader can write into.
+    It holds no complex array alive, not even the ring path's transform."""
+    if ring:
+        measure = build_disk_measure(1.0, 64, 128)
+        space = build_space(monomial_span(measure, 30), measure, gauss_weight(1.0))
+        assert kernels._ring_path(space.span, measure)
+    else:
+        measure, span, phi = random_instance(37)
+        space = build_space(span, measure, phi)
+    diag = space.diagonal
+    assert diag is space.diagonal
+    assert diag.dtype == float and (diag.base is None or diag.base.dtype == float)
+    with pytest.raises(ValueError):
+        diag[0] = 0.0
+    density = diag * np.exp(-space.weight.values)
+    assert np.array_equal(bergman_density_from_space(space), density)
 
 
 def test_monomial_span_values_are_the_vandermonde_matrix():

@@ -20,8 +20,10 @@ from bergmanlab import (
     eval_weight,
     gauss_weight,
     generate_instance,
+    kernels,
     load_scenario_file,
     monomial_span,
+    run_battery,
     run_scenario,
     tabulated_span,
     tabulated_weight,
@@ -87,6 +89,71 @@ def test_each_distinct_space_of_a_scenario_is_built_once(calls, path):
     assert builds
     assert len(builds) == len(_distinct(builds))
     assert len(calls["assemble_gram"]) == len(builds)
+
+
+@pytest.fixture
+def diagonals(monkeypatch):
+    """Every space the package builds, and every kernel diagonal it forms.
+
+    A diagonal comes from one of two sources: the ring row norms of a
+    space's coefficients, where they keep their digits, or the row norms of
+    its node value blocks.  The ring source also serves the residual's row
+    norms, of other coefficients, so each ring call keeps its argument alive
+    and is told apart by identity.  Returns a function that gives, for each
+    space built so far, the number of diagonals formed for it.
+    """
+    built, ring_args, block_spaces = [], [], []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bergmanlab" and module is not None:
+            if getattr(module, "build_space", None) is build_space:
+                monkeypatch.setattr(module, "build_space", _keeping(built))
+    ring, blocks = kernels._ring_row_norms, kernels._block_diagonal
+
+    def ring_counted(measure, x):
+        norms = ring(measure, x)
+        if norms is not None:
+            ring_args.append(x)
+        return norms
+
+    def blocks_counted(space, points=None):
+        if points is None:
+            block_spaces.append(space)
+        return blocks(space, points)
+
+    monkeypatch.setattr(kernels, "_ring_row_norms", ring_counted)
+    monkeypatch.setattr(kernels, "_block_diagonal", blocks_counted)
+
+    def per_space():
+        owner = {id(space.ortho_coeffs): space for space in built}
+        formed = [owner[id(x)] for x in ring_args if id(x) in owner]
+        formed += block_spaces
+        return [sum(s is space for s in formed) for space in built]
+
+    return per_space
+
+
+def _keeping(built):
+    def kept(*args, **kwargs):
+        space = build_space(*args, **kwargs)
+        built.append(space)
+        return space
+
+    return kept
+
+
+def test_a_battery_forms_one_kernel_diagonal_per_build(diagonals):
+    """Densities, the residual and the homotopy read one diagonal a space."""
+    run_battery(20, 0)
+    counts = diagonals()
+    assert counts, "the patched build_space was never called"
+    assert set(counts) == {1}
+
+
+def test_the_shipped_scenarios_form_one_kernel_diagonal_per_build(diagonals):
+    for path in SCENARIOS:
+        assert run_scenario(load_scenario_file(path)).green
+    counts = diagonals()
+    assert (len(counts), set(counts)) == (78, {1})
 
 
 def _discrete(m=9, d=3, seed=5):
