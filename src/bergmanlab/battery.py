@@ -19,9 +19,9 @@ the same arithmetic as numpy's uniform and vander (the battery draws its
 nodes through the same mapping), and the stack is judged at once.
 Judging validates the rows as the constructors would, takes their
 densities from one stacked factorization (kernels.bergman_densities), and
-from them the verdicts, by the function that max_principle_check uses, and
-how close each candidate came to a counterexample.  Only a counterexample
-is built back into objects, for its scenario record.
+from them each row's verdict and how close it came to a counterexample, in
+one call of the function that max_principle_check uses.  Only a
+counterexample is built back into objects, for its scenario record.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .comparison import (
     MAXPRINCIPLE_CONCLUSION_HOLDS,
     MAXPRINCIPLE_COUNTEREXAMPLE,
     MAXPRINCIPLE_PREMISES_FAIL,
-    max_principle_approach,
     max_principle_verdicts,
     sandwich_check,
     shifted_comparison_sweep,
@@ -386,10 +385,13 @@ def _validate_nonnegative_int(name: str, value) -> None:
 
 
 def remove_failure_dumps(dump_dir) -> None:
-    """Remove the failing-instance dumps that a battery run left in dump_dir."""
+    """Remove the failing-instance dumps that a battery run left in dump_dir,
+    and dump_dir itself if that leaves it empty."""
     pattern = os.path.join(glob.escape(dump_dir), "battery-failure-*.json")
     for stale in glob.glob(pattern):
         os.remove(stale)
+    if os.path.isdir(dump_dir) and not os.listdir(dump_dir):
+        os.rmdir(dump_dir)
 
 
 def run_battery(
@@ -451,8 +453,8 @@ class MaxPrincipleSearchReport:
 
     A candidate is a draw that meets the boundary premise and breaks the
     conclusion, so only the density premise stands between it and a
-    counterexample.  closest_approach is the least premise deficit over the
-    candidates (comparison.max_principle_approach) and closest_instance the
+    counterexample.  closest_approach is the least approach over the
+    candidates (comparison.max_principle_verdicts) and closest_instance the
     draw that has it; both are None when no draw is a candidate.
     """
 
@@ -580,10 +582,9 @@ def _judge_stack(stack: _SearchStack):
     path runs: build_discrete_measure's on the nodes and masses,
     tabulated_weight's on phi and psi, and max_principle_check's on omega,
     with their error classes and messages.  The phi and psi spaces are then
-    one stack of bergman_densities, and the verdicts one call of the
-    function that max_principle_check uses, so each row's verdict is the
-    one max_principle_check gives its instance.  The approaches come from
-    the same densities (comparison.max_principle_approach).
+    one stack of bergman_densities, and the verdicts and approaches one call
+    of max_principle_verdicts, the function that max_principle_check uses,
+    so each row's verdict is the one max_principle_check gives its instance.
     """
     masses, omega = stack.masses, stack.omega[: stack.size]
     phi, psi, values = stack.phi, stack.psi, stack.values
@@ -599,10 +600,7 @@ def _judge_stack(stack: _SearchStack):
         ),
         2,
     )
-    return (
-        max_principle_verdicts(b_phi, b_psi, phi, psi, omega),
-        max_principle_approach(b_phi, b_psi, phi, psi, omega),
-    )
+    return max_principle_verdicts(b_phi, b_psi, phi, psi, omega)
 
 
 def _search_record(stack: _SearchStack, k: int) -> dict:

@@ -187,12 +187,9 @@ def strictness_check(report: ComparisonReport, kernel_psi_nontrivial: bool) -> s
 def max_principle_check(
     spaces: Spaces, phi: WeightFunction, psi: WeightFunction, omega_mask
 ) -> str:
-    """Contrapositive check of the maximum principle on a node set.
-
-    Premises: B_phi >= B_psi at every node of omega (within a pointwise
-    tolerance), and phi <= psi off omega.  If the premises hold, the weights
-    must satisfy phi <= psi everywhere; a node violating that is a
-    counterexample.  omega must be a proper subset of the nodes.
+    """Contrapositive check of the maximum principle on a node set: the
+    verdict max_principle_verdicts gives the instance.  omega must be a
+    proper subset of the nodes.
     """
     omega = np.asarray(omega_mask, dtype=bool).reshape(-1)
     if omega.size != spaces.measure.n:
@@ -201,15 +198,14 @@ def max_principle_check(
         )
     validate_region(omega)
     space_phi, space_psi = spaces(phi), spaces(psi)
-    return str(
-        max_principle_verdicts(
-            bergman_density_from_space(space_phi),
-            bergman_density_from_space(space_psi),
-            space_phi.weight.values,
-            space_psi.weight.values,
-            omega,
-        )
+    verdict, _ = max_principle_verdicts(
+        bergman_density_from_space(space_phi),
+        bergman_density_from_space(space_psi),
+        space_phi.weight.values,
+        space_psi.weight.values,
+        omega,
     )
+    return str(verdict)
 
 
 def validate_region(omega: np.ndarray) -> None:
@@ -222,42 +218,41 @@ def validate_region(omega: np.ndarray) -> None:
         )
 
 
-def max_principle_verdicts(b_phi, b_psi, phi, psi, omega) -> np.ndarray:
-    """Verdicts of the maximum principle on rows (..., m), one per row.
+def max_principle_verdicts(b_phi, b_psi, phi, psi, omega):
+    """Verdicts of the maximum principle on rows (..., m), one per row, and
+    how close each row came to a counterexample: (verdicts, approach).
 
     Each row holds the densities b_phi and b_psi, the tabulated weight
     values phi and psi and the node mask omega of one instance.  The
-    premises are b_phi >= b_psi - DENSITY_POINT_TOL * (1 + |b_psi|) at every
-    node of omega and phi <= psi off it; the conclusion is phi <= psi at
-    every node.
+    boundary premise is phi <= psi off omega; the density premise is
+    b_phi >= b_psi - DENSITY_POINT_TOL * (1 + |b_psi|) at every node of
+    omega, which admits a relative deficit (b_psi - b_phi) / b_psi of up to
+    DENSITY_POINT_TOL * (1 + 1 / b_psi) at a node (1.75e-8 where b_psi is
+    5.7e-5); the conclusion is phi <= psi at every node.  A row whose
+    premises hold is conclusion-holds or a counterexample, and any other
+    row is premises-fail.
+
+    A candidate meets the boundary premise and breaks the conclusion, so
+    only the density premise stands between it and a counterexample.  Its
+    approach is the density premise's deficit, max over omega of
+    (b_psi - b_phi) / b_psi; every other row's approach is NaN.
     """
-    premise_density = np.all(
+    boundary = np.all(omega | (phi <= psi), axis=-1)
+    density = np.all(
         ~omega | (b_phi >= b_psi - DENSITY_POINT_TOL * (1.0 + np.abs(b_psi))),
         axis=-1,
     )
-    premise_boundary = np.all(omega | (phi <= psi), axis=-1)
-    conclusion = np.where(
-        np.all(phi <= psi, axis=-1),
-        MAXPRINCIPLE_CONCLUSION_HOLDS,
-        MAXPRINCIPLE_COUNTEREXAMPLE,
+    conclusion = np.all(phi <= psi, axis=-1)
+    verdicts = np.where(
+        boundary & density,
+        np.where(
+            conclusion, MAXPRINCIPLE_CONCLUSION_HOLDS, MAXPRINCIPLE_COUNTEREXAMPLE
+        ),
+        MAXPRINCIPLE_PREMISES_FAIL,
     )
-    return np.where(
-        premise_density & premise_boundary, conclusion, MAXPRINCIPLE_PREMISES_FAIL
-    )
-
-
-def max_principle_approach(b_phi, b_psi, phi, psi, omega) -> np.ndarray:
-    """How close each row (..., m) of max_principle_verdicts' input came to
-    a counterexample: NaN unless the row is a candidate.
-
-    A candidate meets the boundary premise, phi <= psi off omega, and breaks
-    the conclusion, phi > psi at some node of omega; it is a counterexample
-    once the density premise holds too.  Its approach is the premise's
-    deficit, max over omega of (b_psi - b_phi) / b_psi, which the premise
-    admits up to about DENSITY_POINT_TOL.
-    """
-    candidate = np.all(omega | (phi <= psi), axis=-1) & np.any(
-        omega & (phi > psi), axis=-1
-    )
-    deficit = np.max(np.where(omega, (b_psi - b_phi) / b_psi, -np.inf), axis=-1)
-    return np.where(candidate, deficit, np.nan)
+    # Where the span vanishes at a node, b_phi = b_psi = 0 and the ratio is
+    # NaN, without a warning; the search's spans vanish at no node.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        deficit = (b_psi - b_phi) / b_psi
+    deficit = np.max(np.where(omega, deficit, -np.inf), axis=-1)
+    return verdicts, np.where(boundary & ~conclusion, deficit, np.nan)

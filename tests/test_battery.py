@@ -218,7 +218,16 @@ def test_failure_dumps_hold_only_the_last_runs(
     monkeypatch.undo()
     green = run_battery(n_instances=4, seed=0, dump_dir=dump_dir)
     assert green.all_green
-    assert os.listdir(dump_dir) == []
+    assert not os.path.exists(dump_dir)
+
+
+def test_removing_dumps_keeps_a_directory_that_holds_other_files(tmp_path):
+    dump_dir = tmp_path / "failures"
+    dump_dir.mkdir()
+    (dump_dir / "battery-failure-3.json").write_text("{}")
+    (dump_dir / "notes.txt").write_text("kept")
+    battery.remove_failure_dumps(os.fspath(dump_dir))
+    assert os.listdir(dump_dir) == ["notes.txt"]
 
 
 def test_summary_lines_follow_the_limit_table(tight_trace_limit):

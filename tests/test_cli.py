@@ -204,7 +204,19 @@ def test_a_scenario_run_removes_an_earlier_batterys_failure_dumps(
     assert os.listdir(failures)
     monkeypatch.undo()
     assert main(["run", scenario_file, "--out", out]) == EXIT_GREEN
-    assert os.listdir(failures) == []
+    assert not os.path.exists(failures)
+
+
+def test_a_green_battery_removes_an_earlier_batterys_failure_dumps(
+    tight_trace_limit, monkeypatch, tmp_path, capsys
+):
+    out = os.fspath(tmp_path / "out")
+    failures = os.path.join(out, "failures")
+    assert main(["battery", "--n", "2", "--seed", "0", "--out", out]) == EXIT_RED
+    assert os.listdir(failures)
+    monkeypatch.undo()
+    assert main(["battery", "--n", "2", "--seed", "0", "--out", out]) == EXIT_GREEN
+    assert not os.path.exists(failures)
 
 
 def test_battery_max_principle_flag(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Comparison principle, sublevel sets, reductions, and the maximum principle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,11 +25,14 @@ from bergmanlab import (
     tabulated_weight,
 )
 from bergmanlab.comparison import (
+    DENSITY_POINT_TOL,
     MAXPRINCIPLE_CONCLUSION_HOLDS,
+    MAXPRINCIPLE_COUNTEREXAMPLE,
     MAXPRINCIPLE_PREMISES_FAIL,
     VERDICT_EQUAL_BOTH_ZERO,
     VERDICT_NOT_APPLICABLE,
     VERDICT_STRICT,
+    max_principle_verdicts,
 )
 
 E = math.e
@@ -194,6 +198,68 @@ def test_max_principle_identical_weights_conclude():
     omega[0] = True
     verdict = max_principle_check(Spaces(span, measure), phi, phi, omega)
     assert verdict == MAXPRINCIPLE_CONCLUSION_HOLDS
+
+
+def test_max_principle_verdicts_row_by_row():
+    """One pass judges hand-built rows (stack axis first): the verdict, and
+    for a candidate the largest relative density deficit over omega."""
+    n = np.nan
+    b_small = 5.7e-5
+    # A relative deficit at a node of omega is admitted up to
+    # DENSITY_POINT_TOL * (1 + 1 / b_psi), 1.75e-8 here.
+    admitted = DENSITY_POINT_TOL * (1.0 + 1.0 / b_small)
+    rows = [
+        # (omega, b_phi, b_psi, phi, psi, verdict, approach)
+        # The density premise fails at node 1 of omega: a candidate.
+        ([1, 1, 0], [1.0, 0.5, 1.0], [1.0, 0.6, 1.0], [1, 0, 0], [0, 0, 0],
+         MAXPRINCIPLE_PREMISES_FAIL, (0.6 - 0.5) / 0.6),
+        # The boundary premise fails at node 1, off omega.
+        ([1, 0, 0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0, 1, 0], [0, 0, 0],
+         MAXPRINCIPLE_PREMISES_FAIL, n),
+        # The conclusion holds.
+        ([1, 0, 0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0, 0, 0], [1, 1, 1],
+         MAXPRINCIPLE_CONCLUSION_HOLDS, n),
+        # A counterexample; the deficit off omega does not count.
+        ([1, 0, 0], [0.4, 1.0, 1.0], [0.4, 2.0, 2.0], [1, 0, 0], [0, 0, 0],
+         MAXPRINCIPLE_COUNTEREXAMPLE, 0.0),
+        # Ties phi = psi at node 0 (in omega) and node 1 (off it) count as
+        # phi <= psi.
+        ([1, 0, 0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.5, 0, 0], [0.5, 0, 1],
+         MAXPRINCIPLE_CONCLUSION_HOLDS, n),
+        # A deficit inside the admitted slack, and one beyond it.
+        ([0, 1, 0], [1.0, b_small * (1 - admitted / 2), 1.0],
+         [1.0, b_small, 1.0], [0, 1, 0], [0, 0, 0],
+         MAXPRINCIPLE_COUNTEREXAMPLE, admitted / 2),
+        ([0, 1, 0], [1.0, b_small * (1 - 2 * admitted), 1.0],
+         [1.0, b_small, 1.0], [0, 1, 0], [0, 0, 0],
+         MAXPRINCIPLE_PREMISES_FAIL, 2 * admitted),
+    ]
+    omega, b_phi, b_psi, phi, psi, verdicts, approach = map(np.array, zip(*rows))
+    omega, phi, psi = omega.astype(bool), phi.astype(float), psi.astype(float)
+    got_verdicts, got_approach = max_principle_verdicts(b_phi, b_psi, phi, psi, omega)
+    assert got_verdicts.tolist() == verdicts.tolist()
+    np.testing.assert_allclose(got_approach, approach, rtol=1e-6, atol=0.0)
+    assert got_approach[0] == approach[0]
+    # A lone row (no stack axis) gets what its row of the stack gets.
+    lone, lone_approach = max_principle_verdicts(
+        b_phi[0], b_psi[0], phi[0], psi[0], omega[0]
+    )
+    assert (str(lone), float(lone_approach)) == (verdicts[0], approach[0])
+
+
+def test_max_principle_check_where_the_span_vanishes_at_a_node():
+    """No span function is nonzero at node 2, so both densities are 0 there:
+    phi > psi at that node of omega breaks no premise, and the check says
+    counterexample without a floating-point warning."""
+    measure = build_discrete_measure([0.0, 1.0, 2.0j], [1.0, 1.0, 1.0])
+    span = tabulated_span(np.array([[1, 0], [0, 1], [0, 0]], dtype=complex))
+    phi = eval_weight(tabulated_weight([0.0, 0.0, 1.0]), measure)
+    psi = eval_weight(tabulated_weight([0.0, 0.0, 0.0]), measure)
+    omega = np.array([False, False, True])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = max_principle_check(Spaces(span, measure), phi, psi, omega)
+    assert verdict == MAXPRINCIPLE_COUNTEREXAMPLE
 
 
 def test_max_principle_omega_validation():
