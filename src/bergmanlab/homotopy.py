@@ -27,6 +27,8 @@ derivative forms, their finite differences and the quotient bounds share
 each space they meet.  phi + 0 u is phi bit for bit, so t = 0 reuses phi's
 space; phi + 1 u need not be psi bit for bit, so t = 1 has its own.  Each
 reads K_t(z, z) from its space (WeightedSpace.diagonal), formed once there.
+The G' forms and the L2 bound read the orthonormal node values in blocks
+from kernels.orthonormal_node_values, as every other check does.
 """
 
 from __future__ import annotations
@@ -132,23 +134,25 @@ def l2_difference_bound_check(path: HomotopyPath, t: float, tau: float) -> bool:
     e^{-phi_t(k)} must stay below C_u |tau| K_t(z_i, z_i).
     """
     space_t = path.spaces(weight_at(path, t))
-    e_t = orthonormal_node_values(space_t)
-    e_s = orthonormal_node_values(path.spaces(weight_at(path, t + tau)))
+    space_s = path.spaces(weight_at(path, t + tau))
+    d = space_t.measure_factor
     # The increment K_{t+tau} - K_t factors through the stacked frame
     # U = [e_s | e_t] with signature (+1, -1), so the weighted row norms
     # come from a small cross-Gram instead of the full node-pair matrix.
-    u_frame = np.concatenate([e_s, e_t], axis=1)
-    signs = np.concatenate(
-        [np.ones(e_s.shape[1]), -np.ones(e_t.shape[1])]
-    )
-    d = space_t.measure_factor
-    w_gram = u_frame.conj().T @ (d[:, None] * u_frame)
+    # The two spaces share a span, so their blocks cover the same rows.
+    def frames():
+        blocks = zip(orthonormal_node_values(space_s), orthonormal_node_values(space_t))
+        for (rows, e_s), (_, e_t) in blocks:
+            yield rows, np.concatenate([e_s, e_t], axis=1)
+
+    signs = np.concatenate([np.ones(space_s.rank), -np.ones(space_t.rank)])
+    w_gram = sum(u.conj().T @ (d[rows, None] * u) for rows, u in frames())
     core = signs[:, None] * w_gram * signs[None, :]
-    lhs = np.einsum("ia,ab,ib->i", u_frame, core, u_frame.conj()).real
+    lhs = [np.einsum("ij,ij->i", u @ core, u.conj()).real for _, u in frames()]
     diag_t = space_t.diagonal
     floor = BOUND_FLOOR * (1.0 + float(diag_t.max(initial=0.0)))
     bound = sup_bound_constant(path.u_sup) * abs(tau) * diag_t + floor
-    return bool(np.all(lhs <= bound))
+    return bool(np.all(np.concatenate(lhs) <= bound))
 
 
 def g_derivative_forms(path: HomotopyPath, t: float) -> DerivativeReport:
@@ -157,31 +161,31 @@ def g_derivative_forms(path: HomotopyPath, t: float) -> DerivativeReport:
     The profile is rho = 1_{u < 0}, for which the sign-split form holds.
     The finite difference has step FD_STEP.
     """
-    rho_vals = path.profile
-    u = path.direction
+    rho, u = path.profile, path.direction
+    pos = 1.0 - rho  # 1_{u >= 0}
     space = path.spaces(weight_at(path, t))
-    e = orthonormal_node_values(space)
     d = space.measure_factor
 
     # Quadratic forms x' M y with M = |K|^2 (d x d) reduce to traces of
     # small cross-Grams: sum_jk x_j |K_jk|^2 y_k = tr(A(x d) A(y d)) where
     # A(v) = e* diag(v) e.  This keeps the cost at O(nodes x rank^2), so
-    # dense quadrature measures never materialize a node-pair matrix.
-    def cross_gram(v):
-        return e.conj().T @ (v[:, None] * e)
+    # dense quadrature measures never materialize a node-pair matrix.  One
+    # pass over the blocks of e sums A(x d) for the six x; one block is kept as is.
+    xd = [x * d for x in (rho, u, rho * u, np.ones_like(u), u * pos, pos)]
+    grams = None
+    for rows, e in orthonormal_node_values(space):
+        e_h = e.conj().T
+        block = [e_h @ (v[rows, None] * e) for v in xd]
+        grams = block if grams is None else [g + b for g, b in zip(grams, block)]
+    a_rho, a_u, a_rho_u, a_one, a_u_pos, a_pos = grams
 
-    def pair_sum(x, y):
-        return float(np.trace(cross_gram(x * d) @ cross_gram(y * d)).real)
+    def pair_sum(a, b):
+        return float(np.trace(a @ b).real)
 
-    rho_m_u = pair_sum(rho_vals, u)
-    direct = float(-np.sum(rho_vals * u * space.diagonal * d) + rho_m_u)
-    symmetric = rho_m_u - pair_sum(rho_vals * u, np.ones_like(u))
-
-    neg = u < 0.0
-    pos = ~neg
-    sign_split = pair_sum(neg.astype(float), u * pos) - pair_sum(
-        u * neg, pos.astype(float)
-    )
+    rho_m_u = pair_sum(a_rho, a_u)
+    direct = float(-np.sum(rho * u * space.diagonal * d) + rho_m_u)
+    symmetric = rho_m_u - pair_sum(a_rho_u, a_one)
+    sign_split = pair_sum(a_rho, a_u_pos) - pair_sum(a_rho_u, a_pos)
 
     return DerivativeReport(
         t=float(t),

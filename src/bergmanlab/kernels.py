@@ -39,12 +39,12 @@ mean of K, not with K at the node, so where a ring's smallest value lies
 far below its mean (a strongly non-radial weight), or where r^(2d-2)
 overflows, they fall back to the blocks below.
 
-Otherwise the diagonal, densities at chosen points and the reproducing
-residual form the orthonormal node values E = V C BLOCK_ROWS rows at a
-time, so their memory does not grow with the node count; above BLOCK_ROWS
-rows a monomial span is evaluated block by block and never tabulated.
-orthonormal_node_values still returns the full matrix, for the homotopy
-checks, which run on small rules.
+Every read of the orthonormal node values E = V C goes through
+orthonormal_node_values, which yields them BLOCK_ROWS rows at a time: the
+diagonal off the ring path, densities at chosen points, the reproducing
+residual and the homotopy checks.  Their memory does not grow with the
+node count, and above BLOCK_ROWS rows a monomial span is evaluated block
+by block and never tabulated.
 """
 
 from __future__ import annotations
@@ -345,11 +345,6 @@ class Spaces:
         return space
 
 
-def orthonormal_node_values(space: WeightedSpace) -> np.ndarray:
-    """Values of the orthonormal basis at the nodes, shape (m, rank)."""
-    return space.span.basis_values @ space.ortho_coeffs
-
-
 def kernel_eval_at(space: WeightedSpace, z, w=None) -> np.ndarray:
     """Kernel K(z_i, w_j) at arbitrary point arrays (monomial spans only).
 
@@ -364,13 +359,13 @@ def kernel_eval_at(space: WeightedSpace, z, w=None) -> np.ndarray:
     return ez @ ew.conj().T
 
 
-def _node_value_blocks(space: WeightedSpace, points=None):
+def orthonormal_node_values(space: WeightedSpace, points=None):
     """Blocks (rows, E[rows]) of the orthonormal values at the nodes or at points.
 
     Up to BLOCK_ROWS rows come as one block; at the nodes it is read from the
-    span's node values, as orthonormal_node_values reads them.  More rows
-    come BLOCK_ROWS at a time: a tabulated span is sliced, and a monomial
-    span is evaluated at each block's points, so it is never tabulated.
+    span's node values as a whole.  More rows come BLOCK_ROWS at a time: a
+    tabulated span is sliced, and a monomial span is evaluated at each
+    block's points, so it is never tabulated.
     """
     span, c = space.span, space.ortho_coeffs
     at_nodes = points is None
@@ -387,7 +382,7 @@ def _node_value_blocks(space: WeightedSpace, points=None):
 
 def _block_diagonal(space: WeightedSpace, points=None) -> np.ndarray:
     """K(z, z) at the nodes, or at points, from the row norms of E in blocks."""
-    blocks = _node_value_blocks(space, points)
+    blocks = orthonormal_node_values(space, points)
     return np.concatenate([_row_norms(e) for _, e in blocks])
 
 
@@ -444,13 +439,12 @@ def reproducing_residual(space: WeightedSpace) -> float:
     if space.rank == 0:
         return 0.0
     d = space.measure_factor
-    a = sum(
-        e.conj().T @ (d[rows, None] * e) for rows, e in _node_value_blocks(space)
-    ) - np.eye(space.rank)
+    blocks = orthonormal_node_values(space)
+    a = sum(e.conj().T @ (d[rows, None] * e) for rows, e in blocks) - np.eye(space.rank)
     row_sq = None
     if _ring_path(space.span, space.measure):
         row_sq = _ring_row_norms(space.measure, space.ortho_coeffs @ a)
     if row_sq is None:
-        blocks = _node_value_blocks(space)
+        blocks = orthonormal_node_values(space)
         row_sq = np.array([_row_norms(e @ a).max() for _, e in blocks])
     return float(np.sqrt(row_sq.max()) * np.sqrt(space.diagonal.max()))

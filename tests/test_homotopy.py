@@ -1,6 +1,7 @@
 """Weight homotopies: G(t), its three derivative forms, and quotient bounds."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,12 +9,17 @@ import pytest
 from bergmanlab import (
     Spaces,
     build_discrete_measure,
+    build_disk_measure,
     build_path,
+    constant_weight,
     difference_quotient_bound_check,
     eval_weight,
     g_derivative_forms,
+    gauss_weight,
+    generate_instance,
     g_of_t,
     l2_difference_bound_check,
+    load_scenario_file,
     monomial_span,
     monotonicity_sweep,
     orthonormal_node_values,
@@ -22,13 +28,23 @@ from bergmanlab import (
     tabulated_span,
     tabulated_weight,
 )
-from bergmanlab.homotopy import FD_STEP, T_GRID, central_difference, weight_at
+from bergmanlab import kernels
+from bergmanlab.homotopy import (
+    BOUND_STEPS,
+    BOUND_T,
+    FD_STEP,
+    T_GRID,
+    central_difference,
+    weight_at,
+)
 from oracles import (
     fd_order,
     rank_one_kernel_derivative,
     two_node_g,
     two_node_g_prime,
 )
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 def two_node():
@@ -52,7 +68,7 @@ def random_setup(seed, m=12, d=4):
 
 def node_kernel(space):
     """The kernel on node pairs, K = E E* from the orthonormal node values E."""
-    e = orthonormal_node_values(space)
+    e = np.concatenate([e for _, e in orthonormal_node_values(space)])
     return e @ e.conj().T
 
 
@@ -235,3 +251,60 @@ def test_zero_span_g_vanishes():
         assert der.fd_estimate == 0.0
     assert difference_quotient_bound_check(path, 0.5, 0.1)
     assert l2_difference_bound_check(path, 0.5, 0.1)
+
+
+def forms_and_bound_verdicts(span, measure, phi, psi):
+    """The three G' forms at BOUND_T and both quotient-bound verdicts at each
+    of BOUND_STEPS, on a fresh space context."""
+    path = build_path(Spaces(span, measure), phi, psi)
+    der = g_derivative_forms(path, BOUND_T)
+    forms = np.array([der.direct_form, der.symmetric_form, der.sign_split_form])
+    verdicts = [
+        (
+            difference_quotient_bound_check(path, BOUND_T, tau),
+            l2_difference_bound_check(path, BOUND_T, tau),
+        )
+        for tau in BOUND_STEPS
+    ]
+    return path, forms, verdicts
+
+
+def test_homotopy_checks_leave_a_large_monomial_span_untabulated():
+    """On 2 560 disk nodes, more than one block, the G' forms and both
+    quotient bounds evaluate the monomial span block by block."""
+    measure = build_disk_measure(1.0, 40, 64)
+    assert measure.n > kernels.BLOCK_ROWS
+    span = monomial_span(measure, 20)
+    phi = eval_weight(gauss_weight(1.0), measure)
+    psi = eval_weight(constant_weight(0.5), measure)
+    _, forms, verdicts = forms_and_bound_verdicts(span, measure, phi, psi)
+    assert "basis_values" not in span.__dict__
+    assert np.ptp(forms) <= 1e-10 * (1.0 + np.max(np.abs(forms)))
+    assert forms[2] >= 0.0
+    assert all(ok for pair in verdicts for ok in pair)
+
+
+def homotopy_cases():
+    config = load_scenario_file(os.path.join(SCENARIO_DIR, "disk-strict-pair.json"))
+    inst = generate_instance(np.random.default_rng(0), 0)
+    return {
+        "disk-strict-pair": (config.span, config.measure, config.phi, config.psi),
+        "battery-0-0": (inst.span, inst.measure, inst.phi, inst.psi),
+    }
+
+
+@pytest.mark.parametrize("case", ["disk-strict-pair", "battery-0-0"])
+def test_homotopy_checks_in_small_blocks_match_one_block(case, monkeypatch):
+    """With 7-row blocks the forms move only by the summation order: each
+    pairs |K|^2 against a profile bounded by u_sup, whose total weight is
+    the rank, so u_sup times the rank bounds it and sets the scale.  The
+    bound verdicts do not move."""
+    args = homotopy_cases()[case]
+    path, one_block, verdicts = forms_and_bound_verdicts(*args)
+    assert args[1].n > 7
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", 7)
+    _, blocked, blocked_verdicts = forms_and_bound_verdicts(*args)
+    scale = path.u_sup * path.spaces(weight_at(path, BOUND_T)).rank
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(blocked - one_block)) <= 64 * eps * scale
+    assert blocked_verdicts == verdicts

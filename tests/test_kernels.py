@@ -45,9 +45,14 @@ from oracles import (
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
+def node_values(space):
+    """The orthonormal node values E as one matrix, from their blocks."""
+    return np.concatenate([e for _, e in orthonormal_node_values(space)])
+
+
 def node_kernel(space):
     """The kernel on node pairs, K = E E* from the orthonormal node values E."""
-    e = orthonormal_node_values(space)
+    e = node_values(space)
     return e @ e.conj().T
 
 
@@ -245,7 +250,7 @@ def assert_residual_bounds_node_pairs(space):
     rounding, at most eps * m * max(1, max K_ii)^2.
     """
     bound = reproducing_residual(space)
-    e = orthonormal_node_values(space)
+    e = node_values(space)
     a = e.conj().T @ (space.measure_factor[:, None] * e) - np.eye(space.rank)
     direct = float(np.max(np.abs(e @ a @ e.conj().T))) if space.rank else 0.0
     assert direct <= bound * (1.0 + 1e-12)
@@ -554,7 +559,7 @@ def spaces_on_two_blocks():
 
 def blocked_node_pair_residual(space, rows=256):
     """max |K D K - K| over node pairs, K = E E* formed a few rows at a time."""
-    e = orthonormal_node_values(space)
+    e = node_values(space)
     d = space.measure_factor
     worst = 0.0
     for start in range(0, space.measure.n, rows):
@@ -566,7 +571,8 @@ def blocked_node_pair_residual(space, rows=256):
 @pytest.mark.parametrize("which", [0, 1], ids=["monomials", "tabulated"])
 def test_blocked_densities_and_residual_match_the_full_node_values(which):
     space = spaces_on_two_blocks()[which]
-    e = orthonormal_node_values(space)
+    # The full product E = V C, in one piece, against which the blocks are read.
+    e = space.span.basis_values @ space.ortho_coeffs
     reference = np.einsum("ij,ij->i", e, e.conj()).real * np.exp(-space.weight.values)
     assert np.array_equal(bergman_density_from_space(space), reference)
     if space.span.kind == "monomials":
