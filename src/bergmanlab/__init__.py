@@ -24,7 +24,6 @@ from .comparison import (
     reduce_less_singular,
     sandwich_check,
     shifted_comparison_sweep,
-    strictness_check,
     sublevel_set,
 )
 from .errors import (

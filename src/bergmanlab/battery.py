@@ -237,7 +237,7 @@ def check_instance(inst: BatteryInstance) -> InstanceMetrics:
     values = checks.structural_values(space)
     reports = shifted_comparison_sweep(spaces, phi, psi, DEFAULT_C_GRID)
     values["comparison_deficit"] = checks.comparison_deficit(reports)
-    values["sandwich"] = bool(sandwich_check(spaces, phi, psi))
+    values["sandwich"] = sandwich_check(spaces, phi, psi).ok
 
     path = build_path(spaces, phi, psi)
     forms = g_derivative_forms(path, BOUND_T)

@@ -1,17 +1,18 @@
 """The check limits and the values they judge, for the battery and the
 scenario runner alike.
 
-Each check's values have one definition here, which both runners call:
-structural_values, comparison_deficit and homotopy_values.  They take what
-the runners already hold (a space, comparison reports, a homotopy path with
-its spaces), never a span and a measure to build from.
+Each check's values have one definition here, which the runners call:
+structural_values, comparison_deficit, homotopy_values and tcz_values.
+They take what the runners already hold (a space, comparison reports, a
+homotopy path with its spaces, a ladder's reports), never a span and a
+measure to build from.
 
 LIMITS is the one table of pass/fail limits and the one place each judged
 tolerance is written: every lookup (limit, failures, the battery's rows,
 the reports' tolerances) reads it when called.  Each row names a metric,
 its tolerance, and whether the limit bounds the metric from above or below.
 Two rows take the constant their layer applies: the sandwich slack and the
-strict margin, the threshold of comparison.strictness_check.  A row's form
+strict margin, the threshold of ComparisonReport.verdict.  A row's form
 says how the constant reaches the metric:
 
   absolute  the metric is compared with the constant itself;
@@ -22,8 +23,9 @@ says how the constant reaches the metric:
             to 1 + |reference|, so its limit is 1.
 
 Tolerances applied only inside a layer function stay in its module
-(BOUND_FLOOR, DENSITY_POINT_TOL, RANK_TOL, PSD_TOL, the TCZ monotone slack
-and floor), and the battery's order window stays in battery.
+(BOUND_FLOOR, DENSITY_POINT_TOL, RANK_TOL, PSD_TOL), and the battery's order
+window stays in battery.  tcz_values applies the TCZ monotone slack and
+floor, which quantization defines beside the ladder.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .homotopy import (
     l2_difference_bound_check,
 )
 from .kernels import bergman_density_from_space, reproducing_residual
+from .quantization import TCZ_DEV_FLOOR, TCZ_MONOTONE_SLACK
 
 ABSOLUTE = "absolute"
 EXCESS = "excess"
@@ -175,5 +178,19 @@ def homotopy_values(path, ders, g_values, endpoints) -> dict:
             difference_quotient_bound_check(path, BOUND_T, tau)
             and l2_difference_bound_check(path, BOUND_T, tau)
             for tau in BOUND_STEPS
+        ),
+    }
+
+
+def tcz_values(reports) -> dict:
+    """The deviation at the ladder's largest k, and whether each rung's stays
+    within TCZ_MONOTONE_SLACK times the one before plus TCZ_DEV_FLOOR, in
+    increasing k whatever the listed order.  The parser guarantees a
+    nonempty ladder that reads a node, so every deviation is a number."""
+    devs = [rep.max_abs_dev_from_1 for rep in sorted(reports, key=lambda r: r.k)]
+    return {
+        "final_max_abs_dev": devs[-1],
+        "deviations_monotone": all(
+            b <= TCZ_MONOTONE_SLACK * a + TCZ_DEV_FLOOR for a, b in zip(devs, devs[1:])
         ),
     }

@@ -9,7 +9,9 @@ the psi-density integrated over the same region:
 The same holds with phi replaced by phi + c for any constant shift c, since
 B is unchanged by constant shifts of the weight.  When the underlying measure
 discretizes a planar domain and the span restricts holomorphic functions, the
-inequality is strict unless both sides vanish.
+inequality is strict unless both sides vanish.  ComparisonReport.verdict
+is the one strictness rule.  A rank-0 psi space has K = 0 at every node, so
+its rhs is 0.0 exactly and no rule needs to read a space's rank.
 
 Each check takes a kernels.Spaces context for the span and the measure,
 and the weights to compare; it reads their spaces from the context, so a
@@ -54,6 +56,16 @@ class ComparisonReport:
     set_proper: bool
     strict_expected: bool
 
+    @property
+    def verdict(self) -> str:
+        """equal-both-zero where both integrals vanish, strict where the set
+        is proper and the margin clears STRICT_MARGIN, else not-applicable."""
+        if abs(self.lhs) <= STRICT_MARGIN and abs(self.rhs) <= STRICT_MARGIN:
+            return VERDICT_EQUAL_BOTH_ZERO
+        if self.set_proper and self.margin > STRICT_MARGIN:
+            return VERDICT_STRICT
+        return VERDICT_NOT_APPLICABLE
+
 
 @dataclass(frozen=True)
 class SandwichReport:
@@ -72,9 +84,6 @@ class SandwichReport:
     @property
     def ok(self) -> bool:
         return self.lower_ok and self.upper_ok
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def sublevel_set(
@@ -108,7 +117,6 @@ def shifted_comparison_sweep(
             proper
             and spaces.span.kind == KIND_MONOMIALS
             and spaces.measure.kind == KIND_DISK
-            and space_psi.rank >= 1
             and rhs > STRICT_MARGIN
         )
         reports.append(
@@ -126,19 +134,13 @@ def shifted_comparison_sweep(
 
 
 def reduce_less_singular(phi: WeightFunction, psi: WeightFunction) -> WeightFunction:
-    """Replace psi by psi0 = phi + min(psi - phi, 0).
+    """psi0 = min(phi, psi), node by node, as a tabulated-only weight.
 
-    psi0 agrees with psi where psi < phi and with phi elsewhere, so it is the
-    largest weight below both.  When one of the inputs already equals psi0 it
-    is returned as-is (preserving its closed form); otherwise the result is
-    tabulated-only.
+    psi0 is psi bit for bit where psi < phi and phi elsewhere, so it is the
+    largest weight below both.  Where it equals phi or psi, a Spaces context
+    returns that weight's space, since it keys spaces by their values.
     """
-    u = psi.values - phi.values
-    if np.all(u >= 0.0):
-        return phi
-    if np.all(u <= 0.0):
-        return psi
-    return WeightFunction(values=phi.values + np.minimum(u, 0.0), family=None)
+    return WeightFunction(values=np.minimum(phi.values, psi.values), family=None)
 
 
 def sandwich_check(
@@ -151,7 +153,7 @@ def sandwich_check(
     the comparison principle for (phi, psi0) (their sublevel set is also S);
     the second holds pointwise on S because psi0 <= psi everywhere and the
     two agree on S.  The outer integrals are the c = 0 comparison report;
-    when psi0 is phi or psi, its space is already built.
+    when psi0 equals phi or psi, its space is already built.
     """
     report = shifted_comparison_sweep(spaces, phi, psi, (0.0,))[0]
     phi, psi = spaces(phi).weight, spaces(psi).weight
@@ -165,23 +167,6 @@ def sandwich_check(
         mid=mid,
         rhs=report.rhs,
     )
-
-
-def strictness_check(report: ComparisonReport, kernel_psi_nontrivial: bool) -> str:
-    """Classify a comparison outcome.
-
-    equal-both-zero: both integrals vanish (empty set, or the kernel has no
-    mass there).  strict: the margin clears STRICT_MARGIN.  not-applicable:
-    everything else -- improper sets, trivial kernels, or a sub-threshold
-    margin on a measure where strictness carries no guarantee.
-    """
-    if abs(report.lhs) <= STRICT_MARGIN and abs(report.rhs) <= STRICT_MARGIN:
-        return VERDICT_EQUAL_BOTH_ZERO
-    if not report.set_proper or not kernel_psi_nontrivial:
-        return VERDICT_NOT_APPLICABLE
-    if report.margin > STRICT_MARGIN:
-        return VERDICT_STRICT
-    return VERDICT_NOT_APPLICABLE
 
 
 def max_principle_check(

@@ -29,15 +29,15 @@ points.
 
 Each space forms its kernel diagonal at the nodes once, on the first read
 of WeightedSpace.diagonal: node densities, the scaling ladder, the trace
-error, the residual and the homotopy checks read that one array.  It takes
-the Gram's path under the same rule (_ring_path): with M = C C*,
+error, the residual and the homotopy checks read that one array.  It and
+the residual's row norms have one reader, _node_row_norms, which takes the
+Gram's path under the same rule (_ring_path): with M = C C*,
 K(r_i e^{i theta_j}) = N ifft(A_i)[j], where A_i[k] = sum_s r_i^s Q[s, k]
 and Q[s, k mod N] sums M[n, m] over n + m = s and n - m = k, in
-O(d^2 rank + rings d^2 + rings N log N) work instead of O(m d rank), as
-the residual's row norms do.  The folded sum's error scales with the ring's
-mean of K, not with K at the node, so where a ring's smallest value lies
-far below its mean (a strongly non-radial weight), or where r^(2d-2)
-overflows, they fall back to the blocks below.
+O(d^2 rank + rings d^2 + rings N log N) work instead of O(m d rank).  The
+folded sum's error scales with the ring's mean of K, not with K at the
+node, so where a ring's smallest value lies far below its mean (a strongly
+non-radial weight), or where r^(2d-2) overflows, it reads the blocks below.
 
 Every read of the orthonormal node values E = V C goes through
 orthonormal_node_values, which yields them BLOCK_ROWS rows at a time: the
@@ -106,11 +106,7 @@ class WeightedSpace:
     @cached_property
     def diagonal(self) -> np.ndarray:
         """K(z_j, z_j) at the nodes, formed on the first read; read-only."""
-        diag = None
-        if _ring_path(self.span, self.measure):
-            diag = _ring_row_norms(self.measure, self.ortho_coeffs)
-        if diag is None:
-            diag = _block_diagonal(self)
+        diag = _node_row_norms(self)
         diag.flags.writeable = False
         return diag
 
@@ -380,10 +376,16 @@ def orthonormal_node_values(space: WeightedSpace, points=None):
     return ((rows, evaluate_basis(span, pts[rows]) @ c) for rows in blocks)
 
 
-def _block_diagonal(space: WeightedSpace, points=None) -> np.ndarray:
-    """K(z, z) at the nodes, or at points, from the row norms of E in blocks."""
-    blocks = orthonormal_node_values(space, points)
-    return np.concatenate([_row_norms(e) for _, e in blocks])
+def _node_row_norms(space: WeightedSpace, a=None) -> np.ndarray:
+    """Squared row norms of E a at the nodes, or of E when a is None: on the
+    ring path from V C a where that keeps its digits, else from E's blocks."""
+    if _ring_path(space.span, space.measure):
+        c = space.ortho_coeffs if a is None else space.ortho_coeffs @ a
+        norms = _ring_row_norms(space.measure, c)
+        if norms is not None:
+            return norms
+    blocks = orthonormal_node_values(space)
+    return np.concatenate([_row_norms(e if a is None else e @ a) for _, e in blocks])
 
 
 def _row_norms(e: np.ndarray) -> np.ndarray:
@@ -421,7 +423,9 @@ def bergman_densities(
 def bergman_density_at(space: WeightedSpace, z) -> np.ndarray:
     """Density of states at arbitrary points (monomial span, closed-form weight)."""
     pts = np.asarray(z, dtype=complex).reshape(-1)
-    return _block_diagonal(space, pts) * np.exp(-space.weight.evaluate_at(pts))
+    blocks = orthonormal_node_values(space, pts)
+    diag = np.concatenate([_row_norms(e) for _, e in blocks])
+    return diag * np.exp(-space.weight.evaluate_at(pts))
 
 
 def reproducing_residual(space: WeightedSpace) -> float:
@@ -441,10 +445,5 @@ def reproducing_residual(space: WeightedSpace) -> float:
     d = space.measure_factor
     blocks = orthonormal_node_values(space)
     a = sum(e.conj().T @ (d[rows, None] * e) for rows, e in blocks) - np.eye(space.rank)
-    row_sq = None
-    if _ring_path(space.span, space.measure):
-        row_sq = _ring_row_norms(space.measure, space.ortho_coeffs @ a)
-    if row_sq is None:
-        blocks = orthonormal_node_values(space)
-        row_sq = np.array([_row_norms(e @ a).max() for _, e in blocks])
+    row_sq = _node_row_norms(space, a)
     return float(np.sqrt(row_sq.max()) * np.sqrt(space.diagonal.max()))

@@ -46,7 +46,6 @@ from .comparison import (
     max_principle_check,
     sandwich_check,
     shifted_comparison_sweep,
-    strictness_check,
 )
 from .errors import (
     BergmanlabError,
@@ -60,8 +59,6 @@ from .measures import KIND_DISK, build_discrete_measure, build_disk_measure
 from .quantization import (
     DEFAULT_K_LADDER,
     DENSITY_SKIP_TOL,
-    TCZ_DEV_FLOOR,
-    TCZ_MONOTONE_SLACK,
     ladder_nodes,
     ma_density,
     requested_degree,
@@ -474,7 +471,6 @@ def _check_structural(config, spaces):
 def _comparison_rows(config, spaces, c_grid):
     """The comparison reports over c_grid, and their CSV rows with each verdict."""
     reports = shifted_comparison_sweep(spaces, config.phi, config.psi, c_grid)
-    psi_nontrivial = spaces(config.psi).rank >= 1
     rows = [
         {
             "scenario_id": config.scenario_id,
@@ -484,7 +480,7 @@ def _comparison_rows(config, spaces, c_grid):
             "lhs": report.lhs,
             "rhs": report.rhs,
             "margin": report.margin,
-            "verdict": strictness_check(report, psi_nontrivial),
+            "verdict": report.verdict,
         }
         for report in reports
     ]
@@ -493,13 +489,12 @@ def _comparison_rows(config, spaces, c_grid):
 
 def _check_comparison(config, spaces):
     (report,), rows = _comparison_rows(config, spaces, (0.0,))
-    verdict = rows[0]["verdict"]
     sandwich = sandwich_check(spaces, config.phi, config.psi)
     metrics = {
         "lhs": report.lhs,
         "rhs": report.rhs,
         "margin": report.margin,
-        "verdict": verdict,
+        "verdict": report.verdict,
         "strict_expected": report.strict_expected,
         "sandwich_lhs": sandwich.lhs,
         "sandwich_mid": sandwich.mid,
@@ -507,8 +502,8 @@ def _check_comparison(config, spaces):
     }
     values = {
         "comparison_deficit": checks.comparison_deficit([report]),
-        "sandwich": bool(sandwich),
-        "strict": verdict == VERDICT_STRICT or not report.strict_expected,
+        "sandwich": sandwich.ok,
+        "strict": report.verdict == VERDICT_STRICT or not report.strict_expected,
     }
     return not checks.failures(values), metrics, rows
 
@@ -583,16 +578,7 @@ def _check_tcz(config, spaces):
         }
         for rep in reports
     ]
-    # The ladder is judged in increasing k, whatever order it is listed in.
-    # The parser guarantees a nonempty ladder that reads at least one node,
-    # so every deviation is a number.
-    devs = [rep.max_abs_dev_from_1 for rep in sorted(reports, key=lambda r: r.k)]
-    values = {
-        "final_max_abs_dev": devs[-1],
-        "deviations_monotone": all(
-            b <= TCZ_MONOTONE_SLACK * a + TCZ_DEV_FLOOR for a, b in zip(devs, devs[1:])
-        ),
-    }
+    values = checks.tcz_values(reports)
     metrics = dict(
         values,
         n_skipped=reports[0].n_skipped,

@@ -13,13 +13,15 @@ from bergmanlab import (
     InvalidConfigurationError,
     Spaces,
     build_discrete_measure,
+    build_disk_measure,
     eval_weight,
+    gauss_weight,
+    kernels,
     max_principle_check,
     monomial_span,
     reduce_less_singular,
     sandwich_check,
     shifted_comparison_sweep,
-    strictness_check,
     sublevel_set,
     tabulated_span,
     tabulated_weight,
@@ -125,18 +127,41 @@ def test_reduce_less_singular_cases():
     mixed = reduce_less_singular(phi, psi)
     assert np.allclose(mixed.values, [-1.0, 0.0])
     above = eval_weight(tabulated_weight([0.5, 1.0]), measure)
-    assert reduce_less_singular(phi, above) is phi
+    assert np.array_equal(reduce_less_singular(phi, above).values, phi.values)
     below = eval_weight(tabulated_weight([-0.5, -1.0]), measure)
-    assert reduce_less_singular(phi, below) is below
+    assert np.array_equal(reduce_less_singular(phi, below).values, below.values)
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["psi-above", "psi-below"])
+def test_sandwich_builds_no_third_space_when_psi_is_on_one_side(side, monkeypatch):
+    """Where psi >= phi, or psi <= phi, at every node (ties included), psi0
+    has the values of phi or of psi, so the context returns its space."""
+    measure, span, phi, _ = random_pair(12)
+    psi = eval_weight(
+        tabulated_weight(phi.values + side * np.linspace(0.0, 1.0, measure.n)),
+        measure,
+    )
+    built = []
+    build = kernels.build_space
+    monkeypatch.setattr(
+        kernels, "build_space", lambda *args: built.append(args) or build(*args)
+    )
+    assert sandwich_check(Spaces(span, measure), phi, psi).ok
+    assert len(built) == 2
 
 
 def test_reduction_agrees_on_sublevel_set():
+    """psi0 is psi bit for bit on S and phi elsewhere.  At (phi, psi) =
+    (1.3, -1.1), phi + (psi - phi) would round to -1.1000000000000003."""
     measure, span, phi, psi = random_pair(8)
+    phi = eval_weight(tabulated_weight(np.r_[1.3, phi.values[1:]]), measure)
+    psi = eval_weight(tabulated_weight(np.r_[-1.1, psi.values[1:]]), measure)
     psi0 = reduce_less_singular(phi, psi)
     s = sublevel_set(phi, psi)
-    assert np.allclose(psi0.values[s], psi.values[s])
-    assert np.allclose(psi0.values[~s], phi.values[~s])
-    assert np.all(psi0.values <= psi.values + 1e-15)
+    assert np.array_equal(psi0.values[s], psi.values[s])
+    assert np.array_equal(psi0.values[~s], phi.values[~s])
+    assert np.array_equal(psi0.values, np.minimum(phi.values, psi.values))
+    assert psi0.values[0] == -1.1
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -144,7 +169,7 @@ def test_sandwich_chain(seed):
     measure, span, phi, psi = random_pair(seed + 50)
     rep = sandwich_check(Spaces(span, measure), phi, psi)
     assert rep.lower_ok and rep.upper_ok
-    assert bool(rep)
+    assert rep.ok
     assert rep.lhs <= rep.mid + 1e-10 * (1.0 + abs(rep.mid))
     assert rep.mid <= rep.rhs + 1e-10 * (1.0 + abs(rep.rhs))
 
@@ -162,14 +187,30 @@ def _report(lhs, rhs, set_size=1, set_proper=True):
 
 
 def test_strictness_verdicts():
-    assert strictness_check(_report(0.0, 0.0), True) == VERDICT_EQUAL_BOTH_ZERO
-    assert strictness_check(_report(0.2, 0.5), True) == VERDICT_STRICT
-    near = strictness_check(_report(0.5, 0.5 + 1e-12), True)
-    assert near == VERDICT_NOT_APPLICABLE
-    improper = strictness_check(_report(0.2, 0.5, set_proper=False), True)
-    assert improper == VERDICT_NOT_APPLICABLE
-    trivial = strictness_check(_report(0.2, 0.5), False)
-    assert trivial == VERDICT_NOT_APPLICABLE
+    assert _report(0.0, 0.0).verdict == VERDICT_EQUAL_BOTH_ZERO
+    assert _report(0.2, 0.5).verdict == VERDICT_STRICT
+    assert _report(0.5, 0.5 + 1e-12).verdict == VERDICT_NOT_APPLICABLE
+    improper = _report(0.2, 0.5, set_proper=False)
+    assert improper.verdict == VERDICT_NOT_APPLICABLE
+
+
+def test_a_rank_zero_psi_is_never_strict():
+    """e^{-800} underflows, so the psi space has rank 0 and K = 0 at every
+    node: rhs is 0.0 exactly at every shift, and no verdict is strict, even
+    on a proper set with lhs well above the strict margin."""
+    measure = build_disk_measure(1.0, 6, 12)
+    spaces = Spaces(monomial_span(measure, 3), measure)
+    psi = tabulated_weight(np.full(measure.n, 800.0))
+    assert spaces(psi).rank == 0
+    shifts = (-1.0, 0.0, 799.5, 800.5, 1000.0)
+    reports = shifted_comparison_sweep(spaces, gauss_weight(1.0), psi, shifts)
+    for rep in reports:
+        assert rep.rhs == 0.0
+        assert rep.verdict != VERDICT_STRICT
+        assert not rep.strict_expected
+    # At c = 799.5 the set {|z|^2 > 0.5} is proper and carries phi's mass.
+    assert reports[2].set_proper and reports[2].lhs > 1.0
+    assert reports[2].verdict == VERDICT_NOT_APPLICABLE
 
 
 def test_max_principle_premise_branches():

@@ -449,14 +449,16 @@ def test_ring_kernel_diagonal_matches_the_blocks(
     assert np.array_equal(ring, kernels._ring_row_norms(measure, space.ortho_coeffs))
     residual = reproducing_residual(space)
     fresh = blocks_only(monkeypatch, space)
-    blocks = kernels._block_diagonal(space)
+    blocks = kernels._node_row_norms(space)
     assert np.array_equal(fresh.diagonal, blocks)
     assert np.max(np.abs(ring - blocks) / blocks) <= 1e-12
     assert reproducing_residual(fresh) == pytest.approx(residual, rel=1e-12)
 
 
 @pytest.mark.parametrize("b", [0.25, 0.5, 1.0, 2.0, 2.5])
-def test_ring_kernel_diagonal_keeps_twelve_digits_on_non_radial_weights(b):
+def test_ring_kernel_diagonal_keeps_twelve_digits_on_non_radial_weights(
+    b, monkeypatch
+):
     """The folded sum's error scales with K's mean over a ring.  Under
     b Re(z^2) on a radius-2 disk K spans a factor of about e^(8b) around a
     ring, so at b = 2.5 (b R^2 = 10) the ring path would lose four digits at
@@ -467,7 +469,7 @@ def test_ring_kernel_diagonal_keeps_twelve_digits_on_non_radial_weights(b):
     ring = space.diagonal
     on_rings = kernels._ring_row_norms(measure, space.ortho_coeffs) is not None
     assert on_rings == (b <= 0.5)
-    blocks = kernels._block_diagonal(space)
+    blocks = blocks_only(monkeypatch, space).diagonal
     assert np.max(np.abs(ring - blocks) / blocks) <= 1e-12
     if not on_rings:
         assert np.array_equal(ring, blocks)
@@ -492,8 +494,8 @@ def test_ring_kernel_diagonal_falls_back_to_the_blocks_when_it_overflows(
     assert kernels._ring_path(space.span, measure)
     assert kernels._ring_row_norms(measure, space.ortho_coeffs) is None
     density, residual = bergman_density_from_space(space), reproducing_residual(space)
-    assert np.array_equal(space.diagonal, kernels._block_diagonal(space))
     fresh = blocks_only(monkeypatch, space)
+    assert np.array_equal(space.diagonal, kernels._node_row_norms(space))
     assert np.array_equal(density, bergman_density_from_space(fresh))
     assert residual == reproducing_residual(fresh)
     assert len(recwarn) == 0

@@ -20,4 +20,6 @@ def test_library_use_block_runs(capsys):
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 2
     assert namespace["report"].margin >= 0.0
+    assert namespace["report"].verdict == "strict"
+    assert namespace["sandwich"].ok
     assert [r.shift for r in namespace["shifted"]] == [-0.25, 0.25]

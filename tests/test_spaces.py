@@ -95,38 +95,27 @@ def test_each_distinct_space_of_a_scenario_is_built_once(calls, path):
 def diagonals(monkeypatch):
     """Every space the package builds, and every kernel diagonal it forms.
 
-    A diagonal comes from one of two sources: the ring row norms of a
-    space's coefficients, where they keep their digits, or the row norms of
-    its node value blocks.  The ring source also serves the residual's row
-    norms, of other coefficients, so each ring call keeps its argument alive
-    and is told apart by identity.  Returns a function that gives, for each
-    space built so far, the number of diagonals formed for it.
+    A diagonal is the row norms of a space's node values, which
+    kernels._node_row_norms forms ring by ring or from the blocks; the
+    residual's row norms, of E A, are the calls that pass A.  Returns a
+    function that gives, for each space built so far, the number of
+    diagonals formed for it.
     """
-    built, ring_args, block_spaces = [], [], []
+    built, formed = [], []
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "bergmanlab" and module is not None:
             if getattr(module, "build_space", None) is build_space:
                 monkeypatch.setattr(module, "build_space", _keeping(built))
-    ring, blocks = kernels._ring_row_norms, kernels._block_diagonal
+    row_norms = kernels._node_row_norms
 
-    def ring_counted(measure, x):
-        norms = ring(measure, x)
-        if norms is not None:
-            ring_args.append(x)
-        return norms
+    def counted(space, a=None):
+        if a is None:
+            formed.append(space)
+        return row_norms(space, a)
 
-    def blocks_counted(space, points=None):
-        if points is None:
-            block_spaces.append(space)
-        return blocks(space, points)
-
-    monkeypatch.setattr(kernels, "_ring_row_norms", ring_counted)
-    monkeypatch.setattr(kernels, "_block_diagonal", blocks_counted)
+    monkeypatch.setattr(kernels, "_node_row_norms", counted)
 
     def per_space():
-        owner = {id(space.ortho_coeffs): space for space in built}
-        formed = [owner[id(x)] for x in ring_args if id(x) in owner]
-        formed += block_spaces
         return [sum(s is space for s in formed) for space in built]
 
     return per_space
