@@ -11,17 +11,20 @@ dictionaries.
 A separate randomized search drives the maximum principle contrapositively:
 it manufactures weight pairs whose conclusion fails by construction and
 confirms the premises never hold for them.  Its instances are small and
-many, so it never builds one as objects: each draw writes only the
-generator's output, as one row of a preallocated stack for its shape (node
-count, span dimension).  When a stack holds SEARCH_CHUNK rows, one
-vectorized pass derives their nodes, masses, span values and weights, by
-the same arithmetic as numpy's uniform and vander (the battery draws its
-nodes through the same mapping), and the stack is judged at once.
-Judging validates the rows as the constructors would, takes their
-densities from one stacked factorization (kernels.bergman_densities), and
-from them each row's verdict and how close it came to a counterexample, in
-one call of the function that max_principle_check uses.  Only a
-counterexample is built back into objects, for its scenario record.
+many, so it never builds one as objects.  It draws them in rounds of
+SEARCH_ROUND: each draw writes only the generator's output, at exactly its
+length, into one flat buffer, and a small table records where it starts,
+its node count m, span dimension d and weight family.  A round is then
+judged one node count at a time.  The rows with node count m are gathered
+once and one vectorized pass derives their nodes, masses and weights, by
+the same arithmetic as numpy's uniform (the battery draws its nodes
+through the same mapping); they are validated as the constructors would
+validate them, and each row's verdict and how close it came to a
+counterexample come from one call of the function that max_principle_check
+uses.  Only the densities go by shape (m, d): each shape's span values
+(numpy's vander for a monomial span) and its phi and psi spaces form one
+stacked factorization (kernels.bergman_densities).  Only a counterexample
+is built back into objects, for its scenario record.
 """
 
 from __future__ import annotations
@@ -84,19 +87,19 @@ MAX_NODES = 50
 MAX_DIM = 10
 SEARCH_MAX_NODES = 12
 SEARCH_MAX_DIM = 4
-# Search rows per stack: the search keeps one stack for each shape (m, d),
-# judges it when it holds SEARCH_CHUNK rows, and judges the partly filled
-# ones at the end of the pass.  A pass of 10 000 instances forms 641, 329
-# and 176 stacks with 16, 32 and 64 rows.  Measured with bench/run.py
-# (1 BLAS thread, 2 shared cores), 32 rows took a pass from a median of
-# 1.66 s, for 256-draw chunks drawn as objects and grouped by shape, to
-# 0.97-1.01 s at the same peak RSS, 42.3 MB; 64 rows add 1.1 MB to the peak
-# for up to 0.1 s less a pass, and 256 rows add 6.7 MB.  Each row holds
-# only generator output and a stack derives the rest in one pass, so the
-# draws of a pass (0.27-0.38 s of CPU time, on the same host) take about
-# what the same generator calls take alone (0.31-0.33 s), and the deriving
-# and judging of the full stacks 0.27-0.28 s.
-SEARCH_CHUNK = 32
+# Search draws per round: the search draws SEARCH_ROUND instances into one
+# buffer, then judges them one node count at a time, with one density
+# stack for each shape (m, d) in the round, and judges the last, shorter
+# round the same way.  A pass of 10 000 instances is five rounds: 55
+# node-count groups and 190 density stacks, where one stack of at most 32
+# rows for each shape made 329-330.  Measured on two shared cores with one
+# BLAS thread, as CPU time a pass (median ratio over 16 pairs of passes of
+# both designs, interleaved in one process) and as bench/run.py's peak RSS
+# (42.6 MB for the stacks): 1024 draws take 0.94 of the stacks' time at
+# 42.8 MB, 2048 draws 0.83 at 43.6 MB and 4096 draws 0.81 at 46.4 MB, where
+# the buffer passes 4 MB and numpy asks for huge pages.  The draws
+# themselves, the generator calls, take about 0.25 s a pass.
+SEARCH_ROUND = 2048
 
 # Monomial node-value matrices need strictly more nodes than columns to
 # stay away from the square-Vandermonde conditioning cliff.
@@ -181,8 +184,8 @@ def generate_instance(rng, index: int) -> BatteryInstance:
     for attempt in range(MAX_RESAMPLES):
         m = int(rng.integers(2, MAX_NODES + 1))
         d = int(rng.integers(1, MAX_DIM + 1))
-        # The nodes, the masses and the span coin, as one search row draws
-        # them (_SearchStack).
+        # The nodes, the masses and the span coin, as a search draw writes
+        # them (_draw_search_row).
         u = rng.random(3 * m + 1)
         measure = build_discrete_measure(*_nodes_from_uniforms(u[:-1]))
         if u[-1] < MONOMIAL_FRACTION:
@@ -473,80 +476,45 @@ class MaxPrincipleSearchReport:
         return bool(self.counterexamples)
 
 
-class _SearchStack:
-    """Search draws of one shape (m nodes, span dimension d), one per row.
+def _weights_from_uniforms(w, omega, family):
+    """The weights phi and psi (n, m) of search draws from their weight
+    uniforms w (n, >= 3m), node masks omega (n, m) and weight families: m
+    uniforms for phi, then what the family needs for psi.
 
-    A row holds only what the generator wrote for a draw, in the order it
-    drew it: the instance index; 3m + 1 uniforms for the node radii, angles
-    and log-masses and the span coin; 2md standard normals when the span is
-    tabulated; the region omega; m uniforms for phi; the weight family; and
-    up to 2m uniforms for that family's psi.  size counts the rows written
-    since the stack was last judged.  derive() makes the arrays that
-    _judge_stack judges from the written rows, and clear() empties the
-    stack.
+    The families are fully random pairs (0); pairs with the off-region
+    premise forced (1); pairs built to violate the conclusion inside the
+    region (2), so a counterexample appears the moment the density premise
+    holds for one of them; and constant-offset pairs (3), which sit on the
+    equality edge of the density premise.  Each row reads only the uniforms
+    its family drew.
     """
-
-    def __init__(self, m: int, d: int):
-        self.clear()
-        self.index = np.empty(SEARCH_CHUNK, dtype=np.int64)
-        self.uniforms = np.empty((SEARCH_CHUNK, 3 * m + 1))
-        self.normals = np.empty((SEARCH_CHUNK, 2, m, d))
-        self.omega = np.empty((SEARCH_CHUNK, m), dtype=bool)
-        self.family = np.empty(SEARCH_CHUNK, dtype=np.int64)
-        self.weight_uniforms = np.empty((SEARCH_CHUNK, 3 * m))
-        # Where each family's psi uniforms end in a row of weight_uniforms.
-        self.family_end = (2 * m, 2 * m, 3 * m, m + 1)
-
-    def derive(self) -> None:
-        """Set, for the written rows, the nodes and masses (points, masses),
-        the span node values and whether the span is monomial (values,
-        monomial), and the weights phi and psi: what drawing the instance
-        through the public constructors gives, bit for bit."""
-        n = self.size
-        m, d = self.normals.shape[2:]
-        u = self.uniforms[:n]
-        self.points, self.masses = _nodes_from_uniforms(u[:, :-1])
-        self.monomial = mono = u[:, -1] < MONOMIAL_FRACTION
-        self.values = np.empty((n, m, d), dtype=complex)
-        self.values[~mono] = _span_values_from_normals(self.normals[:n][~mono])
-        # With d <= m - 1 no monomial span needs to shrink.
-        self.values[mono] = vandermonde(self.points[mono], d)
-
-        w, omega, family = self.weight_uniforms[:n], self.omega[:n], self.family[:n]
-        self.phi = phi = _uniform(w[:, :m], *WEIGHT_RANGE)
-        self.psi = psi = np.empty_like(phi)
-        # Fully random pairs; pairs with the off-region premise forced; pairs
-        # built to violate the conclusion inside the region (so a
-        # counterexample appears the moment the density premise holds for
-        # one of them); and constant-offset pairs that sit on the equality
-        # edge of the density premise.
-        f = family == 0
-        psi[f] = _uniform(w[f, m : 2 * m], *WEIGHT_RANGE)
-        f = (family == 1) | (family == 2)
-        lift = np.where(omega[f], 0.0, _uniform(w[f, m : 2 * m], 0.0, 2.0))
-        psi[f] = phi[f] + lift
-        f = family == 2
-        psi[f] -= np.where(omega[f], _uniform(w[f, 2 * m :], 0.0, 2.0), 0.0)
-        f = family == 3
-        psi[f] = phi[f] + _uniform(w[f, m : m + 1], -1.0, 1.0)
-
-    def clear(self) -> None:
-        """Empty the stack and drop its derived arrays, which derive()
-        rebuilds: held from one judging to the next, they would add about a
-        megabyte to the peak memory of a search."""
-        self.size = 0
-        self.points = self.masses = self.values = None
-        self.monomial = self.phi = self.psi = None
+    m = omega.shape[-1]
+    phi = _uniform(w[:, :m], *WEIGHT_RANGE)
+    psi = np.empty_like(phi)
+    f = family == 0
+    psi[f] = _uniform(w[f, m : 2 * m], *WEIGHT_RANGE)
+    f = (family == 1) | (family == 2)
+    lift = np.where(omega[f], 0.0, _uniform(w[f, m : 2 * m], 0.0, 2.0))
+    psi[f] = phi[f] + lift
+    f = family == 2
+    psi[f] -= np.where(omega[f], _uniform(w[f, 2 * m : 3 * m], 0.0, 2.0), 0.0)
+    f = family == 3
+    psi[f] = phi[f] + _uniform(w[f, m : m + 1], -1.0, 1.0)
+    return phi, psi
 
 
-def _draw_search_row(rng, stacks: dict, index: int) -> _SearchStack:
-    """Draw search instance `index` from rng into the next row of the stack
-    for its shape, kept in stacks by (m, d); returns that stack.
+def _draw_search_row(rng, buffer, start: int, omega, entry) -> int:
+    """Draw one search instance from rng; returns where its output ends.
 
     The generator calls are those of drawing the instance through the
-    public constructors, in the same order, and each writes straight into
-    the row.  Nothing is derived or validated here; _SearchStack.derive and
-    _judge_stack do that for a whole stack at once.
+    public constructors, in the same order.  Each writes straight into the
+    flat buffer from position start, at exactly its length: 3m + 1 uniforms
+    for the node radii, angles and log-masses and the span coin; 2md
+    standard normals when the span is tabulated; m uniforms for phi; and
+    the 1 to 2m uniforms that the weight family draws for psi.  The node
+    mask goes into omega (a row of at least m flags) and (start, m, d,
+    family) into entry.  Nothing is derived or validated here;
+    _search_group and _judge_group do that for a whole round at once.
     """
     m = int(rng.integers(2, SEARCH_MAX_NODES + 1))
     # The span must be a proper subspace of the node functions: with
@@ -555,70 +523,168 @@ def _draw_search_row(rng, stacks: dict, index: int) -> _SearchStack:
     # is vacuous.  That degenerate regime has no counterpart in the
     # function-space setting being modeled, so the search excludes it.
     d = int(rng.integers(1, min(SEARCH_MAX_DIM, m - 1) + 1))
-    stack = stacks.get((m, d))
-    if stack is None:
-        stack = stacks[m, d] = _SearchStack(m, d)
-    k = stack.size
-    stack.size += 1
-    stack.index[k] = index
-    u = stack.uniforms[k]
-    rng.random(out=u)
-    if u[-1] >= MONOMIAL_FRACTION:
-        rng.standard_normal(out=stack.normals[k])
-    omega = stack.omega[k]
+    end = start + 3 * m + 1
+    rng.random(out=buffer[start:end])
+    if buffer[end - 1] >= MONOMIAL_FRACTION:
+        rng.standard_normal(out=buffer[end : end + 2 * m * d])
+        end += 2 * m * d
     omega[:] = False
     omega[rng.choice(m, size=int(rng.integers(1, m)), replace=False)] = True
-    w = stack.weight_uniforms[k]
-    rng.random(out=w[:m])
-    family = stack.family[k] = rng.integers(0, 4)
-    rng.random(out=w[m : stack.family_end[family]])
-    return stack
+    rng.random(out=buffer[end : end + m])
+    end += m
+    family = int(rng.integers(0, 4))
+    n_psi = (m, m, 2 * m, 1)[family]
+    rng.random(out=buffer[end : end + n_psi])
+    entry[:] = start, m, d, family
+    return end + n_psi
 
 
-def _judge_stack(stack: _SearchStack):
-    """Verdicts and approaches of the derived rows of a stack, one per row.
+@dataclass
+class _SearchGroup:
+    """The draws of one round with one node count m, derived: what drawing
+    each instance through the public constructors gives, bit for bit.
+
+    Row k is instance index[k], with nodes and masses points[k] and
+    masses[k], a span of dimension dim[k] (monomial or not), weights phi[k]
+    and psi[k] and node mask omega[k].  values maps each span dimension d
+    to the span node values (n_d, m, d) of the rows with dim == d, in row
+    order: one stack for each shape (m, d).
+    """
+
+    index: np.ndarray
+    points: np.ndarray
+    masses: np.ndarray
+    dim: np.ndarray
+    monomial: np.ndarray
+    values: dict
+    phi: np.ndarray
+    psi: np.ndarray
+    omega: np.ndarray
+
+    def span_values(self, k: int) -> np.ndarray:
+        """The span node values (m, d) of row k."""
+        d = int(self.dim[k])
+        return self.values[d][np.count_nonzero(self.dim[:k] == d)]
+
+
+def _windows(buffer, starts, width: int) -> np.ndarray:
+    """The numbers buffer[s : s + width] from each start s, one row each."""
+    return buffer[starts[:, None] + np.arange(width)]
+
+
+def _search_group(buffer, omega, table, m: int, first: int) -> _SearchGroup:
+    """Derive the draws of a round with node count m as one _SearchGroup.
+
+    buffer holds the round's output, omega its node masks and table its
+    (start, m, d, family) rows, as _draw_search_row wrote them; the round's
+    first draw is instance first.  The arithmetic is that of numpy's
+    uniform and vander (_uniform, _nodes_from_uniforms, vandermonde), on
+    the rows of node count m at once.
+    """
+    rows = np.flatnonzero(table[:, 1] == m)
+    at, dim, family = table[rows, 0], table[rows, 2], table[rows, 3]
+    u = _windows(buffer, at, 3 * m + 1)
+    points, masses = _nodes_from_uniforms(u[:, :-1])
+    monomial = u[:, -1] < MONOMIAL_FRACTION
+    normals_at = at + 3 * m + 1
+    weights_at = normals_at + np.where(monomial, 0, 2 * m * dim)
+    # A row's window holds 3m numbers, of which its family reads only those
+    # it drew; the rest, past the row's end, are never used.  The window
+    # holds no more than the longest draw of node count m, so it stays
+    # inside the buffer.
+    w = _windows(buffer, weights_at, 3 * m)
+    omega = omega[rows, :m]
+    phi, psi = _weights_from_uniforms(w, omega, family)
+    values = {}
+    for d in sorted(set(dim.tolist())):
+        shape = dim == d
+        mono = monomial[shape]
+        v = values[d] = np.empty((len(mono), m, d), dtype=complex)
+        tabulated = normals_at[shape][~mono]
+        normals = _windows(buffer, tabulated, 2 * m * d)
+        v[~mono] = _span_values_from_normals(normals.reshape(-1, 2, m, d))
+        # With d <= m - 1 no monomial span needs to shrink.
+        v[mono] = vandermonde(points[shape][mono], d)
+    return _SearchGroup(
+        index=first + rows,
+        points=points,
+        masses=masses,
+        dim=dim,
+        monomial=monomial,
+        values=values,
+        phi=phi,
+        psi=psi,
+        omega=omega,
+    )
+
+
+def _search_groups(rng, n_instances: int):
+    """Draw n_instances search instances from rng, in the order of its
+    stream, and yield them derived, one _SearchGroup per node count of each
+    round, in increasing node count.
+
+    A round is SEARCH_ROUND draws (the last may be shorter), all written
+    into one flat buffer by _draw_search_row before any is derived.
+    """
+    # A draw writes at most 6m + 1 + 2md numbers, at the largest m and d; a
+    # round touches only the part of the buffer that its draws write.
+    m_max = SEARCH_MAX_NODES
+    d_max = min(SEARCH_MAX_DIM, m_max - 1)
+    buffer = np.empty(SEARCH_ROUND * (6 * m_max + 1 + 2 * m_max * d_max))
+    omega = np.empty((SEARCH_ROUND, SEARCH_MAX_NODES), dtype=bool)
+    table = np.empty((SEARCH_ROUND, 4), dtype=np.int64)
+    for first in range(0, n_instances, SEARCH_ROUND):
+        size = min(SEARCH_ROUND, n_instances - first)
+        end = 0
+        for k in range(size):
+            end = _draw_search_row(rng, buffer, end, omega[k], table[k])
+        # np.unique would import numpy.ma, about 1 MB of peak memory.
+        for m in sorted(set(table[:size, 1].tolist())):
+            yield _search_group(buffer, omega, table[:size], m, first)
+
+
+def _judge_group(group: _SearchGroup):
+    """Verdicts and approaches of a group's rows, one per row.
 
     The rows first pass, all at once, every check that the per-instance
     path runs: build_discrete_measure's on the nodes and masses,
     tabulated_weight's on phi and psi, and max_principle_check's on omega,
-    with their error classes and messages.  The phi and psi spaces are then
-    one stack of bergman_densities, and the verdicts and approaches one call
-    of max_principle_verdicts, the function that max_principle_check uses,
-    so each row's verdict is the one max_principle_check gives its instance.
+    with their error classes and messages.  The phi and psi spaces of each
+    shape (m, d) are then one stack of bergman_densities, and the verdicts
+    and approaches one call of max_principle_verdicts, the function that
+    max_principle_check uses, so each row's verdict is the one
+    max_principle_check gives its instance.
     """
-    masses, omega = stack.masses, stack.omega[: stack.size]
-    phi, psi, values = stack.phi, stack.psi, stack.values
-    validate_nodes(stack.points, masses)
-    validate_weight_values(phi)
-    validate_weight_values(psi)
-    validate_region(omega)
-    b_phi, b_psi = np.split(
-        bergman_densities(
-            np.concatenate([values, values]),
-            np.concatenate([masses, masses]),
-            np.concatenate([phi, psi]),
-        ),
-        2,
-    )
-    return max_principle_verdicts(b_phi, b_psi, phi, psi, omega)
+    validate_nodes(group.points, group.masses)
+    validate_weight_values(group.phi)
+    validate_weight_values(group.psi)
+    validate_region(group.omega)
+    weights = np.stack([group.phi, group.psi])
+    densities = np.empty_like(weights)
+    for d, values in group.values.items():
+        shape = group.dim == d
+        densities[:, shape] = bergman_densities(
+            values, group.masses[shape], weights[:, shape]
+        )
+    return max_principle_verdicts(*densities, group.phi, group.psi, group.omega)
 
 
-def _search_record(stack: _SearchStack, k: int) -> dict:
+def _search_record(group: _SearchGroup, k: int) -> dict:
     """The scenario record of row k, built through the public constructors."""
-    measure = build_discrete_measure(stack.points[k], stack.masses[k])
-    if stack.monomial[k]:
-        span = monomial_span(measure, stack.values.shape[2] - 1)
+    measure = build_discrete_measure(group.points[k], group.masses[k])
+    if group.monomial[k]:
+        span = monomial_span(measure, int(group.dim[k]) - 1)
     else:
-        span = tabulated_span(stack.values[k])
+        span = tabulated_span(group.span_values(k))
     record = scenario_record(
-        f"battery-instance-{stack.index[k]}",
+        f"battery-instance-{group.index[k]}",
         measure,
         span,
-        tabulated_weight(stack.phi[k]),
-        tabulated_weight(stack.psi[k]),
+        tabulated_weight(group.phi[k]),
+        tabulated_weight(group.psi[k]),
         ("maxprinciple",),
     )
-    record["omega"] = [int(j) for j in np.flatnonzero(stack.omega[k])]
+    record["omega"] = [int(j) for j in np.flatnonzero(group.omega[k])]
     return record
 
 
@@ -628,13 +694,14 @@ def max_principle_search(
 ) -> MaxPrincipleSearchReport:
     """Hunt for a maximum-principle counterexample over random instances.
 
-    _draw_search_row draws the instances in the order of the seed's stream,
-    each into the stack for its shape, and a stack is derived and judged by
-    _judge_stack when it holds SEARCH_CHUNK rows; the partly filled ones are
-    judged at the end.  Each verdict equals max_principle_check's on its
-    instance, and the counterexample records come in instance order.  The
-    principle predicts the counterexample list stays empty.  n_instances
-    and seed must be nonnegative integers.
+    The instances are drawn in rounds of SEARCH_ROUND (the last one may be
+    shorter), in the order of the seed's stream, by _draw_search_row into
+    one flat buffer.  Each round is then derived by _search_groups, one
+    group per node count, and each group judged by _judge_group.  Each
+    verdict equals max_principle_check's on its instance, and the
+    counterexample records come in instance order.  The principle predicts
+    the counterexample list stays empty.  n_instances and seed must be
+    nonnegative integers.
     """
     _validate_nonnegative_int("n_instances", n_instances)
     _validate_nonnegative_int("seed", seed)
@@ -647,30 +714,17 @@ def max_principle_search(
     }
     found = []
     candidates, closest = 0, (math.inf, None)
-
-    def judge(stack):
-        nonlocal candidates, closest
-        stack.derive()
-        verdicts, approach = _judge_stack(stack)
+    for group in _search_groups(rng, n_instances):
+        verdicts, approach = _judge_group(group)
         for verdict in tally:
             tally[verdict] += int(np.count_nonzero(verdicts == verdict))
         for k in np.flatnonzero(verdicts == MAXPRINCIPLE_COUNTEREXAMPLE):
-            found.append((int(stack.index[k]), _search_record(stack, k)))
+            found.append((int(group.index[k]), _search_record(group, k)))
         n_candidates = int(np.count_nonzero(~np.isnan(approach)))
         candidates += n_candidates
         if n_candidates:
             k = np.nanargmin(approach)
-            closest = min(closest, (float(approach[k]), int(stack.index[k])))
-        stack.clear()
-
-    stacks = {}
-    for index in range(n_instances):
-        stack = _draw_search_row(rng, stacks, index)
-        if stack.size == SEARCH_CHUNK:
-            judge(stack)
-    for stack in stacks.values():
-        if stack.size:
-            judge(stack)
+            closest = min(closest, (float(approach[k]), int(group.index[k])))
 
     approach, instance = closest
     return MaxPrincipleSearchReport(

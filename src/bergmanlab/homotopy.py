@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidConfigurationError
 from .kernels import Spaces, bergman_density_from_space, orthonormal_node_values
 from .weights import WeightFunction
 
@@ -166,26 +167,32 @@ def g_derivative_forms(path: HomotopyPath, t: float) -> DerivativeReport:
     space = path.spaces(weight_at(path, t))
     d = space.measure_factor
 
+    def pair_sum(a, b):
+        return float(np.trace(a @ b).real)
+
     # Quadratic forms x' M y with M = |K|^2 (d x d) reduce to traces of
     # small cross-Grams: sum_jk x_j |K_jk|^2 y_k = tr(A(x d) A(y d)) where
     # A(v) = e* diag(v) e.  This keeps the cost at O(nodes x rank^2), so
     # dense quadrature measures never materialize a node-pair matrix.  One
     # pass over the blocks of e sums A(x d) for the six x; one block is kept as is.
-    xd = [x * d for x in (rho, u, rho * u, np.ones_like(u), u * pos, pos)]
-    grams = None
-    for rows, e in orthonormal_node_values(space):
-        e_h = e.conj().T
-        block = [e_h @ (v[rows, None] * e) for v in xd]
-        grams = block if grams is None else [g + b for g, b in zip(grams, block)]
-    a_rho, a_u, a_rho_u, a_one, a_u_pos, a_pos = grams
-
-    def pair_sum(a, b):
-        return float(np.trace(a @ b).real)
-
-    rho_m_u = pair_sum(a_rho, a_u)
-    direct = float(-np.sum(rho * u * space.diagonal * d) + rho_m_u)
-    symmetric = rho_m_u - pair_sum(a_rho_u, a_one)
-    sign_split = pair_sum(a_rho, a_u_pos) - pair_sum(a_rho_u, a_pos)
+    # Where u d overflows, the forms are not finite and the path is rejected.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xd = [x * d for x in (rho, u, rho * u, np.ones_like(u), u * pos, pos)]
+        grams = None
+        for rows, e in orthonormal_node_values(space):
+            e_h = e.conj().T
+            block = [e_h @ (v[rows, None] * e) for v in xd]
+            grams = block if grams is None else [g + b for g, b in zip(grams, block)]
+        a_rho, a_u, a_rho_u, a_one, a_u_pos, a_pos = grams
+        rho_m_u = pair_sum(a_rho, a_u)
+        direct = float(-np.sum(rho * u * space.diagonal * d) + rho_m_u)
+        symmetric = rho_m_u - pair_sum(a_rho_u, a_one)
+        sign_split = pair_sum(a_rho, a_u_pos) - pair_sum(a_rho_u, a_pos)
+    if not np.isfinite([direct, symmetric, sign_split]).all():
+        raise InvalidConfigurationError(
+            f"the derivative forms of G at t = {t:g} are not finite: "
+            "u = psi - phi times w e^{-phi_t} overflows"
+        )
 
     return DerivativeReport(
         t=float(t),

@@ -404,20 +404,25 @@ def bergman_densities(
 ) -> np.ndarray:
     """Densities at the nodes of a stack of n spaces with one shape (m, d).
 
-    values (n, m, d) holds the spans' node values; masses and weights
-    (n, m) hold the measures' masses and the tabulated weight values.  The
-    stack takes one Gram product, one orthonormal_bases call and one
-    product and row-norm pass per rank, instead of n builds.  Each row is
-    bit-identical to bergman_density_from_space(build_space(...)) on a
-    dense Gram in one block of rows, as on a discrete measure with at most
-    BLOCK_ROWS nodes: the arithmetic is the same, item by item.
+    values (n, m, d) holds the spans' node values and masses (n, m) the
+    measures' masses.  weights (..., n, m) holds tabulated weight values,
+    one or more weights for each span and measure, and the densities come
+    in its shape: weights (2, n, m) judge phi and psi from one copy of the
+    spans.  The stack takes one Gram product, one orthonormal_bases call
+    and one product and row-norm pass per rank, instead of one build per
+    space.  Each row is bit-identical to
+    bergman_density_from_space(build_space(...)) on a dense Gram in one
+    block of rows, as on a discrete measure with at most BLOCK_ROWS nodes:
+    the arithmetic is the same, item by item.
     """
+    n, m, d = values.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        grams = _dense_gram(values, masses * np.exp(-weights))
-    densities = np.empty(weights.shape)
+        grams = _dense_gram(values, masses * np.exp(-weights)).reshape(-1, d, d)
+    flat = weights.reshape(-1, m)
+    densities = np.empty(flat.shape)
     for items, c, _ in orthonormal_bases(grams):
-        densities[items] = _row_norms(values[items] @ c) * np.exp(-weights[items])
-    return densities
+        densities[items] = _row_norms(values[items % n] @ c) * np.exp(-flat[items])
+    return densities.reshape(weights.shape)
 
 
 def bergman_density_at(space: WeightedSpace, z) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Random-instance battery: generation, checks, aggregation, determinism."""
 
 import dataclasses
-import itertools
+import functools
 import json
 import math
 import os
@@ -26,7 +26,7 @@ from bergmanlab import (
 from bergmanlab.battery import (
     MONOMIAL_NODE_MARGIN,
     ORDER_STEPS,
-    SEARCH_CHUNK,
+    SEARCH_ROUND,
     SPREAD_BOUND,
     fit_order_slope,
 )
@@ -328,39 +328,49 @@ def test_run_battery_of_no_instances():
     assert report.all_green
 
 
-def _judged_stacks(monkeypatch):
-    """Record each stack the search judges: its (m, d), its instance indices,
-    the arrays it judges and each row's weight family, its verdicts and its
-    stacked phi and psi densities."""
+def _judged_groups(monkeypatch):
+    """Record each group the search judges: its node count m, its instance
+    indices, its derived rows (with each row's span values), its verdicts,
+    its density stacks, and each row's phi and psi densities from them."""
     judged = []
     stacked_densities = battery.bergman_densities
-    judge_stack = battery._judge_stack
+    judge_group = battery._judge_group
 
     def densities(values, masses, weights):
         out = stacked_densities(values, masses, weights)
-        judged[-1]["densities"] = np.split(out, 2)
+        judged[-1]["stacks"].append((values.shape, out))
         return out
 
-    def judge(stack):
-        n = stack.size
+    def judge(group):
+        n = len(group.index)
         rows = {
-            name: getattr(stack, name).copy()
-            for name in ("points", "masses", "values", "monomial", "phi", "psi")
+            name: getattr(group, name).copy()
+            for name in "points masses monomial dim phi psi omega".split()
         }
-        rows.update(omega=stack.omega[:n].copy(), family=stack.family[:n].copy())
+        rows["values"] = [group.span_values(k).copy() for k in range(n)]
         judged.append(
             {
-                "shape": stack.values.shape[1:],
-                "index": stack.index[:n].copy(),
+                "m": group.points.shape[1],
+                "index": group.index.copy(),
                 "rows": rows,
+                "stacks": [],
             }
         )
-        verdicts, approach = judge_stack(stack)
+        verdicts, approach = judge_group(group)
         judged[-1]["verdicts"] = verdicts
+        # One stack for each shape (m, d) of the group, holding its rows in
+        # row order, phi's densities first.
+        dims = [shape[2] for shape, _ in judged[-1]["stacks"]]
+        assert sorted(dims) == sorted(set(group.dim.tolist()))
+        b = np.empty((2, *group.points.shape))
+        for (_, m, d), out in judged[-1]["stacks"]:
+            assert out.shape == (2, np.count_nonzero(group.dim == d), m)
+            b[:, group.dim == d] = out
+        judged[-1]["densities"] = b
         return verdicts, approach
 
     monkeypatch.setattr(battery, "bergman_densities", densities)
-    monkeypatch.setattr(battery, "_judge_stack", judge)
+    monkeypatch.setattr(battery, "_judge_group", judge)
     return judged
 
 
@@ -371,14 +381,13 @@ def test_max_principle_search_spans_are_proper(monkeypatch):
     so the rows still follow the stream."""
     monkeypatch.setattr(battery, "SEARCH_MAX_NODES", 4)
     monkeypatch.setattr(battery, "SEARCH_MAX_DIM", 8)
-    judged = _judged_stacks(monkeypatch)
+    judged = _judged_groups(monkeypatch)
     report = max_principle_search(n_instances=200, seed=3)
     assert not report.found_counterexample
-    assert sum(len(stack["index"]) for stack in judged) == 200
-    for stack in judged:
-        m, d = stack["shape"]
-        assert 2 <= m <= 4
-        assert 1 <= d <= m - 1
+    assert sum(len(group["index"]) for group in judged) == 200
+    for group in judged:
+        assert 2 <= group["m"] <= 4
+        assert all(1 <= d <= group["m"] - 1 for d in group["rows"]["dim"])
     _assert_judged_rows_follow_the_stream(judged, _reference_search_draws(200, 3))
 
 
@@ -435,29 +444,26 @@ def _per_space_verdict(inst):
 
 
 def test_search_stacks_equal_the_per_space_path(monkeypatch):
-    """1000 draws fill the (2, 1) stack more than once and end in partly
-    filled stacks; every stacked density equals its own build bit for bit,
-    and every verdict equals max_principle_check's."""
-    judged = _judged_stacks(monkeypatch)
-    max_principle_search(1000, 0)
-    draws = _reference_search_draws(1000, 0)
-    full = [stack["shape"] for stack in judged if len(stack["index"]) == SEARCH_CHUNK]
-    assert max(full.count(shape) for shape in full) >= 2
-    assert any(len(stack["index"]) < SEARCH_CHUNK for stack in judged)
+    """A full round and a partial one; every stacked density equals its own
+    build bit for bit, and every verdict equals max_principle_check's."""
+    n = SEARCH_ROUND + 500
+    judged = _judged_groups(monkeypatch)
+    max_principle_search(n, 0)
+    draws = _reference_search_draws(n, 0)
     seen = []
-    for stack in judged:
-        b_phi, b_psi = stack["densities"]
+    for group in judged:
+        b_phi, b_psi = group["densities"]
         for i, row_phi, row_psi, verdict in zip(
-            stack["index"], b_phi, b_psi, stack["verdicts"]
+            group["index"], b_phi, b_psi, group["verdicts"]
         ):
             inst = draws[i]
-            assert (inst.measure.n, inst.span.dim) == stack["shape"]
+            assert inst.measure.n == group["m"]
             for weight, row in ((inst.phi, row_phi), (inst.psi, row_psi)):
                 space = build_space(inst.span, inst.measure, weight)
                 assert np.array_equal(row, bergman_density_from_space(space))
             assert verdict == _per_space_verdict(inst)
             seen.append(i)
-    assert sorted(seen) == list(range(1000))
+    assert sorted(seen) == list(range(n))
 
 
 def _assert_judged_rows_follow_the_stream(judged, draws):
@@ -465,13 +471,13 @@ def _assert_judged_rows_follow_the_stream(judged, draws):
     for bit; returns the weight families and span kinds the rows covered."""
     covered = set()
     seen = []
-    for stack in judged:
-        rows = stack["rows"]
-        for k, i in enumerate(stack["index"]):
+    for group in judged:
+        rows = group["rows"]
+        for k, i in enumerate(group["index"]):
             inst = draws[i]
             monomial = inst.span.kind == KIND_MONOMIALS
             assert rows["monomial"][k] == monomial
-            assert rows["family"][k] == inst.family
+            assert rows["dim"][k] == inst.span.dim
             for name, expected in (
                 ("points", inst.measure.points),
                 ("masses", inst.measure.masses),
@@ -488,17 +494,42 @@ def _assert_judged_rows_follow_the_stream(judged, draws):
 
 
 def test_search_rows_follow_the_stream(monkeypatch):
-    """The rows hold only generator output, and what a stack derives from
-    them is what the one-instance-at-a-time draw gives, at seeds 0-4: nodes,
-    masses, span values, the monomial flag, omega, phi and psi."""
-    judged = _judged_stacks(monkeypatch)
+    """The buffer holds only generator output, and what a round derives from
+    it is what the one-instance-at-a-time draw gives, at seeds 0-4 and over
+    a round's edge: nodes, masses, span values, the monomial flag, omega,
+    phi and psi."""
+    n = SEARCH_ROUND + 100
+    judged = _judged_groups(monkeypatch)
     covered = set()
     for seed in range(5):
         judged.clear()
-        max_principle_search(2000, seed)
-        draws = _reference_search_draws(2000, seed)
+        max_principle_search(n, seed)
+        draws = _reference_search_draws(n, seed)
         covered |= _assert_judged_rows_follow_the_stream(judged, draws)
     assert covered == {(f, mono) for f in range(4) for mono in (False, True)}
+
+
+@pytest.mark.parametrize("max_nodes", [2, 3])
+def test_search_round_of_few_shapes(monkeypatch, max_nodes):
+    """With at most 2 nodes every draw has the shape (2, 1), so a round is
+    one group and one density stack; with at most 3 it has three shapes in
+    two groups.  Over a full round and one more draw the rows follow the
+    stream and the tallies are max_principle_check's."""
+    monkeypatch.setattr(battery, "SEARCH_MAX_NODES", max_nodes)
+    n = SEARCH_ROUND + 1
+    judged = _judged_groups(monkeypatch)
+    report = max_principle_search(n, 2)
+    draws = _reference_search_draws(n, 2)
+    _assert_judged_rows_follow_the_stream(judged, draws)
+    shapes = {(group["m"], d) for group in judged for d in group["rows"]["dim"]}
+    assert shapes == ({(2, 1)} if max_nodes == 2 else {(2, 1), (3, 1), (3, 2)})
+    if max_nodes == 2:
+        assert [len(group["stacks"]) for group in judged] == [1, 1]
+        assert len(judged[0]["index"]) == SEARCH_ROUND
+    verdicts = [_per_space_verdict(inst) for inst in draws]
+    assert report.premises_fail == verdicts.count(MAXPRINCIPLE_PREMISES_FAIL)
+    assert report.conclusion_holds == verdicts.count(MAXPRINCIPLE_CONCLUSION_HOLDS)
+    assert report.counterexamples == []
 
 
 def _per_space_approach(inst):
@@ -531,27 +562,45 @@ def test_search_closest_approach_at_seed_0():
     report = max_principle_search(10_000, 0)
     assert report.candidates == 2968
     assert report.closest_instance == 2936
-    assert report.closest_approach == pytest.approx(3.16e-4, rel=1e-3)
+    assert report.closest_approach == 0.0003160444852271064
 
 
-def _first_fill(seed):
-    """The number of draws after which the seed's first stack is full."""
-    counts = {}
-    for n, inst in enumerate(_reference_search_draws(1000, seed), start=1):
-        shape = (inst.measure.n, inst.span.dim)
-        counts[shape] = counts.get(shape, 0) + 1
-        if counts[shape] == SEARCH_CHUNK:
-            return n
-    raise AssertionError("no stack filled in 1000 draws")
+# Candidates, closest instance and closest approach of 10 000 draws.
+PINNED_SEARCHES = {
+    1: (2995, 3490, 6.245742576487331e-05),
+    2: (2951, 9317, 1.7360148567138294e-05),
+    3: (2842, 2173, 0.00023712369339550947),
+    4: (2940, 6736, 0.00037537838711800404),
+    5: (2909, 1713, 2.0332381366642425e-06),
+}
 
 
-@pytest.mark.parametrize("edge", ["1", "fill-1", "fill", "fill+1"])
-def test_search_tallies_at_chunk_edges(edge):
-    """One draw, and the draws around the first stack that fills."""
-    fill = _first_fill(4)
-    n = {"1": 1, "fill-1": fill - 1, "fill": fill, "fill+1": fill + 1}[edge]
+@pytest.mark.parametrize("seed", sorted(PINNED_SEARCHES))
+def test_search_closest_approach_is_pinned(seed):
+    """The search's candidates and closest approach, to the last bit, so
+    that a change in how the search groups its draws cannot move them."""
+    report = max_principle_search(10_000, seed)
+    assert (
+        report.candidates,
+        report.closest_instance,
+        report.closest_approach,
+    ) == PINNED_SEARCHES[seed]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_verdicts(n, seed):
+    """max_principle_check's verdicts on the seed's first n draws."""
+    return tuple(_per_space_verdict(inst) for inst in _reference_search_draws(n, seed))
+
+
+@pytest.mark.parametrize("edge", ["1", "round-1", "round", "round+1"])
+def test_search_tallies_at_round_edges(edge):
+    """One draw, and the draws around the end of the first round."""
+    n = {"1": 1, "round-1": SEARCH_ROUND - 1, "round": SEARCH_ROUND}.get(
+        edge, SEARCH_ROUND + 1
+    )
     report = max_principle_search(n, 4)
-    verdicts = [_per_space_verdict(inst) for inst in _reference_search_draws(n, 4)]
+    verdicts = _reference_verdicts(SEARCH_ROUND + 1, 4)[:n]
     assert report.premises_fail == verdicts.count(MAXPRINCIPLE_PREMISES_FAIL)
     assert report.conclusion_holds == verdicts.count(MAXPRINCIPLE_CONCLUSION_HOLDS)
     assert report.counterexamples == []
@@ -565,30 +614,24 @@ def test_search_of_no_instances():
     assert report.closest_instance is None
 
 
-def _full_stack(seed):
-    """The first stack of the seed's search to fill, derived, not yet
-    judged."""
-    rng = np.random.default_rng(seed)
-    stacks = {}
-    for index in itertools.count():
-        stack = battery._draw_search_row(rng, stacks, index)
-        if stack.size == SEARCH_CHUNK:
-            stack.derive()
-            return stack
+def _first_group(seed):
+    """The first group of the seed's first full round (node count 2),
+    derived, not yet judged."""
+    return next(battery._search_groups(np.random.default_rng(seed), SEARCH_ROUND))
 
 
-def _row_verdict(stack, k):
-    """Row k of a stack judged alone, through the public constructors."""
-    measure = build_discrete_measure(stack.points[k], stack.masses[k])
-    if stack.monomial[k]:
-        span = monomial_span(measure, stack.values.shape[2] - 1)
+def _row_verdict(group, k):
+    """Row k of a group judged alone, through the public constructors."""
+    measure = build_discrete_measure(group.points[k], group.masses[k])
+    if group.monomial[k]:
+        span = monomial_span(measure, int(group.dim[k]) - 1)
     else:
-        span = tabulated_span(stack.values[k])
+        span = tabulated_span(group.span_values(k))
     return max_principle_check(
         Spaces(span, measure),
-        tabulated_weight(stack.phi[k]),
-        tabulated_weight(stack.psi[k]),
-        stack.omega[k],
+        tabulated_weight(group.phi[k]),
+        tabulated_weight(group.psi[k]),
+        group.omega[k],
     )
 
 
@@ -605,28 +648,29 @@ def _row_verdict(stack, k):
     ],
 )
 def test_judging_a_stack_runs_the_per_instance_checks(corruption, error):
-    """One corrupted row of the derived arrays makes the stack's judge raise
+    """One corrupted row of a derived group makes the group's judge raise
     what the per-instance constructors or max_principle_check raise on that
     row."""
-    stack = _full_stack(0)
+    group = _first_group(0)
+    assert group.points.shape[1] == 2
     k = 5
     rows = {
-        "nan-point": (stack.points, np.nan),
-        "nan-mass": (stack.masses, np.nan),
-        "zero-mass": (stack.masses, 0.0),
-        "inf-phi": (stack.phi, np.inf),
-        "inf-psi": (stack.psi, np.inf),
+        "nan-point": (group.points, np.nan),
+        "nan-mass": (group.masses, np.nan),
+        "zero-mass": (group.masses, 0.0),
+        "inf-phi": (group.phi, np.inf),
+        "inf-psi": (group.psi, np.inf),
     }
     if corruption in rows:
         array, value = rows[corruption]
         array[k, 1] = value
     else:
-        stack.omega[k] = corruption == "omega-all"
+        group.omega[k] = corruption == "omega-all"
     with pytest.raises(BergmanlabError) as alone:
-        _row_verdict(stack, k)
+        _row_verdict(group, k)
     assert type(alone.value) is error
     with pytest.raises(error, match=re.escape(str(alone.value))) as stacked:
-        battery._judge_stack(stack)
+        battery._judge_group(group)
     assert type(stacked.value) is error
 
 

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -116,3 +117,20 @@ def mutated_scenarios(draw):
 @given(doc=mutated_scenarios())
 def test_mutated_scenarios_exit_with_a_status(doc):
     assert _run(doc) in (EXIT_GREEN, EXIT_RED, EXIT_CONFIG)
+
+
+@pytest.mark.parametrize(
+    "node, weight_path",
+    [(0, ("psi", "values", 0)), (1, ("psi", "values", 1)), (0, ("phi", "c"))],
+    ids=["psi-node-0", "psi-node-1", "phi"],
+)
+def test_overflowing_homotopy_direction_is_a_configuration_error(node, weight_path):
+    """A mass and a weight of 1e300 make u = psi - phi times w e^{-phi_t}
+    overflow on the homotopy path: the scenario exits 2, with no warning,
+    rather than ending in a traceback under warnings-as-errors."""
+    doc = copy.deepcopy(BASES[0])
+    doc["measure"]["masses"][node] = 1e300
+    _replace(doc, weight_path, 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(doc) == EXIT_CONFIG
