@@ -111,8 +111,19 @@ def g_of_t(path: HomotopyPath, t: float) -> float:
 
 
 def sup_bound_constant(u_sup: float) -> float:
-    """Envelope constant 2 u_sup e^{2 u_sup} for the quotient bounds."""
-    return 2.0 * u_sup * np.exp(2.0 * u_sup)
+    """Envelope constant 2 u_sup e^{2 u_sup} for the quotient bounds.
+
+    It overflows once u_sup = max |psi - phi| passes about 351, and a bound
+    of inf would check nothing, so the path is rejected there.
+    """
+    with np.errstate(over="ignore"):
+        constant = 2.0 * u_sup * np.exp(2.0 * u_sup)
+    if not np.isfinite(constant):
+        raise InvalidConfigurationError(
+            f"the quotient bound constant 2 u e^(2 u) overflows at "
+            f"u = max |psi - phi| = {u_sup:g}"
+        )
+    return constant
 
 
 def difference_quotient_bound_check(path: HomotopyPath, t: float, tau: float) -> bool:

@@ -34,7 +34,10 @@ the residual's row norms have one reader, _node_row_norms, which takes the
 Gram's path under the same rule (_ring_path): with M = C C*,
 K(r_i e^{i theta_j}) = N ifft(A_i)[j], where A_i[k] = sum_s r_i^s Q[s, k]
 and Q[s, k mod N] sums M[n, m] over n + m = s and n - m = k, in
-O(d^2 rank + rings d^2 + rings N log N) work instead of O(m d rank).  The
+O(d^2 rank + rings d^2 + rings N log N) work instead of O(m d rank).  Q is
+one scatter of M's entries into their cells, one bincount per part; under
+monomial_span's exactness rule 2 degree <= N - 1 no two entries share a
+cell, and where they would the cell sums them, so the fold is exact.  The
 folded sum's error scales with the ring's mean of K, not with K at the
 node, so where a ring's smallest value lies far below its mean (a strongly
 non-radial weight), or where r^(2d-2) overflows, it reads the blocks below.
@@ -144,13 +147,18 @@ def _ring_path(span: FunctionSpan, measure: QuadratureMeasure) -> bool:
     by its points, once the dense work m * d^2 reaches RING_GRAM_MIN_WORK.
     A discrete measure is turned away by one attribute read, since the
     battery asks this of thousands of small spaces a pass (3 795 builds at
-    seed 0).
+    seed 0).  monomial_span keeps the measure's own array of points, so
+    identity settles that span before the element-wise comparison, which
+    takes about 0.15 ms on the 40 960-node rule.
     """
     return (
         measure.n_angular is not None
         and span.n_nodes * span.dim**2 >= RING_GRAM_MIN_WORK
         and span.kind == KIND_MONOMIALS
-        and np.array_equal(span.points, measure.points)
+        and (
+            span.points is measure.points
+            or np.array_equal(span.points, measure.points)
+        )
     )
 
 
@@ -190,10 +198,16 @@ def _ring_row_norms(measure: QuadratureMeasure, x: np.ndarray):
     """
     n_ang = measure.n_angular
     n = np.arange(x.shape[0])
-    q = np.zeros((2 * n.size - 1, n_ang), dtype=complex)
+    q = np.empty((2 * n.size - 1, n_ang), dtype=complex)
+    cells = ((n[:, None] + n) * n_ang + (n[:, None] - n) % n_ang).reshape(-1)
     r = measure.points[::n_ang].real
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(q, (n[:, None] + n, (n[:, None] - n) % n_ang), x @ x.conj().T)
+        # One scatter of M's entries into their cells, one bincount per
+        # part.  Each cell sums from +0.0 in entry order, so a -0.0 entry
+        # leaves +0.0, which a plain assignment would not.
+        m = (x @ x.conj().T).reshape(-1)
+        q.real = np.bincount(cells, m.real, q.size).reshape(q.shape)
+        q.imag = np.bincount(cells, m.imag, q.size).reshape(q.shape)
         a = (r[:, None] ** np.arange(2 * n.size - 1)) @ q
         # A float copy, so that a kept result does not hold the transform.
         norms = (n_ang * np.fft.ifft(a, axis=1)).real.copy()

@@ -86,6 +86,36 @@ def disk_kernel_closed_form(z, w) -> np.ndarray:
     return 1.0 / (math.pi * (1.0 - np.multiply.outer(z, np.conj(w))) ** 2)
 
 
+def ring_fold_cells(dim: int, n_angular: int):
+    """Cell (n + m, (n - m) mod N) of Q into which entry M[n, m] folds."""
+    n = np.arange(dim)
+    return n[:, None] + n, (n[:, None] - n) % n_angular
+
+
+def ring_fold_by_scatter(x, n_angular: int) -> np.ndarray:
+    """Q of the ring path's fold, M = x x* scattered with np.add.at:
+    Q[s, k] sums M[n, m] over n + m = s and (n - m) mod N = k."""
+    x = np.asarray(x, dtype=complex)
+    q = np.zeros((2 * x.shape[0] - 1, n_angular), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(q, ring_fold_cells(x.shape[0], n_angular), x @ x.conj().T)
+    return q
+
+
+def ring_row_norms_by_scatter(points, n_angular: int, x) -> np.ndarray:
+    """sum_l |sum_n z^n x[n, l]|^2 at the nodes r_i e^{2 pi i j / N} of a disk
+    rule, in node order, from ring_fold_by_scatter's Q and one FFT per ring.
+
+    After the fold the arithmetic is the ring path's, step for step, so the
+    ring path's norms must equal these bit for bit.
+    """
+    q = ring_fold_by_scatter(x, n_angular)
+    r = np.asarray(points)[::n_angular].real
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = (r[:, None] ** np.arange(q.shape[0])) @ q
+        return (n_angular * np.fft.ifft(a, axis=1)).real.reshape(-1)
+
+
 def rank_one_kernel_derivative(h_values, masses, phi_t, u) -> np.ndarray:
     """Closed-form kernel t-derivative for a one-dimensional span {h}.
 

@@ -119,6 +119,18 @@ def test_mutated_scenarios_exit_with_a_status(doc):
     assert _run(doc) in (EXIT_GREEN, EXIT_RED, EXIT_CONFIG)
 
 
+def test_overflowing_homotopy_bound_is_a_configuration_error(capsys):
+    """psi - phi = 399 at a node overflows the quotient bounds' constant
+    2 u e^(2 u): the scenario exits 2 naming psi - phi, with no warning,
+    rather than judging against an infinite bound."""
+    doc = copy.deepcopy(BASES[0])
+    doc["psi"]["values"] = [0.0, 400.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(doc) == EXIT_CONFIG
+    assert "psi - phi" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "node, weight_path",
     [(0, ("psi", "values", 0)), (1, ("psi", "values", 1)), (0, ("phi", "c"))],

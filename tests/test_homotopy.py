@@ -2,11 +2,13 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from bergmanlab import (
+    InvalidConfigurationError,
     Spaces,
     build_discrete_measure,
     build_disk_measure,
@@ -210,6 +212,16 @@ def test_sup_bound_constant_formula():
     for u in (0.0, 0.3, 1.0, 2.5):
         assert sup_bound_constant(u) == pytest.approx(2.0 * u * math.exp(2.0 * u))
     assert sup_bound_constant(0.0) == 0.0
+
+
+def test_sup_bound_constant_rejects_an_overflow_without_a_warning():
+    """2 u e^(2 u) is finite at u = 351 and overflows at u = 352, which is a
+    configuration error naming psi - phi rather than an infinite bound."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(sup_bound_constant(351.0))
+        with pytest.raises(InvalidConfigurationError, match="psi - phi"):
+            sup_bound_constant(352.0)
 
 
 @pytest.mark.parametrize("tau", [0.5, 0.1, 0.01])

@@ -40,6 +40,9 @@ from oracles import (
     disk_moment_exact,
     extremal_diagonal,
     node_pair_residual,
+    ring_fold_by_scatter,
+    ring_fold_cells,
+    ring_row_norms_by_scatter,
 )
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -482,6 +485,56 @@ def test_ring_row_norms_are_deterministic():
     )
     first = kernels._ring_row_norms(measure, space.ortho_coeffs)
     assert np.array_equal(first, kernels._ring_row_norms(measure, space.ortho_coeffs))
+
+
+@pytest.mark.parametrize(
+    "degree, k", [(20, 1.0), (60, 10.0), (120, 20.0), (127, 40.0)],
+    ids=["d21", "d61", "d121", "d128"],
+)
+def test_ring_fold_equals_the_scatter_on_the_shipped_rungs(degree, k):
+    """disk-fock-scaling folds its own span (d = 21) and the tcz rungs
+    (d = 61, 121 and 128) on the 160x256 rule.  One bincount per part gives
+    the norms of an np.add.at scatter bit for bit."""
+    measure = build_disk_measure(2.0, 160, 256)
+    weight = scaled_weight(gauss_weight(1.0), k)
+    space = build_space(monomial_span(measure, degree), measure, weight)
+    assert kernels._ring_path(space.span, measure)
+    norms = kernels._ring_row_norms(measure, space.ortho_coeffs)
+    expected = ring_row_norms_by_scatter(
+        measure.points, measure.n_angular, space.ortho_coeffs
+    )
+    assert norms is not None and norms.tobytes() == expected.tobytes()
+
+
+def test_ring_fold_equals_the_scatter_at_the_exactness_edge():
+    """On 64x81 at degree 40, 2 degree = N - 1, so n - m takes every residue
+    mod N.  Under a weight with no symmetry every column of Q is nonzero,
+    and the ring path's norms still equal the scatter's bit for bit."""
+    measure = build_disk_measure(1.0, 64, 81)
+    weight = tabulated_weight(np.random.default_rng(7).uniform(-2, 2, measure.n))
+    space = build_space(monomial_span(measure, 40), measure, weight)
+    assert kernels._ring_path(space.span, measure)
+    assert (ring_fold_by_scatter(space.ortho_coeffs, 81) != 0).any(axis=0).all()
+    norms = kernels._ring_row_norms(measure, space.ortho_coeffs)
+    expected = ring_row_norms_by_scatter(measure.points, 81, space.ortho_coeffs)
+    assert norms is not None and norms.tobytes() == expected.tobytes()
+
+
+def test_monomial_span_rule_puts_at_most_one_entry_in_each_ring_cell():
+    """monomial_span allows 2 degree <= N - 1 on a disk rule with N angles.
+    Up to that degree the cells (n + m, (n - m) mod N) of M's entries are
+    distinct, so Q is one scatter of them; at odd N the top degree fills
+    every residue class, and one degree more is refused."""
+    for n_ang in range(1, 65):
+        measure = build_disk_measure(1.0, n_ang, n_ang)
+        degree = (n_ang - 1) // 2
+        span = monomial_span(measure, degree)
+        counts = np.zeros((2 * span.dim - 1, n_ang), dtype=int)
+        np.add.at(counts, ring_fold_cells(span.dim, n_ang), 1)
+        assert counts.max() == 1
+        assert counts.any(axis=0).all() == (n_ang % 2 == 1)
+        with pytest.raises(InvalidConfigurationError):
+            monomial_span(measure, degree + 1)
 
 
 def test_ring_kernel_diagonal_falls_back_to_the_blocks_when_it_overflows(
