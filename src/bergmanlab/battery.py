@@ -136,7 +136,7 @@ class BatteryInstance:
     def span(self):
         return self.spaces.span
 
-    def scenario_dict(self, checks=("structural", "comparison", "homotopy")) -> dict:
+    def scenario_dict(self) -> dict:
         """A scenario-file dictionary that reruns this instance."""
         return scenario_record(
             f"battery-instance-{self.index}",
@@ -144,7 +144,7 @@ class BatteryInstance:
             self.span,
             self.phi,
             self.psi,
-            checks,
+            ("structural", "comparison", "homotopy"),
         )
 
 

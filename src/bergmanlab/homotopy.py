@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .comparison import sublevel_set
 from .errors import InvalidConfigurationError
 from .kernels import Spaces, bergman_density_from_space, orthonormal_node_values
 from .weights import WeightFunction
@@ -95,7 +96,7 @@ def build_path(
         base_values=phi.values,
         direction=u,
         u_sup=float(np.max(np.abs(u))) if u.size else 0.0,
-        profile=(u < 0.0).astype(float),
+        profile=sublevel_set(phi, psi).astype(float),
     )
 
 

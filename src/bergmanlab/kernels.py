@@ -44,10 +44,10 @@ non-radial weight), or where r^(2d-2) overflows, it reads the blocks below.
 
 Every read of the orthonormal node values E = V C goes through
 orthonormal_node_values, which yields them BLOCK_ROWS rows at a time: the
-diagonal off the ring path, densities at chosen points, the reproducing
-residual and the homotopy checks.  Their memory does not grow with the
-node count, and above BLOCK_ROWS rows a monomial span is evaluated block
-by block and never tabulated.
+diagonal off the ring path, densities and kernel values at chosen points,
+the reproducing residual and the homotopy checks.  Their memory does not
+grow with the node count, and above BLOCK_ROWS rows a monomial span is
+evaluated block by block and never tabulated.
 """
 
 from __future__ import annotations
@@ -355,17 +355,12 @@ class Spaces:
         return space
 
 
-def kernel_eval_at(space: WeightedSpace, z, w=None) -> np.ndarray:
-    """Kernel K(z_i, w_j) at arbitrary point arrays (monomial spans only).
-
-    With w omitted the second argument equals the first, so the result's
-    diagonal holds K(z_i, z_i).
-    """
-    ez = evaluate_basis(space.span, z) @ space.ortho_coeffs
-    if w is None:
-        ew = ez
-    else:
-        ew = evaluate_basis(space.span, w) @ space.ortho_coeffs
+def kernel_eval_at(space: WeightedSpace, z, w) -> np.ndarray:
+    """Kernel K(z_i, w_j) at arbitrary point arrays (monomial spans only)."""
+    ez, ew = (
+        np.concatenate([e for _, e in orthonormal_node_values(space, np.ravel(p))])
+        for p in (z, w)
+    )
     return ez @ ew.conj().T
 
 
@@ -431,11 +426,12 @@ def bergman_densities(
     """
     n, m, d = values.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        grams = _dense_gram(values, masses * np.exp(-weights)).reshape(-1, d, d)
-    flat = weights.reshape(-1, m)
-    densities = np.empty(flat.shape)
+        factors = np.exp(-weights)
+        grams = _dense_gram(values, masses * factors).reshape(-1, d, d)
+    factors = factors.reshape(-1, m)
+    densities = np.empty(factors.shape)
     for items, c, _ in orthonormal_bases(grams):
-        densities[items] = _row_norms(values[items % n] @ c) * np.exp(-flat[items])
+        densities[items] = _row_norms(values[items % n] @ c) * factors[items]
     return densities.reshape(weights.shape)
 
 
@@ -459,8 +455,6 @@ def reproducing_residual(space: WeightedSpace) -> float:
     FFT per ring, the row norms of V (C A), where that keeps its digits; the
     second factor's are the space's kernel diagonal.
     """
-    if space.rank == 0:
-        return 0.0
     d = space.measure_factor
     blocks = orthonormal_node_values(space)
     a = sum(e.conj().T @ (d[rows, None] * e) for rows, e in blocks) - np.eye(space.rank)

@@ -60,15 +60,12 @@ class QuadratureMeasure:
 
 
 def build_discrete_measure(points, masses) -> QuadratureMeasure:
-    """Assemble an explicit discrete measure.
+    """Assemble an explicit discrete measure on the complex nodes `points`.
 
-    `points` may be complex values or (re, im) pairs.  Duplicate coordinates
-    are allowed; masses must all be strictly positive and finite.
+    Duplicate nodes are allowed; masses must all be strictly positive and
+    finite.
     """
-    pts = np.asarray(points)
-    if pts.ndim == 2 and pts.shape[1] == 2:
-        pts = pts[:, 0] + 1j * pts[:, 1]
-    pts = np.asarray(pts, dtype=complex).reshape(-1)
+    pts = np.asarray(points, dtype=complex).reshape(-1)
     w = np.asarray(masses, dtype=float).reshape(-1)
     if pts.size == 0:
         raise InvalidMeasureError("a measure needs at least one node")

@@ -51,6 +51,10 @@ class ScalingReport:
     mean_abs_dev: float
     n_skipped: int
 
+    @property
+    def n_eval_points(self) -> int:
+        return len(self.eval_indices)
+
 
 def ma_density(weight: WeightFunction, measure: QuadratureMeasure) -> np.ndarray:
     """Limit density Laplacian(phi)/(4 pi) at the measure's nodes.

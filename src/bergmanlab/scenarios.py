@@ -6,16 +6,11 @@ executes checks in declared order, collects pass/fail plus metrics per
 check, and emits the results as CSV files with fixed column contracts plus
 one JSON document, summary.json.
 
-CSV column contracts:
-  comparison.csv  scenario_id, c, set_size, set_proper, lhs, rhs, margin,
-                  verdict
-  homotopy.csv    scenario_id, t, G, rhs26, rhs27, rhs28, fd, fd_step,
-                  max_pairwise_dev
-  tcz.csv         scenario_id, k, degree, n_eval_points, max_abs_dev,
-                  mean_abs_dev
-
-The rhs26/rhs27/rhs28 column names are part of the file contract and label
-the three algebraic forms of G' in their fixed order (direct, symmetric,
+The CSV column contracts are CSV_FILES: for comparison.csv, homotopy.csv
+and tcz.csv, the checks whose rows each file takes and, after scenario_id,
+each column in file order with the report field that fills it.  The
+rhs26/rhs27/rhs28 column names are part of the file contract and label the
+three algebraic forms of G' in their fixed order (direct, symmetric,
 sign-split).
 
 Timings appear only in the summary document, never in CSV rows, so result
@@ -78,35 +73,54 @@ PARAM_NAMES = ("c_grid", "k_list", "interior_radius")
 
 DEFAULT_C_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
-COMPARISON_COLUMNS = (
-    "scenario_id",
-    "c",
-    "set_size",
-    "set_proper",
-    "lhs",
-    "rhs",
-    "margin",
-    "verdict",
-)
-HOMOTOPY_COLUMNS = (
-    "scenario_id",
-    "t",
-    "G",
-    "rhs26",
-    "rhs27",
-    "rhs28",
-    "fd",
-    "fd_step",
-    "max_pairwise_dev",
-)
-TCZ_COLUMNS = (
-    "scenario_id",
-    "k",
-    "degree",
-    "n_eval_points",
-    "max_abs_dev",
-    "mean_abs_dev",
-)
+# Each CSV file: the checks whose rows it takes, then each column after
+# scenario_id, in file order, with the report field that fills it.
+CSV_FILES = {
+    "comparison.csv": (
+        ("comparison", "sweep"),
+        {
+            "c": "shift",
+            "set_size": "set_size",
+            "set_proper": "set_proper",
+            "lhs": "lhs",
+            "rhs": "rhs",
+            "margin": "margin",
+            "verdict": "verdict",
+        },
+    ),
+    "homotopy.csv": (
+        ("homotopy",),
+        {
+            "t": "t",
+            "G": "g_value",
+            "rhs26": "direct_form",
+            "rhs27": "symmetric_form",
+            "rhs28": "sign_split_form",
+            "fd": "fd_estimate",
+            "fd_step": "fd_step",
+            "max_pairwise_dev": "max_pairwise_dev",
+        },
+    ),
+    "tcz.csv": (
+        ("tcz",),
+        {
+            "k": "k",
+            "degree": "degree",
+            "n_eval_points": "n_eval_points",
+            "max_abs_dev": "max_abs_dev_from_1",
+            "mean_abs_dev": "mean_abs_dev",
+        },
+    ),
+}
+
+
+def _csv_columns(filename):
+    return ("scenario_id", *CSV_FILES[filename][1])
+
+
+COMPARISON_COLUMNS = _csv_columns("comparison.csv")
+HOMOTOPY_COLUMNS = _csv_columns("homotopy.csv")
+TCZ_COLUMNS = _csv_columns("tcz.csv")
 
 
 @dataclass
@@ -237,7 +251,7 @@ _WEIGHT_FAMILIES = {
 
 
 def _parse_weight(raw, measure, scenario_id, field_path):
-    """The weight tabulated on the measure's nodes, with a finite w e^{-phi}."""
+    """The weight tabulated on the nodes, with a finite, not all-zero w e^{-phi}."""
     if not isinstance(raw, dict):
         _fail(scenario_id, field_path, "expected an object with a family")
     kind = raw.get("family")
@@ -255,6 +269,9 @@ def _parse_weight(raw, measure, scenario_id, field_path):
         factor = measure.masses * np.exp(-weight.values)
     if not (np.all(np.isfinite(weight.values)) and np.all(np.isfinite(factor))):
         _fail(scenario_id, field_path, "w e^{-phi} is not finite at every node")
+    # Every space of the weight would have rank 0 and every check on it pass.
+    if not factor.any():
+        _fail(scenario_id, field_path, "w e^{-phi} underflows to 0 at every node")
     return weight
 
 
@@ -468,27 +485,8 @@ def _check_structural(config, spaces):
     return passed, metrics, []
 
 
-def _comparison_rows(config, spaces, c_grid):
-    """The comparison reports over c_grid, and their CSV rows with each verdict."""
-    reports = shifted_comparison_sweep(spaces, config.phi, config.psi, c_grid)
-    rows = [
-        {
-            "scenario_id": config.scenario_id,
-            "c": report.shift,
-            "set_size": report.set_size,
-            "set_proper": report.set_proper,
-            "lhs": report.lhs,
-            "rhs": report.rhs,
-            "margin": report.margin,
-            "verdict": report.verdict,
-        }
-        for report in reports
-    ]
-    return reports, rows
-
-
 def _check_comparison(config, spaces):
-    (report,), rows = _comparison_rows(config, spaces, (0.0,))
+    (report,) = shifted_comparison_sweep(spaces, config.phi, config.psi, (0.0,))
     sandwich = sandwich_check(spaces, config.phi, config.psi)
     metrics = {
         "lhs": report.lhs,
@@ -505,11 +503,12 @@ def _check_comparison(config, spaces):
         "sandwich": sandwich.ok,
         "strict": report.verdict == VERDICT_STRICT or not report.strict_expected,
     }
+    rows = _csv_rows("comparison.csv", config.scenario_id, [report])
     return not checks.failures(values), metrics, rows
 
 
 def _check_sweep(config, spaces):
-    reports, rows = _comparison_rows(config, spaces, config.c_grid)
+    reports = shifted_comparison_sweep(spaces, config.phi, config.psi, config.c_grid)
     # The sets {psi < phi + c} grow with c, so they nest in shift order.
     sizes = [r.set_size for r in sorted(reports, key=lambda r: r.shift)]
     values = {
@@ -521,26 +520,13 @@ def _check_sweep(config, spaces):
         "worst_margin_deficit": values["comparison_deficit"],
         "set_sizes_nested": values["set_sizes_nested"],
     }
+    rows = _csv_rows("comparison.csv", config.scenario_id, reports)
     return not checks.failures(values), metrics, rows
 
 
 def _check_homotopy(config, spaces):
     path = build_path(spaces, config.phi, config.psi)
     ders = [g_derivative_forms(path, t) for t in T_GRID]
-    rows = [
-        {
-            "scenario_id": config.scenario_id,
-            "t": der.t,
-            "G": der.g_value,
-            "rhs26": der.direct_form,
-            "rhs27": der.symmetric_form,
-            "rhs28": der.sign_split_form,
-            "fd": der.fd_estimate,
-            "fd_step": der.fd_step,
-            "max_pairwise_dev": der.max_pairwise_dev,
-        }
-        for der in ders
-    ]
     values = checks.homotopy_values(
         path,
         ders,
@@ -555,6 +541,7 @@ def _check_homotopy(config, spaces):
         "endpoint_dev": values["endpoint_dev"],
         "bounds_ok": values["bound"],
     }
+    rows = _csv_rows("homotopy.csv", config.scenario_id, ders)
     return not checks.failures(values), metrics, rows
 
 
@@ -567,23 +554,13 @@ def _check_tcz(config, spaces):
         config.measure,
         interior_radius=config.interior_radius,
     )
-    rows = [
-        {
-            "scenario_id": config.scenario_id,
-            "k": rep.k,
-            "degree": rep.degree,
-            "n_eval_points": len(rep.eval_indices),
-            "max_abs_dev": rep.max_abs_dev_from_1,
-            "mean_abs_dev": rep.mean_abs_dev,
-        }
-        for rep in reports
-    ]
     values = checks.tcz_values(reports)
     metrics = dict(
         values,
         n_skipped=reports[0].n_skipped,
         degrees_requested=[rep.degree_requested for rep in reports],
     )
+    rows = _csv_rows("tcz.csv", config.scenario_id, reports)
     return not checks.failures(values), metrics, rows
 
 
@@ -631,6 +608,16 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
             )
         )
     return RunReport(scenario_id=config.scenario_id, results=results)
+
+
+def _csv_rows(filename, scenario_id, reports):
+    """The rows of a CSV file for reports, one per report, keyed by column."""
+    fields = CSV_FILES[filename][1]
+    return [
+        {"scenario_id": scenario_id}
+        | {column: getattr(report, name) for column, name in fields.items()}
+        for report in reports
+    ]
 
 
 def _csv_cell(value):
@@ -699,19 +686,14 @@ def report_document(reports, extra=None) -> dict:
 def emit_report(reports, out_dir, extra=None) -> list:
     """Write result artifacts; returns the list of file paths written.
 
-    One CSV file per check suite that has rows and a column contract, plus
-    summary.json.  A contract CSV that this run writes no rows for is
-    removed from out_dir, so every file there belongs to this run.
+    Each file of CSV_FILES that the checks of this run give rows, plus
+    summary.json.  A file of CSV_FILES that they give no rows is removed
+    from out_dir, so every file there belongs to this run.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
     doc = report_document(reports, extra)
-    suites = {
-        "comparison.csv": (COMPARISON_COLUMNS, ("comparison", "sweep")),
-        "homotopy.csv": (HOMOTOPY_COLUMNS, ("homotopy",)),
-        "tcz.csv": (TCZ_COLUMNS, ("tcz",)),
-    }
-    for filename, (columns, sources) in suites.items():
+    for filename, (sources, _) in CSV_FILES.items():
         rows = []
         for report in reports:
             for result in report.results:
@@ -719,7 +701,7 @@ def emit_report(reports, out_dir, extra=None) -> list:
                     rows.extend(result.rows)
         path = os.path.join(out_dir, filename)
         if rows:
-            written.append(_write_csv(path, columns, rows))
+            written.append(_write_csv(path, _csv_columns(filename), rows))
         elif os.path.exists(path):
             os.remove(path)
     path = os.path.join(out_dir, "summary.json")

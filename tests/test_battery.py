@@ -267,7 +267,9 @@ def test_check_instance_agrees_with_its_scenario_rerun():
         values = check_instance(inst).values
 
         def rerun(*names):
-            config = parse_scenario(inst.scenario_dict(checks=names))
+            record = inst.scenario_dict()
+            record["checks"] = list(names)
+            config = parse_scenario(record)
             return run_scenario(config).results[0]
 
         structural = rerun("structural").metrics

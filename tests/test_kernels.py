@@ -35,6 +35,7 @@ from bergmanlab import (
     tabulated_weight,
 )
 from bergmanlab import checks, kernels
+from bergmanlab.spans import evaluate_basis
 from oracles import (
     brute_force_kernel,
     disk_moment_exact,
@@ -331,6 +332,16 @@ def test_rank_zero_space():
     assert reproducing_residual(space) == 0.0
 
 
+def test_rank_zero_space_on_the_ring_path():
+    """e^{-800} is 0 in double, so the ring-path Gram vanishes."""
+    measure = build_disk_measure(2.0, 160, 256)
+    space = build_space(monomial_span(measure, 7), measure, constant_weight(800.0))
+    assert kernels._ring_path(space.span, measure)
+    assert space.rank == 0
+    assert reproducing_residual(space) == 0.0
+    assert np.all(space.diagonal == 0.0)
+
+
 def test_disk_gram_diagonal_matches_moments():
     """Unweighted monomials on the disk have the closed-form diagonal Gram."""
     measure = build_disk_measure(1.3, 16, 32)
@@ -589,6 +600,20 @@ def test_kernel_eval_at_agrees_on_nodes():
     on_nodes = node_kernel(space)
     off = kernel_eval_at(space, measure.points, measure.points)
     assert np.allclose(on_nodes, off, rtol=1e-10, atol=1e-12)
+
+
+def test_kernel_eval_at_over_blocks_matches_the_unblocked_product():
+    measure = build_disk_measure(1.0, 8, 16)
+    space = build_space(monomial_span(measure, 5), measure, gauss_weight(1.0))
+    rng = np.random.default_rng(58)
+    n = kernels.BLOCK_ROWS + 52
+    many = rng.uniform(0.0, 0.7, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    few = many[:5] + 0.1
+    for z, w in ((many, few), (few, many)):
+        ez, ew = (evaluate_basis(space.span, p) @ space.ortho_coeffs for p in (z, w))
+        reference = ez @ ew.conj().T
+        got = kernel_eval_at(space, z, w)
+        assert np.max(np.abs(got - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def test_bergman_density_at_matches_nodes():

@@ -18,11 +18,6 @@ def test_discrete_from_complex_points():
     assert m.points[0] == 1.0 + 2.0j
 
 
-def test_discrete_from_pairs():
-    m = build_discrete_measure([[0.0, 1.0], [2.0, -1.0]], [0.5, 0.5])
-    assert np.allclose(m.points, [1.0j, 2.0 - 1.0j])
-
-
 @pytest.mark.parametrize(
     "points,masses",
     [

@@ -126,6 +126,10 @@ def test_parse_full_scenario():
           "params": {"k_list": [10.0, 1e308]}}, "field 'params.k_list[1]'"),
         ({"checks": ["sweep"], "params": {"c_grid": []}},
          "'params.c_grid': must be nonempty"),
+        ({"phi": {"family": "constant", "c": 747.0}},
+         "field 'phi': w e^{-phi} underflows to 0 at every node"),
+        ({"psi": {"family": "tabulated", "values": [746.0, 748.0]}},
+         "field 'psi': w e^{-phi} underflows to 0 at every node"),
     ],
 )
 def test_parse_rejects_bad_fields(mutate, needle):
