@@ -40,7 +40,6 @@ from .homotopy import (
     g_derivative_forms,
     g_of_t,
     l2_difference_bound_check,
-    monotonicity_sweep,
     sup_bound_constant,
     weight_at,
 )
@@ -49,11 +48,9 @@ from .kernels import (
     WeightedSpace,
     assemble_gram,
     bergman_density_at,
-    bergman_density_from_space,
     build_space,
     equilibration_scales,
     kernel_eval_at,
-    orthonormal_basis,
     orthonormal_node_values,
     reproducing_residual,
 )

@@ -53,10 +53,11 @@ from .errors import InvalidConfigurationError
 from .homotopy import (
     BOUND_T,
     ORDER_STEPS,
+    T_GRID,
     build_path,
     central_difference,
     g_derivative_forms,
-    monotonicity_sweep,
+    g_of_t,
     weight_at,
 )
 from .kernels import Spaces, bergman_densities
@@ -248,7 +249,7 @@ def check_instance(inst: BatteryInstance) -> InstanceMetrics:
         checks.homotopy_values(
             path,
             [forms],
-            [g for _, g in monotonicity_sweep(path)],
+            [g_of_t(path, t) for t in T_GRID],
             reports[DEFAULT_C_GRID.index(0.0)],
         )
     )

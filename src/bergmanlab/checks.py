@@ -42,7 +42,7 @@ from .homotopy import (
     difference_quotient_bound_check,
     l2_difference_bound_check,
 )
-from .kernels import bergman_density_from_space, reproducing_residual
+from .kernels import reproducing_residual
 from .quantization import TCZ_DEV_FLOOR, TCZ_MONOTONE_SLACK
 
 ABSOLUTE = "absolute"
@@ -148,8 +148,9 @@ def fd_match_ratio(der) -> float:
 
 
 def structural_values(space) -> dict:
-    """The trace error |integral of B - rank| / max(1, rank) and the residual."""
-    integral = float(np.dot(space.measure.masses, bergman_density_from_space(space)))
+    """The trace error |integral of B - rank| / max(1, rank) and the residual.
+    The integral is masses . B: the sum of P = w B rounds differently."""
+    integral = float(np.dot(space.measure.masses, space.density))
     return {
         "trace_error": abs(integral - space.rank) / max(1, space.rank),
         "reproducing_residual": reproducing_residual(space),

@@ -13,6 +13,10 @@ inequality is strict unless both sides vanish.  ComparisonReport.verdict
 is the one strictness rule.  A rank-0 psi space has K = 0 at every node, so
 its rhs is 0.0 exactly and no rule needs to read a space's rank.
 
+Each integral over a node set S sums the space's Bergman measure
+P_jj = w_j B(z_j) (WeightedSpace.projector_diagonal) over S; the
+maximum-principle verdicts compare the densities B node by node.
+
 Each check takes a kernels.Spaces context for the span and the measure,
 and the weights to compare; it reads their spaces from the context, so a
 space that another check already built is not built again.
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigurationError
-from .kernels import Spaces, bergman_density_from_space
+from .kernels import Spaces
 from .measures import KIND_DISK
 from .spans import KIND_MONOMIALS
 from .weights import WeightFunction
@@ -90,7 +94,9 @@ def sublevel_set(
     phi: WeightFunction, psi: WeightFunction, c: float = 0.0
 ) -> np.ndarray:
     """Strict sublevel region {psi < phi + c} as a node mask; ties fall outside."""
-    return psi.values < phi.values + c
+    # Where phi + c overflows to +-inf, the comparison still gives the right set.
+    with np.errstate(over="ignore"):
+        return psi.values < phi.values + c
 
 
 def shifted_comparison_sweep(
@@ -103,16 +109,14 @@ def shifted_comparison_sweep(
     so the grid takes them from the context once.
     """
     space_phi, space_psi = spaces(phi), spaces(psi)
-    b_phi = bergman_density_from_space(space_phi)
-    b_psi = bergman_density_from_space(space_psi)
-    w = spaces.measure.masses
+    p_phi, p_psi = space_phi.projector_diagonal, space_psi.projector_diagonal
     reports = []
     for c in c_grid:
         s = sublevel_set(space_phi.weight, space_psi.weight, c)
         size = int(np.count_nonzero(s))
         proper = 0 < size < s.size
-        lhs = float(np.sum(w[s] * b_phi[s]))
-        rhs = float(np.sum(w[s] * b_psi[s]))
+        lhs = float(np.sum(p_phi[s]))
+        rhs = float(np.sum(p_psi[s]))
         strict_expected = (
             proper
             and spaces.span.kind == KIND_MONOMIALS
@@ -152,20 +156,22 @@ def sandwich_check(
     integral_S B_phi <= integral_S B_psi0 <= integral_S B_psi.  The first is
     the comparison principle for (phi, psi0) (their sublevel set is also S);
     the second holds pointwise on S because psi0 <= psi everywhere and the
-    two agree on S.  The outer integrals are the c = 0 comparison report;
+    two agree on S.  The outer integrals equal the c = 0 comparison report's;
     when psi0 equals phi or psi, its space is already built.
     """
-    report = shifted_comparison_sweep(spaces, phi, psi, (0.0,))[0]
-    phi, psi = spaces(phi).weight, spaces(psi).weight
-    b_mid = bergman_density_from_space(spaces(reduce_less_singular(phi, psi)))
+    space_phi, space_psi = spaces(phi), spaces(psi)
+    phi, psi = space_phi.weight, space_psi.weight
     s = sublevel_set(phi, psi)
-    mid = float(np.sum(spaces.measure.masses[s] * b_mid[s]))
+    lhs, mid, rhs = (
+        float(np.sum(space.projector_diagonal[s]))
+        for space in (space_phi, spaces(reduce_less_singular(phi, psi)), space_psi)
+    )
     return SandwichReport(
-        lower_ok=bool(report.lhs <= mid + COMPARISON_TOL * (1.0 + abs(mid))),
-        upper_ok=bool(mid <= report.rhs + COMPARISON_TOL * (1.0 + abs(report.rhs))),
-        lhs=report.lhs,
+        lower_ok=bool(lhs <= mid + COMPARISON_TOL * (1.0 + abs(mid))),
+        upper_ok=bool(mid <= rhs + COMPARISON_TOL * (1.0 + abs(rhs))),
+        lhs=lhs,
         mid=mid,
-        rhs=report.rhs,
+        rhs=rhs,
     )
 
 
@@ -184,8 +190,8 @@ def max_principle_check(
     validate_region(omega)
     space_phi, space_psi = spaces(phi), spaces(psi)
     verdict, _ = max_principle_verdicts(
-        bergman_density_from_space(space_phi),
-        bergman_density_from_space(space_psi),
+        space_phi.density,
+        space_psi.density,
         space_phi.weight.values,
         space_psi.weight.values,
         omega,

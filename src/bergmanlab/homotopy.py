@@ -25,8 +25,11 @@ A path carries the kernels.Spaces context of its span and measure, and every
 function here takes the space of phi_t from it: G on the grid, the
 derivative forms, their finite differences and the quotient bounds share
 each space they meet.  phi + 0 u is phi bit for bit, so t = 0 reuses phi's
-space; phi + 1 u need not be psi bit for bit, so t = 1 has its own.  Each
-reads K_t(z, z) from its space (WeightedSpace.diagonal), formed once there.
+space; phi + 1 u need not be psi bit for bit, so t = 1 has its own.  They
+read K_t(z, z) (WeightedSpace.diagonal), and G(t) sums the Bergman measure
+w B_t (WeightedSpace.projector_diagonal): each space forms both once.
+G on T_GRID must be nondecreasing, with G at the endpoints equal to the two
+comparison integrals.
 The G' forms and the L2 bound read the orthonormal node values in blocks
 from kernels.orthonormal_node_values, as every other check does.
 """
@@ -39,7 +42,7 @@ import numpy as np
 
 from .comparison import sublevel_set
 from .errors import InvalidConfigurationError
-from .kernels import Spaces, bergman_density_from_space, orthonormal_node_values
+from .kernels import Spaces, orthonormal_node_values
 from .weights import WeightFunction
 
 # The times at which the homotopy checks evaluate G, from 0 to 1.  The
@@ -107,8 +110,8 @@ def weight_at(path: HomotopyPath, t: float) -> WeightFunction:
 
 def g_of_t(path: HomotopyPath, t: float) -> float:
     """G(t) = integral of 1_{u < 0} times the density of the phi_t-space."""
-    b = bergman_density_from_space(path.spaces(weight_at(path, t)))
-    return float(np.sum(path.profile * path.spaces.measure.masses * b))
+    p = path.spaces(weight_at(path, t)).projector_diagonal
+    return float(np.sum(path.profile * p))
 
 
 def sup_bound_constant(u_sup: float) -> float:
@@ -220,12 +223,3 @@ def g_derivative_forms(path: HomotopyPath, t: float) -> DerivativeReport:
 def central_difference(path: HomotopyPath, t: float, step: float) -> float:
     """The central difference (G(t + step) - G(t - step)) / (2 step) of G at t."""
     return float((g_of_t(path, t + step) - g_of_t(path, t - step)) / (2.0 * step))
-
-
-def monotonicity_sweep(path: HomotopyPath) -> list:
-    """(t, G(t)) on T_GRID with rho = 1_{u < 0}.
-
-    G must be nondecreasing up to its checks.LIMITS step limit, with G at the
-    endpoints equal to the two comparison integrals.
-    """
-    return [(t, g_of_t(path, t)) for t in T_GRID]

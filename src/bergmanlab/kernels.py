@@ -9,10 +9,12 @@ The Gram matrix of the span is orthonormalized through a Hermitian
 eigendecomposition with relative rank truncation; the reproducing kernel on
 node pairs is K = (V C)(V C)* where C maps the span basis to an orthonormal
 one.  The density of states B(z) = K(z, z) e^{-phi(z)} integrates to the
-rank of the space.  The orthonormalization runs on a stack of Grams
-(orthonormal_bases), of which one Gram (orthonormal_basis) is the case of
-one, so many small spaces of one shape take their densities from one
-stacked pass (bergman_densities) with the same arithmetic as one build.
+rank of the space, and P_jj = w_j B(z_j), the diagonal of the projector
+onto the space, is the Bergman measure of node j.  The orthonormalization
+runs on a stack of Grams (orthonormal_bases), of which build_space's one
+Gram is the case of one, so many small spaces of one shape take their
+densities from one stacked pass (bergman_densities) with the same
+arithmetic as one build.
 The checks take the spaces of one span and one measure from a Spaces
 context, which builds each distinct weight's space once.
 
@@ -28,8 +30,10 @@ bit-identical to that product.  Densities at chosen points
 points.
 
 Each space forms its kernel diagonal at the nodes once, on the first read
-of WeightedSpace.diagonal: node densities, the scaling ladder, the trace
-error, the residual and the homotopy checks read that one array.  It and
+of WeightedSpace.diagonal, and from it the density B (WeightedSpace.density)
+and the Bergman measure P = w B (WeightedSpace.projector_diagonal), each on
+its first read: the scaling ladder, the trace error, the residual, the
+comparison integrals and the homotopy checks read those arrays.  It and
 the residual's row norms have one reader, _node_row_norms, which takes the
 Gram's path under the same rule (_ring_path): with M = C C*,
 K(r_i e^{i theta_j}) = N ifft(A_i)[j], where A_i[k] = sum_s r_i^s Q[s, k]
@@ -109,9 +113,23 @@ class WeightedSpace:
     @cached_property
     def diagonal(self) -> np.ndarray:
         """K(z_j, z_j) at the nodes, formed on the first read; read-only."""
-        diag = _node_row_norms(self)
-        diag.flags.writeable = False
-        return diag
+        return _read_only(_node_row_norms(self))
+
+    @cached_property
+    def density(self) -> np.ndarray:
+        """B_j = K(z_j, z_j) e^{-phi_j}, formed on the first read; read-only."""
+        return _read_only(self.diagonal * np.exp(-self.weight.values))
+
+    @cached_property
+    def projector_diagonal(self) -> np.ndarray:
+        """P_jj = w_j B_j, the Bergman measure of each node, formed on the
+        first read; read-only.  It sums to the rank."""
+        return _read_only(self.measure.masses * self.density)
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 def assemble_gram(
@@ -123,7 +141,7 @@ def assemble_gram(
             f"span has {span.n_nodes} nodes, measure has {measure.n}"
         )
     weight = eval_weight(weight, measure)
-    # An overflow leaves a non-finite Gram, which orthonormal_basis rejects.
+    # An overflow leaves a non-finite Gram, which orthonormal_bases rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         d = measure.masses * np.exp(-weight.values)
         if _ring_path(span, measure):
@@ -301,16 +319,6 @@ def orthonormal_bases(grams: np.ndarray, rank_tol: float = RANK_TOL) -> list:
     return bases
 
 
-def orthonormal_basis(gram: np.ndarray, rank_tol: float = RANK_TOL):
-    """Orthonormalize one Gram matrix: orthonormal_bases on a stack of one.
-
-    Returns (C, rank, spread) with C of shape (d, rank), C* G C = I on the
-    retained spectrum, and the retained spread.
-    """
-    ((_, c, spreads),) = orthonormal_bases(gram[None], rank_tol)
-    return c[0], c.shape[-1], float(spreads[0])
-
-
 def build_space(
     span: FunctionSpan,
     measure: QuadratureMeasure,
@@ -320,14 +328,14 @@ def build_space(
     """Assemble the Gram and orthonormalize; the returned space is immutable."""
     weight = eval_weight(weight, measure)
     gram = assemble_gram(span, measure, weight)
-    coeffs, rank, spread = orthonormal_basis(gram, rank_tol)
+    ((_, c, spreads),) = orthonormal_bases(gram[None], rank_tol)
     return WeightedSpace(
         span=span,
         measure=measure,
         weight=weight,
-        ortho_coeffs=coeffs,
-        rank=rank,
-        spread=spread,
+        ortho_coeffs=c[0],
+        rank=c.shape[-1],
+        spread=float(spreads[0]),
     )
 
 
@@ -402,12 +410,6 @@ def _row_norms(e: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...i", e, e.conj()).real
 
 
-def bergman_density_from_space(space: WeightedSpace) -> np.ndarray:
-    """Density of states at the nodes, B = K(z, z) e^{-phi}, from the space's
-    kernel diagonal, without forming the node-pair kernel."""
-    return space.diagonal * np.exp(-space.weight.values)
-
-
 def bergman_densities(
     values: np.ndarray, masses: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
@@ -419,10 +421,9 @@ def bergman_densities(
     in its shape: weights (2, n, m) judge phi and psi from one copy of the
     spans.  The stack takes one Gram product, one orthonormal_bases call
     and one product and row-norm pass per rank, instead of one build per
-    space.  Each row is bit-identical to
-    bergman_density_from_space(build_space(...)) on a dense Gram in one
-    block of rows, as on a discrete measure with at most BLOCK_ROWS nodes:
-    the arithmetic is the same, item by item.
+    space.  Each row is bit-identical to build_space(...).density on a
+    dense Gram in one block of rows, as on a discrete measure with at most
+    BLOCK_ROWS nodes: the arithmetic is the same, item by item.
     """
     n, m, d = values.shape
     with np.errstate(over="ignore", invalid="ignore"):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigurationError, UnsupportedWeightError
-from .kernels import WeightedSpace, bergman_density_from_space, build_space
+from .kernels import WeightedSpace, build_space
 from .measures import KIND_DISK, QuadratureMeasure
 from .spans import monomial_span
 from .weights import WeightFunction, eval_weight, scaled_weight
@@ -153,7 +153,7 @@ def tcz_convergence_report(
     for k in k_list:
         degree = default_degree_rule(k, measure)
         space = build_scaled_space(phi, k, degree, measure)
-        b = bergman_density_from_space(space)[eval_mask]
+        b = space.density[eval_mask]
         ratios = (b / k) / limit[eval_mask]
         devs = np.abs(ratios - 1.0)
         reports.append(

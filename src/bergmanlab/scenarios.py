@@ -114,15 +114,6 @@ CSV_FILES = {
 }
 
 
-def _csv_columns(filename):
-    return ("scenario_id", *CSV_FILES[filename][1])
-
-
-COMPARISON_COLUMNS = _csv_columns("comparison.csv")
-HOMOTOPY_COLUMNS = _csv_columns("homotopy.csv")
-TCZ_COLUMNS = _csv_columns("tcz.csv")
-
-
 @dataclass
 class ScenarioConfig:
     """One parsed scenario: geometry, weights, and the checks to run."""
@@ -693,7 +684,7 @@ def emit_report(reports, out_dir, extra=None) -> list:
     os.makedirs(out_dir, exist_ok=True)
     written = []
     doc = report_document(reports, extra)
-    for filename, (sources, _) in CSV_FILES.items():
+    for filename, (sources, columns) in CSV_FILES.items():
         rows = []
         for report in reports:
             for result in report.results:
@@ -701,7 +692,7 @@ def emit_report(reports, out_dir, extra=None) -> list:
                     rows.extend(result.rows)
         path = os.path.join(out_dir, filename)
         if rows:
-            written.append(_write_csv(path, _csv_columns(filename), rows))
+            written.append(_write_csv(path, ("scenario_id", *columns), rows))
         elif os.path.exists(path):
             os.remove(path)
     path = os.path.join(out_dir, "summary.json")

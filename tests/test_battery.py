@@ -46,7 +46,6 @@ from bergmanlab.homotopy import (
 from bergmanlab.kernels import (
     Spaces,
     bergman_densities,
-    bergman_density_from_space,
     build_space,
 )
 from bergmanlab.errors import (
@@ -462,7 +461,7 @@ def test_search_stacks_equal_the_per_space_path(monkeypatch):
             assert inst.measure.n == group["m"]
             for weight, row in ((inst.phi, row_phi), (inst.psi, row_psi)):
                 space = build_space(inst.span, inst.measure, weight)
-                assert np.array_equal(row, bergman_density_from_space(space))
+                assert np.array_equal(row, space.density)
             assert verdict == _per_space_verdict(inst)
             seen.append(i)
     assert sorted(seen) == list(range(n))
@@ -541,7 +540,7 @@ def _per_space_approach(inst):
     if np.any(~omega & (phi > psi)) or not np.any(omega & (phi > psi)):
         return None
     b_phi, b_psi = (
-        bergman_density_from_space(build_space(inst.span, inst.measure, weight))
+        build_space(inst.span, inst.measure, weight).density
         for weight in (inst.phi, inst.psi)
     )
     return max((b_psi - b_phi)[omega] / b_psi[omega])

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import warnings
 
 import pytest
 
@@ -337,6 +338,33 @@ def test_run_rejects_a_k_whose_scaled_weight_overflows(tmp_path, capsys, recwarn
     err = capsys.readouterr().err
     assert "field 'params.k_list[0]'" in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_shift_that_overflows_phi_plus_c_gives_the_sublevel_set(tmp_path):
+    """phi + c overflows to inf at the second node; {psi < inf} holds there,
+    so the set is both nodes, and the run is green without a warning."""
+    doc = {
+        "id": "shift-overflow",
+        "measure": {
+            "kind": "discrete",
+            "points": [[0.0, 0.0], [1.0, 0.0]],
+            "masses": [1.0, 1.0],
+        },
+        "span": {"kind": "monomials", "degree": 0},
+        "phi": {"family": "tabulated", "values": [0.0, 1e308]},
+        "psi": {"family": "tabulated", "values": [0.0, 0.0]},
+        "checks": ["sweep"],
+        "params": {"c_grid": [1.7e308]},
+    }
+    path = tmp_path / "shift-overflow.json"
+    path.write_text(json.dumps(doc))
+    out = os.fspath(tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", os.fspath(path), "--out", out]) == EXIT_GREEN
+    with open(os.path.join(out, "comparison.csv")) as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["set_size"] == "2"
 
 
 @pytest.mark.parametrize(

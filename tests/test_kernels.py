@@ -13,7 +13,6 @@ from bergmanlab import (
     InvalidMeasureError,
     assemble_gram,
     bergman_density_at,
-    bergman_density_from_space,
     build_discrete_measure,
     build_disk_measure,
     build_space,
@@ -27,7 +26,6 @@ from bergmanlab import (
     kernel_eval_at,
     load_scenario_file,
     monomial_span,
-    orthonormal_basis,
     orthonormal_node_values,
     reproducing_residual,
     scaled_weight,
@@ -90,10 +88,16 @@ def test_gram_node_count_mismatch():
         assemble_gram(span, other, eval_weight(constant_weight(0.0), other))
 
 
+def one_basis(gram):
+    """(C, rank, spread) of one Gram, from orthonormal_bases on a stack of one."""
+    ((_, c, spreads),) = kernels.orthonormal_bases(gram[None])
+    return c[0], c.shape[-1], float(spreads[0])
+
+
 def test_orthonormal_basis_whitens_gram():
     measure, span, phi = random_instance(2)
     g = assemble_gram(span, measure, phi)
-    c, rank, _ = orthonormal_basis(g)
+    c, rank, _ = one_basis(g)
     assert rank == span.dim
     identity = c.conj().T @ g @ c
     assert np.allclose(identity, np.eye(rank), atol=1e-10)
@@ -105,12 +109,12 @@ def test_orthonormal_basis_detects_degenerate_span():
     vals = span.basis_values.copy()
     vals[:, 2] = vals[:, 0]
     g = assemble_gram(tabulated_span(vals), measure, phi)
-    _, rank, _ = orthonormal_basis(g)
+    _, rank, _ = one_basis(g)
     assert rank == 2
 
 
 def test_orthonormal_basis_zero_gram():
-    c, rank, _ = orthonormal_basis(np.zeros((3, 3)))
+    c, rank, _ = one_basis(np.zeros((3, 3)))
     assert rank == 0
     assert c.shape == (3, 0)
 
@@ -118,7 +122,7 @@ def test_orthonormal_basis_zero_gram():
 def test_orthonormal_basis_rejects_indefinite():
     g = np.diag([1.0, -0.5])
     with pytest.raises(InvalidConfigurationError):
-        orthonormal_basis(g)
+        one_basis(g)
 
 
 def test_orthonormal_bases_groups_a_stack_by_rank():
@@ -137,7 +141,7 @@ def test_orthonormal_bases_groups_a_stack_by_rank():
     for items, c, spreads in kernels.orthonormal_bases(grams):
         for item, coeffs, spread in zip(items, c, spreads):
             ranks[int(item)] = coeffs.shape[1]
-            assert np.array_equal(coeffs, orthonormal_basis(grams[item])[0])
+            assert np.array_equal(coeffs, one_basis(grams[item])[0])
             assert spread == build_space(spans[item], measure, phi).spread
     assert ranks == {0: 3, 1: 2, 2: 0}
 
@@ -148,12 +152,12 @@ def test_orthonormal_bases_groups_a_stack_by_rank():
     )
     for s, row in zip(spans, densities):
         space = build_space(s, measure, phi)
-        assert np.array_equal(row, bergman_density_from_space(space))
+        assert np.array_equal(row, space.density)
     assert not densities[2].any()
 
     indefinite = np.array([[1, 2, 0], [2, 1, 0], [0, 0, 1]], dtype=complex)
     with pytest.raises(InvalidConfigurationError) as alone:
-        orthonormal_basis(indefinite)
+        one_basis(indefinite)
     with pytest.raises(InvalidConfigurationError) as stacked:
         kernels.orthonormal_bases(np.stack([grams[0], indefinite, grams[2]]))
     assert str(stacked.value) == str(alone.value)
@@ -240,7 +244,7 @@ def test_kernel_psd_and_hermitian():
 def test_trace_identity_and_reproducing():
     measure, span, phi = random_instance(31)
     space = build_space(span, measure, phi)
-    density = bergman_density_from_space(space)
+    density = space.density
     assert abs(measure.masses @ density - space.rank) <= 1e-9 * space.rank
     assert reproducing_residual(space) <= 1e-9
 
@@ -286,14 +290,14 @@ def test_density_from_space_matches_kernel_diagonal():
     measure, span, phi = random_instance(32)
     space = build_space(span, measure, phi)
     via_kernel = np.real(np.diag(node_kernel(space))) * np.exp(-phi.values)
-    assert np.allclose(bergman_density_from_space(space), via_kernel)
+    assert np.allclose(space.density, via_kernel)
 
 
 def test_density_invariant_under_constant_shift():
     measure, span, phi = random_instance(33)
-    b0 = bergman_density_from_space(build_space(span, measure, phi))
+    b0 = build_space(span, measure, phi).density
     shifted = eval_weight(tabulated_weight(phi.values + 1.7), measure)
-    b1 = bergman_density_from_space(build_space(span, measure, shifted))
+    b1 = build_space(span, measure, shifted).density
     assert np.allclose(b0, b1, rtol=1e-12, atol=1e-15)
 
 
@@ -326,7 +330,7 @@ def test_rank_zero_space():
     space = build_space(span, measure, phi)
     assert space.rank == 0
     assert np.all(node_kernel(space) == 0.0)
-    density = bergman_density_from_space(space)
+    density = space.density
     assert np.all(density == 0.0)
     assert measure.masses @ density == 0.0
     assert reproducing_residual(space) == 0.0
@@ -387,7 +391,7 @@ def test_ring_gram_matches_dense_product(radius, n_radial, n_angular, degree, we
     assert np.array_equal(ring, kernels._ring_gram(measure, factor, span.dim))
     dense = _dense_gram(span, measure, phi)
     assert np.max(np.abs(_equilibrate(ring) - _equilibrate(dense))) <= 1e-13
-    assert orthonormal_basis(ring)[1] == orthonormal_basis(dense)[1]
+    assert one_basis(ring)[1] == one_basis(dense)[1]
 
 
 def test_gram_below_the_ring_floor_is_the_dense_product():
@@ -557,10 +561,10 @@ def test_ring_kernel_diagonal_falls_back_to_the_blocks_when_it_overflows(
     space = build_space(monomial_span(measure, 100), measure, gauss_weight(1.0))
     assert kernels._ring_path(space.span, measure)
     assert kernels._ring_row_norms(measure, space.ortho_coeffs) is None
-    density, residual = bergman_density_from_space(space), reproducing_residual(space)
+    density, residual = space.density, reproducing_residual(space)
     fresh = blocks_only(monkeypatch, space)
     assert np.array_equal(space.diagonal, kernels._node_row_norms(space))
-    assert np.array_equal(density, bergman_density_from_space(fresh))
+    assert np.array_equal(density, fresh.density)
     assert residual == reproducing_residual(fresh)
     assert len(recwarn) == 0
 
@@ -582,7 +586,7 @@ def test_kernel_diagonal_is_formed_once_and_read_only(ring):
     with pytest.raises(ValueError):
         diag[0] = 0.0
     density = diag * np.exp(-space.weight.values)
-    assert np.array_equal(bergman_density_from_space(space), density)
+    assert np.array_equal(space.density, density)
 
 
 def test_monomial_span_values_are_the_vandermonde_matrix():
@@ -620,7 +624,7 @@ def test_bergman_density_at_matches_nodes():
     measure, span, phi = random_instance(36, monomial=True)
     phi = eval_weight(constant_weight(0.25), measure)
     space = build_space(span, measure, phi)
-    at_nodes = bergman_density_from_space(space)
+    at_nodes = space.density
     off = bergman_density_at(space, measure.points)
     assert np.allclose(at_nodes, off, rtol=1e-10, atol=1e-12)
 
@@ -654,7 +658,7 @@ def test_blocked_densities_and_residual_match_the_full_node_values(which):
     # The full product E = V C, in one piece, against which the blocks are read.
     e = space.span.basis_values @ space.ortho_coeffs
     reference = np.einsum("ij,ij->i", e, e.conj()).real * np.exp(-space.weight.values)
-    assert np.array_equal(bergman_density_from_space(space), reference)
+    assert np.array_equal(space.density, reference)
     if space.span.kind == "monomials":
         at_nodes = bergman_density_at(space, space.measure.points)
         assert np.array_equal(at_nodes, reference)
@@ -671,9 +675,7 @@ def test_densities_and_residual_leave_a_large_monomial_span_untabulated():
     space = spaces_on_two_blocks()[0]
     lazy = dataclasses.replace(space, span=monomial_span(space.measure, 2))
     pts = space.measure.points
-    assert np.array_equal(
-        bergman_density_from_space(lazy), bergman_density_from_space(space)
-    )
+    assert np.array_equal(lazy.density, space.density)
     assert np.array_equal(bergman_density_at(lazy, pts), bergman_density_at(space, pts))
     assert reproducing_residual(lazy) == reproducing_residual(space)
     assert "basis_values" not in lazy.span.__dict__
@@ -696,7 +698,7 @@ def test_property_trace_identity(seed, m, d):
     space = build_space(span, measure, phi)
     if space.spread > 1e8:
         return
-    density = bergman_density_from_space(space)
+    density = space.density
     assert (
         abs(measure.masses @ density - space.rank)
         <= 1e-8 * max(1, space.rank)

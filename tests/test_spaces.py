@@ -11,7 +11,6 @@ from bergmanlab import (
     InvalidMeasureError,
     Spaces,
     assemble_gram,
-    bergman_density_from_space,
     build_discrete_measure,
     build_disk_measure,
     build_path,
@@ -21,14 +20,19 @@ from bergmanlab import (
     gauss_weight,
     generate_instance,
     kernels,
+    g_of_t,
     load_scenario_file,
     monomial_span,
     run_battery,
     run_scenario,
+    sandwich_check,
+    shifted_comparison_sweep,
+    sublevel_set,
     tabulated_span,
     tabulated_weight,
 )
-from bergmanlab.homotopy import weight_at
+from bergmanlab.homotopy import T_GRID, weight_at
+from bergmanlab.scenarios import DEFAULT_C_GRID
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 SCENARIOS = sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.json")))
@@ -184,6 +188,79 @@ def test_a_context_space_has_the_densities_of_its_own_build():
     spaces = Spaces(span, measure)
     for weight in (phi, psi, phi):
         assert np.array_equal(
-            bergman_density_from_space(spaces(weight)),
-            bergman_density_from_space(build_space(span, measure, weight)),
+            spaces(weight).density,
+            build_space(span, measure, weight).density,
         )
+
+
+def _k_e_minus_phi(space):
+    """B as K(z, z) e^{-phi}, the formula the comparison sums multiplied out."""
+    return space.diagonal * np.exp(-space.weight.values)
+
+
+def _battery_instances(seed=1, n=4):
+    """The first n instances of run_battery(n, seed), from the same stream."""
+    rng = np.random.default_rng(seed)
+    return [generate_instance(rng, i) for i in range(n)]
+
+
+def test_each_space_forms_its_density_and_bergman_measure_once(monkeypatch):
+    """B = K e^{-phi} and P = w B on every space of the shipped scenarios
+    and of battery instances at seed 1, bit for bit, formed on the first
+    read and kept read-only."""
+    built = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bergmanlab" and module is not None:
+            if getattr(module, "build_space", None) is build_space:
+                monkeypatch.setattr(module, "build_space", _keeping(built))
+    for path in SCENARIOS:
+        assert run_scenario(load_scenario_file(path)).green
+    for inst in _battery_instances():
+        check_instance(inst)
+    assert len(built) > 78
+    for space in built:
+        b = _k_e_minus_phi(space)
+        assert np.array_equal(space.density, b)
+        assert np.array_equal(space.projector_diagonal, space.measure.masses * b)
+        assert space.density is space.density
+        assert space.projector_diagonal is space.projector_diagonal
+        for values in (space.density, space.projector_diagonal):
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+
+
+def _compared_pairs():
+    """(spaces, phi, psi, c_grid) of each shipped scenario with a psi and of
+    battery instances at seed 1."""
+    pairs = []
+    for path in SCENARIOS:
+        config = load_scenario_file(path)
+        if config.psi is not None:
+            spaces = Spaces(config.span, config.measure)
+            pairs.append((spaces, config.phi, config.psi, config.c_grid))
+    for inst in _battery_instances():
+        pairs.append((inst.spaces, inst.phi, inst.psi, DEFAULT_C_GRID))
+    return pairs
+
+
+def test_the_judged_sums_of_the_bergman_measure_are_the_mass_density_sums():
+    """The comparison integrals, G(t) and the sandwich sum P = w B and give
+    the numbers that w and B multiplied at each sum gave, bit for bit."""
+    pairs = _compared_pairs()
+    assert len(pairs) == 7
+    for spaces, phi, psi, c_grid in pairs:
+        masses = spaces.measure.masses
+        space_phi, space_psi = spaces(phi), spaces(psi)
+        b_phi, b_psi = _k_e_minus_phi(space_phi), _k_e_minus_phi(space_psi)
+        reports = shifted_comparison_sweep(spaces, phi, psi, c_grid)
+        for c, report in zip(c_grid, reports):
+            s = sublevel_set(space_phi.weight, space_psi.weight, c)
+            assert report.lhs == float(np.sum(masses[s] * b_phi[s]))
+            assert report.rhs == float(np.sum(masses[s] * b_psi[s]))
+        path = build_path(spaces, phi, psi)
+        for t in T_GRID:
+            b = _k_e_minus_phi(spaces(weight_at(path, t)))
+            assert g_of_t(path, t) == float(np.sum(path.profile * masses * b))
+        (at_zero,) = shifted_comparison_sweep(spaces, phi, psi, (0.0,))
+        sandwich = sandwich_check(spaces, phi, psi)
+        assert (sandwich.lhs, sandwich.rhs) == (at_zero.lhs, at_zero.rhs)
