@@ -12,19 +12,21 @@ A separate randomized search drives the maximum principle contrapositively:
 it manufactures weight pairs whose conclusion fails by construction and
 confirms the premises never hold for them.  Its instances are small and
 many, so it never builds one as objects.  It draws them in rounds of
-SEARCH_ROUND: each draw writes only the generator's output, at exactly its
-length, into one flat buffer, and a small table records where it starts,
-its node count m, span dimension d and weight family.  A round is then
-judged one node count at a time.  The rows with node count m are gathered
-once and one vectorized pass derives their nodes, masses and weights, by
-the same arithmetic as numpy's uniform (the battery draws its nodes
-through the same mapping); they are validated as the constructors would
-validate them, and each row's verdict and how close it came to a
-counterexample come from one call of the function that max_principle_check
-uses.  Only the densities go by shape (m, d): each shape's span values
-(numpy's vander for a monomial span) and its phi and psi spaces form one
-stacked factorization (kernels.bergman_densities).  Only a counterexample
-is built back into objects, for its scenario record.
+SEARCH_ROUND: each draw reads what numpy's public calls would draw off the
+raw PCG64 words (_Words), writes its uniforms, as raw words, and its
+normals into one flat buffer, at exactly their length, and a small table
+records where it starts, its node count m, span dimension d, weight family
+and node mask.  A round is then judged one node count at a time.  The rows
+with node count m are gathered once and one vectorized pass derives their
+nodes, masses and weights, by the same arithmetic as numpy's random and
+uniform (the battery draws its nodes through the same mapping); they are
+validated as the constructors would validate them, and each row's verdict
+and how close it came to a counterexample come from one call of the
+function that max_principle_check uses.  Only the densities go by shape
+(m, d): each shape's span values (numpy's vander for a monomial span) and
+its phi and psi spaces form one stacked factorization
+(kernels.bergman_densities).  Only a counterexample is built back into
+objects, for its scenario record.
 """
 
 from __future__ import annotations
@@ -99,7 +101,9 @@ SEARCH_MAX_DIM = 4
 # (42.6 MB for the stacks): 1024 draws take 0.94 of the stacks' time at
 # 42.8 MB, 2048 draws 0.83 at 43.6 MB and 4096 draws 0.81 at 46.4 MB, where
 # the buffer passes 4 MB and numpy asks for huge pages.  The draws
-# themselves, the generator calls, take about 0.25 s a pass.
+# themselves, read off the raw PCG64 words (_Words), take about 0.15 s a
+# pass, where numpy's per-draw calls took 0.23 s (median of 12 interleaved
+# passes each, same machine).
 SEARCH_ROUND = 2048
 
 # Monomial node-value matrices need strictly more nodes than columns to
@@ -504,40 +508,98 @@ def _weights_from_uniforms(w, omega, family):
     return phi, psi
 
 
-def _draw_search_row(rng, buffer, start: int, omega, entry) -> int:
-    """Draw one search instance from rng; returns where its output ends.
+# The low 32 bits of a PCG64 word.
+_HALF = 0xFFFFFFFF
 
-    The generator calls are those of drawing the instance through the
-    public constructors, in the same order.  Each writes straight into the
-    flat buffer from position start, at exactly its length: 3m + 1 uniforms
-    for the node radii, angles and log-masses and the span coin; 2md
-    standard normals when the span is tabulated; m uniforms for phi; and
-    the 1 to 2m uniforms that the weight family draws for psi.  The node
-    mask goes into omega (a row of at least m flags) and (start, m, d,
-    family) into entry.  Nothing is derived or validated here;
-    _search_group and _judge_group do that for a whole round at once.
+
+class _Words:
+    """The search's draws from a Generator, read off its raw PCG64 words.
+
+    Each method takes from the stream exactly what the numpy call it stands
+    for takes, and gives the same result bit for bit:
+
+    - bounded(n) is rng.integers(0, n): Lemire's method on a 32-bit half u,
+      drawn again while (u·n) mod 2^32 < 2^32 mod n; n == 1 takes nothing.
+      A fresh word gives its low half first and keeps its high half for
+      the next 32-bit draw (kept: PCG64's uinteger where has_uint32 is
+      set), which 64-bit draws leave alone.
+    - subset(m, k) is the set that rng.choice(m, size=k, replace=False)
+      picks, as a bit mask: Floyd's algorithm, then the draws of numpy's
+      shuffle of the picks, whose order the mask drops.
+    - words(n) is random_raw(n); rng.random gives _doubles of those words.
+    - normals is rng.standard_normal itself, as numpy keeps its ziggurat
+      tables private.  It takes whole words and leaves the kept half alone.
     """
-    m = int(rng.integers(2, SEARCH_MAX_NODES + 1))
+
+    def __init__(self, rng):
+        state = rng.bit_generator.state
+        self.words = rng.bit_generator.random_raw
+        self.normals = rng.standard_normal
+        self.kept = state["uinteger"] if state["has_uint32"] else None
+
+    def bounded(self, n: int) -> int:
+        if n == 1:
+            return 0
+        if self.kept is None:
+            word = self.words()
+            product, self.kept = (word & _HALF) * n, word >> 32
+        else:
+            product, self.kept = self.kept * n, None
+        if product & _HALF < (1 << 32) % n:
+            return self.bounded(n)
+        return product >> 32
+
+    def subset(self, m: int, k: int) -> int:
+        bounded = self.bounded
+        mask = 0
+        for j in range(m - k, m):
+            v = bounded(j + 1)
+            mask |= 1 << (j if mask >> v & 1 else v)
+        for i in range(k, 1, -1):
+            bounded(i)
+        return mask
+
+
+def _doubles(words):
+    """The doubles numpy's random makes of raw PCG64 words: the top 53 bits
+    of each, times 2^-53."""
+    return (words >> 11) * 2.0**-53
+
+
+def _draw_search_row(reader: _Words, buffer, start: int):
+    """Draw one search instance; returns its table row (start, m, d, family,
+    node mask) and where its output ends.
+
+    The draws are those of drawing the instance through numpy's public
+    calls, in the same order: m and d; 3m + 1 uniforms for the node radii,
+    angles and log-masses and the span coin; 2md standard normals when the
+    span is tabulated; the size k and the node subset Omega, as
+    rng.choice(m, k, replace=False) picks it; m uniforms for phi; the
+    weight family; and the 1 to 2m uniforms that the family draws for psi.
+    The uniforms go into the flat uint64 buffer from position start as raw
+    words, and the normals as doubles, each at exactly its length.  Nothing
+    is derived or validated here; _search_group and _judge_group do that
+    for a whole round at once.
+    """
+    m = 2 + reader.bounded(SEARCH_MAX_NODES - 1)
     # The span must be a proper subspace of the node functions: with
     # dim = node count the kernel is diagonal, the density no longer
     # depends on the weight, and the principle's strictness mechanism
     # is vacuous.  That degenerate regime has no counterpart in the
     # function-space setting being modeled, so the search excludes it.
-    d = int(rng.integers(1, min(SEARCH_MAX_DIM, m - 1) + 1))
+    d = 1 + reader.bounded(min(SEARCH_MAX_DIM, m - 1))
     end = start + 3 * m + 1
-    rng.random(out=buffer[start:end])
-    if buffer[end - 1] >= MONOMIAL_FRACTION:
-        rng.standard_normal(out=buffer[end : end + 2 * m * d])
+    buffer[start:end] = reader.words(3 * m + 1)
+    if _doubles(int(buffer[end - 1])) >= MONOMIAL_FRACTION:
+        reader.normals(out=buffer[end : end + 2 * m * d].view(float))
         end += 2 * m * d
-    omega[:] = False
-    omega[rng.choice(m, size=int(rng.integers(1, m)), replace=False)] = True
-    rng.random(out=buffer[end : end + m])
+    omega = reader.subset(m, 1 + reader.bounded(m - 1))
+    buffer[end : end + m] = reader.words(m)
     end += m
-    family = int(rng.integers(0, 4))
+    family = reader.bounded(4)
     n_psi = (m, m, 2 * m, 1)[family]
-    rng.random(out=buffer[end : end + n_psi])
-    entry[:] = start, m, d, family
-    return end + n_psi
+    buffer[end : end + n_psi] = reader.words(n_psi)
+    return (start, m, d, family, omega), end + n_psi
 
 
 @dataclass
@@ -547,7 +609,7 @@ class _SearchGroup:
 
     Row k is instance index[k], with nodes and masses points[k] and
     masses[k], a span of dimension dim[k] (monomial or not), weights phi[k]
-    and psi[k] and node mask omega[k].  values maps each span dimension d
+    and psi[k] and node flags omega[k].  values maps each span dimension d
     to the span node values (n_d, m, d) of the rows with dim == d, in row
     order: one stack for each shape (m, d).
     """
@@ -573,28 +635,28 @@ def _windows(buffer, starts, width: int) -> np.ndarray:
     return buffer[starts[:, None] + np.arange(width)]
 
 
-def _search_group(buffer, omega, table, m: int, first: int) -> _SearchGroup:
+def _search_group(buffer, table, m: int, first: int) -> _SearchGroup:
     """Derive the draws of a round with node count m as one _SearchGroup.
 
-    buffer holds the round's output, omega its node masks and table its
-    (start, m, d, family) rows, as _draw_search_row wrote them; the round's
-    first draw is instance first.  The arithmetic is that of numpy's
-    uniform and vander (_uniform, _nodes_from_uniforms, vandermonde), on
+    buffer holds the round's output and table its (start, m, d, family,
+    node mask) rows, as _draw_search_row wrote them; the round's first draw
+    is instance first.  The arithmetic is that of numpy's random, uniform
+    and vander (_doubles, _uniform, _nodes_from_uniforms, vandermonde), on
     the rows of node count m at once.
     """
     rows = np.flatnonzero(table[:, 1] == m)
-    at, dim, family = table[rows, 0], table[rows, 2], table[rows, 3]
-    u = _windows(buffer, at, 3 * m + 1)
+    at, _, dim, family, mask = table[rows].T
+    u = _doubles(_windows(buffer, at, 3 * m + 1))
     points, masses = _nodes_from_uniforms(u[:, :-1])
     monomial = u[:, -1] < MONOMIAL_FRACTION
     normals_at = at + 3 * m + 1
     weights_at = normals_at + np.where(monomial, 0, 2 * m * dim)
-    # A row's window holds 3m numbers, of which its family reads only those
+    # A row's window holds 3m words, of which its family reads only those
     # it drew; the rest, past the row's end, are never used.  The window
     # holds no more than the longest draw of node count m, so it stays
     # inside the buffer.
-    w = _windows(buffer, weights_at, 3 * m)
-    omega = omega[rows, :m]
+    w = _doubles(_windows(buffer, weights_at, 3 * m))
+    omega = (mask[:, None] >> np.arange(m) & 1).astype(bool)
     phi, psi = _weights_from_uniforms(w, omega, family)
     values = {}
     for d in sorted(set(dim.tolist())):
@@ -602,7 +664,7 @@ def _search_group(buffer, omega, table, m: int, first: int) -> _SearchGroup:
         mono = monomial[shape]
         v = values[d] = np.empty((len(mono), m, d), dtype=complex)
         tabulated = normals_at[shape][~mono]
-        normals = _windows(buffer, tabulated, 2 * m * d)
+        normals = _windows(buffer.view(float), tabulated, 2 * m * d)
         v[~mono] = _span_values_from_normals(normals.reshape(-1, 2, m, d))
         # With d <= m - 1 no monomial span needs to shrink.
         v[mono] = vandermonde(points[shape][mono], d)
@@ -631,17 +693,17 @@ def _search_groups(rng, n_instances: int):
     # round touches only the part of the buffer that its draws write.
     m_max = SEARCH_MAX_NODES
     d_max = min(SEARCH_MAX_DIM, m_max - 1)
-    buffer = np.empty(SEARCH_ROUND * (6 * m_max + 1 + 2 * m_max * d_max))
-    omega = np.empty((SEARCH_ROUND, SEARCH_MAX_NODES), dtype=bool)
-    table = np.empty((SEARCH_ROUND, 4), dtype=np.int64)
+    buffer = np.empty(SEARCH_ROUND * (6 * m_max + 1 + 2 * m_max * d_max), np.uint64)
+    reader = _Words(rng)
     for first in range(0, n_instances, SEARCH_ROUND):
-        size = min(SEARCH_ROUND, n_instances - first)
-        end = 0
-        for k in range(size):
-            end = _draw_search_row(rng, buffer, end, omega[k], table[k])
+        rows, end = [], 0
+        for _ in range(min(SEARCH_ROUND, n_instances - first)):
+            row, end = _draw_search_row(reader, buffer, end)
+            rows.append(row)
+        table = np.array(rows, dtype=np.int64)
         # np.unique would import numpy.ma, about 1 MB of peak memory.
-        for m in sorted(set(table[:size, 1].tolist())):
-            yield _search_group(buffer, omega, table[:size], m, first)
+        for m in sorted(set(table[:, 1].tolist())):
+            yield _search_group(buffer, table, m, first)
 
 
 def _judge_group(group: _SearchGroup):

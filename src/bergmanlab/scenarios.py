@@ -69,6 +69,7 @@ from .weights import (
     tabulated_weight,
 )
 
+SCENARIO_FIELDS = ("id", "measure", "span", "phi", "psi", "checks", "params", "omega")
 PARAM_NAMES = ("c_grid", "k_list", "interior_radius")
 
 DEFAULT_C_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -136,6 +137,15 @@ def _fail(scenario_id, field_path, message):
     )
 
 
+def _known_keys(raw, valid, scenario_id, prefix, what):
+    """Fail on the first key of the object raw that valid does not hold,
+    naming it as prefix + key; what says what kind of key it would be."""
+    for key in raw:
+        if key not in valid:
+            message = f"unknown {what}; valid: {', '.join(valid)}"
+            _fail(scenario_id, f"{prefix}{key}", message)
+
+
 def _number(raw, scenario_id, field_path, rule=None, ok=None, integer=False):
     """raw if it is a finite number (an int when integer is set) passing ok."""
     kinds = numbers.Integral if integer else numbers.Real
@@ -176,13 +186,18 @@ def _parse_measure(raw, scenario_id):
     if not isinstance(raw, dict):
         _fail(scenario_id, "measure", "expected an object")
     kind = raw.get("kind")
+    what = f"field of kind {kind!r}"
     try:
         if kind == "discrete":
+            valid = ("kind", "points", "masses")
+            _known_keys(raw, valid, scenario_id, "measure.", what)
             return build_discrete_measure(
                 _complex_pairs(raw["points"], scenario_id, "measure.points"),
                 _numbers(raw["masses"], scenario_id, "measure.masses"),
             )
         if kind == "disk-product":
+            valid = ("kind", "radius", "n_radial", "n_angular")
+            _known_keys(raw, valid, scenario_id, "measure.", what)
             radius = _number(raw["radius"], scenario_id, "measure.radius")
             n_radial, n_angular = (
                 _number(
@@ -209,7 +224,9 @@ def _parse_span(raw, measure, scenario_id):
     if not isinstance(raw, dict):
         _fail(scenario_id, "span", "expected an object")
     kind = raw.get("kind")
+    what = f"field of kind {kind!r}"
     if kind == "monomials":
+        _known_keys(raw, ("kind", "degree"), scenario_id, "span.", what)
         if "degree" not in raw:
             _fail(scenario_id, "span.degree", "required for monomials")
         degree = _number(raw["degree"], scenario_id, "span.degree", integer=True)
@@ -218,6 +235,7 @@ def _parse_span(raw, measure, scenario_id):
         except (InvalidMeasureError, InvalidConfigurationError) as exc:
             _fail(scenario_id, "span.degree", str(exc))
     if kind == "tabulated":
+        _known_keys(raw, ("kind", "values"), scenario_id, "span.", what)
         if "values" not in raw:
             _fail(scenario_id, "span.values", "required for tabulated")
         values = _complex_pairs(raw["values"], scenario_id, "span.values", ndim=2)
@@ -249,6 +267,8 @@ def _parse_weight(raw, measure, scenario_id, field_path):
     if not isinstance(kind, str) or kind not in _WEIGHT_FAMILIES:
         _fail(scenario_id, field_path, f"unknown weight family {kind!r}")
     name, read, build = _WEIGHT_FAMILIES[kind]
+    what = f"field of family {kind!r}"
+    _known_keys(raw, ("family", name), scenario_id, f"{field_path}.", what)
     if name not in raw:
         _fail(scenario_id, f"{field_path}.{name}", "required")
     weight = build(read(raw[name], scenario_id, f"{field_path}.{name}"))
@@ -273,17 +293,21 @@ def parse_scenario(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     scenario_id = raw.get("id")
     if not isinstance(scenario_id, str) or not scenario_id:
         raise InvalidScenarioError(f"{source}: field 'id': nonempty string required")
+    _known_keys(raw, SCENARIO_FIELDS, scenario_id, "", "field")
 
     checks_raw = raw.get("checks")
     if not isinstance(checks_raw, (list, tuple)) or not checks_raw:
         _fail(scenario_id, "checks", "nonempty list required")
-    for name in checks_raw:
+    for i, name in enumerate(checks_raw):
         if name not in CHECK_NAMES:
             _fail(
                 scenario_id,
                 "checks",
                 f"unknown check {name!r}; valid: {', '.join(CHECK_NAMES)}",
             )
+        if name in checks_raw[:i]:
+            message = f"check {name!r} is already checks[{checks_raw.index(name)}]"
+            _fail(scenario_id, f"checks[{i}]", message)
 
     if "measure" not in raw:
         _fail(scenario_id, "measure", "required")
@@ -306,13 +330,7 @@ def parse_scenario(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         _fail(scenario_id, "params", "expected an object")
-    for name in params:
-        if name not in PARAM_NAMES:
-            _fail(
-                scenario_id,
-                f"params.{name}",
-                f"unknown parameter; valid: {', '.join(PARAM_NAMES)}",
-            )
+    _known_keys(params, PARAM_NAMES, scenario_id, "params.", "parameter")
 
     def listed(name, default, *args):
         field_path = f"params.{name}"

@@ -2,16 +2,24 @@
 
 Everything here deliberately avoids the package's own code paths: kernels
 come from scipy pseudo-inverses of the Gram, norms from closed-form special
-functions, and derivatives from small hand-derived formulas.
+functions, and derivatives from small hand-derived formulas.  The search's
+draws come from numpy's public generator calls, one instance at a time, and
+go through the public constructors.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import pinvh, solve
 from scipy.special import gammainc
+
+from bergmanlab import battery
+from bergmanlab.measures import build_discrete_measure
+from bergmanlab.spans import KIND_MONOMIALS, monomial_span, tabulated_span
+from bergmanlab.weights import eval_weight, tabulated_weight
 
 
 def disk_moment_exact(a: int, b: int, radius: float) -> complex:
@@ -159,3 +167,77 @@ def fd_order(f, x: float, exact: float, steps) -> float:
     loge = np.log(np.maximum(errs, 1e-300))
     slope, _ = np.polyfit(logs, loge, 1)
     return float(slope)
+
+
+def reference_search_draws(n, seed):
+    """The maximum-principle search's draws one instance at a time through
+    numpy's public calls and the public constructors, in the order of the
+    seed's stream: the reference that the search's rounds must reproduce."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(n):
+        m = int(rng.integers(2, battery.SEARCH_MAX_NODES + 1))
+        d = int(rng.integers(1, min(battery.SEARCH_MAX_DIM, m - 1) + 1))
+        radii = rng.uniform(*battery.RADIUS_RANGE, m)
+        angles = rng.uniform(0.0, 2.0 * math.pi, m)
+        lo, hi = battery.MASS_RANGE
+        masses = np.exp(rng.uniform(math.log(lo), math.log(hi), m))
+        measure = build_discrete_measure(radii * np.exp(1j * angles), masses)
+        if rng.uniform() < battery.MONOMIAL_FRACTION:
+            span = monomial_span(measure, d - 1)
+        else:
+            vals = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+            span = tabulated_span(vals / math.sqrt(2.0))
+        omega = np.zeros(m, dtype=bool)
+        omega[rng.choice(m, size=int(rng.integers(1, m)), replace=False)] = True
+        phi_vals = rng.uniform(*battery.WEIGHT_RANGE, m)
+        family = int(rng.integers(0, 4))
+        if family == 0:
+            psi_vals = rng.uniform(*battery.WEIGHT_RANGE, m)
+        elif family == 1:
+            psi_vals = phi_vals + np.where(omega, 0.0, rng.uniform(0.0, 2.0, m))
+        elif family == 2:
+            lift = np.where(omega, 0.0, rng.uniform(0.0, 2.0, m))
+            dent = np.where(omega, rng.uniform(0.0, 2.0, m), 0.0)
+            psi_vals = phi_vals + lift - dent
+        else:
+            psi_vals = phi_vals + rng.uniform(-1.0, 1.0)
+        draws.append(
+            SimpleNamespace(
+                measure=measure,
+                span=span,
+                omega=omega,
+                family=family,
+                phi=eval_weight(tabulated_weight(phi_vals), measure),
+                psi=eval_weight(tabulated_weight(psi_vals), measure),
+            )
+        )
+    return draws
+
+
+# The fields of a derived search row (battery._SearchGroup) that its draw fixes.
+SEARCH_ROW_FIELDS = ("points", "masses", "monomial", "dim", "omega", "phi", "psi")
+
+
+def search_group_row(group, k):
+    """Row k of a derived search group, by field, with its span values."""
+    row = {name: getattr(group, name)[k] for name in SEARCH_ROW_FIELDS}
+    return row | {"values": group.span_values(k)}
+
+
+def search_row_mismatches(row, inst):
+    """The fields of a derived search row that differ, bit for bit, from
+    inst, its draw through the public constructors."""
+    expected = {
+        "points": inst.measure.points,
+        "masses": inst.measure.masses,
+        "monomial": inst.span.kind == KIND_MONOMIALS,
+        "dim": inst.span.dim,
+        "omega": inst.omega,
+        "phi": inst.phi.values,
+        "psi": inst.psi.values,
+        "values": inst.span.basis_values,
+    }
+    return [
+        name for name, value in expected.items() if not np.array_equal(row[name], value)
+    ]

@@ -55,8 +55,9 @@ from bergmanlab.errors import (
 )
 from bergmanlab.measures import build_discrete_measure
 from bergmanlab.scenarios import scenario_record
-from bergmanlab.spans import KIND_MONOMIALS, monomial_span, tabulated_span
-from bergmanlab.weights import eval_weight, tabulated_weight
+from bergmanlab.spans import monomial_span, tabulated_span
+from bergmanlab.weights import tabulated_weight
+from oracles import reference_search_draws, search_group_row, search_row_mismatches
 
 
 def test_generate_instance_respects_bounds(monkeypatch):
@@ -343,12 +344,10 @@ def _judged_groups(monkeypatch):
         return out
 
     def judge(group):
-        n = len(group.index)
-        rows = {
-            name: getattr(group, name).copy()
-            for name in "points masses monomial dim phi psi omega".split()
-        }
-        rows["values"] = [group.span_values(k).copy() for k in range(n)]
+        rows = [
+            {name: np.copy(value) for name, value in search_group_row(group, k).items()}
+            for k in range(len(group.index))
+        ]
         judged.append(
             {
                 "m": group.points.shape[1],
@@ -388,54 +387,8 @@ def test_max_principle_search_spans_are_proper(monkeypatch):
     assert sum(len(group["index"]) for group in judged) == 200
     for group in judged:
         assert 2 <= group["m"] <= 4
-        assert all(1 <= d <= group["m"] - 1 for d in group["rows"]["dim"])
-    _assert_judged_rows_follow_the_stream(judged, _reference_search_draws(200, 3))
-
-
-def _reference_search_draws(n, seed):
-    """The search's draws one instance at a time through the public
-    constructors, in the order of the seed's stream: the reference that the
-    stack writer must reproduce."""
-    rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(n):
-        m = int(rng.integers(2, battery.SEARCH_MAX_NODES + 1))
-        d = int(rng.integers(1, min(battery.SEARCH_MAX_DIM, m - 1) + 1))
-        radii = rng.uniform(*battery.RADIUS_RANGE, m)
-        angles = rng.uniform(0.0, 2.0 * math.pi, m)
-        lo, hi = battery.MASS_RANGE
-        masses = np.exp(rng.uniform(math.log(lo), math.log(hi), m))
-        measure = build_discrete_measure(radii * np.exp(1j * angles), masses)
-        if rng.uniform() < battery.MONOMIAL_FRACTION:
-            span = monomial_span(measure, d - 1)
-        else:
-            vals = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
-            span = tabulated_span(vals / math.sqrt(2.0))
-        omega = np.zeros(m, dtype=bool)
-        omega[rng.choice(m, size=int(rng.integers(1, m)), replace=False)] = True
-        phi_vals = rng.uniform(*battery.WEIGHT_RANGE, m)
-        family = int(rng.integers(0, 4))
-        if family == 0:
-            psi_vals = rng.uniform(*battery.WEIGHT_RANGE, m)
-        elif family == 1:
-            psi_vals = phi_vals + np.where(omega, 0.0, rng.uniform(0.0, 2.0, m))
-        elif family == 2:
-            lift = np.where(omega, 0.0, rng.uniform(0.0, 2.0, m))
-            dent = np.where(omega, rng.uniform(0.0, 2.0, m), 0.0)
-            psi_vals = phi_vals + lift - dent
-        else:
-            psi_vals = phi_vals + rng.uniform(-1.0, 1.0)
-        draws.append(
-            SimpleNamespace(
-                measure=measure,
-                span=span,
-                omega=omega,
-                family=family,
-                phi=eval_weight(tabulated_weight(phi_vals), measure),
-                psi=eval_weight(tabulated_weight(psi_vals), measure),
-            )
-        )
-    return draws
+        assert all(1 <= row["dim"] <= group["m"] - 1 for row in group["rows"])
+    _assert_judged_rows_follow_the_stream(judged, reference_search_draws(200, 3))
 
 
 def _per_space_verdict(inst):
@@ -450,7 +403,7 @@ def test_search_stacks_equal_the_per_space_path(monkeypatch):
     n = SEARCH_ROUND + 500
     judged = _judged_groups(monkeypatch)
     max_principle_search(n, 0)
-    draws = _reference_search_draws(n, 0)
+    draws = reference_search_draws(n, 0)
     seen = []
     for group in judged:
         b_phi, b_psi = group["densities"]
@@ -473,22 +426,10 @@ def _assert_judged_rows_follow_the_stream(judged, draws):
     covered = set()
     seen = []
     for group in judged:
-        rows = group["rows"]
-        for k, i in enumerate(group["index"]):
+        for row, i in zip(group["rows"], group["index"]):
             inst = draws[i]
-            monomial = inst.span.kind == KIND_MONOMIALS
-            assert rows["monomial"][k] == monomial
-            assert rows["dim"][k] == inst.span.dim
-            for name, expected in (
-                ("points", inst.measure.points),
-                ("masses", inst.measure.masses),
-                ("values", inst.span.basis_values),
-                ("omega", inst.omega),
-                ("phi", inst.phi.values),
-                ("psi", inst.psi.values),
-            ):
-                assert np.array_equal(rows[name][k], expected), (i, name)
-            covered.add((int(inst.family), monomial))
+            assert search_row_mismatches(row, inst) == [], i
+            covered.add((int(inst.family), bool(row["monomial"])))
             seen.append(int(i))
     assert sorted(seen) == list(range(len(draws)))
     return covered
@@ -505,9 +446,83 @@ def test_search_rows_follow_the_stream(monkeypatch):
     for seed in range(5):
         judged.clear()
         max_principle_search(n, seed)
-        draws = _reference_search_draws(n, seed)
+        draws = reference_search_draws(n, seed)
         covered |= _assert_judged_rows_follow_the_stream(judged, draws)
     assert covered == {(f, mono) for f in range(4) for mono in (False, True)}
+
+
+def _assert_same_stream(numpy_rng, reader_rng, reader):
+    """numpy's generator and the reader's stand at the same place: the same
+    PCG64 state, and the same 32-bit half kept for the next 32-bit draw."""
+    state = numpy_rng.bit_generator.state
+    assert reader_rng.bit_generator.state["state"] == state["state"]
+    assert reader.kept == (state["uinteger"] if state["has_uint32"] else None)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_word_reader_follows_numpy_calls(seed):
+    """Long interleaved sequences give the same values through the word
+    reader and through numpy's own calls, and leave the stream at the same
+    place: the same PCG64 state and the same kept half.  The sequences hold
+    bounded draws at every bound the search uses, the subset of every
+    choice(m, k) with 2 <= m <= SEARCH_MAX_NODES and 1 <= k <= m (k = m
+    draws Floyd's j = 0, which takes nothing), and uniforms and normals of a
+    few lengths in between.  At odd seeds a half is kept before the reader
+    starts."""
+    m_max = battery.SEARCH_MAX_NODES
+    ops = [("bounded", n) for n in range(1, m_max + 1)]
+    ops += [("subset", m, k) for m in range(2, m_max + 1) for k in range(1, m + 1)]
+    ops += [("words", n) for n in (1, 2, 3 * m_max + 1)]
+    ops += [("normals", n) for n in (1, 2 * m_max)]
+    numpy_rng, reader_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if seed % 2:
+        assert numpy_rng.integers(0, 7) == reader_rng.integers(0, 7)
+    reader = battery._Words(reader_rng)
+    _assert_same_stream(numpy_rng, reader_rng, reader)
+    order = np.random.default_rng(100 + seed)
+    for _ in range(20):
+        for i in order.permutation(len(ops)):
+            kind, *args = ops[i]
+            if kind == "bounded":
+                (n,) = args
+                assert reader.bounded(n) == numpy_rng.integers(0, n)
+            elif kind == "subset":
+                m, k = args
+                picked = np.zeros(m, dtype=bool)
+                picked[numpy_rng.choice(m, size=k, replace=False)] = True
+                flags = reader.subset(m, k) >> np.arange(m) & 1 == 1
+                assert np.array_equal(flags, picked), (m, k)
+            elif kind == "words":
+                doubles = battery._doubles(reader.words(*args))
+                assert np.array_equal(doubles, numpy_rng.random(*args))
+            else:
+                normals = reader.normals(*args)
+                assert np.array_equal(normals, numpy_rng.standard_normal(*args))
+    _assert_same_stream(numpy_rng, reader_rng, reader)
+
+
+def test_word_reader_draws_a_rejected_half_again():
+    """For the bound 11, 2^32 mod 11 = 4, so a half u whose leftover
+    (11 u) mod 2^32 is below 4 is drawn again.  780903145 leaves 3 and is
+    rejected; 3904515724 leaves 4 and gives 10 (11 u = 10 * 2^32 + 4).  A
+    rejected low half takes the same word's high half; a rejected kept half
+    takes the next word's low half."""
+    rejected, accepted = 780903145, 3904515724
+    words = iter([accepted << 32 | rejected, 5 << 32 | accepted, 7 << 32 | accepted])
+    generator = SimpleNamespace(
+        state={"has_uint32": 0, "uinteger": 0}, random_raw=lambda: next(words)
+    )
+    rng = SimpleNamespace(bit_generator=generator, standard_normal=None)
+    reader = battery._Words(rng)
+    assert reader.bounded(11) == 10
+    assert reader.kept is None
+    assert reader.bounded(11) == 10
+    assert reader.kept == 5
+    assert reader.bounded(11) == 0
+    reader.kept = rejected
+    assert reader.bounded(11) == 10
+    assert reader.kept == 7
+    assert next(words, None) is None
 
 
 @pytest.mark.parametrize("max_nodes", [2, 3])
@@ -520,9 +535,11 @@ def test_search_round_of_few_shapes(monkeypatch, max_nodes):
     n = SEARCH_ROUND + 1
     judged = _judged_groups(monkeypatch)
     report = max_principle_search(n, 2)
-    draws = _reference_search_draws(n, 2)
+    draws = reference_search_draws(n, 2)
     _assert_judged_rows_follow_the_stream(judged, draws)
-    shapes = {(group["m"], d) for group in judged for d in group["rows"]["dim"]}
+    shapes = {
+        (group["m"], int(row["dim"])) for group in judged for row in group["rows"]
+    }
     assert shapes == ({(2, 1)} if max_nodes == 2 else {(2, 1), (3, 1), (3, 2)})
     if max_nodes == 2:
         assert [len(group["stacks"]) for group in judged] == [1, 1]
@@ -550,7 +567,7 @@ def test_search_closest_approach_equals_the_per_instance_one():
     report = max_principle_search(1000, 0)
     approaches = [
         (a, i)
-        for i, inst in enumerate(_reference_search_draws(1000, 0))
+        for i, inst in enumerate(reference_search_draws(1000, 0))
         if (a := _per_space_approach(inst)) is not None
     ]
     assert report.candidates == len(approaches) > 0
@@ -591,7 +608,7 @@ def test_search_closest_approach_is_pinned(seed):
 @functools.lru_cache(maxsize=None)
 def _reference_verdicts(n, seed):
     """max_principle_check's verdicts on the seed's first n draws."""
-    return tuple(_per_space_verdict(inst) for inst in _reference_search_draws(n, seed))
+    return tuple(_per_space_verdict(inst) for inst in reference_search_draws(n, seed))
 
 
 @pytest.mark.parametrize("edge", ["1", "round-1", "round", "round+1"])
@@ -686,7 +703,7 @@ def test_search_counterexample_records_rerun_as_counterexamples(monkeypatch):
     report = max_principle_search(200, 0)
     assert (report.premises_fail, report.conclusion_holds) == (61, 81)
     expected = []
-    for i, inst in enumerate(_reference_search_draws(200, 0)):
+    for i, inst in enumerate(reference_search_draws(200, 0)):
         if _per_space_verdict(inst) == MAXPRINCIPLE_COUNTEREXAMPLE:
             record = scenario_record(
                 f"battery-instance-{i}",

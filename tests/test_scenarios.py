@@ -125,6 +125,24 @@ def test_parse_full_scenario():
          "field 'phi': w e^{-phi} underflows to 0 at every node"),
         ({"psi": {"family": "tabulated", "values": [746.0, 748.0]}},
          "field 'psi': w e^{-phi} underflows to 0 at every node"),
+        ({"checks": ["comparison", "comparison", "sweep"]},
+         "field 'checks[1]': check 'comparison' is already checks[0]"),
+        ({"chekcs": ["sweep"]}, "field 'chekcs': unknown field; valid: id, measure,"),
+        ({"interior_radius": 0.5}, "field 'interior_radius': unknown field"),
+        ({"measure": {"kind": "discrete", "points": [[0, 0], [1, 0]],
+          "masses": [1, 1], "radius": 1.0}},
+         "field 'measure.radius': unknown field of kind 'discrete'; "
+         "valid: kind, points, masses"),
+        ({"measure": dict(DISK_24X48, masses=[1.0])},
+         "field 'measure.masses': unknown field of kind 'disk-product'"),
+        ({"span": {"kind": "monomials", "degree": 0, "values": []}},
+         "field 'span.values': unknown field of kind 'monomials'; valid: kind, degree"),
+        ({"span": {"kind": "tabulated", "values": [[[1, 0]], [[1, 0]]], "degree": 0}},
+         "field 'span.degree': unknown field of kind 'tabulated'"),
+        ({"phi": {"family": "gauss", "a": 1.0, "c": 0.0}},
+         "field 'phi.c': unknown field of family 'gauss'; valid: family, a"),
+        ({"psi": {"family": "tabulated", "values": [0.0, 1.0], "value": 2.0}},
+         "field 'psi.value': unknown field of family 'tabulated'"),
     ],
 )
 def test_parse_rejects_bad_fields(mutate, needle):
