@@ -18,7 +18,8 @@ files are byte-identical across reruns of the same configuration with the
 same BLAS thread count.  A different thread count sums in another order:
 tcz.csv's mean_abs_dev, an average of roundoff-level deviations, differs
 between 1 and 2 OpenBLAS threads in the fifth significant digit at k = 20
-and the third at k = 40 on disk-fock-scaling.
+and the third at k = 40 on disk-fock-scaling, so the summary's versions
+block records the BLAS thread variables of the environment.
 """
 
 from __future__ import annotations
@@ -73,6 +74,9 @@ SCENARIO_FIELDS = ("id", "measure", "span", "phi", "psi", "checks", "params", "o
 PARAM_NAMES = ("c_grid", "k_list", "interior_radius")
 
 DEFAULT_C_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
+
+# The environment variables that set the BLAS thread count; null when unset.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Each CSV file: the checks whose rows it takes, then each column after
 # scenario_id, in file order, with the report field that fills it.
@@ -668,6 +672,7 @@ def report_document(reports, extra=None) -> dict:
         "versions": {
             "bergmanlab": __version__,
             "numpy": np.__version__,
+            **{name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
         },
         "tolerances": {lim.key: lim.constant for lim in checks.LIMITS},
         "scenarios": [

@@ -583,6 +583,28 @@ def test_search_closest_approach_at_seed_0():
     assert report.closest_approach == 0.0003160444852271064
 
 
+def test_a_search_of_10_000_judges_55_groups_and_190_density_stacks(monkeypatch):
+    """One group per node count of each round, one stack per shape (m, d)
+    of a group: README's figures for a pass of 10 000 draws at seed 0."""
+    judged = {"groups": 0, "stacks": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            judged[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(
+        battery, "_judge_group", counting("groups", battery._judge_group)
+    )
+    monkeypatch.setattr(
+        battery, "bergman_densities", counting("stacks", battery.bergman_densities)
+    )
+    max_principle_search(10_000, 0)
+    assert judged == {"groups": 55, "stacks": 190}
+
+
 # Candidates, closest instance and closest approach of 10 000 draws.
 PINNED_SEARCHES = {
     1: (2995, 3490, 6.245742576487331e-05),

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from bergmanlab import (
+    __version__,
     InvalidScenarioError,
     emit_report,
     load_scenario_file,
@@ -427,12 +428,20 @@ def test_tcz_rows_create_tcz_csv(tmp_path):
     assert len(rows) == 3
 
 
-def test_report_document_contents():
+def test_report_document_contents(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
     report = run_scenario(parse_scenario(two_node_dict()))
     doc = report_document([report], extra={"note": 1})
     assert doc["green"] is True
-    assert "bergmanlab" in doc["versions"]
-    assert "numpy" in doc["versions"]
+    assert doc["versions"] == {
+        "bergmanlab": __version__,
+        "numpy": np.__version__,
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": None,
+        "MKL_NUM_THREADS": "2",
+    }
     assert "comparison" in doc["tolerances"]
     assert doc["note"] == 1
     scenario = doc["scenarios"][0]
