@@ -4,7 +4,7 @@ and peak-memory bounds.
 
 Run from the repository root:
 
-    PYTHONPATH=src python -m pytest gates -q -W error
+    PYTHONPATH=src python -m pytest gates -q
 
 They stay outside tier-1's testpaths because they take about 90 s on two
 cores.  A gate that reads peak memory, or whose bytes hold only at one BLAS

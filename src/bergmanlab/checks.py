@@ -86,6 +86,7 @@ class Limit:
 LIMITS = (
     # key, metric, battery failure label, battery summary title, constant
     Limit("trace", "trace_error", "trace", "trace identity", 1e-9),
+    # ||E* D E - I||_2: relative, unchanged by mass scaling and weight shifts.
     Limit("reproducing", "reproducing_residual", "reproducing",
           "reproducing residual", 1e-9),
     Limit("comparison", "comparison_deficit", "comparison", "comparison deficit",

@@ -32,10 +32,10 @@ points.
 Each space forms its kernel diagonal at the nodes once, on the first read
 of WeightedSpace.diagonal, and from it the density B (WeightedSpace.density)
 and the Bergman measure P = w B (WeightedSpace.projector_diagonal), each on
-its first read: the scaling ladder, the trace error, the residual, the
-comparison integrals and the homotopy checks read those arrays.  It and
-the residual's row norms have one reader, _node_row_norms, which takes the
-Gram's path under the same rule (_ring_path): with M = C C*,
+its first read: the scaling ladder, the trace error, the comparison
+integrals and the homotopy checks read those arrays.  Its one reader,
+_node_row_norms, takes the Gram's path under the same rule (_ring_path):
+with M = C C*,
 K(r_i e^{i theta_j}) = N ifft(A_i)[j], where A_i[k] = sum_s r_i^s Q[s, k]
 and Q[s, k mod N] sums M[n, m] over n + m = s and n - m = k, in
 O(d^2 rank + rings d^2 + rings N log N) work instead of O(m d rank).  Q is
@@ -393,16 +393,15 @@ def orthonormal_node_values(space: WeightedSpace, points=None):
     return ((rows, evaluate_basis(span, pts[rows]) @ c) for rows in blocks)
 
 
-def _node_row_norms(space: WeightedSpace, a=None) -> np.ndarray:
-    """Squared row norms of E a at the nodes, or of E when a is None: on the
-    ring path from V C a where that keeps its digits, else from E's blocks."""
+def _node_row_norms(space: WeightedSpace) -> np.ndarray:
+    """Squared row norms of E at the nodes: on the ring path from V C where
+    that keeps its digits, else from E's blocks."""
     if _ring_path(space.span, space.measure):
-        c = space.ortho_coeffs if a is None else space.ortho_coeffs @ a
-        norms = _ring_row_norms(space.measure, c)
+        norms = _ring_row_norms(space.measure, space.ortho_coeffs)
         if norms is not None:
             return norms
     blocks = orthonormal_node_values(space)
-    return np.concatenate([_row_norms(e if a is None else e @ a) for _, e in blocks])
+    return np.concatenate([_row_norms(e) for _, e in blocks])
 
 
 def _row_norms(e: np.ndarray) -> np.ndarray:
@@ -445,19 +444,16 @@ def bergman_density_at(space: WeightedSpace, z) -> np.ndarray:
 
 
 def reproducing_residual(space: WeightedSpace) -> float:
-    """Upper bound on the largest entry of |K D K - K|, D = diag(w e^{-phi}).
+    """||A||_2, the largest singular value of A = E* D E - I, D = diag(w e^{-phi}).
 
-    With E the orthonormal node values and A = E* D E - I, K D K - K = E A E*,
-    so entry (i, j) is at most ||(E A)_i|| ||E_j||.  The bound, max_i of the
-    first factor times max_j of the second, is zero in exact arithmetic and
-    costs O(m r^2), so it is computed at every node count: A is summed over
-    the row blocks of E.  The first factor's squares are the row norms of
-    E A, from a second pass over the blocks or, on the ring path, from one
-    FFT per ring, the row norms of V (C A), where that keeps its digits; the
-    second factor's are the space's kernel diagonal.
+    E holds the orthonormal node values, so K D K - K = E A E*, and entry
+    (i, j) is at most ||E_i|| ||A||_2 ||E_j||: max |K D K - K| is at most
+    ||A||_2 max_j K_jj.  ||A||_2 is zero in exact arithmetic and carries no
+    units: scaling the masses or shifting the weight by a constant rescales
+    C and leaves A alone.  A is summed over the row blocks of E in one pass,
+    at O(m r^2) cost, so it is computed at every node count.
     """
     d = space.measure_factor
     blocks = orthonormal_node_values(space)
     a = sum(e.conj().T @ (d[rows, None] * e) for rows, e in blocks) - np.eye(space.rank)
-    row_sq = _node_row_norms(space, a)
-    return float(np.sqrt(row_sq.max()) * np.sqrt(space.diagonal.max()))
+    return float(np.linalg.norm(a, 2))

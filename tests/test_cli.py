@@ -70,6 +70,20 @@ def test_run_shipped_scenarios_green(tmp_path, capsys):
     assert (last["k"], last["degree"]) == ("40.0", "127")
 
 
+def test_run_green_with_both_weights_shifted_by_700(tmp_path, capsys):
+    """Shifting phi and psi by one constant leaves the space and every verdict
+    alone; the reproducing residual, ||E* D E - I||_2, has no units."""
+    with open(os.path.join(SCENARIO_DIR, "two-node-reference.json")) as fh:
+        doc = json.load(fh)
+    doc["phi"]["c"] += 700.0
+    doc["psi"]["values"] = [v + 700.0 for v in doc["psi"]["values"]]
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(doc))
+    out = os.fspath(tmp_path / "out")
+    assert main(["run", os.fspath(path), "--out", out]) == EXIT_GREEN
+    assert "two-node-reference: structural ok" in capsys.readouterr().out
+
+
 def test_run_missing_file(tmp_path, capsys):
     code = main(["run", os.fspath(tmp_path / "absent.json")])
     assert code == EXIT_CONFIG

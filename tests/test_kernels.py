@@ -250,21 +250,21 @@ def test_trace_identity_and_reproducing():
 
 
 def assert_residual_bounds_node_pairs(space):
-    """The coefficient-space bound against the two node-pair forms it bounds.
+    """The bound ||A||_2 max K_jj against the two node-pair forms it bounds.
 
     Every entry of E A E* (A = E* D E - I) is at most the bound, up to the
     rounding of the bound itself.  The oracle's |K D K - K| is the same
     matrix formed another way, so it may exceed the bound by its own
     rounding, at most eps * m * max(1, max K_ii)^2.
     """
-    bound = reproducing_residual(space)
+    kern = node_kernel(space)
+    kmax = np.real(np.diag(kern)).max()
+    bound = reproducing_residual(space) * kmax
     e = node_values(space)
     a = e.conj().T @ (space.measure_factor[:, None] * e) - np.eye(space.rank)
     direct = float(np.max(np.abs(e @ a @ e.conj().T))) if space.rank else 0.0
     assert direct <= bound * (1.0 + 1e-12)
-    kern = node_kernel(space)
     oracle = node_pair_residual(kern, space.measure.masses, space.weight.values)
-    kmax = np.real(np.diag(kern)).max()
     slack = np.finfo(float).eps * space.measure.n * max(1.0, kmax) ** 2
     assert oracle <= bound + slack
 
@@ -284,6 +284,38 @@ def test_reproducing_bound_covers_node_pairs_on_disk_strict_pair():
         space = build_space(config.span, config.measure, weight)
         assert space.rank == 9
         assert_residual_bounds_node_pairs(space)
+
+
+def discrete_copies():
+    """The spaces of phi and psi of three shipped scenarios, labelled, on a
+    discrete measure with the scenario's nodes and a tabulated span, under
+    each scale of the masses and each constant shift of both weights."""
+    for name in ("two-node-reference", "maxprinciple-example", "disk-strict-pair"):
+        config = load_scenario_file(os.path.join(SCENARIO_DIR, f"{name}.json"))
+        span = tabulated_span(config.span.basis_values)
+        for scale, shift in ((1e-12, 0.0), (1e12, 0.0), (1.0, -300.0),
+                             (1.0, 300.0), (1.0, 700.0)):
+            measure = build_discrete_measure(
+                config.measure.points, config.measure.masses * scale
+            )
+            for weight in (config.phi, config.psi):
+                values = eval_weight(weight, config.measure).values + shift
+                space = build_space(span, measure, tabulated_weight(values))
+                yield f"{name} x{scale:g} {shift:+g}", space
+
+
+def test_the_reproducing_verdict_is_the_same_at_every_scale():
+    """||A||_2 carries no units: under mass scales of 1e-12 and 1e12 and
+    weight shifts of -300, +300 and +700, every valid space is green with
+    a residual at roundoff, and coefficients off by 1e-8 read 2e-8 and fail."""
+    for label, space in discrete_copies():
+        values = checks.structural_values(space)
+        assert checks.failures(values) == [], label
+        assert values["reproducing_residual"] <= 1e-13, label
+        off = dataclasses.replace(space, ortho_coeffs=space.ortho_coeffs * (1 + 1e-8))
+        residual = reproducing_residual(off)
+        assert residual == pytest.approx(2e-8, rel=1e-6), label
+        assert "reproducing" in checks.failures(checks.structural_values(off)), label
 
 
 def test_density_from_space_matches_kernel_diagonal():
@@ -470,7 +502,7 @@ def test_ring_kernel_diagonal_matches_the_blocks(
     blocks = kernels._node_row_norms(space)
     assert np.array_equal(fresh.diagonal, blocks)
     assert np.max(np.abs(ring - blocks) / blocks) <= 1e-12
-    assert reproducing_residual(fresh) == pytest.approx(residual, rel=1e-12)
+    assert reproducing_residual(fresh) == residual
 
 
 @pytest.mark.parametrize("b", [0.25, 0.5, 1.0, 2.0, 2.5])
@@ -555,17 +587,16 @@ def test_monomial_span_rule_puts_at_most_one_entry_in_each_ring_cell():
 def test_ring_kernel_diagonal_falls_back_to_the_blocks_when_it_overflows(
     recwarn, monkeypatch
 ):
-    """On a radius-40 disk r^200 overflows; the densities and the residual
-    are then the block values, and no warning is raised."""
+    """On a radius-40 disk r^200 overflows; the densities are then the block
+    values, and no warning is raised."""
     measure = build_disk_measure(40.0, 128, 256)
     space = build_space(monomial_span(measure, 100), measure, gauss_weight(1.0))
     assert kernels._ring_path(space.span, measure)
     assert kernels._ring_row_norms(measure, space.ortho_coeffs) is None
-    density, residual = space.density, reproducing_residual(space)
+    density = space.density
     fresh = blocks_only(monkeypatch, space)
     assert np.array_equal(space.diagonal, kernels._node_row_norms(space))
     assert np.array_equal(density, fresh.density)
-    assert residual == reproducing_residual(fresh)
     assert len(recwarn) == 0
 
 
@@ -662,11 +693,11 @@ def test_blocked_densities_and_residual_match_the_full_node_values(which):
     if space.span.kind == "monomials":
         at_nodes = bergman_density_at(space, space.measure.points)
         assert np.array_equal(at_nodes, reference)
-    bound = reproducing_residual(space)
-    assert bound <= checks.limit("reproducing_residual").constant
+    residual = reproducing_residual(space)
+    assert residual <= checks.limit("reproducing_residual").constant
     kmax = float(np.max(np.einsum("ij,ij->i", e, e.conj()).real))
     slack = np.finfo(float).eps * space.measure.n * max(1.0, kmax) ** 2
-    assert blocked_node_pair_residual(space) <= bound + slack
+    assert blocked_node_pair_residual(space) <= residual * kmax + slack
 
 
 def test_densities_and_residual_leave_a_large_monomial_span_untabulated():
@@ -679,6 +710,23 @@ def test_densities_and_residual_leave_a_large_monomial_span_untabulated():
     assert np.array_equal(bergman_density_at(lazy, pts), bergman_density_at(space, pts))
     assert reproducing_residual(lazy) == reproducing_residual(space)
     assert "basis_values" not in lazy.span.__dict__
+
+
+def test_the_residual_makes_one_pass_over_the_node_values(monkeypatch):
+    """Above BLOCK_ROWS nodes, with the diagonal already formed, the residual
+    reads the blocks of E once."""
+    space = spaces_on_two_blocks()[1]
+    assert space.span.kind != "monomials" and space.measure.n > kernels.BLOCK_ROWS
+    space.diagonal  # formed before the count
+    passes = []
+
+    def counted(*args):
+        passes.append(args)
+        return orthonormal_node_values(*args)
+
+    monkeypatch.setattr(kernels, "orthonormal_node_values", counted)
+    reproducing_residual(space)
+    assert len(passes) == 1
 
 
 @settings(deadline=None, max_examples=40)

@@ -100,9 +100,8 @@ def diagonals(monkeypatch):
     """Every space the package builds, and every kernel diagonal it forms.
 
     A diagonal is the row norms of a space's node values, which
-    kernels._node_row_norms forms ring by ring or from the blocks; the
-    residual's row norms, of E A, are the calls that pass A.  Returns a
-    function that gives, for each space built so far, the number of
+    kernels._node_row_norms forms ring by ring or from the blocks.  Returns
+    a function that gives, for each space built so far, the number of
     diagonals formed for it.
     """
     built, formed = [], []
@@ -112,10 +111,9 @@ def diagonals(monkeypatch):
                 monkeypatch.setattr(module, "build_space", _keeping(built))
     row_norms = kernels._node_row_norms
 
-    def counted(space, a=None):
-        if a is None:
-            formed.append(space)
-        return row_norms(space, a)
+    def counted(space):
+        formed.append(space)
+        return row_norms(space)
 
     monkeypatch.setattr(kernels, "_node_row_norms", counted)
 
@@ -135,7 +133,7 @@ def _keeping(built):
 
 
 def test_a_battery_forms_one_kernel_diagonal_per_build(diagonals):
-    """Densities, the residual and the homotopy read one diagonal a space,
+    """Densities and the homotopy read one diagonal a space,
     and the seed-0 battery makes the 3 795 builds that README states."""
     run_battery(200, 0)
     counts = diagonals()
