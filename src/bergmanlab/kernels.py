@@ -46,11 +46,15 @@ folded sum's error scales with the ring's mean of K, not with K at the
 node, so where a ring's smallest value lies far below its mean (a strongly
 non-radial weight), or where r^(2d-2) overflows, it reads the blocks below.
 
+The reproducing residual takes the ring Gram under the same rule, so there
+it checks C against the Gram the space factored; the trace identity, read
+from the ring fold of the diagonal, still checks the Gram's assembly.
+
 Every read of the orthonormal node values E = V C goes through
 orthonormal_node_values, which yields them BLOCK_ROWS rows at a time: the
-diagonal off the ring path, densities and kernel values at chosen points,
-the reproducing residual and the homotopy checks.  Their memory does not
-grow with the node count, and above BLOCK_ROWS rows a monomial span is
+diagonal and the reproducing residual off the ring path, densities and
+kernel values at chosen points, and the homotopy checks.  Their memory
+does not grow with the node count, and above BLOCK_ROWS rows a monomial span is
 evaluated block by block and never tabulated.
 """
 
@@ -105,10 +109,11 @@ class WeightedSpace:
     rank: int
     spread: float
 
-    @property
+    @cached_property
     def measure_factor(self) -> np.ndarray:
-        """w_j e^{-phi_j}, the discrete measure against which functions pair."""
-        return self.measure.masses * np.exp(-self.weight.values)
+        """w_j e^{-phi_j}, the discrete measure against which functions pair,
+        formed on the first read; read-only."""
+        return _read_only(self.measure.masses * np.exp(-self.weight.values))
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -146,8 +151,7 @@ def assemble_gram(
         d = measure.masses * np.exp(-weight.values)
         if _ring_path(span, measure):
             g = _ring_gram(measure, d, span.dim)
-            # r^(m+n) overflows on a wide disk where z^m and d z^n need not.
-            if np.isfinite(g).all():
+            if g is not None:
                 return g
         return _dense_gram(span.basis_values, d)
 
@@ -180,22 +184,26 @@ def _ring_path(span: FunctionSpan, measure: QuadratureMeasure) -> bool:
     )
 
 
-def _ring_gram(measure: QuadratureMeasure, factor: np.ndarray, dim: int) -> np.ndarray:
+def _ring_gram(measure: QuadratureMeasure, factor: np.ndarray, dim: int):
     """Gram of 1, z, ..., z^(dim-1) on the disk rule from one FFT per ring.
 
     The nodes are r_i e^{2 pi i j / N}, so with F_i = N ifft(factor on ring i)
     the Gram is G[m, n] = sum_i r_i^(m+n) F_i[(n - m) mod N]: one small
     product of the radial powers with the needed angular frequencies.
+    Returns None when an entry is not finite: r^(m+n) overflows on a wide
+    disk where z^m and factor z^n need not.
     """
     n_ang = measure.n_angular
-    f = n_ang * np.fft.ifft(factor.reshape(-1, n_ang), axis=1)
     # Node 0 of each ring lies on the positive axis, so it is r_i exactly.
     r = measure.points[::n_ang].real
-    powers = r[:, None] ** np.arange(2 * dim - 1)
-    moments = powers.T @ f[:, np.arange(1 - dim, dim) % n_ang]
-    m = np.arange(dim)
-    g = moments[m[:, None] + m, m - m[:, None] + dim - 1]
-    return 0.5 * (g + g.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = n_ang * np.fft.ifft(factor.reshape(-1, n_ang), axis=1)
+        powers = r[:, None] ** np.arange(2 * dim - 1)
+        moments = powers.T @ f[:, np.arange(1 - dim, dim) % n_ang]
+        m = np.arange(dim)
+        g = moments[m[:, None] + m, m - m[:, None] + dim - 1]
+        g = 0.5 * (g + g.conj().T)
+    return g if np.isfinite(g).all() else None
 
 
 def _ring_row_norms(measure: QuadratureMeasure, x: np.ndarray):
@@ -450,10 +458,18 @@ def reproducing_residual(space: WeightedSpace) -> float:
     (i, j) is at most ||E_i|| ||A||_2 ||E_j||: max |K D K - K| is at most
     ||A||_2 max_j K_jj.  ||A||_2 is zero in exact arithmetic and carries no
     units: scaling the masses or shifting the weight by a constant rescales
-    C and leaves A alone.  A is summed over the row blocks of E in one pass,
-    at O(m r^2) cost, so it is computed at every node count.
+    C and leaves A alone.  E* D E = C* (V* D V) C, so on the ring path A is
+    C* G C - I with G the ring Gram, at O(rings N log N + rings d^2 + d^3)
+    cost and no span evaluated; elsewhere, and where G is not finite, it is
+    summed over the row blocks of E in one pass, at O(m d r) cost.  Either
+    way it is computed at every node count.
     """
-    d = space.measure_factor
-    blocks = orthonormal_node_values(space)
-    a = sum(e.conj().T @ (d[rows, None] * e) for rows, e in blocks) - np.eye(space.rank)
-    return float(np.linalg.norm(a, 2))
+    d, c = space.measure_factor, space.ortho_coeffs
+    ring = _ring_path(space.span, space.measure)
+    gram = _ring_gram(space.measure, d, space.span.dim) if ring else None
+    if gram is not None:
+        e_de = c.conj().T @ gram @ c
+    else:
+        blocks = orthonormal_node_values(space)
+        e_de = sum(e.conj().T @ (d[rows, None] * e) for rows, e in blocks)
+    return float(np.linalg.norm(e_de - np.eye(space.rank), 2))

@@ -249,6 +249,9 @@ def _parse_span(raw, measure, scenario_id):
                 "span.values",
                 f"{values.shape[0]} rows for a measure with {measure.n} nodes",
             )
+        # Every space of the span would have rank 0 and every check on it pass.
+        if not values.any():
+            _fail(scenario_id, "span.values", "every value is 0")
         return tabulated_span(values)
     _fail(scenario_id, "span.kind", f"unknown kind {kind!r}")
 
@@ -398,6 +401,11 @@ def parse_scenario(raw: dict, source: str = "<dict>") -> ScenarioConfig:
                 "omega",
                 f"must be a nonempty proper subset of the {measure.n} nodes",
             )
+        first = {}
+        for i, node in enumerate(omega):
+            if first.setdefault(node, i) != i:
+                message = f"node {node} is already omega[{first[node]}]"
+                _fail(scenario_id, f"omega[{i}]", message)
     if "maxprinciple" in checks_raw and omega is None:
         _fail(scenario_id, "omega", "required by check 'maxprinciple'")
 

@@ -52,7 +52,8 @@ def monomial_span(measure: QuadratureMeasure, degree: int) -> FunctionSpan:
     """Span of 1, z, ..., z^degree on the measure's nodes.
 
     The Gram pairs z^a with z^b, so a rule with an exactness degree must
-    integrate total degree 2*degree exactly.
+    integrate total degree 2*degree exactly.  On a measure without one the
+    span may have at most as many basis functions as there are nodes.
     """
     if degree < 0:
         raise InvalidMeasureError(f"degree must be >= 0, got {degree}")
@@ -60,6 +61,11 @@ def monomial_span(measure: QuadratureMeasure, degree: int) -> FunctionSpan:
         raise InvalidConfigurationError(
             f"degree {degree} needs exactness {2 * degree}, measure provides "
             f"{measure.exactness_degree}"
+        )
+    if measure.exactness_degree is None and degree + 1 > measure.n:
+        raise InvalidConfigurationError(
+            f"degree {degree} gives {degree + 1} basis functions on "
+            f"{measure.n} nodes"
         )
     return FunctionSpan(kind=KIND_MONOMIALS, points=measure.points, degree=int(degree))
 

@@ -304,6 +304,13 @@ def discrete_copies():
                 yield f"{name} x{scale:g} {shift:+g}", space
 
 
+def assert_coefficients_off_by_1e_8_fail(space, label=None):
+    """C (1 + 1e-8) makes A = ((1 + 1e-8)^2 - 1) I, so ||A||_2 reads 2e-8."""
+    off = dataclasses.replace(space, ortho_coeffs=space.ortho_coeffs * (1 + 1e-8))
+    assert reproducing_residual(off) == pytest.approx(2e-8, rel=1e-6), label
+    assert "reproducing" in checks.failures(checks.structural_values(off)), label
+
+
 def test_the_reproducing_verdict_is_the_same_at_every_scale():
     """||A||_2 carries no units: under mass scales of 1e-12 and 1e12 and
     weight shifts of -300, +300 and +700, every valid space is green with
@@ -312,10 +319,17 @@ def test_the_reproducing_verdict_is_the_same_at_every_scale():
         values = checks.structural_values(space)
         assert checks.failures(values) == [], label
         assert values["reproducing_residual"] <= 1e-13, label
-        off = dataclasses.replace(space, ortho_coeffs=space.ortho_coeffs * (1 + 1e-8))
-        residual = reproducing_residual(off)
-        assert residual == pytest.approx(2e-8, rel=1e-6), label
-        assert "reproducing" in checks.failures(checks.structural_values(off)), label
+        assert_coefficients_off_by_1e_8_fail(space, label)
+
+
+def test_the_ring_residual_fails_coefficients_off_by_1e_8():
+    """On the ring path the residual reads C against the ring Gram, and it
+    rejects disk-fock-scaling's phi coefficients off by 1e-8 as the blocks do."""
+    config = load_scenario_file(os.path.join(SCENARIO_DIR, "disk-fock-scaling.json"))
+    space = build_space(config.span, config.measure, config.phi)
+    assert kernels._ring_path(space.span, space.measure)
+    assert reproducing_residual(space) <= 1e-13
+    assert_coefficients_off_by_1e_8_fail(space)
 
 
 def test_density_from_space_matches_kernel_diagonal():
@@ -442,8 +456,7 @@ def test_ring_gram_falls_back_to_the_dense_product_when_it_overflows():
     span = monomial_span(measure, 100)
     phi = eval_weight(gauss_weight(1.0), measure)
     factor = measure.masses * np.exp(-phi.values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert not np.isfinite(kernels._ring_gram(measure, factor, span.dim)).all()
+    assert kernels._ring_gram(measure, factor, span.dim) is None
     gram = assemble_gram(span, measure, phi)
     assert np.array_equal(gram, _dense_gram(span, measure, phi))
     assert build_space(span, measure, phi).rank == span.dim
@@ -502,7 +515,8 @@ def test_ring_kernel_diagonal_matches_the_blocks(
     blocks = kernels._node_row_norms(space)
     assert np.array_equal(fresh.diagonal, blocks)
     assert np.max(np.abs(ring - blocks) / blocks) <= 1e-12
-    assert reproducing_residual(fresh) == residual
+    # The ring residual reads C* G C, the blocks' one E* D E: both at roundoff.
+    assert max(residual, reproducing_residual(fresh)) <= 1e-13
 
 
 @pytest.mark.parametrize("b", [0.25, 0.5, 1.0, 2.0, 2.5])
@@ -587,16 +601,18 @@ def test_monomial_span_rule_puts_at_most_one_entry_in_each_ring_cell():
 def test_ring_kernel_diagonal_falls_back_to_the_blocks_when_it_overflows(
     recwarn, monkeypatch
 ):
-    """On a radius-40 disk r^200 overflows; the densities are then the block
-    values, and no warning is raised."""
+    """On a radius-40 disk r^200 overflows; the densities and the residual are
+    then the block values, and no warning is raised."""
     measure = build_disk_measure(40.0, 128, 256)
     space = build_space(monomial_span(measure, 100), measure, gauss_weight(1.0))
     assert kernels._ring_path(space.span, measure)
     assert kernels._ring_row_norms(measure, space.ortho_coeffs) is None
     density = space.density
+    residual = reproducing_residual(space)
     fresh = blocks_only(monkeypatch, space)
     assert np.array_equal(space.diagonal, kernels._node_row_norms(space))
     assert np.array_equal(density, fresh.density)
+    assert reproducing_residual(fresh) == residual
     assert len(recwarn) == 0
 
 
