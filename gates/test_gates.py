@@ -30,6 +30,7 @@ from bergmanlab import battery, max_principle_search, run_battery  # noqa: E402
 from bergmanlab.cli import EXIT_RED, main  # noqa: E402
 from bergmanlab.scenarios import CSV_FILES  # noqa: E402
 from oracles import (  # noqa: E402
+    force_one_redraw,
     reference_search_draws,
     search_group_row,
     search_row_mismatches,
@@ -72,22 +73,30 @@ def test_search_tallies_match_the_references(seed):
 
 
 @pytest.mark.parametrize("seed", range(50))
-def test_search_rows_equal_the_one_at_a_time_draws(seed):
+def test_search_rows_equal_the_one_at_a_time_draws(seed, monkeypatch):
     """The search reads its draws off the raw PCG64 words (battery._Words).
     Every row it derives must equal the instance drawn one at a time
-    through numpy's public calls, over a round's edge."""
+    through numpy's public calls, over a round's edge.  Each seed runs
+    twice: as drawn, and with the first round's Omega pass flagged, so that
+    the round is drawn again one instance at a time, as a real pass of
+    10 000 draws is about once in 4e4 passes (battery._round_table)."""
     n = battery.SEARCH_ROUND + 100
     draws = reference_search_draws(n, seed)
-    seen, differ = [], []
-    for group in battery._search_groups(np.random.default_rng(seed), n):
-        for k, i in enumerate(group.index):
-            fields = search_row_mismatches(search_group_row(group, k), draws[i])
-            if fields:
-                differ.append(f"instance {i}: {', '.join(fields)} differ")
-            seen.append(-1 if fields else int(i))
-    assert sorted(seen) == list(range(n)), (
-        f"seed {seed}: rows differ from the {n} draws; " + "; ".join(differ)
-    )
+    for redrawn in (False, True):
+        if redrawn:
+            calls = force_one_redraw(monkeypatch)
+        seen, differ = [], []
+        for group in battery._search_groups(np.random.default_rng(seed), n):
+            for k, i in enumerate(group.index):
+                fields = search_row_mismatches(search_group_row(group, k), draws[i])
+                if fields:
+                    differ.append(f"instance {i}: {', '.join(fields)} differ")
+                seen.append(-1 if fields else int(i))
+        assert sorted(seen) == list(range(n)), (
+            f"seed {seed}{', first round redrawn' if redrawn else ''}: rows "
+            f"differ from the {n} draws; " + "; ".join(differ)
+        )
+    assert calls["redrawn"] == battery.SEARCH_ROUND
 
 
 # A child's peak resident memory, in MB.  It reads VmHWM, the peak of the

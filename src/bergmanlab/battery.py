@@ -15,18 +15,25 @@ many, so it never builds one as objects.  It draws them in rounds of
 SEARCH_ROUND: each draw reads what numpy's public calls would draw off the
 raw PCG64 words (_Words), writes its uniforms, as raw words, and its
 normals into one flat buffer, at exactly their length, and a small table
-records where it starts, its node count m, span dimension d, weight family
-and node mask.  A round is then judged one node count at a time.  The rows
-with node count m are gathered once and one vectorized pass derives their
-nodes, masses and weights, by the same arithmetic as numpy's random and
-uniform (the battery draws its nodes through the same mapping); they are
-validated as the constructors would validate them, and each row's verdict
-and how close it came to a counterexample come from one call of the
-function that max_principle_check uses.  Only the densities go by shape
-(m, d): each shape's span values (numpy's vander for a monomial span) and
-its phi and psi spaces form one stacked factorization
-(kernels.bergman_densities).  Only a counterexample is built back into
-objects, for its scenario record.
+records where it starts, its node count m, span dimension d and weight
+family.  A draw takes m, d, the uniforms, the span coin, the normals and
+the size k of its node subset Omega one by one, but Omega's halves, phi's
+words and the family's half in one call (_draw_round); one vectorized pass
+per node count then derives the rows' Omega masks with numpy's Floyd
+arithmetic (_omega_masks).  A half that Lemire's method would draw again
+(about once in 2e5 rounds) sends the round back to where it began, to be
+drawn one instance at a time (_round_table).  A round is then judged one
+node count at a time.  The rows with node count m are gathered once and
+one vectorized pass derives their nodes, masses and weights, by the same
+arithmetic as numpy's random and uniform (the battery draws its nodes
+through the same mapping); they are validated as the constructors would
+validate them, and each row's verdict and how close it came to a
+counterexample come from one call of the function that max_principle_check
+uses.  Only the densities go by shape (m, d), and only for the rows that
+meet the boundary premise, since no density can save the others: each
+shape's span values (numpy's vander for a monomial span) and its phi and
+psi spaces form one stacked factorization (kernels.bergman_densities).
+Only a counterexample is built back into objects, for its scenario record.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from .comparison import (
     MAXPRINCIPLE_CONCLUSION_HOLDS,
     MAXPRINCIPLE_COUNTEREXAMPLE,
     MAXPRINCIPLE_PREMISES_FAIL,
+    boundary_premise,
     max_principle_verdicts,
     sandwich_check,
     shifted_comparison_sweep,
@@ -101,8 +109,9 @@ SEARCH_MAX_DIM = 4
 # (42.6 MB for the stacks): 1024 draws take 0.94 of the stacks' time at
 # 42.8 MB, 2048 draws 0.83 at 43.6 MB and 4096 draws 0.81 at 46.4 MB, where
 # the buffer passes 4 MB and numpy asks for huge pages.  The draws
-# themselves, read off the raw PCG64 words (_Words), take about 0.15 s a
-# pass, where numpy's per-draw calls took 0.23 s (median of 12 interleaved
+# themselves, read off the raw PCG64 words (_Words) with each group's Omega
+# derived in one pass, take about 0.08 s of CPU a pass, where drawing Omega
+# half by half took 0.11 s (median over 8 alternating processes of 15
 # passes each, same machine).
 SEARCH_ROUND = 2048
 
@@ -190,7 +199,7 @@ def generate_instance(rng, index: int) -> BatteryInstance:
         m = int(rng.integers(2, MAX_NODES + 1))
         d = int(rng.integers(1, MAX_DIM + 1))
         # The nodes, the masses and the span coin, as a search draw writes
-        # them (_draw_search_row).
+        # them (_draw_round).
         u = rng.random(3 * m + 1)
         measure = build_discrete_measure(*_nodes_from_uniforms(u[:-1]))
         if u[-1] < MONOMIAL_FRACTION:
@@ -529,10 +538,19 @@ class _Words:
     """
 
     def __init__(self, rng):
-        state = rng.bit_generator.state
-        self.words = rng.bit_generator.random_raw
+        self.generator = rng.bit_generator
+        state = self.generator.state
+        self.words = self.generator.random_raw
         self.normals = rng.standard_normal
         self.kept = state["uinteger"] if state["has_uint32"] else None
+
+    def save(self):
+        """Where the stream stands: the generator's state and the kept half."""
+        return self.generator.state, self.kept
+
+    def restore(self, saved) -> None:
+        """Stand the stream where save() found it."""
+        self.generator.state, self.kept = saved
 
     def bounded(self, n: int) -> int:
         if n == 1:
@@ -563,40 +581,131 @@ def _doubles(words):
     return (words >> 11) * 2.0**-53
 
 
-def _draw_search_row(reader: _Words, buffer, start: int):
-    """Draw one search instance; returns its table row (start, m, d, family,
-    node mask) and where its output ends.
+def _draw_round(reader: _Words, buffer, count: int, exact: bool = False):
+    """Draw count search instances into buffer; returns their table, one
+    row (start, m, d, family, weights_at, node mask, k, half_at) per draw.
 
-    The draws are those of drawing the instance through numpy's public
+    The draws are those of drawing each instance through numpy's public
     calls, in the same order: m and d; 3m + 1 uniforms for the node radii,
     angles and log-masses and the span coin; 2md standard normals when the
     span is tabulated; the size k and the node subset Omega, as
     rng.choice(m, k, replace=False) picks it; m uniforms for phi; the
     weight family; and the 1 to 2m uniforms that the family draws for psi.
-    The uniforms go into the flat uint64 buffer from position start as raw
-    words, and the normals as doubles, each at exactly its length.  Nothing
-    is derived or validated here; _search_group and _judge_group do that
-    for a whole round at once.
+    The uniforms go into the flat uint64 buffer as raw words, from the
+    draw's start, and the normals as doubles; the uniforms of phi and psi
+    start at weights_at.  Nothing is derived or validated here;
+    _search_group and _judge_group do that for a whole round at once.
+
+    With exact, Omega is _Words.subset's node mask.  Otherwise a draw reads
+    Omega's 2k - 1 halves, phi's m words and the family's half with one
+    call of k + m words, and leaves the mask 0 for _omega_masks.  Where a
+    half was kept when Omega began, that half is Omega's first, and the
+    family's half is the low half of the call's last word, whose high half
+    is kept; where none was, the family's half is the high half of Omega's
+    last word.  A kept half goes into the buffer as the high half of a word
+    of its own, so that Omega's halves lie in stream order from half
+    position half_at (word w holds positions 2w, its low half, and 2w + 1).
+    That is the stream's order only while Lemire's method keeps every half
+    of Omega.  Where it would draw one again, the row and the rows after it
+    are not the stream's, and _omega_masks flags the row.
     """
-    m = 2 + reader.bounded(SEARCH_MAX_NODES - 1)
-    # The span must be a proper subspace of the node functions: with
-    # dim = node count the kernel is diagonal, the density no longer
-    # depends on the weight, and the principle's strictness mechanism
-    # is vacuous.  That degenerate regime has no counterpart in the
-    # function-space setting being modeled, so the search excludes it.
-    d = 1 + reader.bounded(min(SEARCH_MAX_DIM, m - 1))
-    end = start + 3 * m + 1
-    buffer[start:end] = reader.words(3 * m + 1)
-    if _doubles(int(buffer[end - 1])) >= MONOMIAL_FRACTION:
-        reader.normals(out=buffer[end : end + 2 * m * d].view(float))
-        end += 2 * m * d
-    omega = reader.subset(m, 1 + reader.bounded(m - 1))
-    buffer[end : end + m] = reader.words(m)
-    end += m
-    family = reader.bounded(4)
-    n_psi = (m, m, 2 * m, 1)[family]
-    buffer[end : end + n_psi] = reader.words(n_psi)
-    return (start, m, d, family, omega), end + n_psi
+    words, normals, bounded = reader.words, reader.normals, reader.bounded
+    rows, end = [], 0
+    for _ in range(count):
+        start = end
+        m = 2 + bounded(SEARCH_MAX_NODES - 1)
+        # The span must be a proper subspace of the node functions: with
+        # dim = node count the kernel is diagonal, the density no longer
+        # depends on the weight, and the principle's strictness mechanism
+        # is vacuous.  That degenerate regime has no counterpart in the
+        # function-space setting being modeled, so the search excludes it.
+        d = 1 + bounded(min(SEARCH_MAX_DIM, m - 1))
+        end += 3 * m + 1
+        buffer[start:end] = words(3 * m + 1)
+        if _doubles(int(buffer[end - 1])) >= MONOMIAL_FRACTION:
+            normals(out=buffer[end : end + 2 * m * d].view(float))
+            end += 2 * m * d
+        k = 1 + bounded(m - 1)
+        omega = half_at = 0
+        if exact:
+            omega = reader.subset(m, k)
+            buffer[end : end + m] = words(m)
+            weights_at, end = end, end + m
+            family = bounded(4)
+        else:
+            block = words(k + m)
+            if reader.kept is None:
+                buffer[end : end + k + m] = block
+                half_at = 2 * end
+                # bounded(4) of the high half: the top two bits of the word.
+                family = int(block[k - 1]) >> 62
+            else:
+                buffer[end] = reader.kept << 32
+                buffer[end + 1 : end + k + m] = block[:-1]
+                half_at = 2 * end + 1
+                word = int(block[-1])
+                family, reader.kept = (word & _HALF) >> 30, word >> 32
+            weights_at = end + k
+            end = weights_at + m
+        n_psi = (m, m, 2 * m, 1)[family]
+        buffer[end : end + n_psi] = words(n_psi)
+        end += n_psi
+        rows.append((start, m, d, family, weights_at, omega, k, half_at))
+    return np.array(rows, dtype=np.int64)
+
+
+def _omega_masks(buffer, half_at, k, m: int):
+    """The node masks of rows with node count m, from the halves that
+    _draw_round left in buffer, and a flag per row for a half that
+    Lemire's method would draw again.
+
+    Row r's Omega takes the 2k[r] - 1 halves from half position half_at[r]
+    (position p is the low half of word p // 2 when p is even, else its
+    high half): Floyd's algorithm takes the first k, at the bounds m - k + 1
+    to m, then numpy's shuffle of the picks takes k - 1 more, at the bounds
+    k down to 2.  The arithmetic is _Words.subset's, on every row at once.
+    """
+    h = np.arange(2 * m - 3)
+    p = half_at[:, None] + h
+    halves = buffer[p // 2] >> (p % 2 * 32).astype(np.uint64) & _HALF
+    col = k[:, None]
+    # Positions past a row's 2k - 1 halves take bound 1, which rejects none.
+    shuffle = np.where(h < 2 * col - 1, 2 * col - h, 1)
+    bound = np.where(h < col, m - col + h + 1, shuffle)
+    product = halves.astype(np.int64) * bound
+    flagged = (product & _HALF < (1 << 32) % bound).any(axis=1)
+    picks = product >> 32
+    mask = np.zeros(len(k), dtype=np.int64)
+    for t in range(m - 1):
+        j, v = m - k + t, picks[:, t]
+        bit = np.where(mask >> v & 1, j, v)
+        mask |= np.where(t < k, 1 << bit, 0)
+    return mask, flagged
+
+
+def _round_table(reader: _Words, buffer, count: int):
+    """Draw a round of count search instances into buffer; returns its
+    table, one row (start, m, d, family, weights_at, node mask) per draw.
+
+    The round is drawn by _draw_round, and its node masks derived by
+    _omega_masks one node count at a time.  If a half was flagged, the
+    stream goes back to where the round began, kept half and all, and the
+    round is drawn again with exact, where _Words.subset draws a rejected
+    half again as numpy does.
+    """
+    saved = reader.save()
+    table = _draw_round(reader, buffer, count)
+    redraw = False
+    for m in sorted(set(table[:, 1].tolist())):
+        rows = table[:, 1] == m
+        table[rows, 5], flagged = _omega_masks(
+            buffer, table[rows, 7], table[rows, 6], m
+        )
+        redraw |= bool(flagged.any())
+    if redraw:
+        reader.restore(saved)
+        table = _draw_round(reader, buffer, count, exact=True)
+    return table[:, :6]
 
 
 @dataclass
@@ -636,18 +745,17 @@ def _search_group(buffer, table, m: int, first: int) -> _SearchGroup:
     """Derive the draws of a round with node count m as one _SearchGroup.
 
     buffer holds the round's output and table its (start, m, d, family,
-    node mask) rows, as _draw_search_row wrote them; the round's first draw
-    is instance first.  The arithmetic is that of numpy's random, uniform
+    weights_at, node mask) rows (_round_table); the round's first draw is
+    instance first.  The arithmetic is that of numpy's random, uniform
     and vander (_doubles, _uniform, _nodes_from_uniforms, vandermonde), on
     the rows of node count m at once.
     """
     rows = np.flatnonzero(table[:, 1] == m)
-    at, _, dim, family, mask = table[rows].T
+    at, _, dim, family, weights_at, mask = table[rows].T
     u = _doubles(_windows(buffer, at, 3 * m + 1))
     points, masses = _nodes_from_uniforms(u[:, :-1])
     monomial = u[:, -1] < MONOMIAL_FRACTION
     normals_at = at + 3 * m + 1
-    weights_at = normals_at + np.where(monomial, 0, 2 * m * dim)
     # A row's window holds 3m words, of which its family reads only those
     # it drew; the rest, past the row's end, are never used.  The window
     # holds no more than the longest draw of node count m, so it stays
@@ -684,20 +792,17 @@ def _search_groups(rng, n_instances: int):
     round, in increasing node count.
 
     A round is SEARCH_ROUND draws (the last may be shorter), all written
-    into one flat buffer by _draw_search_row before any is derived.
+    into one flat buffer by _round_table before any is derived.
     """
-    # A draw writes at most 6m + 1 + 2md numbers, at the largest m and d; a
-    # round touches only the part of the buffer that its draws write.
+    # A draw writes at most 6m + 1 + k + 2md <= 7m + 2md numbers, k of them
+    # Omega's words or the kept half's word, at the largest m and d; a round
+    # touches only the part of the buffer that its draws write.
     m_max = SEARCH_MAX_NODES
     d_max = min(SEARCH_MAX_DIM, m_max - 1)
-    buffer = np.empty(SEARCH_ROUND * (6 * m_max + 1 + 2 * m_max * d_max), np.uint64)
+    buffer = np.empty(SEARCH_ROUND * (7 * m_max + 2 * m_max * d_max), np.uint64)
     reader = _Words(rng)
     for first in range(0, n_instances, SEARCH_ROUND):
-        rows, end = [], 0
-        for _ in range(min(SEARCH_ROUND, n_instances - first)):
-            row, end = _draw_search_row(reader, buffer, end)
-            rows.append(row)
-        table = np.array(rows, dtype=np.int64)
+        table = _round_table(reader, buffer, min(SEARCH_ROUND, n_instances - first))
         # np.unique would import numpy.ma, about 1 MB of peak memory.
         for m in sorted(set(table[:, 1].tolist())):
             yield _search_group(buffer, table, m, first)
@@ -709,23 +814,29 @@ def _judge_group(group: _SearchGroup):
     The rows first pass, all at once, every check that the per-instance
     path runs: build_discrete_measure's on the nodes and masses,
     tabulated_weight's on phi and psi, and max_principle_check's on omega,
-    with their error classes and messages.  The phi and psi spaces of each
-    shape (m, d) are then one stack of bergman_densities, and the verdicts
-    and approaches one call of max_principle_verdicts, the function that
-    max_principle_check uses, so each row's verdict is the one
-    max_principle_check gives its instance.
+    with their error classes and messages.  A row that fails the boundary
+    premise (comparison.boundary_premise) is premises-fail whatever its
+    densities, so only the rows that meet it are factored: their phi and
+    psi spaces of each shape (m, d) are one stack of bergman_densities, and
+    the other rows keep NaN densities.  The verdicts and approaches are one
+    call of max_principle_verdicts, the function that max_principle_check
+    uses, so each row's verdict is the one max_principle_check gives its
+    instance.
     """
     validate_nodes(group.points, group.masses)
     validate_weight_values(group.phi)
     validate_weight_values(group.psi)
     validate_region(group.omega)
     weights = np.stack([group.phi, group.psi])
-    densities = np.empty_like(weights)
+    densities = np.full_like(weights, np.nan)
+    premise = boundary_premise(group.phi, group.psi, group.omega)
     for d, values in group.values.items():
         shape = group.dim == d
-        densities[:, shape] = bergman_densities(
-            values, group.masses[shape], weights[:, shape]
-        )
+        rows = shape & premise
+        if rows.any():
+            densities[:, rows] = bergman_densities(
+                values[premise[shape]], group.masses[rows], weights[:, rows]
+            )
     return max_principle_verdicts(*densities, group.phi, group.psi, group.omega)
 
 
@@ -755,8 +866,8 @@ def max_principle_search(
     """Hunt for a maximum-principle counterexample over random instances.
 
     The instances are drawn in rounds of SEARCH_ROUND (the last one may be
-    shorter), in the order of the seed's stream, by _draw_search_row into
-    one flat buffer.  Each round is then derived by _search_groups, one
+    shorter), in the order of the seed's stream, by _round_table into one
+    flat buffer.  Each round is then derived by _search_groups, one
     group per node count, and each group judged by _judge_group.  Each
     verdict equals max_principle_check's on its instance, and the
     counterexample records come in instance order.  The principle predicts

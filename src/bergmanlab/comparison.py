@@ -209,6 +209,12 @@ def validate_region(omega: np.ndarray) -> None:
         )
 
 
+def boundary_premise(phi, psi, omega):
+    """The maximum principle's boundary premise on rows (..., m), one flag
+    per row: phi <= psi at every node off the node mask omega."""
+    return np.all(omega | (phi <= psi), axis=-1)
+
+
 def max_principle_verdicts(b_phi, b_psi, phi, psi, omega):
     """Verdicts of the maximum principle on rows (..., m), one per row, and
     how close each row came to a counterexample: (verdicts, approach).
@@ -221,14 +227,15 @@ def max_principle_verdicts(b_phi, b_psi, phi, psi, omega):
     DENSITY_POINT_TOL * (1 + 1 / b_psi) at a node (1.75e-8 where b_psi is
     5.7e-5); the conclusion is phi <= psi at every node.  A row whose
     premises hold is conclusion-holds or a counterexample, and any other
-    row is premises-fail.
+    row is premises-fail, whatever its densities: a row that fails the
+    boundary premise may carry NaN densities.
 
     A candidate meets the boundary premise and breaks the conclusion, so
     only the density premise stands between it and a counterexample.  Its
     approach is the density premise's deficit, max over omega of
     (b_psi - b_phi) / b_psi; every other row's approach is NaN.
     """
-    boundary = np.all(omega | (phi <= psi), axis=-1)
+    boundary = boundary_premise(phi, psi, omega)
     density = np.all(
         ~omega | (b_phi >= b_psi - DENSITY_POINT_TOL * (1.0 + np.abs(b_psi))),
         axis=-1,

@@ -60,7 +60,6 @@ evaluated block by block and never tabulated.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -300,30 +299,36 @@ def orthonormal_bases(grams: np.ndarray, rank_tol: float = RANK_TOL) -> list:
     """
     scale, rescaled = _equilibrated(grams)
     lam, u = np.linalg.eigh(rescaled)
-    d = lam.shape[1]
-    by_rank = {}
-    spreads = []
-    for i, row in enumerate(lam.tolist()):
-        top = row[-1] if row else 0.0
-        if top > 0.0 and row[0] < -PSD_TOL * top:
+    n, d = lam.shape
+    top = lam[:, -1]
+    # A Gram dips when its least eigenvalue lies below -PSD_TOL times a
+    # positive largest one.  The test without the sign of top comes first:
+    # it passes a PSD stack with one array operation fewer.
+    if (lam[:, 0] < -PSD_TOL * top).any():
+        dips = np.flatnonzero((top > 0.0) & (lam[:, 0] < -PSD_TOL * top))
+        if dips.size:
+            i = dips[0]
             raise InvalidConfigurationError(
-                f"gram is not PSD up to tolerance: min eigenvalue {row[0]:.3e} "
-                f"against max {top:.3e} after equilibration"
+                f"gram is not PSD up to tolerance: min eigenvalue {lam[i, 0]:.3e} "
+                f"against max {top[i]:.3e} after equilibration"
             )
-        # The eigenvalues ascend, so the kept ones, above rank_tol * top,
-        # are the last; a Gram with no positive eigenvalue keeps none.
-        rank = d - bisect.bisect_right(row, rank_tol * top) if top > 0.0 else 0
-        by_rank.setdefault(rank, []).append(i)
-        spreads.append(top / row[d - rank] if rank else 1.0)
-    spreads = np.array(spreads)
+    # The eigenvalues ascend, so the kept ones, above rank_tol * top, are
+    # the last; a Gram with no positive eigenvalue keeps none, since all of
+    # its eigenvalues lie at or below top <= rank_tol * top.
+    ranks = (lam > rank_tol * top[:, None]).sum(axis=1)
+    occurring = sorted(set(ranks.tolist()))
     bases = []
-    for rank, items in sorted(by_rank.items()):
+    for rank in occurring:
         # A stack of one rank, as every build_space call makes, is sliced
         # rather than copied by an index array.
-        sel = slice(None) if len(by_rank) == 1 else items
+        if len(occurring) == 1:
+            items, sel = np.arange(n), slice(None)
+        else:
+            items = sel = np.flatnonzero(ranks == rank)
         kept = slice(d - rank, d)
         c = scale[sel, :, None] * (u[sel, :, kept] / np.sqrt(lam[sel, None, kept]))
-        bases.append((np.array(items), c, spreads[sel]))
+        spreads = top[sel] / lam[sel, d - rank] if rank else np.ones(len(items))
+        bases.append((items, c, spreads))
     return bases
 
 

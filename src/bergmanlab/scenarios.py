@@ -266,8 +266,9 @@ _WEIGHT_FAMILIES = {
 }
 
 
-def _parse_weight(raw, measure, scenario_id, field_path):
-    """The weight tabulated on the nodes, with a finite, not all-zero w e^{-phi}."""
+def _parse_weight(raw, measure, span, scenario_id, field_path):
+    """The weight tabulated on the nodes, with a finite w e^{-phi} that is
+    not 0 at every node where the span is nonzero."""
     if not isinstance(raw, dict):
         _fail(scenario_id, field_path, "expected an object with a family")
     kind = raw.get("family")
@@ -288,8 +289,12 @@ def _parse_weight(raw, measure, scenario_id, field_path):
     if not (np.all(np.isfinite(weight.values)) and np.all(np.isfinite(factor))):
         _fail(scenario_id, field_path, "w e^{-phi} is not finite at every node")
     # Every space of the weight would have rank 0 and every check on it pass.
+    # A monomial span holds 1, which is nonzero at every node.
+    if span.kind != KIND_MONOMIALS:
+        factor = factor[span.values.any(axis=1)]
     if not factor.any():
-        _fail(scenario_id, field_path, "w e^{-phi} underflows to 0 at every node")
+        message = "w e^{-phi} underflows to 0 at every node where the span is nonzero"
+        _fail(scenario_id, field_path, message)
     return weight
 
 
@@ -324,10 +329,10 @@ def parse_scenario(raw: dict, source: str = "<dict>") -> ScenarioConfig:
     span = _parse_span(raw["span"], measure, scenario_id)
     if "phi" not in raw:
         _fail(scenario_id, "phi", "required")
-    phi = _parse_weight(raw["phi"], measure, scenario_id, "phi")
+    phi = _parse_weight(raw["phi"], measure, span, scenario_id, "phi")
     psi = None
     if "psi" in raw:
-        psi = _parse_weight(raw["psi"], measure, scenario_id, "psi")
+        psi = _parse_weight(raw["psi"], measure, span, scenario_id, "psi")
 
     needs_psi = {"comparison", "sweep", "homotopy", "maxprinciple"}
     for name in checks_raw:

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own code paths: kernels
 come from scipy pseudo-inverses of the Gram, norms from closed-form special
 functions, and derivatives from small hand-derived formulas.  The search's
 draws come from numpy's public generator calls, one instance at a time, and
-go through the public constructors.
+go through the public constructors; force_one_redraw sends the search down
+the path that draws a round again.
 """
 
 from __future__ import annotations
@@ -241,3 +242,25 @@ def search_row_mismatches(row, inst):
     return [
         name for name, value in expected.items() if not np.array_equal(row[name], value)
     ]
+
+
+def force_one_redraw(monkeypatch):
+    """Make battery._omega_masks flag every row of its first call, so that
+    the search draws that round again with _Words.subset; returns a dict
+    whose "redrawn" counts the instances battery._draw_round then draws
+    that way."""
+    omega_masks, draw_round = battery._omega_masks, battery._draw_round
+    calls = {"passes": 0, "redrawn": 0}
+
+    def flagging(*args):
+        masks, flagged = omega_masks(*args)
+        calls["passes"] += 1
+        return masks, flagged | (calls["passes"] == 1)
+
+    def counted(reader, buffer, count, exact=False):
+        calls["redrawn"] += count if exact else 0
+        return draw_round(reader, buffer, count, exact)
+
+    monkeypatch.setattr(battery, "_omega_masks", flagging)
+    monkeypatch.setattr(battery, "_draw_round", counted)
+    return calls

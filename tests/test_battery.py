@@ -57,7 +57,12 @@ from bergmanlab.measures import build_discrete_measure
 from bergmanlab.scenarios import scenario_record
 from bergmanlab.spans import monomial_span, tabulated_span
 from bergmanlab.weights import tabulated_weight
-from oracles import reference_search_draws, search_group_row, search_row_mismatches
+from oracles import (
+    force_one_redraw,
+    reference_search_draws,
+    search_group_row,
+    search_row_mismatches,
+)
 
 
 def test_generate_instance_respects_bounds(monkeypatch):
@@ -333,7 +338,9 @@ def test_run_battery_of_no_instances():
 def _judged_groups(monkeypatch):
     """Record each group the search judges: its node count m, its instance
     indices, its derived rows (with each row's span values), its verdicts,
-    its density stacks, and each row's phi and psi densities from them."""
+    its density stacks, and each row's phi and psi densities from them.
+    Only the rows that meet the boundary premise (phi <= psi off omega) are
+    factored; the others keep NaN densities."""
     judged = []
     stacked_densities = battery.bergman_densities
     judge_group = battery._judge_group
@@ -358,14 +365,16 @@ def _judged_groups(monkeypatch):
         )
         verdicts, approach = judge_group(group)
         judged[-1]["verdicts"] = verdicts
-        # One stack for each shape (m, d) of the group, holding its rows in
-        # row order, phi's densities first.
+        # One stack for each shape (m, d) of the rows that meet the boundary
+        # premise, holding them in row order, phi's densities first.
+        premise = np.all(group.omega | (group.phi <= group.psi), axis=1)
         dims = [shape[2] for shape, _ in judged[-1]["stacks"]]
-        assert sorted(dims) == sorted(set(group.dim.tolist()))
-        b = np.empty((2, *group.points.shape))
+        assert sorted(dims) == sorted(set(group.dim[premise].tolist()))
+        b = np.full((2, *group.points.shape), np.nan)
         for (_, m, d), out in judged[-1]["stacks"]:
-            assert out.shape == (2, np.count_nonzero(group.dim == d), m)
-            b[:, group.dim == d] = out
+            rows = (group.dim == d) & premise
+            assert out.shape == (2, np.count_nonzero(rows), m)
+            b[:, rows] = out
         judged[-1]["densities"] = b
         return verdicts, approach
 
@@ -399,12 +408,14 @@ def _per_space_verdict(inst):
 
 def test_search_stacks_equal_the_per_space_path(monkeypatch):
     """A full round and a partial one; every stacked density equals its own
-    build bit for bit, and every verdict equals max_principle_check's."""
+    build bit for bit, and every verdict equals max_principle_check's.  The
+    rows without densities are exactly those that fail the boundary
+    premise."""
     n = SEARCH_ROUND + 500
     judged = _judged_groups(monkeypatch)
     max_principle_search(n, 0)
     draws = reference_search_draws(n, 0)
-    seen = []
+    seen, factored = [], 0
     for group in judged:
         b_phi, b_psi = group["densities"]
         for i, row_phi, row_psi, verdict in zip(
@@ -412,12 +423,17 @@ def test_search_stacks_equal_the_per_space_path(monkeypatch):
         ):
             inst = draws[i]
             assert inst.measure.n == group["m"]
-            for weight, row in ((inst.phi, row_phi), (inst.psi, row_psi)):
-                space = build_space(inst.span, inst.measure, weight)
-                assert np.array_equal(row, space.density)
+            boundary = not np.any(~inst.omega & (inst.phi.values > inst.psi.values))
+            assert np.isnan([row_phi, row_psi]).all() == (not boundary), i
+            if boundary:
+                factored += 1
+                for weight, row in ((inst.phi, row_phi), (inst.psi, row_psi)):
+                    space = build_space(inst.span, inst.measure, weight)
+                    assert np.array_equal(row, space.density)
             assert verdict == _per_space_verdict(inst)
             seen.append(i)
     assert sorted(seen) == list(range(n))
+    assert 0 < factored < n
 
 
 def _assert_judged_rows_follow_the_stream(judged, draws):
@@ -525,6 +541,110 @@ def test_word_reader_draws_a_rejected_half_again():
     assert next(words, None) is None
 
 
+def _words_reader(words, kept=None):
+    """A word reader over the given words, with a kept half or none, and the
+    iterator of the words it has not taken."""
+    words = iter(int(w) for w in words)
+    generator = SimpleNamespace(
+        state={"has_uint32": int(kept is not None), "uinteger": kept or 0},
+        random_raw=lambda: next(words),
+    )
+    rng = SimpleNamespace(bit_generator=generator, standard_normal=None)
+    return battery._Words(rng), words
+
+
+def _omega_buffer(rows):
+    """One buffer holding, for each row (words, kept), the word that keeps
+    its kept half as high half, if any, and then its words, as _draw_round
+    lays out Omega; returns the buffer and each row's first half position."""
+    buffer, half_at = [], []
+    for words, kept in rows:
+        if kept is not None:
+            buffer.append(kept << 32)
+        half_at.append(2 * len(buffer) - (kept is not None))
+        buffer.extend(int(w) for w in words)
+    return np.array(buffer, dtype=np.uint64), np.array(half_at)
+
+
+@pytest.mark.parametrize("m", range(2, battery.SEARCH_MAX_NODES + 1))
+def test_omega_masks_equal_the_word_readers_subsets(m):
+    """For every k of node count m, with and without a kept first half, on
+    seeded random halves, the vectorized masks are _Words.subset's, and
+    _Words.subset takes exactly the 2k - 1 halves the masks read."""
+    rng = np.random.default_rng(m)
+    rows, ks, expected = [], [], []
+    for k in range(1, m):
+        for has_kept in (False, True):
+            for _ in range(8):
+                words = rng.integers(0, 2**64, size=m, dtype=np.uint64)
+                kept = int(rng.integers(0, 2**32)) if has_kept else None
+                reader, rest = _words_reader(words, kept)
+                expected.append(reader.subset(m, k))
+                # 2k - 1 halves: a kept one and k - 1 words, or k words
+                # whose last high half stays kept.
+                assert len(list(rest)) == m - k + has_kept
+                assert (reader.kept is None) == has_kept
+                rows.append((words, kept))
+                ks.append(k)
+    buffer, half_at = _omega_buffer(rows)
+    masks, flagged = battery._omega_masks(buffer, half_at, np.array(ks), m)
+    assert not flagged.any()
+    assert masks.tolist() == expected
+
+
+# The bounds up to 12 at which Lemire's method rejects a zero half: all but
+# 2, 4 and 8, where 2^32 mod n = 0.  The all-ones half is rejected at none.
+REJECTING_BOUNDS = [n for n in range(2, 13) if (1 << 32) % n]
+ALL_ONES = 0xFFFFFFFF
+
+
+def test_omega_masks_flag_a_half_that_lemire_draws_again():
+    """With m = 12 and k = 11 the Floyd halves take the bounds 2 to 12 and
+    the shuffle halves 11 down to 2.  A zero half is rejected at every
+    bound n with 2^32 mod n > 0, and 780903145 at 11 (11 u mod 2^32 = 3,
+    below 2^32 mod 11 = 4), in the Floyd part and in the shuffle part
+    alike.  The other halves are all ones."""
+    m, k = 12, 11
+    floyd = {n: n - 2 for n in range(2, 13)}
+    shuffle = {n: k + (k - n) for n in range(2, 12)}
+    cases = [(None, False)]
+    for part in (floyd, shuffle):
+        cases += [((part[n], 0), n in REJECTING_BOUNDS) for n in part]
+        cases.append(((part[11], 780903145), True))
+    rows, flags = [], []
+    for change, flagged in cases:
+        halves = [ALL_ONES] * (2 * k)
+        if change is not None:
+            position, half = change
+            halves[position] = half
+        words = [hi << 32 | lo for lo, hi in zip(halves[0::2], halves[1::2])]
+        rows.append((words, None))
+        flags.append(flagged)
+    buffer, half_at = _omega_buffer(rows)
+    _, flagged = battery._omega_masks(buffer, half_at, np.full(len(rows), k), m)
+    assert flagged.tolist() == flags
+
+
+@pytest.mark.parametrize("round_size", [SEARCH_ROUND, SEARCH_ROUND - 1])
+@pytest.mark.parametrize("seed", range(5))
+def test_a_flagged_round_is_drawn_again_exactly(monkeypatch, seed, round_size):
+    """A round with a flagged half goes back to where it began, kept half
+    and all, and draws again one instance at a time: its rows still follow
+    the stream, and the report is the unforced one.  A draw takes an odd
+    number of halves, so a round of odd size ends with the kept half in the
+    other state than it began with, and only restoring it gives the same
+    rows."""
+    monkeypatch.setattr(battery, "SEARCH_ROUND", round_size)
+    n = round_size + 100
+    unforced = dataclasses.replace(max_principle_search(n, seed), elapsed_seconds=0)
+    calls = force_one_redraw(monkeypatch)
+    judged = _judged_groups(monkeypatch)
+    forced = dataclasses.replace(max_principle_search(n, seed), elapsed_seconds=0)
+    assert calls["redrawn"] == round_size
+    assert forced == unforced
+    _assert_judged_rows_follow_the_stream(judged, reference_search_draws(n, seed))
+
+
 @pytest.mark.parametrize("max_nodes", [2, 3])
 def test_search_round_of_few_shapes(monkeypatch, max_nodes):
     """With at most 2 nodes every draw has the shape (2, 1), so a round is
@@ -603,6 +723,72 @@ def test_a_search_of_10_000_judges_55_groups_and_190_density_stacks(monkeypatch)
     )
     max_principle_search(10_000, 0)
     assert judged == {"groups": 55, "stacks": 190}
+
+
+class _CountingGenerator:
+    """A generator that counts what the search draws from it: raw calls and
+    words, standard_normal calls and normals.  Its state can be read and
+    set, as a round that is drawn again does."""
+
+    def __init__(self, rng, counts):
+        self._rng = rng
+        self.bit_generator = self
+        self.counts = counts
+
+    @property
+    def state(self):
+        return self._rng.bit_generator.state
+
+    @state.setter
+    def state(self, value):
+        self._rng.bit_generator.state = value
+
+    def random_raw(self, size=None):
+        self.counts["raw calls"] += 1
+        self.counts["words"] += 1 if size is None else size
+        return self._rng.bit_generator.random_raw(size)
+
+    def standard_normal(self, size=None, out=None):
+        self.counts["normal calls"] += 1
+        normals = self._rng.standard_normal(size, out=out)
+        self.counts["normals"] += normals.size
+        return normals
+
+
+def test_a_search_of_10_000_makes_the_pinned_work_counts(monkeypatch):
+    """What a pass of 10 000 draws at seed 0 takes from the stream, and
+    factors: README's counts.  The words and normals are those of the
+    one-at-a-time draws, so they pin the stream.  Omega's halves, phi's
+    words and the family's half come in one raw call (79 126 calls when
+    each half of Omega was one), and only the 6 828 draws that meet the
+    boundary premise are factored, two Grams each (20 000 Grams when every
+    draw was)."""
+    counts = dict.fromkeys(
+        ["raw calls", "words", "normal calls", "normals", "stacks", "grams"], 0
+    )
+    stacked_densities = battery.bergman_densities
+
+    def densities(values, masses, weights):
+        counts["stacks"] += 1
+        counts["grams"] += weights.shape[0] * weights.shape[1]
+        return stacked_densities(values, masses, weights)
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(
+        np.random,
+        "default_rng",
+        lambda seed: _CountingGenerator(default_rng(seed), counts),
+    )
+    monkeypatch.setattr(battery, "bergman_densities", densities)
+    max_principle_search(10_000, 0)
+    assert counts == {
+        "raw calls": 44_100,
+        "words": 412_857,
+        "normal calls": 4_984,
+        "normals": 168_230,
+        "stacks": 190,
+        "grams": 13_656,
+    }
 
 
 # Candidates, closest instance and closest approach of 10 000 draws.

@@ -1,5 +1,6 @@
 """Kernel engine: Gram assembly, orthonormalization, densities, identities."""
 
+import bisect
 import dataclasses
 import os
 
@@ -162,6 +163,43 @@ def test_orthonormal_bases_groups_a_stack_by_rank():
         kernels.orthonormal_bases(np.stack([grams[0], indefinite, grams[2]]))
     assert str(stacked.value) == str(alone.value)
     assert "min eigenvalue -1.000e+00 against max 3.000e+00" in str(alone.value)
+
+
+def _ranks_and_spreads_gram_by_gram(grams, rank_tol=kernels.RANK_TOL):
+    """Each Gram's rank and retained spread from its own eigenvalues, one
+    Gram at a time: the kept eigenvalues are those above rank_tol times the
+    largest, found by bisection in the ascending list."""
+    scale = kernels.equilibration_scales(grams)
+    lam = np.linalg.eigh(grams * (scale[:, :, None] * scale[:, None, :]))[0]
+    ranks, spreads = [], []
+    for row in lam.tolist():
+        top = row[-1]
+        rank = len(row) - bisect.bisect_right(row, rank_tol * top) if top > 0 else 0
+        ranks.append(rank)
+        spreads.append(top / row[len(row) - rank] if rank else 1.0)
+    return ranks, spreads
+
+
+def test_orthonormal_bases_ranks_and_spreads_equal_a_gram_by_gram_walk():
+    """The stack's ranks and spreads, found with array operations, equal
+    those of a walk over its Grams, bit for bit, on stacks of every rank
+    from 0 to d, near-repeated columns included."""
+    rng = np.random.default_rng(11)
+    for d in range(1, 6):
+        v = rng.standard_normal((40, 9, d)) + 1j * rng.standard_normal((40, 9, d))
+        for i in range(40):
+            rank = i % (d + 1)
+            v[i, :, rank:] = v[i, :, :1] * (1 + 1e-15 * i) if rank else 0.0
+        grams = np.einsum("nmi,nmj->nij", v.conj(), v)
+        ranks, spreads = _ranks_and_spreads_gram_by_gram(grams)
+        seen = np.zeros(len(grams), dtype=bool)
+        for items, c, stacked in kernels.orthonormal_bases(grams):
+            assert not seen[items].any()
+            seen[items] = True
+            assert [ranks[i] for i in items] == [c.shape[2]] * len(items)
+            assert stacked.tolist() == [spreads[i] for i in items]
+        assert seen.all()
+        assert set(ranks) == set(range(d + 1))
 
 
 def test_equilibration_scales_unit_diagonal():

@@ -152,6 +152,13 @@ def test_parse_full_scenario():
         ({"omega": [0, 0]}, "field 'omega[1]': node 0 is already omega[0]"),
         ({"span": {"kind": "tabulated", "values": [[[0, 0]], [[0, 0]]]}},
          "field 'span.values': every value is 0"),
+        ({"span": {"kind": "tabulated", "values": [[[1, 0]], [[0, 0]]]},
+          "phi": {"family": "tabulated", "values": [800.0, 0.0]},
+          "psi": {"family": "tabulated", "values": [800.0, 0.5]}},
+         "field 'phi': w e^{-phi} underflows to 0 at every node where the span"),
+        ({"span": {"kind": "tabulated", "values": [[[1, 0]], [[0, 0]]]},
+          "psi": {"family": "tabulated", "values": [800.0, 0.5]}},
+         "field 'psi': w e^{-phi} underflows to 0 at every node where the span"),
     ],
 )
 def test_parse_rejects_bad_fields(mutate, needle):
