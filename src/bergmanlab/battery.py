@@ -715,9 +715,9 @@ class _SearchGroup:
 
     Row k is instance index[k], with nodes and masses points[k] and
     masses[k], a span of dimension dim[k] (monomial or not), weights phi[k]
-    and psi[k] and node flags omega[k].  values maps each span dimension d
-    to the span node values (n_d, m, d) of the rows with dim == d, in row
-    order: one stack for each shape (m, d).
+    and psi[k] and node flags omega[k].  A tabulated span's normals lie in
+    buffer, the round's buffer, from normals_at[k]; span_stack derives the
+    span node values of the rows that need them.
     """
 
     index: np.ndarray
@@ -725,15 +725,31 @@ class _SearchGroup:
     masses: np.ndarray
     dim: np.ndarray
     monomial: np.ndarray
-    values: dict
     phi: np.ndarray
     psi: np.ndarray
     omega: np.ndarray
+    buffer: np.ndarray
+    normals_at: np.ndarray
+
+    def span_stack(self, rows: np.ndarray, d: int) -> np.ndarray:
+        """The span node values (len(rows), m, d) of rows, whose span
+        dimension is d, with the arithmetic of numpy's vander for a monomial
+        span.  They are read from the round's buffer, which stays valid
+        until the next round is drawn."""
+        m = self.points.shape[1]
+        mono = self.monomial[rows]
+        v = np.empty((len(rows), m, d), dtype=complex)
+        tabulated = self.normals_at[rows][~mono]
+        normals = _windows(self.buffer.view(float), tabulated, 2 * m * d)
+        v[~mono] = _span_values_from_normals(normals.reshape(-1, 2, m, d))
+        # With d <= m - 1 no monomial span needs to shrink.
+        v[mono] = vandermonde(self.points[rows][mono], d)
+        return v
 
     def span_values(self, k: int) -> np.ndarray:
-        """The span node values (m, d) of row k."""
-        d = int(self.dim[k])
-        return self.values[d][np.count_nonzero(self.dim[:k] == d)]
+        """The span node values (m, d) of row k, read from the round's
+        buffer, which stays valid until the next round is drawn."""
+        return self.span_stack(np.array([k]), int(self.dim[k]))[0]
 
 
 def _windows(buffer, starts, width: int) -> np.ndarray:
@@ -746,16 +762,15 @@ def _search_group(buffer, table, m: int, first: int) -> _SearchGroup:
 
     buffer holds the round's output and table its (start, m, d, family,
     weights_at, node mask) rows (_round_table); the round's first draw is
-    instance first.  The arithmetic is that of numpy's random, uniform
-    and vander (_doubles, _uniform, _nodes_from_uniforms, vandermonde), on
-    the rows of node count m at once.
+    instance first.  The arithmetic is that of numpy's random and uniform
+    (_doubles, _uniform, _nodes_from_uniforms), on the rows of node count m
+    at once.  The span node values are left to _SearchGroup.span_stack.
     """
     rows = np.flatnonzero(table[:, 1] == m)
     at, _, dim, family, weights_at, mask = table[rows].T
     u = _doubles(_windows(buffer, at, 3 * m + 1))
     points, masses = _nodes_from_uniforms(u[:, :-1])
     monomial = u[:, -1] < MONOMIAL_FRACTION
-    normals_at = at + 3 * m + 1
     # A row's window holds 3m words, of which its family reads only those
     # it drew; the rest, past the row's end, are never used.  The window
     # holds no more than the longest draw of node count m, so it stays
@@ -763,26 +778,17 @@ def _search_group(buffer, table, m: int, first: int) -> _SearchGroup:
     w = _doubles(_windows(buffer, weights_at, 3 * m))
     omega = (mask[:, None] >> np.arange(m) & 1).astype(bool)
     phi, psi = _weights_from_uniforms(w, omega, family)
-    values = {}
-    for d in sorted(set(dim.tolist())):
-        shape = dim == d
-        mono = monomial[shape]
-        v = values[d] = np.empty((len(mono), m, d), dtype=complex)
-        tabulated = normals_at[shape][~mono]
-        normals = _windows(buffer.view(float), tabulated, 2 * m * d)
-        v[~mono] = _span_values_from_normals(normals.reshape(-1, 2, m, d))
-        # With d <= m - 1 no monomial span needs to shrink.
-        v[mono] = vandermonde(points[shape][mono], d)
     return _SearchGroup(
         index=first + rows,
         points=points,
         masses=masses,
         dim=dim,
         monomial=monomial,
-        values=values,
         phi=phi,
         psi=psi,
         omega=omega,
+        buffer=buffer,
+        normals_at=at + 3 * m + 1,
     )
 
 
@@ -816,12 +822,12 @@ def _judge_group(group: _SearchGroup):
     tabulated_weight's on phi and psi, and max_principle_check's on omega,
     with their error classes and messages.  A row that fails the boundary
     premise (comparison.boundary_premise) is premises-fail whatever its
-    densities, so only the rows that meet it are factored: their phi and
-    psi spaces of each shape (m, d) are one stack of bergman_densities, and
-    the other rows keep NaN densities.  The verdicts and approaches are one
-    call of max_principle_verdicts, the function that max_principle_check
-    uses, so each row's verdict is the one max_principle_check gives its
-    instance.
+    densities, so only the rows that meet it are factored: their span
+    values and their phi and psi spaces of each shape (m, d) are one stack
+    of bergman_densities, and the other rows keep NaN densities.  The
+    verdicts and approaches are one call of max_principle_verdicts, the
+    function that max_principle_check uses, so each row's verdict is the
+    one max_principle_check gives its instance.
     """
     validate_nodes(group.points, group.masses)
     validate_weight_values(group.phi)
@@ -830,13 +836,11 @@ def _judge_group(group: _SearchGroup):
     weights = np.stack([group.phi, group.psi])
     densities = np.full_like(weights, np.nan)
     premise = boundary_premise(group.phi, group.psi, group.omega)
-    for d, values in group.values.items():
-        shape = group.dim == d
-        rows = shape & premise
-        if rows.any():
-            densities[:, rows] = bergman_densities(
-                values[premise[shape]], group.masses[rows], weights[:, rows]
-            )
+    for d in sorted(set(group.dim[premise].tolist())):
+        rows = np.flatnonzero(premise & (group.dim == d))
+        densities[:, rows] = bergman_densities(
+            group.span_stack(rows, d), group.masses[rows], weights[:, rows]
+        )
     return max_principle_verdicts(*densities, group.phi, group.psi, group.omega)
 
 

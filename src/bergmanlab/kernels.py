@@ -112,7 +112,7 @@ class WeightedSpace:
     def measure_factor(self) -> np.ndarray:
         """w_j e^{-phi_j}, the discrete measure against which functions pair,
         formed on the first read; read-only."""
-        return _read_only(self.measure.masses * np.exp(-self.weight.values))
+        return _read_only(measure_factors(self.measure.masses, self.weight.values))
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -131,6 +131,13 @@ class WeightedSpace:
         return _read_only(self.measure.masses * self.density)
 
 
+def measure_factors(masses: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """w e^{-phi} of masses w and weight values phi, over any leading stack
+    axes; an overflow leaves a non-finite factor, for the caller to reject."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return masses * np.exp(-weights)
+
+
 def _read_only(values: np.ndarray) -> np.ndarray:
     values.flags.writeable = False
     return values
@@ -145,9 +152,9 @@ def assemble_gram(
             f"span has {span.n_nodes} nodes, measure has {measure.n}"
         )
     weight = eval_weight(weight, measure)
+    d = measure_factors(measure.masses, weight.values)
     # An overflow leaves a non-finite Gram, which orthonormal_bases rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        d = measure.masses * np.exp(-weight.values)
         if _ring_path(span, measure):
             g = _ring_gram(measure, d, span.dim)
             if g is not None:
@@ -439,9 +446,8 @@ def bergman_densities(
     """
     n, m, d = values.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        factors = np.exp(-weights)
-        grams = _dense_gram(values, masses * factors).reshape(-1, d, d)
-    factors = factors.reshape(-1, m)
+        grams = _dense_gram(values, measure_factors(masses, weights)).reshape(-1, d, d)
+        factors = np.exp(-weights).reshape(-1, m)
     densities = np.empty(factors.shape)
     for items, c, _ in orthonormal_bases(grams):
         densities[items] = _row_norms(values[items % n] @ c) * factors[items]

@@ -50,7 +50,7 @@ from .errors import (
     InvalidScenarioError,
 )
 from .homotopy import T_GRID, build_path, g_derivative_forms
-from .kernels import Spaces
+from .kernels import Spaces, measure_factors
 from .measures import KIND_DISK, build_discrete_measure, build_disk_measure
 from .quantization import (
     DEFAULT_K_LADDER,
@@ -135,22 +135,39 @@ class ScenarioConfig:
     interior_radius: float | None = None
 
 
-def _fail(scenario_id, field_path, message):
-    raise InvalidScenarioError(
-        f"scenario {scenario_id!r}: field {field_path!r}: {message}"
-    )
+class _FieldError(Exception):
+    """A field that breaks its rule: (path, message), without the scenario."""
 
 
-def _known_keys(raw, valid, scenario_id, prefix, what):
+def _fail(field_path, message):
+    raise _FieldError(field_path, message)
+
+
+def _required(raw, key, prefix="", rule="required"):
+    """raw[key], or a failure naming prefix + key when raw has no key."""
+    if key not in raw:
+        _fail(f"{prefix}{key}", rule)
+    return raw[key]
+
+
+def _known_keys(raw, valid, prefix, what):
     """Fail on the first key of the object raw that valid does not hold,
     naming it as prefix + key; what says what kind of key it would be."""
     for key in raw:
         if key not in valid:
-            message = f"unknown {what}; valid: {', '.join(valid)}"
-            _fail(scenario_id, f"{prefix}{key}", message)
+            _fail(f"{prefix}{key}", f"unknown {what}; valid: {', '.join(valid)}")
 
 
-def _number(raw, scenario_id, field_path, rule=None, ok=None, integer=False):
+def _distinct(items, field_path, what):
+    """Fail on the first item equal to an earlier one, naming both by index."""
+    first = {}
+    for i, item in enumerate(items):
+        if first.setdefault(item, i) != i:
+            message = f"{what} {item!r} is already {field_path}[{first[item]}]"
+            _fail(f"{field_path}[{i}]", message)
+
+
+def _number(raw, field_path, rule=None, ok=None, integer=False):
     """raw if it is a finite number (an int when integer is set) passing ok."""
     kinds = numbers.Integral if integer else numbers.Real
     rule = rule or ("an integer" if integer else "a finite number")
@@ -160,53 +177,51 @@ def _number(raw, scenario_id, field_path, rule=None, ok=None, integer=False):
         or not abs(raw) <= sys.float_info.max
         or (ok is not None and not ok(raw))
     ):
-        _fail(scenario_id, field_path, f"expected {rule}, got {raw!r}")
+        _fail(field_path, f"expected {rule}, got {raw!r}")
     return int(raw) if integer else float(raw)
 
 
-def _numbers(raw, scenario_id, field_path, *args, **kwargs):
+def _numbers(raw, field_path, *args, **kwargs):
     """A list of numbers, each checked by _number under its own index."""
     if not isinstance(raw, (list, tuple)):
-        _fail(scenario_id, field_path, f"expected a list, got {raw!r}")
+        _fail(field_path, f"expected a list, got {raw!r}")
     return tuple(
-        _number(value, scenario_id, f"{field_path}[{i}]", *args, **kwargs)
+        _number(value, f"{field_path}[{i}]", *args, **kwargs)
         for i, value in enumerate(raw)
     )
 
 
-def _complex_pairs(raw, scenario_id, field_path, ndim=1):
+def _complex_pairs(raw, field_path, ndim=1):
     """Finite [re, im] pairs nested ndim lists deep, as a complex array."""
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         arr = np.empty(0)
     if arr.ndim != ndim + 1 or arr.shape[-1] != 2 or not np.all(np.isfinite(arr)):
         rows = "a list" if ndim == 1 else "rows, one per node,"
-        _fail(scenario_id, field_path, f"expected {rows} of finite [re, im] pairs")
+        _fail(field_path, f"expected {rows} of finite [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _parse_measure(raw, scenario_id):
+def _parse_measure(raw):
     if not isinstance(raw, dict):
-        _fail(scenario_id, "measure", "expected an object")
+        _fail("measure", "expected an object")
     kind = raw.get("kind")
     what = f"field of kind {kind!r}"
     try:
         if kind == "discrete":
-            valid = ("kind", "points", "masses")
-            _known_keys(raw, valid, scenario_id, "measure.", what)
+            _known_keys(raw, ("kind", "points", "masses"), "measure.", what)
             return build_discrete_measure(
-                _complex_pairs(raw["points"], scenario_id, "measure.points"),
-                _numbers(raw["masses"], scenario_id, "measure.masses"),
+                _complex_pairs(_required(raw, "points", "measure."), "measure.points"),
+                _numbers(_required(raw, "masses", "measure."), "measure.masses"),
             )
         if kind == "disk-product":
             valid = ("kind", "radius", "n_radial", "n_angular")
-            _known_keys(raw, valid, scenario_id, "measure.", what)
-            radius = _number(raw["radius"], scenario_id, "measure.radius")
+            _known_keys(raw, valid, "measure.", what)
+            radius = _number(_required(raw, "radius", "measure."), "measure.radius")
             n_radial, n_angular = (
                 _number(
-                    raw[key],
-                    scenario_id,
+                    _required(raw, key, "measure."),
                     f"measure.{key}",
                     "an integer >= 1",
                     lambda n: n >= 1,
@@ -215,45 +230,37 @@ def _parse_measure(raw, scenario_id):
                 for key in ("n_radial", "n_angular")
             )
             return build_disk_measure(radius, n_radial, n_angular)
-    except KeyError as missing:
-        _fail(scenario_id, f"measure.{missing.args[0]}", "required")
     except InvalidMeasureError as exc:
         # With the node counts checked, the disk rule can only reject its radius.
-        field_path = "measure.radius" if kind == "disk-product" else "measure"
-        _fail(scenario_id, field_path, str(exc))
-    _fail(scenario_id, "measure.kind", f"unknown kind {kind!r}")
+        _fail("measure.radius" if kind == "disk-product" else "measure", str(exc))
+    _fail("measure.kind", f"unknown kind {kind!r}")
 
 
-def _parse_span(raw, measure, scenario_id):
+def _parse_span(raw, measure):
     if not isinstance(raw, dict):
-        _fail(scenario_id, "span", "expected an object")
+        _fail("span", "expected an object")
     kind = raw.get("kind")
     what = f"field of kind {kind!r}"
     if kind == "monomials":
-        _known_keys(raw, ("kind", "degree"), scenario_id, "span.", what)
-        if "degree" not in raw:
-            _fail(scenario_id, "span.degree", "required for monomials")
-        degree = _number(raw["degree"], scenario_id, "span.degree", integer=True)
+        _known_keys(raw, ("kind", "degree"), "span.", what)
+        degree = _required(raw, "degree", "span.", "required for monomials")
+        degree = _number(degree, "span.degree", integer=True)
         try:
             return monomial_span(measure, degree)
         except (InvalidMeasureError, InvalidConfigurationError) as exc:
-            _fail(scenario_id, "span.degree", str(exc))
+            _fail("span.degree", str(exc))
     if kind == "tabulated":
-        _known_keys(raw, ("kind", "values"), scenario_id, "span.", what)
-        if "values" not in raw:
-            _fail(scenario_id, "span.values", "required for tabulated")
-        values = _complex_pairs(raw["values"], scenario_id, "span.values", ndim=2)
+        _known_keys(raw, ("kind", "values"), "span.", what)
+        values = _required(raw, "values", "span.", "required for tabulated")
+        values = _complex_pairs(values, "span.values", ndim=2)
         if values.shape[0] != measure.n:
-            _fail(
-                scenario_id,
-                "span.values",
-                f"{values.shape[0]} rows for a measure with {measure.n} nodes",
-            )
+            message = f"{values.shape[0]} rows for a measure with {measure.n} nodes"
+            _fail("span.values", message)
         # Every space of the span would have rank 0 and every check on it pass.
         if not values.any():
-            _fail(scenario_id, "span.values", "every value is 0")
+            _fail("span.values", "every value is 0")
         return tabulated_span(values)
-    _fail(scenario_id, "span.kind", f"unknown kind {kind!r}")
+    _fail("span.kind", f"unknown kind {kind!r}")
 
 
 # Each weight family's one field, how it is read, and what builds the weight.
@@ -266,156 +273,134 @@ _WEIGHT_FAMILIES = {
 }
 
 
-def _parse_weight(raw, measure, span, scenario_id, field_path):
+def _parse_weight(raw, measure, span, field_path):
     """The weight tabulated on the nodes, with a finite w e^{-phi} that is
     not 0 at every node where the span is nonzero."""
     if not isinstance(raw, dict):
-        _fail(scenario_id, field_path, "expected an object with a family")
+        _fail(field_path, "expected an object with a family")
     kind = raw.get("family")
     if not isinstance(kind, str) or kind not in _WEIGHT_FAMILIES:
-        _fail(scenario_id, field_path, f"unknown weight family {kind!r}")
+        _fail(field_path, f"unknown weight family {kind!r}")
     name, read, build = _WEIGHT_FAMILIES[kind]
-    what = f"field of family {kind!r}"
-    _known_keys(raw, ("family", name), scenario_id, f"{field_path}.", what)
-    if name not in raw:
-        _fail(scenario_id, f"{field_path}.{name}", "required")
-    weight = build(read(raw[name], scenario_id, f"{field_path}.{name}"))
+    prefix = f"{field_path}."
+    _known_keys(raw, ("family", name), prefix, f"field of family {kind!r}")
+    weight = build(read(_required(raw, name, prefix), f"{prefix}{name}"))
     try:
         weight = eval_weight(weight, measure)
     except InvalidMeasureError as exc:
-        _fail(scenario_id, field_path, str(exc))
-    with np.errstate(over="ignore"):
-        factor = measure.masses * np.exp(-weight.values)
+        _fail(field_path, str(exc))
+    factor = measure_factors(measure.masses, weight.values)
     if not (np.all(np.isfinite(weight.values)) and np.all(np.isfinite(factor))):
-        _fail(scenario_id, field_path, "w e^{-phi} is not finite at every node")
+        _fail(field_path, "w e^{-phi} is not finite at every node")
     # Every space of the weight would have rank 0 and every check on it pass.
     # A monomial span holds 1, which is nonzero at every node.
     if span.kind != KIND_MONOMIALS:
         factor = factor[span.values.any(axis=1)]
     if not factor.any():
         message = "w e^{-phi} underflows to 0 at every node where the span is nonzero"
-        _fail(scenario_id, field_path, message)
+        _fail(field_path, message)
     return weight
 
 
 def parse_scenario(raw: dict, source: str = "<dict>") -> ScenarioConfig:
-    """Validate a scenario dictionary, field by field."""
+    """Validate a scenario dictionary, field by field; a field that breaks
+    its rule raises "scenario '<id>': field '<path>': <rule>"."""
     if not isinstance(raw, dict):
         raise InvalidScenarioError(f"{source}: scenario must be an object")
     scenario_id = raw.get("id")
     if not isinstance(scenario_id, str) or not scenario_id:
         raise InvalidScenarioError(f"{source}: field 'id': nonempty string required")
-    _known_keys(raw, SCENARIO_FIELDS, scenario_id, "", "field")
+    try:
+        return _parse_fields(raw)
+    except _FieldError as exc:
+        field_path, message = exc.args
+        raise InvalidScenarioError(
+            f"scenario {scenario_id!r}: field {field_path!r}: {message}"
+        ) from None
+
+
+def _parse_fields(raw) -> ScenarioConfig:
+    """The ScenarioConfig of a scenario dictionary whose id is valid."""
+    _known_keys(raw, SCENARIO_FIELDS, "", "field")
 
     checks_raw = raw.get("checks")
     if not isinstance(checks_raw, (list, tuple)) or not checks_raw:
-        _fail(scenario_id, "checks", "nonempty list required")
-    for i, name in enumerate(checks_raw):
+        _fail("checks", "nonempty list required")
+    for name in checks_raw:
         if name not in CHECK_NAMES:
-            _fail(
-                scenario_id,
-                "checks",
-                f"unknown check {name!r}; valid: {', '.join(CHECK_NAMES)}",
-            )
-        if name in checks_raw[:i]:
-            message = f"check {name!r} is already checks[{checks_raw.index(name)}]"
-            _fail(scenario_id, f"checks[{i}]", message)
+            message = f"unknown check {name!r}; valid: {', '.join(CHECK_NAMES)}"
+            _fail("checks", message)
+    _distinct(checks_raw, "checks", "check")
 
-    if "measure" not in raw:
-        _fail(scenario_id, "measure", "required")
-    measure = _parse_measure(raw["measure"], scenario_id)
-    if "span" not in raw:
-        _fail(scenario_id, "span", "required")
-    span = _parse_span(raw["span"], measure, scenario_id)
-    if "phi" not in raw:
-        _fail(scenario_id, "phi", "required")
-    phi = _parse_weight(raw["phi"], measure, span, scenario_id, "phi")
+    measure = _parse_measure(_required(raw, "measure"))
+    span = _parse_span(_required(raw, "span"), measure)
+    phi = _parse_weight(_required(raw, "phi"), measure, span, "phi")
     psi = None
     if "psi" in raw:
-        psi = _parse_weight(raw["psi"], measure, span, scenario_id, "psi")
+        psi = _parse_weight(raw["psi"], measure, span, "psi")
 
     needs_psi = {"comparison", "sweep", "homotopy", "maxprinciple"}
     for name in checks_raw:
         if name in needs_psi and psi is None:
-            _fail(scenario_id, "psi", f"required by check {name!r}")
+            _fail("psi", f"required by check {name!r}")
 
     params = raw.get("params", {})
     if not isinstance(params, dict):
-        _fail(scenario_id, "params", "expected an object")
-    _known_keys(params, PARAM_NAMES, scenario_id, "params.", "parameter")
+        _fail("params", "expected an object")
+    _known_keys(params, PARAM_NAMES, "params.", "parameter")
 
     def listed(name, default, *args):
-        field_path = f"params.{name}"
-        return _numbers(params.get(name, default), scenario_id, field_path, *args)
+        return _numbers(params.get(name, default), f"params.{name}", *args)
 
     c_grid = listed("c_grid", DEFAULT_C_GRID)
     if not c_grid:
-        _fail(scenario_id, "params.c_grid", "must be nonempty")
-    k_list = listed("k_list", DEFAULT_K_LADDER, "a number > 0", lambda k: k > 0.0)
+        _fail("params.c_grid", "must be nonempty")
+    positive = ("a number > 0", lambda x: x > 0.0)
+    k_list = listed("k_list", DEFAULT_K_LADDER, *positive)
     if not k_list:
-        _fail(scenario_id, "params.k_list", "must be nonempty")
-    interior_radius = params.get("interior_radius")
-    if interior_radius is not None:
-        interior_radius = _number(
-            interior_radius,
-            scenario_id,
-            "params.interior_radius",
-            "a number > 0",
-            lambda r: r > 0.0,
-        )
+        _fail("params.k_list", "must be nonempty")
+    interior_radius = None
+    if "interior_radius" in params:
+        radius = params["interior_radius"]
+        interior_radius = _number(radius, "params.interior_radius", *positive)
 
     if "tcz" in checks_raw:
         if measure.kind != KIND_DISK:
-            _fail(scenario_id, "measure.kind", "check 'tcz' needs kind 'disk-product'")
+            _fail("measure.kind", "check 'tcz' needs kind 'disk-product'")
         if phi.family is None:
-            _fail(scenario_id, "phi", "check 'tcz' needs a closed-form weight family")
+            _fail("phi", "check 'tcz' needs a closed-form weight family")
         for i, k in enumerate(k_list):
             with np.errstate(over="ignore"):
                 finite = np.isfinite(k * phi.values).all()
             if not finite:
-                _fail(
-                    scenario_id,
-                    f"params.k_list[{i}]",
-                    "k * phi is not finite at every node",
-                )
+                _fail(f"params.k_list[{i}]", "k * phi is not finite at every node")
             if not math.isfinite(requested_degree(k, measure)):
-                _fail(
-                    scenario_id,
-                    f"params.k_list[{i}]",
-                    "the requested degree 1.5 k R^2 is not finite",
-                )
+                message = "the requested degree 1.5 k R^2 is not finite"
+                _fail(f"params.k_list[{i}]", message)
         read, _ = ladder_nodes(ma_density(phi, measure), measure, interior_radius)
         if not read.any():
             _fail(
-                scenario_id,
                 "phi",
                 "the limit density Laplacian(phi)/(4 pi) is not above "
                 f"{DENSITY_SKIP_TOL} at any node within the interior radius, "
                 "so the tcz check would read no node",
             )
 
-    omega = raw.get("omega")
-    if omega is not None:
-        omega = _numbers(omega, scenario_id, "omega", integer=True)
+    omega = None
+    if "omega" in raw:
+        omega = _numbers(raw["omega"], "omega", integer=True)
         bad = [i for i in omega if i < 0 or i >= measure.n]
         if bad:
-            _fail(scenario_id, "omega", f"node indices out of range: {bad}")
+            _fail("omega", f"node indices out of range: {bad}")
         if not 0 < len(set(omega)) < measure.n:
-            _fail(
-                scenario_id,
-                "omega",
-                f"must be a nonempty proper subset of the {measure.n} nodes",
-            )
-        first = {}
-        for i, node in enumerate(omega):
-            if first.setdefault(node, i) != i:
-                message = f"node {node} is already omega[{first[node]}]"
-                _fail(scenario_id, f"omega[{i}]", message)
+            message = f"must be a nonempty proper subset of the {measure.n} nodes"
+            _fail("omega", message)
+        _distinct(omega, "omega", "node")
     if "maxprinciple" in checks_raw and omega is None:
-        _fail(scenario_id, "omega", "required by check 'maxprinciple'")
+        _fail("omega", "required by check 'maxprinciple'")
 
     return ScenarioConfig(
-        scenario_id=scenario_id,
+        scenario_id=raw["id"],
         measure=measure,
         span=span,
         phi=phi,

@@ -132,7 +132,9 @@ def eval_weight(weight: WeightFunction, measure: QuadratureMeasure) -> WeightFun
         return weight
     if weight.family is None:
         raise UnsupportedWeightError("weight has neither values nor a closed form")
-    vals = np.asarray(weight.family.evaluate(measure.points), dtype=float)
+    # An overflow leaves values that are not finite, for the caller to reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(weight.family.evaluate(measure.points), dtype=float)
     return WeightFunction(values=vals, family=weight.family)
 
 

@@ -3,10 +3,13 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import bergmanlab
 from bergmanlab.battery import max_principle_search
 from bergmanlab.cli import EXIT_CONFIG, EXIT_GREEN, EXIT_RED, main
 
@@ -149,6 +152,28 @@ def test_run_rejects_a_k_whose_degree_is_not_finite(tmp_path, capsys):
     assert main(["run", path, "--out", out]) == EXIT_CONFIG
     assert "field 'params.k_list[0]'" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "summary.json"))
+
+
+def test_run_reports_an_overflowing_weight_once(tmp_path):
+    """phi = 1e308 |z|^2 overflows on a radius-2 disk: the console command,
+    under Python's default warning filters, exits 2 and writes one error
+    line to stderr, with no warning before it."""
+    measure = {"kind": "disk-product", "radius": 2.0, "n_radial": 8, "n_angular": 16}
+    path = _disk_scenario(
+        tmp_path, measure=measure, phi={"family": "gauss", "a": 1e308}
+    )
+    src = os.path.dirname(os.path.dirname(bergmanlab.__file__))
+    path_dirs = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_dirs))
+    run = subprocess.run(
+        [sys.executable, "-m", "bergmanlab.cli", "run", path, "--out",
+         os.fspath(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == EXIT_CONFIG
+    assert run.stderr.splitlines() == [
+        "error: scenario 'disk': field 'phi': w e^{-phi} is not finite at every node"
+    ]
 
 
 def test_run_json_format(scenario_file, tmp_path, capsys):

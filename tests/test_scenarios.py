@@ -159,12 +159,37 @@ def test_parse_full_scenario():
         ({"span": {"kind": "tabulated", "values": [[[1, 0]], [[0, 0]]]},
           "psi": {"family": "tabulated", "values": [800.0, 0.5]}},
          "field 'psi': w e^{-phi} underflows to 0 at every node where the span"),
+        # phi overflows at the nodes: the rule reports it, and no warning does.
+        ({"measure": dict(DISK_24X48, radius=2.0, n_radial=8, n_angular=16),
+          "phi": {"family": "gauss", "a": 1e308}},
+         "field 'phi': w e^{-phi} is not finite at every node"),
+        ({"measure": dict(DISK_24X48, radius=2.0, n_radial=8, n_angular=16),
+          "phi": {"family": "harmonic", "b": 1e308}},
+         "field 'phi': w e^{-phi} is not finite at every node"),
+        ({"measure": {"kind": "discrete", "points": [[1e200, 1e200], [1, 0]],
+          "masses": [1, 1]}, "phi": {"family": "gauss", "a": 1.0}},
+         "field 'phi': w e^{-phi} is not finite at every node"),
+        ({"measure": {"kind": "discrete", "points": [[1e200, 1e200], [1, 0]],
+          "masses": [1, 1]}, "phi": {"family": "harmonic", "b": 1.0}},
+         "field 'phi': w e^{-phi} is not finite at every node"),
+        # null is a value, not an absent key.
+        ({"params": {"interior_radius": None}},
+         "field 'params.interior_radius': expected a number > 0, got None"),
+        ({"omega": None}, "field 'omega': expected a list, got None"),
+        ({"measure": {"kind": "discrete", "points": [[10**400, 0], [1, 0]],
+          "masses": [1, 1]}},
+         "field 'measure.points': expected a list of finite [re, im] pairs"),
     ],
 )
 def test_parse_rejects_bad_fields(mutate, needle):
     with pytest.raises(InvalidScenarioError) as err:
         parse_scenario(two_node_dict(**mutate))
-    assert needle in str(err.value)
+    message = str(err.value)
+    assert needle in message
+    # One prefix, naming the scenario once, or the source for a bad id.
+    prefix = "<dict>: " if "id" in mutate else "scenario 'ref': "
+    assert message.startswith(prefix + "field '")
+    assert message.count("field '") == 1
 
 
 def test_parse_tabulated_span_row_count():
