@@ -36,10 +36,9 @@ from .homotopy import (
     DerivativeReport,
     HomotopyPath,
     build_path,
-    difference_quotient_bound_check,
     g_derivative_forms,
     g_of_t,
-    l2_difference_bound_check,
+    quotient_bounds_hold,
     sup_bound_constant,
     weight_at,
 )

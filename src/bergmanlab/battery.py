@@ -63,11 +63,9 @@ from .errors import InvalidConfigurationError
 from .homotopy import (
     BOUND_T,
     ORDER_STEPS,
-    T_GRID,
     build_path,
     central_difference,
     g_derivative_forms,
-    g_of_t,
     weight_at,
 )
 from .kernels import Spaces, bergman_densities
@@ -258,14 +256,8 @@ def check_instance(inst: BatteryInstance) -> InstanceMetrics:
 
     path = build_path(spaces, phi, psi)
     forms = g_derivative_forms(path, BOUND_T)
-    values.update(
-        checks.homotopy_values(
-            path,
-            [forms],
-            [g_of_t(path, t) for t in T_GRID],
-            reports[DEFAULT_C_GRID.index(0.0)],
-        )
-    )
+    endpoints = reports[DEFAULT_C_GRID.index(0.0)]
+    values.update(checks.homotopy_values(path, [forms], endpoints))
     order_errors = {
         tau: abs(central_difference(path, BOUND_T, tau) - forms.sign_split_form)
         for tau in ORDER_STEPS

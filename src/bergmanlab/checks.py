@@ -36,12 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comparison import COMPARISON_TOL, STRICT_MARGIN
-from .homotopy import (
-    BOUND_STEPS,
-    BOUND_T,
-    difference_quotient_bound_check,
-    l2_difference_bound_check,
-)
+from .homotopy import BOUND_STEPS, BOUND_T, T_GRID, g_of_t, quotient_bounds_hold
 from .kernels import reproducing_residual
 from .quantization import TCZ_DEV_FLOOR, TCZ_MONOTONE_SLACK
 
@@ -158,14 +153,15 @@ def structural_values(space) -> dict:
     }
 
 
-def homotopy_values(path, ders, g_values, endpoints) -> dict:
+def homotopy_values(path, ders, endpoints) -> dict:
     """The homotopy metrics and the quotient-bound verdict.
 
-    ders are the derivative reports to judge, and g_values is G on a grid
-    from 0 to 1, whose ends must meet endpoints, the comparison report at
-    c = 0.  The bound verdict holds both kernel quotient bounds at BOUND_T,
-    for every step in BOUND_STEPS, on the spaces of the path.
+    ders are the derivative reports to judge.  G on T_GRID, from 0 to 1,
+    must not drop, and its ends must meet endpoints, the comparison report
+    at c = 0.  The bound verdict holds both kernel quotient bounds at
+    BOUND_T, for every step in BOUND_STEPS, on the spaces of the path.
     """
+    g_values = [g_of_t(path, t) for t in T_GRID]
     return {
         "three_form_dev": max([0.0, *map(three_form_dev, ders)]),
         "sign_split": min([math.inf, *(der.sign_split_form for der in ders)]),
@@ -176,11 +172,7 @@ def homotopy_values(path, ders, g_values, endpoints) -> dict:
         "endpoint_dev": max(
             abs(g_values[0] - endpoints.lhs), abs(g_values[-1] - endpoints.rhs)
         ),
-        "bound": all(
-            difference_quotient_bound_check(path, BOUND_T, tau)
-            and l2_difference_bound_check(path, BOUND_T, tau)
-            for tau in BOUND_STEPS
-        ),
+        "bound": all(quotient_bounds_hold(path, BOUND_T, tau) for tau in BOUND_STEPS),
     }
 
 

@@ -20,7 +20,7 @@ import os
 import sys
 
 from .battery import max_principle_search, remove_failure_dumps, run_battery
-from .errors import BergmanlabError
+from .errors import BergmanlabError, InvalidScenarioError
 from .scenarios import emit_report, load_scenario_file, run_scenario
 
 EXIT_GREEN = 0
@@ -86,23 +86,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_verb(args) -> int:
     try:
         configs = [load_scenario_file(path) for path in args.files]
-    except BergmanlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    seen = set()
-    for config in configs:
-        if config.scenario_id in seen:
-            print(
-                f"error: duplicate scenario id {config.scenario_id!r}",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG
-        seen.add(config.scenario_id)
-
-    os.makedirs(args.out, exist_ok=True)
-    # A scenario run dumps nothing, so an earlier battery's dumps go.
-    remove_failure_dumps(os.path.join(args.out, FAILURES_DIR))
-    try:
+        seen = set()
+        for config in configs:
+            if config.scenario_id in seen:
+                raise InvalidScenarioError(
+                    f"duplicate scenario id {config.scenario_id!r}"
+                )
+            seen.add(config.scenario_id)
+        os.makedirs(args.out, exist_ok=True)
+        # A scenario run dumps nothing, so an earlier battery's dumps go.
+        remove_failure_dumps(os.path.join(args.out, FAILURES_DIR))
         reports = [run_scenario(c) for c in configs]
     except BergmanlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -113,11 +106,7 @@ def _run_verb(args) -> int:
         for check in report.results:
             mark = "ok" if check.passed else "FAIL"
             print(f"{report.scenario_id}: {check.name} {mark}")
-    green = all(r.green for r in reports)
-    print(f"{'green' if green else 'red'}; reports in {args.out}")
-    for path in written:
-        print(f"  {path}")
-    return EXIT_GREEN if green else EXIT_RED
+    return _verdict(all(r.green for r in reports), written, args.out)
 
 
 def _battery_verb(args) -> int:
@@ -149,8 +138,12 @@ def _battery_verb(args) -> int:
 
     # With no scenario reports, the document's own green would be all([]).
     extra["green"] = green
-    written = emit_report([], args.out, extra=extra)
-    print(f"{'green' if green else 'red'}; reports in {args.out}")
+    return _verdict(green, emit_report([], args.out, extra=extra), args.out)
+
+
+def _verdict(green: bool, written, out: str) -> int:
+    """Print the verdict line and the written paths; return the exit code."""
+    print(f"{'green' if green else 'red'}; reports in {out}")
     for path in written:
         print(f"  {path}")
     return EXIT_GREEN if green else EXIT_RED

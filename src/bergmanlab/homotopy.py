@@ -130,27 +130,25 @@ def sup_bound_constant(u_sup: float) -> float:
     return constant
 
 
-def difference_quotient_bound_check(path: HomotopyPath, t: float, tau: float) -> bool:
-    """|K_{t+tau}(z, z) - K_t(z, z)| / |tau| <= C_u K_t(z, z) at the nodes.
+def quotient_bounds_hold(path: HomotopyPath, t: float, tau: float) -> bool:
+    """The sup and L2 bounds on the kernel increment from t to t + tau.
 
-    C_u = 2 u_sup e^{2 u_sup}; requires |tau| <= 1.
-    """
-    diag_t = path.spaces(weight_at(path, t)).diagonal
-    diag_s = path.spaces(weight_at(path, t + tau)).diagonal
-    quotient = np.abs(diag_s - diag_t) / abs(tau)
-    floor = BOUND_FLOOR * (1.0 + float(diag_t.max(initial=0.0)))
-    bound = sup_bound_constant(path.u_sup) * diag_t + floor
-    return bool(np.all(quotient <= bound))
+    With C_u = 2 u_sup e^{2 u_sup} and |tau| <= 1, at every node z_i
 
+      sup  |K_{t+tau}(z_i, z_i) - K_t(z_i, z_i)| / |tau| <= C_u K_t(z_i, z_i),
+      L2   sum_k |K_{t+tau} - K_t|^2(i, k) w_k e^{-phi_t(k)} <= C_u |tau| K_t(z_i, z_i),
 
-def l2_difference_bound_check(path: HomotopyPath, t: float, tau: float) -> bool:
-    """Weighted L2 norm of the kernel increment row against C_u |tau| K_t(z, z).
-
-    For each node i the quantity sum_k |K_{t+tau} - K_t|^2(i, k) w_k
-    e^{-phi_t(k)} must stay below C_u |tau| K_t(z_i, z_i).
+    each up to BOUND_FLOOR (1 + max K_t).  The L2 sums are formed only
+    where the sup bound holds.
     """
     space_t = path.spaces(weight_at(path, t))
     space_s = path.spaces(weight_at(path, t + tau))
+    diag_t = space_t.diagonal
+    quotient = np.abs(space_s.diagonal - diag_t) / abs(tau)
+    floor = BOUND_FLOOR * (1.0 + float(diag_t.max(initial=0.0)))
+    constant = sup_bound_constant(path.u_sup)
+    if not np.all(quotient <= constant * diag_t + floor):
+        return False
     d = space_t.measure_factor
     # The increment K_{t+tau} - K_t factors through the stacked frame
     # U = [e_s | e_t] with signature (+1, -1), so the weighted row norms
@@ -165,9 +163,7 @@ def l2_difference_bound_check(path: HomotopyPath, t: float, tau: float) -> bool:
     w_gram = sum(u.conj().T @ (d[rows, None] * u) for rows, u in frames())
     core = signs[:, None] * w_gram * signs[None, :]
     lhs = [np.einsum("ij,ij->i", u @ core, u.conj()).real for _, u in frames()]
-    diag_t = space_t.diagonal
-    floor = BOUND_FLOOR * (1.0 + float(diag_t.max(initial=0.0)))
-    bound = sup_bound_constant(path.u_sup) * abs(tau) * diag_t + floor
+    bound = constant * abs(tau) * diag_t + floor
     return bool(np.all(np.concatenate(lhs) <= bound))
 
 

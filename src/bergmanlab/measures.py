@@ -23,6 +23,14 @@ from .errors import InvalidMeasureError
 
 KIND_DISCRETE = "discrete"
 KIND_DISK = "disk-product"
+# leggauss(n) takes the radial nodes as the eigenvalues of an n x n
+# companion matrix: 8 n^2 bytes and O(n^3) work, 32 MiB and under a second
+# at the cap, where n = 10^6 would ask for 7.3 TiB.
+MAX_RADIAL_NODES = 2048
+# The rule's arrays take 24 bytes a node and a span on it 16 bytes a node
+# per basis function: 2^20 nodes is 25 times the 160 x 256 rule the gates
+# use.
+MAX_DISK_NODES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,6 +118,11 @@ def build_disk_measure(radius: float, n_radial: int, n_angular: int) -> Quadratu
         )
     if n_radial < 1 or n_angular < 1:
         raise InvalidMeasureError("n_radial and n_angular must be >= 1")
+    if n_radial > MAX_RADIAL_NODES or n_radial * n_angular > MAX_DISK_NODES:
+        raise InvalidMeasureError(
+            f"the rule must have n_radial <= {MAX_RADIAL_NODES} and at most "
+            f"{MAX_DISK_NODES} nodes, got {n_radial} x {n_angular}"
+        )
     x, gl_w = leggauss(n_radial)
     # Map [-1, 1] -> s in [0, R^2]; the area element contributes ds/2.
     s = 0.5 * (x + 1.0) * radius**2

@@ -51,7 +51,13 @@ from .errors import (
 )
 from .homotopy import T_GRID, build_path, g_derivative_forms
 from .kernels import Spaces, measure_factors
-from .measures import KIND_DISK, build_discrete_measure, build_disk_measure
+from .measures import (
+    KIND_DISK,
+    MAX_DISK_NODES,
+    MAX_RADIAL_NODES,
+    build_discrete_measure,
+    build_disk_measure,
+)
 from .quantization import (
     DEFAULT_K_LADDER,
     DENSITY_SKIP_TOL,
@@ -219,15 +225,21 @@ def _parse_measure(raw):
             valid = ("kind", "radius", "n_radial", "n_angular")
             _known_keys(raw, valid, "measure.", what)
             radius = _number(_required(raw, "radius", "measure."), "measure.radius")
-            n_radial, n_angular = (
-                _number(
+
+            def count(key, most, why=""):
+                return _number(
                     _required(raw, key, "measure."),
                     f"measure.{key}",
-                    "an integer >= 1",
-                    lambda n: n >= 1,
+                    f"an integer from 1 to {most}{why}",
+                    lambda n: 1 <= n <= most,
                     integer=True,
                 )
-                for key in ("n_radial", "n_angular")
+
+            n_radial = count("n_radial", MAX_RADIAL_NODES)
+            n_angular = count(
+                "n_angular",
+                MAX_DISK_NODES // n_radial,
+                f" (at most {MAX_DISK_NODES} nodes)",
             )
             return build_disk_measure(radius, n_radial, n_angular)
     except InvalidMeasureError as exc:
@@ -538,12 +550,8 @@ def _check_sweep(config, spaces):
 def _check_homotopy(config, spaces):
     path = build_path(spaces, config.phi, config.psi)
     ders = [g_derivative_forms(path, t) for t in T_GRID]
-    values = checks.homotopy_values(
-        path,
-        ders,
-        [der.g_value for der in ders],
-        shifted_comparison_sweep(spaces, config.phi, config.psi, (0.0,))[0],
-    )
+    endpoints = shifted_comparison_sweep(spaces, config.phi, config.psi, (0.0,))[0]
+    values = checks.homotopy_values(path, ders, endpoints)
     metrics = {
         "worst_three_form_dev": values["three_form_dev"],
         "min_sign_split": values["sign_split"],

@@ -14,22 +14,21 @@ from bergmanlab import (
     build_disk_measure,
     build_path,
     constant_weight,
-    difference_quotient_bound_check,
     eval_weight,
     g_derivative_forms,
     gauss_weight,
     generate_instance,
     g_of_t,
-    l2_difference_bound_check,
     load_scenario_file,
     monomial_span,
     orthonormal_node_values,
+    quotient_bounds_hold,
     shifted_comparison_sweep,
     sup_bound_constant,
     tabulated_span,
     tabulated_weight,
 )
-from bergmanlab import kernels
+from bergmanlab import homotopy, kernels
 from bergmanlab.homotopy import (
     BOUND_STEPS,
     BOUND_T,
@@ -227,25 +226,61 @@ def test_sup_bound_constant_rejects_an_overflow_without_a_warning():
 def test_quotient_bounds_hold(seed, tau):
     measure, span, phi, psi = random_setup(seed + 200)
     path = build_path(Spaces(span, measure), phi, psi)
-    assert difference_quotient_bound_check(path, 0.5, tau)
-    assert l2_difference_bound_check(path, 0.5, tau)
+    assert quotient_bounds_hold(path, 0.5, tau)
 
 
-def test_l2_bound_matches_explicit_arithmetic():
-    """The stacked-frame row norms equal the brute-force kernel increment."""
-    measure, span, phi, psi = random_setup(8, m=10, d=3)
-    path = build_path(Spaces(span, measure), phi, psi)
-    t, tau = 0.4, 0.1
+def explicit_bound_shares(path, t, tau):
+    """The largest shares of the envelope C_u K_t(z, z) that the sup quotient
+    and the weighted L2 row sum (over |tau|) of the kernel increment from t
+    to t + tau reach, from the kernels on node pairs."""
     space_t = path.spaces(weight_at(path, t))
     k0 = node_kernel(space_t)
-    k1 = node_kernel(path.spaces(weight_at(path, t + tau)))
-    diff = k1 - k0
-    d = space_t.measure_factor
-    explicit = np.einsum("ik,k,ik->i", diff, d, diff.conj()).real
-    diag = np.real(np.diag(k0))
-    bound = sup_bound_constant(path.u_sup) * tau * diag + 1e-12 * (1.0 + diag.max())
-    assert np.all(explicit <= bound)
-    assert l2_difference_bound_check(path, t, tau)
+    diff = node_kernel(path.spaces(weight_at(path, t + tau))) - k0
+    envelope = sup_bound_constant(path.u_sup) * np.real(np.diag(k0))
+    sup = np.abs(np.real(np.diag(diff))) / abs(tau)
+    l2 = np.einsum("ik,k,ik->i", diff, space_t.measure_factor, diff.conj()).real
+    return float(np.max(sup / envelope)), float(np.max(l2 / (abs(tau) * envelope)))
+
+
+def scale_envelope(monkeypatch, scale):
+    """Multiply the envelope constant that the quotient bounds read by scale."""
+    constant = homotopy.sup_bound_constant
+    monkeypatch.setattr(homotopy, "sup_bound_constant", lambda u: scale * constant(u))
+
+
+def test_l2_bound_matches_explicit_arithmetic(monkeypatch):
+    """The stacked-frame row norms equal the brute-force kernel increment.
+    From t = 0 to 1 the L2 sums reach twice the share of the envelope that
+    the sup quotients do, so with the envelope scaled to that share the
+    verdict turns where the brute-force L2 sums meet it."""
+    measure, span, phi, psi = random_setup(8, m=10, d=3)
+    path = build_path(Spaces(span, measure), phi, psi)
+    t, tau = 0.0, 1.0
+    sup, l2 = explicit_bound_shares(path, t, tau)
+    assert sup < l2 < 1.0
+    assert quotient_bounds_hold(path, t, tau)
+    for scale, holds in ((l2 * (1 + 1e-6), True), (l2 * (1 - 1e-6), False)):
+        with monkeypatch.context() as patch:
+            scale_envelope(patch, scale)
+            assert quotient_bounds_hold(path, t, tau) == holds
+
+
+@pytest.mark.parametrize("index", [0, 4])
+def test_each_quotient_bound_can_decide_the_verdict(index, monkeypatch):
+    """On battery seed 0 at t = tau = 0.5 the sup bound binds first on
+    instance 0 and the L2 bound on instance 4 (shares of the envelope
+    7.4e-5 / 4.2e-5 and 4.9e-3 / 1.06e-2).  With the envelope scaled to
+    between the two shares, only the binding bound fails, so the verdict is
+    false only if that bound is judged."""
+    rng = np.random.default_rng(0)
+    for i in range(index + 1):
+        inst = generate_instance(rng, i)
+    path = build_path(inst.spaces, inst.phi, inst.psi)
+    sup, l2 = explicit_bound_shares(path, BOUND_T, 0.5)
+    assert (sup > l2) == (index == 0)
+    assert quotient_bounds_hold(path, BOUND_T, 0.5)
+    scale_envelope(monkeypatch, math.sqrt(sup * l2))
+    assert not quotient_bounds_hold(path, BOUND_T, 0.5)
 
 
 def test_zero_span_g_vanishes():
@@ -259,23 +294,16 @@ def test_zero_span_g_vanishes():
         der = g_derivative_forms(path, t)
         assert der.sign_split_form == 0.0
         assert der.fd_estimate == 0.0
-    assert difference_quotient_bound_check(path, 0.5, 0.1)
-    assert l2_difference_bound_check(path, 0.5, 0.1)
+    assert quotient_bounds_hold(path, 0.5, 0.1)
 
 
 def forms_and_bound_verdicts(span, measure, phi, psi):
-    """The three G' forms at BOUND_T and both quotient-bound verdicts at each
+    """The three G' forms at BOUND_T and the quotient-bound verdict at each
     of BOUND_STEPS, on a fresh space context."""
     path = build_path(Spaces(span, measure), phi, psi)
     der = g_derivative_forms(path, BOUND_T)
     forms = np.array([der.direct_form, der.symmetric_form, der.sign_split_form])
-    verdicts = [
-        (
-            difference_quotient_bound_check(path, BOUND_T, tau),
-            l2_difference_bound_check(path, BOUND_T, tau),
-        )
-        for tau in BOUND_STEPS
-    ]
+    verdicts = [quotient_bounds_hold(path, BOUND_T, tau) for tau in BOUND_STEPS]
     return path, forms, verdicts
 
 
@@ -291,7 +319,7 @@ def test_homotopy_checks_leave_a_large_monomial_span_untabulated():
     assert "basis_values" not in span.__dict__
     assert np.ptp(forms) <= 1e-10 * (1.0 + np.max(np.abs(forms)))
     assert forms[2] >= 0.0
-    assert all(ok for pair in verdicts for ok in pair)
+    assert all(verdicts)
 
 
 def homotopy_cases():

@@ -79,7 +79,15 @@ def test_disk_diagonal_moment_high_degree():
 
 @pytest.mark.parametrize(
     "radius,n_radial,n_angular",
-    [(0.0, 4, 8), (-1.0, 4, 8), (1.0, 0, 8), (1.0, 4, 0)],
+    [
+        (0.0, 4, 8),
+        (-1.0, 4, 8),
+        (1.0, 0, 8),
+        (1.0, 4, 0),
+        (1.0, 1_000_000, 8),
+        (1.0, 2049, 1),
+        (1.0, 1024, 1025),
+    ],
 )
 def test_disk_argument_errors(radius, n_radial, n_angular):
     with pytest.raises(InvalidMeasureError):

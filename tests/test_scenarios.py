@@ -179,6 +179,16 @@ def test_parse_full_scenario():
         ({"measure": {"kind": "discrete", "points": [[10**400, 0], [1, 0]],
           "masses": [1, 1]}},
          "field 'measure.points': expected a list of finite [re, im] pairs"),
+        # Disk rules too large to build: leggauss's companion matrix, then
+        # the node arrays.
+        ({"measure": dict(DISK_24X48, n_radial=1_000_000)},
+         "field 'measure.n_radial': expected an integer from 1 to 2048, got 1000000"),
+        ({"measure": dict(DISK_24X48, n_radial=2049)}, "field 'measure.n_radial'"),
+        ({"measure": dict(DISK_24X48, n_radial=1, n_angular=10**12)},
+         "field 'measure.n_angular': expected an integer from 1 to 1048576"),
+        ({"measure": dict(DISK_24X48, n_radial=1024, n_angular=1025)},
+         "field 'measure.n_angular': expected an integer from 1 to 1024 "
+         "(at most 1048576 nodes), got 1025"),
     ],
 )
 def test_parse_rejects_bad_fields(mutate, needle):
