@@ -55,6 +55,7 @@ from .comparison import (
     MAXPRINCIPLE_PREMISES_FAIL,
     boundary_premise,
     max_principle_verdicts,
+    reduce_less_singular,
     sandwich_check,
     shifted_comparison_sweep,
     validate_region,
@@ -65,6 +66,7 @@ from .homotopy import (
     ORDER_STEPS,
     build_path,
     central_difference,
+    checked_times,
     g_derivative_forms,
     weight_at,
 )
@@ -189,9 +191,10 @@ def generate_instance(rng, index: int) -> BatteryInstance:
 
     A draw is tame when the spaces at both homotopy endpoints and the
     midpoint, where the derivative checks build them, have a spread of at
-    most SPREAD_BOUND.  Those spaces are built in the instance's own Spaces
-    context, which check_instance reuses.  Resampling keeps the stream
-    deterministic: a given seed always yields the same instances.
+    most SPREAD_BOUND.  Those spaces are built as one stack in the
+    instance's own Spaces context, which check_instance reuses.  Resampling
+    keeps the stream deterministic: a given seed always yields the same
+    instances.
     """
     for attempt in range(MAX_RESAMPLES):
         m = int(rng.integers(2, MAX_NODES + 1))
@@ -212,10 +215,9 @@ def generate_instance(rng, index: int) -> BatteryInstance:
         psi = eval_weight(tabulated_weight(rng.uniform(*WEIGHT_RANGE, m)), measure)
         spaces = Spaces(span, measure)
         path = build_path(spaces, phi, psi)
-        if all(
-            spaces(weight_at(path, t)).spread <= SPREAD_BOUND
-            for t in (0.0, BOUND_T, 1.0)
-        ):
+        judged = [weight_at(path, t) for t in (0.0, BOUND_T, 1.0)]
+        spaces.many(judged)
+        if all(spaces(weight).spread <= SPREAD_BOUND for weight in judged):
             return BatteryInstance(index, spaces, phi, psi, resamples=attempt)
     raise RuntimeError(
         f"instance {index}: no tame draw in {MAX_RESAMPLES} attempts"
@@ -241,12 +243,18 @@ def check_instance(inst: BatteryInstance) -> InstanceMetrics:
     """Run all three check groups on one instance, building each space once.
 
     The spaces come from the instance's context, which already holds the
-    three whose spread generate_instance judged tame.  The homotopy
+    three whose spread generate_instance judged tame; the others are built
+    as one stack before the first check reads them.  The homotopy
     endpoints are the c = 0 report of the comparison sweep, and G' at
     BOUND_T is formed once: each order error is a central difference
     against its sign-split form; at FD_STEP it reuses the estimate's spaces.
     """
     spaces, phi, psi = inst.spaces, inst.phi, inst.psi
+    path = build_path(spaces, phi, psi)
+    times = checked_times((BOUND_T,), ORDER_STEPS)
+    spaces.many(
+        [phi, psi, reduce_less_singular(phi, psi), *(weight_at(path, t) for t in times)]
+    )
 
     space = spaces(phi)
     values = checks.structural_values(space)
@@ -254,7 +262,6 @@ def check_instance(inst: BatteryInstance) -> InstanceMetrics:
     values["comparison_deficit"] = checks.comparison_deficit(reports)
     values["sandwich"] = sandwich_check(spaces, phi, psi).ok
 
-    path = build_path(spaces, phi, psi)
     forms = g_derivative_forms(path, BOUND_T)
     endpoints = reports[DEFAULT_C_GRID.index(0.0)]
     values.update(checks.homotopy_values(path, [forms], endpoints))

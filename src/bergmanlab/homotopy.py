@@ -25,9 +25,11 @@ A path carries the kernels.Spaces context of its span and measure, and every
 function here takes the space of phi_t from it: G on the grid, the
 derivative forms, their finite differences and the quotient bounds share
 each space they meet.  phi + 0 u is phi bit for bit, so t = 0 reuses phi's
-space; phi + 1 u need not be psi bit for bit, so t = 1 has its own.  They
-read K_t(z, z) (WeightedSpace.diagonal), and G(t) sums the Bergman measure
-w B_t (WeightedSpace.projector_diagonal): each space forms both once.
+space; phi + 1 u need not be psi bit for bit, so t = 1 has its own.  The
+checks name the times they read up front (checked_times), so the context
+builds those spaces as one stack.  They read K_t(z, z)
+(WeightedSpace.diagonal), and G(t) sums the Bergman measure w B_t
+(WeightedSpace.projector_diagonal): each space forms both once.
 G on T_GRID must be nondecreasing, with G at the endpoints equal to the two
 comparison integrals.
 The G' forms and the L2 bound read the orthonormal node values in blocks
@@ -106,6 +108,23 @@ def build_path(
 def weight_at(path: HomotopyPath, t: float) -> WeightFunction:
     """The weight phi + t u as a tabulated WeightFunction."""
     return WeightFunction(values=path.base_values + t * path.direction, family=None)
+
+
+def checked_times(forms_at, order_steps=()) -> list:
+    """The times t whose spaces of phi_t the homotopy checks read, in the
+    order they first read them, repeats included, for Spaces.many.
+
+    g_derivative_forms at each t of forms_at reads t and t +- FD_STEP,
+    checks.homotopy_values reads T_GRID and BOUND_T + each of BOUND_STEPS,
+    and a central difference at BOUND_T of each of order_steps reads
+    BOUND_T +- step.  Each sum is formed as its reader forms it, so each
+    time, and its weight, is the one the reader asks for bit for bit.
+    """
+    times = [s for t in forms_at for s in (t, t + FD_STEP, t - FD_STEP)]
+    times += T_GRID
+    times += [BOUND_T + tau for tau in BOUND_STEPS]
+    times += [s for step in order_steps for s in (BOUND_T + step, BOUND_T - step)]
+    return times
 
 
 def g_of_t(path: HomotopyPath, t: float) -> float:

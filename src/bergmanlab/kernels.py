@@ -10,13 +10,17 @@ eigendecomposition with relative rank truncation; the reproducing kernel on
 node pairs is K = (V C)(V C)* where C maps the span basis to an orthonormal
 one.  The density of states B(z) = K(z, z) e^{-phi(z)} integrates to the
 rank of the space, and P_jj = w_j B(z_j), the diagonal of the projector
-onto the space, is the Bergman measure of node j.  The orthonormalization
-runs on a stack of Grams (orthonormal_bases), of which build_space's one
-Gram is the case of one, so many small spaces of one shape take their
-densities from one stacked pass (bergman_densities) with the same
-arithmetic as one build.
+onto the space, is the Bergman measure of node j.  The Gram assembly and
+the orthonormalization (orthonormal_bases) run on stacks, of which
+build_space's one Gram is the case of one, so many small spaces of one
+shape take their densities from one stacked pass (bergman_densities) with
+the same arithmetic as one build.
 The checks take the spaces of one span and one measure from a Spaces
-context, which builds each distinct weight's space once.
+context, which builds each distinct weight's space once.  A check names
+every weight it will read in one call (Spaces.many), and the context builds
+the missing spaces as one stack: Gram products of a few weights each over
+the span's node values and one orthonormal_bases call, each space
+bit-identical to its lone build.
 
 A large monomial Gram on the disk rule (nodes r_i e^{2 pi i j / N}) is
 assembled from one FFT per ring, G[m, n] = sum_i r_i^(m+n) F_i[(n - m) mod N]
@@ -65,7 +69,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidConfigurationError, InvalidMeasureError
+from .errors import BergmanlabError, InvalidConfigurationError, InvalidMeasureError
 from .measures import QuadratureMeasure
 from .spans import KIND_MONOMIALS, FunctionSpan, evaluate_basis
 from .weights import WeightFunction, eval_weight
@@ -87,6 +91,9 @@ RING_GRAM_MIN_WORK = 2**20
 # at degree 127.  Up to this many rows come in one block, read from the
 # span's node values as a whole.
 BLOCK_ROWS = 2048
+# Bytes of weighted span values that Spaces.many forms at a time for its
+# stacked Gram products: the size of one block of BLOCK_ROWS rows.
+STACK_BYTES = 2**22
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,19 +154,39 @@ def assemble_gram(
     span: FunctionSpan, measure: QuadratureMeasure, weight: WeightFunction
 ) -> np.ndarray:
     """Gram matrix G[m, n] = <basis_n, basis_m>, Hermitian-symmetrized."""
+    return _stacked_grams(span, measure, [eval_weight(weight, measure)])[0]
+
+
+def _stacked_grams(
+    span: FunctionSpan, measure: QuadratureMeasure, weights: list
+) -> np.ndarray:
+    """The Grams (n, d, d) of one span and measure under tabulated weights.
+
+    On the ring path each comes from its own FFTs, or from the dense product
+    where those overflow.  Otherwise each dense product takes as many
+    weights as keep its weighted copy of the span values within STACK_BYTES,
+    and gives each Gram bit for bit as a product of one.
+    """
     if span.n_nodes != measure.n:
         raise InvalidMeasureError(
             f"span has {span.n_nodes} nodes, measure has {measure.n}"
         )
-    weight = eval_weight(weight, measure)
-    d = measure_factors(measure.masses, weight.values)
+    factors = measure_factors(measure.masses, np.stack([w.values for w in weights]))
     # An overflow leaves a non-finite Gram, which orthonormal_bases rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         if _ring_path(span, measure):
-            g = _ring_gram(measure, d, span.dim)
-            if g is not None:
-                return g
-        return _dense_gram(span.basis_values, d)
+            grams = [_ring_gram(measure, f, span.dim) for f in factors]
+            return np.stack(
+                [
+                    _dense_gram(span.basis_values, f) if g is None else g
+                    for g, f in zip(grams, factors)
+                ]
+            )
+        values = span.basis_values
+        per = max(1, STACK_BYTES // values.nbytes)
+        return np.concatenate(
+            [_dense_gram(values, factors[s : s + per]) for s in range(0, len(weights), per)]
+        )
 
 
 def _dense_gram(values: np.ndarray, factor: np.ndarray) -> np.ndarray:
@@ -174,10 +201,11 @@ def _ring_path(span: FunctionSpan, measure: QuadratureMeasure) -> bool:
     They do for the measure's own monomial span on a disk rule, recognised
     by its points, once the dense work m * d^2 reaches RING_GRAM_MIN_WORK.
     A discrete measure is turned away by one attribute read, since the
-    battery asks this of thousands of small spaces a pass (3 795 builds at
-    seed 0).  monomial_span keeps the measure's own array of points, so
-    identity settles that span before the element-wise comparison, which
-    takes about 0.15 ms on the 40 960-node rule.
+    battery asks this of thousands of small spaces a pass (3 795 spaces at
+    seed 0, each reading its diagonal).  monomial_span keeps the measure's
+    own array of points, so identity settles that span before the
+    element-wise comparison, which takes about 0.15 ms on the 40 960-node
+    rule.
     """
     return (
         measure.n_angular is not None
@@ -348,15 +376,31 @@ def build_space(
     """Assemble the Gram and orthonormalize; the returned space is immutable."""
     weight = eval_weight(weight, measure)
     gram = assemble_gram(span, measure, weight)
-    ((_, c, spreads),) = orthonormal_bases(gram[None], rank_tol)
-    return WeightedSpace(
-        span=span,
-        measure=measure,
-        weight=weight,
-        ortho_coeffs=c[0],
-        rank=c.shape[-1],
-        spread=float(spreads[0]),
-    )
+    (space,) = _factored_spaces(span, measure, [weight], gram[None], rank_tol)
+    return space
+
+
+def _factored_spaces(
+    span: FunctionSpan,
+    measure: QuadratureMeasure,
+    weights: list,
+    grams: np.ndarray,
+    rank_tol: float = RANK_TOL,
+) -> list:
+    """The spaces of tabulated weights from their stacked Grams, in order,
+    through one orthonormal_bases call: every space is made here."""
+    spaces = [None] * len(weights)
+    for items, c, spreads in orthonormal_bases(grams, rank_tol):
+        for i, coeffs, spread in zip(items, c, spreads):
+            spaces[i] = WeightedSpace(
+                span=span,
+                measure=measure,
+                weight=weights[i],
+                ortho_coeffs=coeffs,
+                rank=c.shape[-1],
+                spread=float(spread),
+            )
+    return spaces
 
 
 class Spaces:
@@ -367,11 +411,23 @@ class Spaces:
     object after that.  The build is deterministic, so reuse changes no
     number.  A closed-form weight and its tabulation share one space, whose
     weight is the one first requested.
+
+    spaces.many(weights) builds the missing spaces of weights as one stack,
+    in request order (_stacked_grams, then one orthonormal_bases call), each
+    bit-identical to its lone build: a check names the weights it will read
+    up front, then reads them one at a time as before.  A stack that a lone
+    build would reject (a weight of the wrong length, a Gram that is not
+    finite or not PSD) is dropped whole, so each of its weights is built
+    alone when first requested, and raises there as without the stack.
+
+    stacks counts the orthonormal_bases calls of the context, a lone build
+    being a stack of one.
     """
 
     def __init__(self, span: FunctionSpan, measure: QuadratureMeasure):
         self.span = span
         self.measure = measure
+        self.stacks = 0
         self._built = {}
 
     def __call__(self, weight: WeightFunction) -> WeightedSpace:
@@ -380,7 +436,37 @@ class Spaces:
         space = self._built.get(key)
         if space is None:
             space = self._built[key] = build_space(self.span, self.measure, weight)
+            self.stacks += 1
         return space
+
+    def many(self, weights) -> None:
+        """Build the missing spaces of weights as one stack; see the class."""
+        try:
+            missing = {}
+            for weight in weights:
+                weight = eval_weight(weight, self.measure)
+                key = weight.values.tobytes()
+                if key not in self._built:
+                    missing.setdefault(key, weight)
+            if not missing:
+                return
+            stack = list(missing.values())
+            grams = _stacked_grams(self.span, self.measure, stack)
+            spaces = _factored_spaces(self.span, self.measure, stack, grams)
+        except BergmanlabError:
+            return
+        self._built.update(zip(missing, spaces))
+        self.stacks += 1
+
+    def counts(self) -> dict:
+        """The spaces built, the stacks they came in, and the largest
+        retained spread among them (None before the first build)."""
+        spreads = [space.spread for space in self._built.values()]
+        return {
+            "built": len(spreads),
+            "stacks": self.stacks,
+            "max_spread": max(spreads, default=None),
+        }
 
 
 def kernel_eval_at(space: WeightedSpace, z, w) -> np.ndarray:

@@ -49,7 +49,7 @@ from .errors import (
     InvalidMeasureError,
     InvalidScenarioError,
 )
-from .homotopy import T_GRID, build_path, g_derivative_forms
+from .homotopy import T_GRID, build_path, checked_times, g_derivative_forms, weight_at
 from .kernels import Spaces, measure_factors
 from .measures import (
     KIND_DISK,
@@ -483,10 +483,12 @@ class CheckResult:
 
 @dataclass
 class RunReport:
-    """All check outcomes for one scenario."""
+    """All check outcomes for one scenario, and the counts of the Spaces
+    context its checks shared (Spaces.counts)."""
 
     scenario_id: str
     results: list
+    spaces: dict = field(default_factory=dict)
 
     @property
     def green(self) -> bool:
@@ -549,6 +551,8 @@ def _check_sweep(config, spaces):
 
 def _check_homotopy(config, spaces):
     path = build_path(spaces, config.phi, config.psi)
+    times = checked_times(T_GRID)
+    spaces.many([config.phi, config.psi, *(weight_at(path, t) for t in times)])
     ders = [g_derivative_forms(path, t) for t in T_GRID]
     endpoints = shifted_comparison_sweep(spaces, config.phi, config.psi, (0.0,))[0]
     values = checks.homotopy_values(path, ders, endpoints)
@@ -626,7 +630,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
                 wall_seconds=time.perf_counter() - t0,
             )
         )
-    return RunReport(scenario_id=config.scenario_id, results=results)
+    return RunReport(config.scenario_id, results, spaces.counts())
 
 
 def _csv_rows(filename, scenario_id, reports):
@@ -694,6 +698,7 @@ def report_document(reports, extra=None) -> dict:
                     }
                     for c in r.results
                 ],
+                "spaces": _jsonable(r.spaces),
             }
             for r in reports
         ],

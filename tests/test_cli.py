@@ -367,6 +367,54 @@ def test_run_rejects_an_overflowing_derived_weight(
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def _stencil_overflow(tmp_path):
+    """The case above whose stencil at t = 0 overflows at t = -FD_STEP."""
+    return _disk_scenario(
+        tmp_path,
+        psi={"family": "radial-poly", "coeffs": [0.0, 0.0, 0.0, 0.0, 1e7]},
+        checks=["homotopy"],
+    )
+
+
+def _two_node_with_a_heavy_node(tmp_path):
+    """Mass and psi 1e300 at node 0: G's derivative forms overflow at t = 0,
+    and the stencil's weight at t = -FD_STEP overflows w e^{-phi_t}."""
+    with open(os.path.join(SCENARIO_DIR, "two-node-reference.json")) as fh:
+        doc = json.load(fh)
+    doc["measure"]["masses"][0] = 1e300
+    doc["psi"]["values"][0] = 1e300
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(doc))
+    return os.fspath(path)
+
+
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        # The stack's third weight, t = -FD_STEP, has a Gram that is not
+        # finite, and the lone build of that weight raises first.
+        (_stencil_overflow, "gram is not finite"),
+        # The stack holds the same rejected Gram, but one at a time the
+        # derivative forms at t = 0 raise before that weight is built.
+        (_two_node_with_a_heavy_node, "derivative forms of G at t = 0"),
+    ],
+    ids=["stencil-gram", "forms-before-gram"],
+)
+def test_a_rejected_stack_exits_as_the_spaces_built_alone(
+    scenario, message, tmp_path, capsys, monkeypatch
+):
+    """A homotopy stack that holds a rejected Gram, not its first, gives the
+    exit status and message of the same run with every space built alone."""
+    path = scenario(tmp_path)
+    out = os.fspath(tmp_path / "out")
+    runs = []
+    for _ in range(2):
+        runs.append((main(["run", path, "--out", out]), capsys.readouterr().err))
+        monkeypatch.setattr(bergmanlab.Spaces, "many", lambda self, weights: None)
+    assert runs[0] == runs[1]
+    assert runs[0][0] == EXIT_CONFIG and message in runs[0][1]
+
+
 def test_run_rejects_a_k_whose_scaled_weight_overflows(tmp_path, capsys, recwarn):
     """k * phi overflows on the outer nodes of a radius-2 disk at k = 1e308."""
     measure = {"kind": "disk-product", "radius": 2.0, "n_radial": 24, "n_angular": 48}

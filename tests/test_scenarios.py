@@ -503,6 +503,9 @@ def test_report_document_contents(monkeypatch):
     }
     for check in scenario["checks"]:
         assert "wall_seconds" in check
+    # The context's counts: phi, psi and psi0 alone, the homotopy path's 33
+    # spaces as one stack.
+    assert scenario["spaces"] == {"built": 36, "stacks": 4, "max_spread": 1.0}
 
 
 def test_report_document_writes_non_finite_floats_as_null():

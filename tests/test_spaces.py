@@ -2,15 +2,15 @@
 
 import glob
 import os
-import sys
+import types
 
 import numpy as np
 import pytest
 
 from bergmanlab import (
+    InvalidConfigurationError,
     InvalidMeasureError,
     Spaces,
-    assemble_gram,
     build_discrete_measure,
     build_disk_measure,
     build_path,
@@ -26,6 +26,7 @@ from bergmanlab import (
     run_battery,
     run_scenario,
     sandwich_check,
+    scaled_weight,
     shifted_comparison_sweep,
     sublevel_set,
     tabulated_span,
@@ -39,64 +40,65 @@ SCENARIOS = sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.json")))
 
 
 @pytest.fixture
-def calls(monkeypatch):
-    """Every build_space and assemble_gram call in the package, by name.
+def made(monkeypatch):
+    """Every space the package makes, and every stack of Grams it factors.
 
-    Each call is kept as (span, measure, weight bytes).  Each module that
-    imported either function by name is patched, so a call outside the
-    context counts too, and so does the Gram that build_space assembles.
-    The spans and measures are kept alive, so their ids are never reused
-    within a test.
+    Every space is made by kernels._factored_spaces from a stack of Grams,
+    whether build_space makes it alone or Spaces.many in a stack, so
+    made.spaces lists each space however it was built.  made.stacks holds
+    the number of Grams of each orthonormal_bases call.  The spaces keep
+    their spans and measures alive, so their ids are never reused within a
+    test.
     """
-    counted = {}
-    for fn in (build_space, assemble_gram):
-        wrapper = _counting(fn, counted.setdefault(fn.__name__, []))
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "bergmanlab" and module is not None:
-                if getattr(module, fn.__name__, None) is fn:
-                    monkeypatch.setattr(module, fn.__name__, wrapper)
-    return counted
+    record = types.SimpleNamespace(spaces=[], stacks=[])
+    factored, factor = kernels._factored_spaces, kernels.orthonormal_bases
+
+    def made_spaces(*args, **kwargs):
+        spaces = factored(*args, **kwargs)
+        record.spaces.extend(spaces)
+        return spaces
+
+    def counted(grams, *args, **kwargs):
+        record.stacks.append(len(grams))
+        return factor(grams, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_factored_spaces", made_spaces)
+    monkeypatch.setattr(kernels, "orthonormal_bases", counted)
+    return record
 
 
-def _counting(fn, made):
-    def counted(span, measure, weight, *args, **kwargs):
-        made.append((span, measure, eval_weight(weight, measure).values.tobytes()))
-        return fn(span, measure, weight, *args, **kwargs)
-
-    return counted
+def _distinct(spaces):
+    return {
+        (id(s.span), id(s.measure), s.weight.values.tobytes()) for s in spaces
+    }
 
 
-def _distinct(calls):
-    return {(id(span), id(measure), key) for span, measure, key in calls}
-
-
-def test_each_distinct_space_of_a_battery_instance_is_built_once(calls):
-    """From draw to verdict, each distinct space has one build and one Gram.
-
-    The draw's tame check reads the spread of the spaces the checks use.
+def test_each_distinct_space_of_a_battery_instance_is_built_once(made):
+    """From draw to verdict, each distinct space is made once from one Gram,
+    in two stacks: the draw's tame check builds the three spaces whose
+    spread it reads, and check_instance the others.
     """
-    builds, grams = calls["build_space"], calls["assemble_gram"]
     rng = np.random.default_rng(0)
     for i in range(20):
         check_instance(generate_instance(rng, i))
-        assert builds, "the patched build_space was never called"
-        assert len(builds) == len(_distinct(builds)), f"instance {i}"
-        assert len(grams) == len(_distinct(builds)), f"instance {i}"
-        builds.clear()
-        grams.clear()
+        assert made.spaces, "no space was made"
+        assert len(made.spaces) == len(_distinct(made.spaces)), f"instance {i}"
+        assert sum(made.stacks) == len(made.spaces), f"instance {i}"
+        assert len(made.stacks) == 2 and made.stacks[0] == 3, f"instance {i}"
+        made.spaces.clear()
+        made.stacks.clear()
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=os.path.basename)
-def test_each_distinct_space_of_a_scenario_is_built_once(calls, path):
-    builds = calls["build_space"]
+def test_each_distinct_space_of_a_scenario_is_built_once(made, path):
     assert run_scenario(load_scenario_file(path)).green
-    assert builds
-    assert len(builds) == len(_distinct(builds))
-    assert len(calls["assemble_gram"]) == len(builds)
+    assert made.spaces
+    assert len(made.spaces) == len(_distinct(made.spaces))
+    assert sum(made.stacks) == len(made.spaces)
 
 
 @pytest.fixture
-def diagonals(monkeypatch):
+def diagonals(made, monkeypatch):
     """Every space the package builds, and every kernel diagonal it forms.
 
     A diagonal is the row norms of a space's node values, which
@@ -104,11 +106,7 @@ def diagonals(monkeypatch):
     a function that gives, for each space built so far, the number of
     diagonals formed for it.
     """
-    built, formed = [], []
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "bergmanlab" and module is not None:
-            if getattr(module, "build_space", None) is build_space:
-                monkeypatch.setattr(module, "build_space", _keeping(built))
+    formed = []
     row_norms = kernels._node_row_norms
 
     def counted(space):
@@ -118,26 +116,19 @@ def diagonals(monkeypatch):
     monkeypatch.setattr(kernels, "_node_row_norms", counted)
 
     def per_space():
-        return [sum(s is space for s in formed) for space in built]
+        return [sum(s is space for s in formed) for space in made.spaces]
 
     return per_space
 
 
-def _keeping(built):
-    def kept(*args, **kwargs):
-        space = build_space(*args, **kwargs)
-        built.append(space)
-        return space
-
-    return kept
-
-
-def test_a_battery_forms_one_kernel_diagonal_per_build(diagonals):
-    """Densities and the homotopy read one diagonal a space,
-    and the seed-0 battery makes the 3 795 builds that README states."""
+def test_a_battery_forms_one_kernel_diagonal_per_build(diagonals, made):
+    """Densities and the homotopy read one diagonal a space, and the seed-0
+    battery makes the 3 795 spaces in 400 stacks that README states: two
+    for each instance, none of which is resampled."""
     run_battery(200, 0)
     counts = diagonals()
     assert (len(counts), set(counts)) == (3795, {1})
+    assert (len(made.stacks), sum(made.stacks)) == (400, 3795)
 
 
 def test_the_shipped_scenarios_form_one_kernel_diagonal_per_build(diagonals):
@@ -145,6 +136,109 @@ def test_the_shipped_scenarios_form_one_kernel_diagonal_per_build(diagonals):
         assert run_scenario(load_scenario_file(path)).green
     counts = diagonals()
     assert (len(counts), set(counts)) == (78, {1})
+
+
+def test_a_scenarios_pass_makes_the_pinned_work_counts(made):
+    """The four shipped scenarios factor their 78 Grams in 14 stacks: each
+    homotopy check builds its 33 path spaces as one stack, and the other
+    spaces (phi, psi, the sandwich's psi0, the ladder's rungs) are built
+    alone.  Each scenario's context reports its own share."""
+    reports = [run_scenario(load_scenario_file(path)) for path in SCENARIOS]
+    assert (len(made.stacks), sum(made.stacks)) == (14, 78)
+    assert sorted(made.stacks) == [1] * 12 + [33, 33]
+    assert {r.scenario_id: (r.spaces["built"], r.spaces["stacks"]) for r in reports} == {
+        "disk-fock-scaling": (1, 1),
+        "disk-strict-pair": (36, 4),
+        "maxprinciple-example": (2, 2),
+        "two-node-reference": (36, 4),
+    }
+
+
+def _assert_lone_builds_equal(spaces):
+    for space in spaces:
+        lone = build_space(space.span, space.measure, space.weight)
+        assert np.array_equal(space.ortho_coeffs, lone.ortho_coeffs)
+        assert (space.rank, space.spread) == (lone.rank, lone.spread)
+        assert np.array_equal(space.diagonal, lone.diagonal)
+
+
+def test_a_stacked_space_equals_its_lone_build_bit_for_bit(made):
+    """Over the paths of the shipped scenarios and instances 0-19 of battery
+    seed 0, every space that Spaces.many stacks has the coefficients, rank,
+    spread and kernel diagonal of its own build_space."""
+    for path in SCENARIOS:
+        run_scenario(load_scenario_file(path))
+    rng = np.random.default_rng(0)
+    for i in range(20):
+        check_instance(generate_instance(rng, i))
+    stacked = list(made.spaces)
+    assert max(made.stacks) == 33
+    _assert_lone_builds_equal(stacked)
+
+
+def test_a_stack_on_the_ring_path_equals_its_lone_builds():
+    """On the disk rule above the ring floor each Gram of a stack is a ring
+    Gram, and the stack still factors them as one."""
+    measure = build_disk_measure(1.0, 64, 128)
+    span = monomial_span(measure, 11)
+    assert kernels._ring_path(span, measure)
+    spaces = Spaces(span, measure)
+    weights = [scaled_weight(gauss_weight(1.0), k) for k in (0.5, 1.0, 2.0)]
+    spaces.many(weights)
+    assert spaces.counts()["stacks"] == 1
+    _assert_lone_builds_equal([spaces(w) for w in weights])
+
+
+def _stack_weights(m=40, d=5, n=7, seed=3):
+    rng = np.random.default_rng(seed)
+    measure, span, _, _ = _discrete(m, d, seed)
+    weights = [tabulated_weight(rng.uniform(-2.0, 2.0, m)) for _ in range(n)]
+    return measure, span, weights
+
+
+def test_a_chunked_stack_equals_the_stack_left_whole(monkeypatch):
+    """With STACK_BYTES at two weights' worth of span values, seven weights
+    take four Gram products, and every space is the one a single product
+    gives, bit for bit."""
+    measure, span, weights = _stack_weights()
+    products = []
+    dense_gram = kernels._dense_gram
+
+    def counted(values, factor):
+        products.append(factor.shape[:-1])
+        return dense_gram(values, factor)
+
+    monkeypatch.setattr(kernels, "_dense_gram", counted)
+    whole, chunked = Spaces(span, measure), Spaces(span, measure)
+    whole.many(weights)
+    monkeypatch.setattr(kernels, "STACK_BYTES", 2 * span.basis_values.nbytes)
+    chunked.many(weights)
+    assert products == [(7,), (2,), (2,), (2,), (1,)]
+    for weight in weights:
+        a, b = whole(weight), chunked(weight)
+        assert np.array_equal(a.ortho_coeffs, b.ortho_coeffs)
+        assert (a.rank, a.spread) == (b.rank, b.spread)
+        assert np.array_equal(a.diagonal, b.diagonal)
+
+
+def test_a_rejected_stack_raises_where_the_lone_build_does():
+    """A Gram that is not finite, third of four, drops the stack: many
+    raises nothing and builds nothing, each good weight is then built
+    alone, and the bad one raises the lone build's error when requested."""
+    measure, span, weights = _stack_weights(n=4)
+    bad = tabulated_weight(np.where(np.arange(measure.n) == 5, -800.0, 0.0))
+    weights[2] = bad
+    spaces = Spaces(span, measure)
+    spaces.many(weights)
+    assert spaces.counts() == {"built": 0, "stacks": 0, "max_spread": None}
+    _assert_lone_builds_equal([spaces(weights[0]), spaces(weights[3])])
+    with pytest.raises(InvalidConfigurationError) as lone:
+        build_space(span, measure, bad)
+    with pytest.raises(InvalidConfigurationError) as stacked:
+        spaces(bad)
+    assert str(stacked.value) == str(lone.value)
+    assert "gram is not finite" in str(lone.value)
+    assert spaces.counts()["stacks"] == 2
 
 
 def _discrete(m=9, d=3, seed=5):
@@ -202,15 +296,11 @@ def _battery_instances(seed=1, n=4):
     return [generate_instance(rng, i) for i in range(n)]
 
 
-def test_each_space_forms_its_density_and_bergman_measure_once(monkeypatch):
+def test_each_space_forms_its_density_and_bergman_measure_once(made):
     """B = K e^{-phi} and P = w B on every space of the shipped scenarios
     and of battery instances at seed 1, bit for bit, formed on the first
     read and kept read-only."""
-    built = []
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "bergmanlab" and module is not None:
-            if getattr(module, "build_space", None) is build_space:
-                monkeypatch.setattr(module, "build_space", _keeping(built))
+    built = made.spaces
     for path in SCENARIOS:
         assert run_scenario(load_scenario_file(path)).green
     for inst in _battery_instances():
