@@ -11,16 +11,17 @@ node pairs is K = (V C)(V C)* where C maps the span basis to an orthonormal
 one.  The density of states B(z) = K(z, z) e^{-phi(z)} integrates to the
 rank of the space, and P_jj = w_j B(z_j), the diagonal of the projector
 onto the space, is the Bergman measure of node j.  The Gram assembly and
-the orthonormalization (orthonormal_bases) run on stacks, of which
-build_space's one Gram is the case of one, so many small spaces of one
-shape take their densities from one stacked pass (bergman_densities) with
-the same arithmetic as one build.
-The checks take the spaces of one span and one measure from a Spaces
-context, which builds each distinct weight's space once.  A check names
-every weight it will read in one call (Spaces.many), and the context builds
-the missing spaces as one stack: Gram products of a few weights each over
-the span's node values and one orthonormal_bases call, each space
-bit-identical to its lone build.
+the orthonormalization (orthonormal_bases) run on stacks, of which a lone
+space's one Gram is the case of one, so many small spaces of one shape
+take their densities from one stacked pass (bergman_densities) with the
+same arithmetic as one build.  Relative eigenvalues at or below RANK_TOL
+count as null, read at each call.
+Every space is made in a Spaces context of one span and one measure, which
+builds each distinct weight's space once; build_space is a context of its
+own.  A check names every weight it will read in one call (Spaces.many),
+and the context builds the missing spaces as one stack: Gram products of a
+few weights each over the span's node values and one orthonormal_bases
+call, each space bit-identical to its lone build.
 
 A large monomial Gram on the disk rule (nodes r_i e^{2 pi i j / N}) is
 assembled from one FFT per ring, G[m, n] = sum_i r_i^(m+n) F_i[(n - m) mod N]
@@ -91,7 +92,7 @@ RING_GRAM_MIN_WORK = 2**20
 # at degree 127.  Up to this many rows come in one block, read from the
 # span's node values as a whole.
 BLOCK_ROWS = 2048
-# Bytes of weighted span values that Spaces.many forms at a time for its
+# Bytes of weighted span values that a Spaces build forms at a time for its
 # stacked Gram products: the size of one block of BLOCK_ROWS rows.
 STACK_BYTES = 2**22
 
@@ -112,8 +113,12 @@ class WeightedSpace:
     measure: QuadratureMeasure
     weight: WeightFunction
     ortho_coeffs: np.ndarray
-    rank: int
     spread: float
+
+    @property
+    def rank(self) -> int:
+        """The number of retained directions, the columns of ortho_coeffs."""
+        return self.ortho_coeffs.shape[1]
 
     @cached_property
     def measure_factor(self) -> np.ndarray:
@@ -314,11 +319,11 @@ def _equilibrated(gram: np.ndarray):
     return scale, rescaled
 
 
-def orthonormal_bases(grams: np.ndarray, rank_tol: float = RANK_TOL) -> list:
+def orthonormal_bases(grams: np.ndarray) -> list:
     """Orthonormalize a stack of Grams (n, d, d) by Hermitian eigendecomposition.
 
     Each Gram is equilibrated to unit diagonal first; eigenvalues of the
-    rescaled matrix at or below rank_tol times its largest are truncated,
+    rescaled matrix at or below RANK_TOL times its largest are truncated,
     and C = S U Lambda^(-1/2) on the kept ones satisfies C* G C = I on the
     retained spectrum.  A Gram with no positive spectrum has rank 0 (not
     an error); a non-finite Gram, or one that dips below zero by more than
@@ -347,14 +352,14 @@ def orthonormal_bases(grams: np.ndarray, rank_tol: float = RANK_TOL) -> list:
                 f"gram is not PSD up to tolerance: min eigenvalue {lam[i, 0]:.3e} "
                 f"against max {top[i]:.3e} after equilibration"
             )
-    # The eigenvalues ascend, so the kept ones, above rank_tol * top, are
+    # The eigenvalues ascend, so the kept ones, above RANK_TOL * top, are
     # the last; a Gram with no positive eigenvalue keeps none, since all of
-    # its eigenvalues lie at or below top <= rank_tol * top.
-    ranks = (lam > rank_tol * top[:, None]).sum(axis=1)
+    # its eigenvalues lie at or below top <= RANK_TOL * top.
+    ranks = (lam > RANK_TOL * top[:, None]).sum(axis=1)
     occurring = sorted(set(ranks.tolist()))
     bases = []
     for rank in occurring:
-        # A stack of one rank, as every build_space call makes, is sliced
+        # A stack of one rank, as every lone build makes, is sliced
         # rather than copied by an index array.
         if len(occurring) == 1:
             items, sel = np.arange(n), slice(None)
@@ -368,43 +373,15 @@ def orthonormal_bases(grams: np.ndarray, rank_tol: float = RANK_TOL) -> list:
 
 
 def build_space(
-    span: FunctionSpan,
-    measure: QuadratureMeasure,
-    weight: WeightFunction,
-    rank_tol: float = RANK_TOL,
+    span: FunctionSpan, measure: QuadratureMeasure, weight: WeightFunction
 ) -> WeightedSpace:
-    """Assemble the Gram and orthonormalize; the returned space is immutable."""
-    weight = eval_weight(weight, measure)
-    gram = assemble_gram(span, measure, weight)
-    (space,) = _factored_spaces(span, measure, [weight], gram[None], rank_tol)
-    return space
-
-
-def _factored_spaces(
-    span: FunctionSpan,
-    measure: QuadratureMeasure,
-    weights: list,
-    grams: np.ndarray,
-    rank_tol: float = RANK_TOL,
-) -> list:
-    """The spaces of tabulated weights from their stacked Grams, in order,
-    through one orthonormal_bases call: every space is made here."""
-    spaces = [None] * len(weights)
-    for items, c, spreads in orthonormal_bases(grams, rank_tol):
-        for i, coeffs, spread in zip(items, c, spreads):
-            spaces[i] = WeightedSpace(
-                span=span,
-                measure=measure,
-                weight=weights[i],
-                ortho_coeffs=coeffs,
-                rank=c.shape[-1],
-                spread=float(spread),
-            )
-    return spaces
+    """The space of one weight, built in a context of its own; immutable."""
+    return Spaces(span, measure)(weight)
 
 
 class Spaces:
-    """The spaces of one span and one measure, each built once.
+    """The spaces of one span and one measure, each built once: every space
+    of the package is made here.
 
     spaces(weight) tabulates the weight on the measure and returns its
     space, built on the first request for those weight values and the same
@@ -413,15 +390,16 @@ class Spaces:
     weight is the one first requested.
 
     spaces.many(weights) builds the missing spaces of weights as one stack,
-    in request order (_stacked_grams, then one orthonormal_bases call), each
-    bit-identical to its lone build: a check names the weights it will read
-    up front, then reads them one at a time as before.  A stack that a lone
-    build would reject (a weight of the wrong length, a Gram that is not
-    finite or not PSD) is dropped whole, so each of its weights is built
-    alone when first requested, and raises there as without the stack.
+    in request order, each bit-identical to its lone build: a check names
+    the weights it will read up front, then reads them one at a time as
+    before.  A stack that a lone build would reject (a weight of the wrong
+    length, a Gram that is not finite or not PSD) is dropped whole, so each
+    of its weights is built alone when first requested, and raises there as
+    without the stack.
 
-    stacks counts the orthonormal_bases calls of the context, a lone build
-    being a stack of one.
+    Either way a build is one stack (_build): _stacked_grams, then one
+    orthonormal_bases call, a lone build being a stack of one.  stacks
+    counts them.
     """
 
     def __init__(self, span: FunctionSpan, measure: QuadratureMeasure):
@@ -433,11 +411,9 @@ class Spaces:
     def __call__(self, weight: WeightFunction) -> WeightedSpace:
         weight = eval_weight(weight, self.measure)
         key = weight.values.tobytes()
-        space = self._built.get(key)
-        if space is None:
-            space = self._built[key] = build_space(self.span, self.measure, weight)
-            self.stacks += 1
-        return space
+        if key not in self._built:
+            self._build({key: weight})
+        return self._built[key]
 
     def many(self, weights) -> None:
         """Build the missing spaces of weights as one stack; see the class."""
@@ -448,13 +424,26 @@ class Spaces:
                 key = weight.values.tobytes()
                 if key not in self._built:
                     missing.setdefault(key, weight)
-            if not missing:
-                return
-            stack = list(missing.values())
-            grams = _stacked_grams(self.span, self.measure, stack)
-            spaces = _factored_spaces(self.span, self.measure, stack, grams)
+            if missing:
+                self._build(missing)
         except BergmanlabError:
-            return
+            pass
+
+    def _build(self, missing: dict) -> None:
+        """Build the spaces of tabulated weights, keyed by their values, as
+        one stack; a rejected stack stores none of them."""
+        weights = list(missing.values())
+        grams = _stacked_grams(self.span, self.measure, weights)
+        spaces = [None] * len(weights)
+        for items, c, spreads in orthonormal_bases(grams):
+            for i, coeffs, spread in zip(items, c, spreads):
+                spaces[i] = WeightedSpace(
+                    span=self.span,
+                    measure=self.measure,
+                    weight=weights[i],
+                    ortho_coeffs=coeffs,
+                    spread=float(spread),
+                )
         self._built.update(zip(missing, spaces))
         self.stacks += 1
 

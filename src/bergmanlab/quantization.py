@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigurationError, UnsupportedWeightError
-from .kernels import WeightedSpace, build_space
+from .kernels import Spaces, WeightedSpace
 from .measures import KIND_DISK, QuadratureMeasure
 from .spans import monomial_span
 from .weights import WeightFunction, eval_weight, scaled_weight
@@ -40,10 +40,13 @@ TCZ_DEV_FLOOR = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class ScalingReport:
-    """Convergence data for one amplification factor k."""
+    """Convergence data for one amplification factor k, with the rank and
+    the retained spread of the rung's space."""
 
     k: float
     degree: int
+    rank: int
+    spread: float
     degree_requested: float
     eval_indices: np.ndarray
     ratios: np.ndarray
@@ -103,8 +106,7 @@ def build_scaled_space(
 
     The degree must fit the quadrature's exactness (``monomial_span``).
     """
-    span = monomial_span(measure, degree)
-    return build_space(span, measure, scaled_weight(phi, k))
+    return Spaces(monomial_span(measure, degree), measure)(scaled_weight(phi, k))
 
 
 def ladder_nodes(
@@ -160,6 +162,8 @@ def tcz_convergence_report(
             ScalingReport(
                 k=float(k),
                 degree=degree,
+                rank=space.rank,
+                spread=space.spread,
                 degree_requested=requested_degree(k, measure),
                 eval_indices=np.flatnonzero(eval_mask),
                 ratios=ratios,

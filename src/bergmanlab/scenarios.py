@@ -582,6 +582,8 @@ def _check_tcz(config, spaces):
         values,
         n_skipped=reports[0].n_skipped,
         degrees_requested=[rep.degree_requested for rep in reports],
+        rung_ranks=[rep.rank for rep in reports],
+        rung_spreads=[rep.spread for rep in reports],
     )
     rows = _csv_rows("tcz.csv", config.scenario_id, reports)
     return not checks.failures(values), metrics, rows

@@ -68,6 +68,11 @@ def test_run_shipped_scenarios_green(tmp_path, capsys):
     # caps it at 127, and the report says so.
     tcz = checks[("disk-fock-scaling", "tcz")]["metrics"]
     assert tcz["degrees_requested"] == [60.0, 120.0, 240.0]
+    # The rungs are built outside the scenario's context, so their ranks
+    # and spreads come in the check's metrics: full rank at every degree,
+    # and equilibrated Grams that are the identity to roundoff.
+    assert tcz["rung_ranks"] == [61, 121, 128]
+    assert all(1.0 <= s < 1.0 + 1e-13 for s in tcz["rung_spreads"])
     with open(os.path.join(out, "tcz.csv")) as fh:
         last = list(csv.DictReader(fh))[-1]
     assert (last["k"], last["degree"]) == ("40.0", "127")

@@ -16,7 +16,6 @@ from bergmanlab import (
     build_disk_measure,
     eval_weight,
     gauss_weight,
-    kernels,
     max_principle_check,
     monomial_span,
     reduce_less_singular,
@@ -142,10 +141,13 @@ def test_sandwich_builds_no_third_space_when_psi_is_on_one_side(side, monkeypatc
         measure,
     )
     built = []
-    build = kernels.build_space
-    monkeypatch.setattr(
-        kernels, "build_space", lambda *args: built.append(args) or build(*args)
-    )
+    build = Spaces._build
+
+    def counted(self, missing):
+        built.extend(missing)
+        build(self, missing)
+
+    monkeypatch.setattr(Spaces, "_build", counted)
     assert sandwich_check(Spaces(span, measure), phi, psi).ok
     assert len(built) == 2
 

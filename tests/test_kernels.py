@@ -202,6 +202,26 @@ def test_orthonormal_bases_ranks_and_spreads_equal_a_gram_by_gram_walk():
         assert set(ranks) == set(range(d + 1))
 
 
+@pytest.mark.parametrize("rank_tol, rank", [(kernels.RANK_TOL, 2), (1e-6, 1)])
+def test_the_rank_cutoff_is_read_at_call_time(rank_tol, rank, monkeypatch):
+    """Two columns 1e-4 apart leave an equilibrated eigenvalue near 1e-9 of
+    the largest: kept at the shipped cutoff, dropped at 1e-6, by a lone
+    build, a Spaces context and the stacked densities alike."""
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(6)
+    values = np.stack([v, v + 1e-4 * rng.standard_normal(6)], axis=1)
+    measure = build_discrete_measure(np.arange(6.0), np.ones(6))
+    zero = eval_weight(constant_weight(0.0), measure)
+    monkeypatch.setattr(kernels, "RANK_TOL", rank_tol)
+    span = tabulated_span(values)
+    assert build_space(span, measure, zero).rank == rank
+    assert kernels.Spaces(span, measure)(zero).rank == rank
+    density = kernels.bergman_densities(
+        values[None].astype(complex), measure.masses[None], zero.values[None]
+    )
+    assert np.sum(measure.masses * density) == pytest.approx(rank)
+
+
 def test_equilibration_scales_unit_diagonal():
     measure, span, phi = random_instance(4)
     g = assemble_gram(span, measure, phi)

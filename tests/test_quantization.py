@@ -118,6 +118,16 @@ def test_convergence_report_devs_shrink():
     assert reports[1].mean_abs_dev <= reports[1].max_abs_dev_from_1
 
 
+def test_convergence_report_carries_each_rungs_rank_and_spread():
+    measure = build_disk_measure(1.0, 48, 96)
+    phi = gauss_weight(1.0)
+    reports = tcz_convergence_report(phi, [8.0, 16.0], measure)
+    for r in reports:
+        space = build_scaled_space(phi, r.k, r.degree, measure)
+        assert (r.rank, r.spread) == (space.rank, space.spread)
+    assert [r.rank for r in reports] == [r.degree + 1 for r in reports]
+
+
 def test_convergence_report_reads_an_annulus_of_rings_like_the_blocks():
     """phi = |z|^4 - |z|^2 has a positive limit density only for |z| > 1/2,
     so the ladder reads an annulus: its rings are not a prefix of the rule.

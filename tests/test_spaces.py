@@ -43,26 +43,24 @@ SCENARIOS = sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.json")))
 def made(monkeypatch):
     """Every space the package makes, and every stack of Grams it factors.
 
-    Every space is made by kernels._factored_spaces from a stack of Grams,
-    whether build_space makes it alone or Spaces.many in a stack, so
-    made.spaces lists each space however it was built.  made.stacks holds
-    the number of Grams of each orthonormal_bases call.  The spaces keep
-    their spans and measures alive, so their ids are never reused within a
-    test.
+    Every space is made by Spaces._build from a stack of Grams, whether
+    alone or in a stack, so made.spaces lists each space however it was
+    built.  made.stacks holds the number of Grams of each orthonormal_bases
+    call.  The spaces keep their spans and measures alive, so their ids are
+    never reused within a test.
     """
     record = types.SimpleNamespace(spaces=[], stacks=[])
-    factored, factor = kernels._factored_spaces, kernels.orthonormal_bases
+    build, factor = Spaces._build, kernels.orthonormal_bases
 
-    def made_spaces(*args, **kwargs):
-        spaces = factored(*args, **kwargs)
-        record.spaces.extend(spaces)
-        return spaces
+    def made_spaces(self, missing):
+        build(self, missing)
+        record.spaces.extend(self._built[key] for key in missing)
 
-    def counted(grams, *args, **kwargs):
+    def counted(grams):
         record.stacks.append(len(grams))
-        return factor(grams, *args, **kwargs)
+        return factor(grams)
 
-    monkeypatch.setattr(kernels, "_factored_spaces", made_spaces)
+    monkeypatch.setattr(Spaces, "_build", made_spaces)
     monkeypatch.setattr(kernels, "orthonormal_bases", counted)
     return record
 
